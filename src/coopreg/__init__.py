@@ -37,7 +37,6 @@ from .signal_model import (
 )
 from .simulator import (
     AgentSpec,
-    ClosedLoopState,
     ErrorMetrics,
     NominalPlant,
     SimTrace,

@@ -180,6 +180,10 @@ class Scenario:
         m = self.numerics.grid_points if m is None else int(m)
         dt = self.numerics.dt if dt is None else float(dt)
         horizon = self.numerics.horizon if horizon is None else float(horizon)
+        checks = (("dt", dt), ("horizon", horizon))
+        bad = [f"{key} = {value} must be positive" for key, value in checks if not value > 0]
+        if bad:
+            raise SchemaError(bad)
         n_steps = max(1, int(round(horizon / dt)))
         exo = self.exo_model()
         return ResolvedScenario(

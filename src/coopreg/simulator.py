@@ -1,23 +1,27 @@
 """Closed-loop method-of-lines simulation of the networked parabolic agents.
 
 Each agent is a 1-D reaction-diffusion system with Robin boundary conditions,
-actuated at z = 1 and disturbed in-domain and at the boundaries.  Diffusion
-and reaction advance by Crank-Nicolson with ghost-node boundary closure; the
-controller and internal-model coupling are evaluated once per step (first
-order splitting), and the exogenous signal state advances by its exact
-matrix exponential.  Per step the order is: outputs, controller, then the
-internal-model and PDE advances.
+actuated at z = 1 and disturbed in-domain and at the boundaries.  The N agents
+share one stacked (N, m + 1) state.  Diffusion and reaction advance by
+Crank-Nicolson with ghost-node boundary closure, as one tridiagonal system
+factored once per run; the internal models advance by a trapezoidal map
+inverted once per run.  The controller and internal-model coupling are
+evaluated once per step (first order splitting), and the exogenous signal
+state advances by its exact matrix exponential.  Per step the order is:
+outputs, controller, then the internal-model and PDE advances.  ``simulate``,
+the target cascade and the one-step helpers all run on these same pieces.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve, solve_banded
+from scipy.linalg import expm
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .backstepping import OutputOperator, TriangularKernel
-from .comm_graph import CommTopology
+from .comm_graph import CommTopology, laplacian
 from .errors import GridMismatch, NumericalBlowup, SingularStep
-from .grid import GridFunction, trapezoid_weights, uniform_nodes
+from .grid import GridFunction, trapezoid_weights
 from .signal_model import ExoModel
 from .synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
 
@@ -80,16 +84,6 @@ class AgentSpec:
 
 
 @dataclass
-class ClosedLoopState:
-    """Full simulation state: internal models, agent profiles, signal state."""
-
-    v: np.ndarray          # (N, n_w)
-    x: np.ndarray          # (N, m + 1)
-    w: np.ndarray          # (n_w,)
-    t: float = 0.0
-
-
-@dataclass
 class SimTrace:
     """Sampled closed-loop signals, columns aligned to ``times``."""
 
@@ -122,129 +116,177 @@ class ErrorMetrics:
     decay_rate: float
 
 
-class _OutputEvaluator:
-    """Precomputed quadrature weights for one agent's true output map."""
+class StackedStepper:
+    """Crank-Nicolson step and output map of N agents on stacked (N, m + 1) state.
 
-    def __init__(self, nominal: OutputOperator, agent: AgentSpec, m: int):
-        smooth = nominal.smooth_weight.values.copy()
-        if agent.delta_c0 is not None:
-            if agent.delta_c0.m != m:
-                raise GridMismatch("delta_c0 grid does not match the simulation grid")
-            smooth = smooth + agent.delta_c0.values
-        self.weights = trapezoid_weights(m) * smooth
-        cb0, cb1 = nominal.boundary_weights
-        self.weights[0] += cb0 + agent.delta_cb0
-        self.weights[-1] += cb1 + agent.delta_cb1
-        self.points = []
-        deltas = list(agent.delta_points) + [0.0] * (
-            len(nominal.point_weights) - len(agent.delta_points)
+    The spatial operator uses the true coefficients 1 + delta_lambda and
+    a + delta_a directly in the stencil; boundary actuation and boundary
+    disturbances enter through the second-order ghost-node closure.  The N
+    tridiagonal systems are chained into one of size N (m + 1) with zero
+    coupling between agents, factored once.  Each agent's disturbance wiring
+    is composed with its read-out P_i (an (m_i, n_w) matrix), so forcing and
+    output feedthrough are fixed maps of the signal state w.  Point samples
+    of the output are folded into the weight matrix.
+    """
+
+    def __init__(self, plant: NominalPlant, agents, read_outs, dt: float):
+        m = plant.a.m
+        for i, (ag, p_i) in enumerate(zip(agents, read_outs, strict=True)):
+            if ag.m != m:
+                raise GridMismatch("plant and agent grids differ")
+            if ag.n_channels != p_i.shape[0]:
+                raise ValueError(
+                    f"agent {i + 1} wires {ag.n_channels} disturbance channels but the "
+                    f"signal model produces {p_i.shape[0]}"
+                )
+        h = 1.0 / m
+        lam = 1.0 + np.stack([ag.delta_lambda.values for ag in agents])
+        abar = plant.a.values + np.stack([ag.delta_a.values for ag in agents])
+        q0b = plant.q0 + np.array([ag.delta_q0 for ag in agents])
+        q1b = plant.q1 + np.array([ag.delta_q1 for ag in agents])
+
+        # upper[:, m] and lower[:, 0] stay zero: no coupling between agents
+        lower = np.zeros_like(lam)
+        diag = np.zeros_like(lam)
+        upper = np.zeros_like(lam)
+        diag[:, 1:m] = -2.0 * lam[:, 1:m] / h**2 + abar[:, 1:m]
+        lower[:, 1:m] = upper[:, 1:m] = lam[:, 1:m] / h**2
+        diag[:, 0] = -2.0 * lam[:, 0] * (1.0 + h * q0b) / h**2 + abar[:, 0]
+        upper[:, 0] = 2.0 * lam[:, 0] / h**2
+        diag[:, m] = -2.0 * lam[:, m] * (1.0 - h * q1b) / h**2 + abar[:, m]
+        lower[:, m] = 2.0 * lam[:, m] / h**2
+
+        self.dt = dt
+        half = 0.5 * dt
+        *self.lu, info = dgttrf(
+            -half * lower.ravel()[1:], 1.0 - half * diag.ravel(), -half * upper.ravel()[:-1]
         )
-        nodes = uniform_nodes(m)
-        for (c_k, z_k), d_k in zip(nominal.point_weights, deltas):
-            j = min(int(z_k * m), m - 1)
-            theta = z_k * m - j
-            self.points.append((c_k + d_k, j, theta))
-        self.g4 = agent.g4
+        if info != 0:
+            raise SingularStep(f"Crank-Nicolson matrix is singular (pivot {info})")
+        self.rhs_upper = half * upper[:, :-1]
+        self.rhs_diag = 1.0 + half * diag
+        self.rhs_lower = half * lower[:, 1:]
 
-    def __call__(self, profile: np.ndarray, d: np.ndarray) -> float:
-        val = float(self.weights @ profile)
-        for coeff, j, theta in self.points:
-            val += coeff * ((1.0 - theta) * profile[j] + theta * profile[j + 1])
-        if d.size:
-            val += float(self.g4 @ d)
-        return val
+        # forcing: interior disturbance profile plus boundary injections
+        self.bc1_gain = 2.0 * lam[:, m] / h
+        self.wiring = np.stack([ag.g1 @ p_i for ag, p_i in zip(agents, read_outs)])
+        for i, (ag, p_i) in enumerate(zip(agents, read_outs)):
+            self.wiring[i, 0] += -2.0 * lam[i, 0] / h * (ag.g2 @ p_i)
+            self.wiring[i, -1] += self.bc1_gain[i] * (ag.g3 @ p_i)
+        self.feedthrough = np.stack([ag.g4 @ p_i for ag, p_i in zip(agents, read_outs)])
+
+        nominal = plant.output
+        cb0, cb1 = nominal.boundary_weights
+        self.weights = np.empty_like(lam)
+        for i, ag in enumerate(agents):
+            smooth = nominal.smooth_weight.values
+            if ag.delta_c0 is not None:
+                if ag.delta_c0.m != m:
+                    raise GridMismatch("delta_c0 grid does not match the simulation grid")
+                smooth = smooth + ag.delta_c0.values
+            row = trapezoid_weights(m) * smooth
+            row[0] += cb0 + ag.delta_cb0
+            row[-1] += cb1 + ag.delta_cb1
+            for k, (c_k, z_k) in enumerate(nominal.point_weights):
+                c_k += ag.delta_points[k] if k < len(ag.delta_points) else 0.0
+                j = min(int(z_k * m), m - 1)
+                theta = z_k * m - j
+                row[j] += c_k * (1.0 - theta)
+                row[j + 1] += c_k * theta
+            self.weights[i] = row
+
+    def outputs(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """True outputs of all agents: quadrature + point samples + boundary + feedthrough."""
+        return np.einsum("ij,ij->i", self.weights, x) + self.feedthrough @ w
+
+    def forcing(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        f = self.wiring @ w
+        f[:, -1] += self.bc1_gain * u
+        return f
+
+    def step(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Advance every profile one step with the forcing held over the step."""
+        rhs = self.rhs_diag * x
+        rhs[:, :-1] += self.rhs_upper * x[:, 1:]
+        rhs[:, 1:] += self.rhs_lower * x[:, :-1]
+        rhs += self.dt * self.forcing(u, w)
+        out, _ = dgttrs(*self.lu, rhs.ravel(), overwrite_b=1)
+        return out.reshape(x.shape)
+
+
+class TrapezoidStep:
+    """Trapezoidal step of v' = S v + column * drive with the drive held over the step.
+
+    The implicit half is inverted up front, so a step is one fixed n_w x n_w
+    map plus a multiple of one fixed column.
+    """
+
+    def __init__(self, s: np.ndarray, column: np.ndarray, dt: float):
+        n_w = s.shape[0]
+        lhs = np.eye(n_w) - 0.5 * dt * s
+        try:
+            self.map = np.linalg.solve(lhs, np.eye(n_w) + 0.5 * dt * s)
+            self.column = np.linalg.solve(lhs, dt * np.asarray(column, dtype=float))
+        except np.linalg.LinAlgError as exc:
+            raise SingularStep(f"trapezoidal step matrix is singular: {exc}") from exc
+
+    def __call__(self, v: np.ndarray, drive: np.ndarray) -> np.ndarray:
+        return v @ self.map.T + np.outer(drive, self.column)
+
+
+class NetworkFeedback:
+    """Boundary inputs under the networked state feedback, and the internal-model drive.
+
+    u_i = k_v . v_i - k_1 x_i(1) - int k_x x_i + sum_j a_ij (xi_i - xi_j)
+          + a_i0 xi_i  with the lumped quantity xi_i = int r_x x_i, so only
+    one scalar per agent crosses the network.  The internal models are driven
+    by sum_j a_ij (y_i - y_j) + a_i0 (y_i - r); in leaderless mode the
+    reference never enters.
+    """
+
+    def __init__(self, gains: RegulatorGains, topology: CommTopology, mode: str):
+        graph = laplacian(topology)
+        if mode == MODE_LEADER:
+            self.coupling, self.leader_links = graph.leader_follower, topology.leader_links
+        elif mode == MODE_LEADERLESS:
+            self.coupling, self.leader_links = graph.laplacian, np.zeros(topology.n_agents)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        self.k_v, self.k_1 = gains.k_v, gains.k_1
+        self.w_kx = trapezoid_weights(gains.m) * gains.k_x.values
+        self.w_rx = trapezoid_weights(gains.m) * gains.r_x.values
+
+    def inputs(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+        xi = x @ self.w_rx
+        return v @ self.k_v - self.k_1 * x[:, -1] - x @ self.w_kx + self.coupling @ xi
+
+    def drive(self, y: np.ndarray, r: float) -> np.ndarray:
+        return self.coupling @ y - self.leader_links * r
+
+
+def _one_agent(agent: AgentSpec, profile, d):
+    """Stacked (1, m + 1) state, and a signal state that is the disturbance d itself."""
+    values = profile.values if isinstance(profile, GridFunction) else np.asarray(profile, dtype=float)
+    d = np.zeros(agent.n_channels) if d is None else np.asarray(d, dtype=float)
+    return values[None], d, [np.eye(agent.n_channels)]
 
 
 def evaluate_output(
     agent: AgentSpec, nominal: OutputOperator, profile, d=None
 ) -> float:
     """True output of one agent: quadrature + point samples + boundary + g4 . d."""
-    values = profile.values if isinstance(profile, GridFunction) else np.asarray(profile)
-    m = values.size - 1
-    d = np.zeros(agent.n_channels) if d is None else np.asarray(d, dtype=float)
-    return _OutputEvaluator(nominal, agent, m)(values, d)
-
-
-class AgentStepper:
-    """Crank-Nicolson stepper for one uncertain reaction-diffusion agent.
-
-    The spatial operator uses the true coefficients 1 + delta_lambda and
-    a + delta_a directly in the stencil; boundary actuation and boundary
-    disturbances enter through the second-order ghost-node closure.
-    """
-
-    def __init__(self, plant: NominalPlant, agent: AgentSpec, dt: float):
-        m = agent.m
-        if plant.a.m != m:
-            raise GridMismatch("plant and agent grids differ")
-        h = 1.0 / m
-        lam = 1.0 + agent.delta_lambda.values
-        abar = plant.a.values + agent.delta_a.values
-        q0b = plant.q0 + agent.delta_q0
-        q1b = plant.q1 + agent.delta_q1
-
-        lower = np.zeros(m + 1)
-        diag = np.zeros(m + 1)
-        upper = np.zeros(m + 1)
-        diag[1:m] = -2.0 * lam[1:m] / h**2 + abar[1:m]
-        lower[1:m] = lam[1:m] / h**2
-        upper[1:m] = lam[1:m] / h**2
-        diag[0] = -2.0 * lam[0] * (1.0 + h * q0b) / h**2 + abar[0]
-        upper[0] = 2.0 * lam[0] / h**2
-        diag[m] = -2.0 * lam[m] * (1.0 - h * q1b) / h**2 + abar[m]
-        lower[m] = 2.0 * lam[m] / h**2
-
-        self.dt, self.m, self.h = dt, m, h
-        half = 0.5 * dt
-        # banded LHS for solve_banded: rows are (upper, diag, lower)
-        self.lhs = np.zeros((3, m + 1))
-        self.lhs[0, 1:] = -half * upper[:-1]
-        self.lhs[1] = 1.0 - half * diag
-        self.lhs[2, :-1] = -half * lower[1:]
-        self.rhs_upper = half * upper[:-1]
-        self.rhs_diag = 1.0 + half * diag
-        self.rhs_lower = half * lower[1:]
-
-        # forcing assembly: interior disturbance profile plus boundary injections
-        self.g1 = agent.g1
-        self.bc0_gain = -2.0 * lam[0] / h
-        self.bc1_gain = 2.0 * lam[m] / h
-        self.g2, self.g3 = agent.g2, agent.g3
-
-    def forcing(self, u: float, d: np.ndarray) -> np.ndarray:
-        f = self.g1 @ d if d.size else np.zeros(self.m + 1)
-        f[0] += self.bc0_gain * (self.g2 @ d if d.size else 0.0)
-        f[-1] += self.bc1_gain * ((self.g3 @ d if d.size else 0.0) + u)
-        return f
-
-    def step(self, profile: np.ndarray, u: float, d: np.ndarray) -> np.ndarray:
-        rhs = self.rhs_diag * profile
-        rhs[:-1] += self.rhs_upper * profile[1:]
-        rhs[1:] += self.rhs_lower * profile[:-1]
-        rhs += self.dt * self.forcing(u, d)
-        try:
-            return solve_banded((1, 1), self.lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularStep(str(exc)) from exc
+    x, d, read_outs = _one_agent(agent, profile, d)
+    # the output map does not depend on the reaction, the Robin data or the step
+    zero = GridFunction.constant(0.0, x.shape[1] - 1)
+    plant = NominalPlant(a=zero, q0=0.0, q1=0.0, output=nominal)
+    return float(StackedStepper(plant, [agent], read_outs, 0.0).outputs(x, d)[0])
 
 
 def pde_step(plant: NominalPlant, agent: AgentSpec, profile, u: float, d=None, dt: float = 1e-3):
     """One Crank-Nicolson step of a single agent; forcing held over the step."""
-    values = profile.values if isinstance(profile, GridFunction) else np.asarray(profile, dtype=float)
-    d = np.zeros(agent.n_channels) if d is None else np.asarray(d, dtype=float)
-    out = AgentStepper(plant, agent, dt).step(values, float(u), d)
+    x, d, read_outs = _one_agent(agent, profile, d)
+    out = StackedStepper(plant, [agent], read_outs, dt).step(x, np.array([float(u)]), d)[0]
     return GridFunction(out) if isinstance(profile, GridFunction) else out
-
-
-def coupling_matrix(topology: CommTopology, mode: str) -> np.ndarray:
-    """H = L + diag(leader links) in leader-follower mode, plain L otherwise."""
-    adj = topology.adjacency
-    lap = np.diag(adj.sum(axis=1)) - adj
-    if mode == MODE_LEADER:
-        return lap + np.diag(topology.leader_links)
-    if mode == MODE_LEADERLESS:
-        return lap
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def controller_input(
@@ -254,22 +296,11 @@ def controller_input(
     x: np.ndarray,
     mode: str = MODE_LEADER,
 ) -> np.ndarray:
-    """Boundary inputs of all agents under the networked state feedback.
-
-    u_i = k_v . v_i - k_1 x_i(1) - int k_x x_i + sum_j a_ij (xi_i - xi_j)
-          + a_i0 xi_i  with the lumped quantity xi_i = int r_x x_i, so only
-    one scalar per agent crosses the network.
-    """
-    v = np.asarray(v, dtype=float)
+    """Boundary inputs of all agents under the networked state feedback."""
     x = np.asarray(x, dtype=float)
-    m = x.shape[1] - 1
-    if gains.m != m:
-        raise GridMismatch(f"gain grid {gains.m} vs state grid {m}")
-    w_kx = trapezoid_weights(m) * gains.k_x.values
-    w_rx = trapezoid_weights(m) * gains.r_x.values
-    xi = x @ w_rx
-    local = v @ gains.k_v - gains.k_1 * x[:, -1] - x @ w_kx
-    return local + coupling_matrix(topology, mode) @ xi
+    if gains.m != x.shape[1] - 1:
+        raise GridMismatch(f"gain grid {gains.m} vs state grid {x.shape[1] - 1}")
+    return NetworkFeedback(gains, topology, mode).inputs(np.asarray(v, dtype=float), x)
 
 
 def internal_model_step(
@@ -284,17 +315,10 @@ def internal_model_step(
     """Advance every internal-model copy one step.
 
     The linear part v' = S v is trapezoidal (same family as the PDE stepper);
-    the diffusive output coupling is held over the step.  In leaderless mode
-    the reference never enters.
+    the diffusive output coupling is held over the step.
     """
-    v = np.asarray(v, dtype=float)
-    n_w = gains.n_w
-    coupling = coupling_matrix(topology, mode) @ np.asarray(y, dtype=float)
-    if mode == MODE_LEADER:
-        coupling = coupling - topology.leader_links * r
-    lhs = np.eye(n_w) - 0.5 * dt * gains.S
-    rhs = v @ (np.eye(n_w) + 0.5 * dt * gains.S).T + dt * np.outer(coupling, gains.b_y)
-    return np.linalg.solve(lhs, rhs.T).T
+    drive = NetworkFeedback(gains, topology, mode).drive(np.asarray(y, dtype=float), r)
+    return TrapezoidStep(gains.S, gains.b_y, dt)(np.asarray(v, dtype=float), drive)
 
 
 @dataclass
@@ -319,9 +343,7 @@ def simulate(
     model, numerics and sampling (see ``Scenario.resolve``); passing gains
     whose certificate failed is allowed but recorded in the trace metadata.
     """
-    plant = scenario_objects.plant
     agents = scenario_objects.agents
-    topology = scenario_objects.topology
     exo: ExoModel = scenario_objects.exo
     mode = scenario_objects.mode
     dt = scenario_objects.dt
@@ -331,15 +353,11 @@ def simulate(
     blowup = scenario_objects.blowup_bound
 
     n = len(agents)
-    steppers = [AgentStepper(plant, ag, dt) for ag in agents]
-    outputs_eval = [_OutputEvaluator(plant.output, ag, m) for ag in agents]
-    read_outs = [exo.read_outs[i] for i in range(n)]
-    for i, ag in enumerate(agents):
-        if ag.n_channels != read_outs[i].shape[0]:
-            raise ValueError(
-                f"agent {i + 1} wires {ag.n_channels} disturbance channels but the "
-                f"signal model produces {read_outs[i].shape[0]}"
-            )
+    n_w = gains.n_w
+    stepper = StackedStepper(scenario_objects.plant, agents, exo.read_outs, dt)
+    feedback = NetworkFeedback(gains, scenario_objects.topology, mode)
+    internal_model = TrapezoidStep(gains.S, gains.b_y, dt)
+    propagator = expm(exo.S * dt)
 
     x = np.stack(
         [
@@ -347,16 +365,8 @@ def simulate(
             for ag in agents
         ]
     )
-    v = np.array(scenario_objects.v0, dtype=float).reshape(n, gains.n_w)
+    v = np.array(scenario_objects.v0, dtype=float).reshape(n, n_w)
     w = np.array(scenario_objects.w0, dtype=float)
-
-    propagator = expm(exo.S * dt)
-    n_w = gains.n_w
-    im_lhs = lu_factor(np.eye(n_w) - 0.5 * dt * gains.S)
-    im_rhs = np.eye(n_w) + 0.5 * dt * gains.S
-    coup = coupling_matrix(topology, mode)
-    w_kx = trapezoid_weights(m) * gains.k_x.values
-    w_rx = trapezoid_weights(m) * gains.r_x.values
 
     sample_idx = [k for k in range(n_steps + 1) if k % stride == 0 or k == n_steps]
     n_s = len(sample_idx)
@@ -374,13 +384,9 @@ def simulate(
     pos = 0
     for k in range(n_steps + 1):
         t = k * dt
-        d_all = [p @ w for p in read_outs]
-        y = np.array(
-            [outputs_eval[i](x[i], d_all[i]) for i in range(n)]
-        )
+        y = stepper.outputs(x, w)
         r = float(exo.p @ w)
-        xi = x @ w_rx
-        u = v @ gains.k_v - gains.k_1 * x[:, -1] - x @ w_kx + coup @ xi
+        u = feedback.inputs(v, x)
 
         if k == sample_idx[pos]:
             times[pos] = t
@@ -396,12 +402,8 @@ def simulate(
         if k == n_steps:
             break
 
-        coupling = coup @ y
-        if mode == MODE_LEADER:
-            coupling = coupling - topology.leader_links * r
-        v = lu_solve(im_lhs, (v @ im_rhs.T + dt * np.outer(coupling, gains.b_y)).T).T
-        for i in range(n):
-            x[i] = steppers[i].step(x[i], u[i], d_all[i])
+        v = internal_model(v, feedback.drive(y, r))
+        x = stepper.step(x, u, w)
         w = propagator @ w
 
         peak = max(np.abs(x).max(), np.abs(v).max())
@@ -451,28 +453,19 @@ def simulate_target_cascade(
     n, n_w = e_v.shape
     m = x_t.shape[1] - 1
 
-    plant = NominalPlant(
-        a=GridFunction.constant(-gains.mu_c, m),
-        q0=0.0,
-        q1=0.0,
-        output=OutputOperator(
-            smooth_weight=GridFunction.constant(0.0, m), boundary_weights=(0.0, 0.0)
-        ),
+    zero = GridFunction.constant(0.0, m)
+    heat = NominalPlant(
+        a=GridFunction.constant(-gains.mu_c, m), q0=0.0, q1=0.0, output=OutputOperator(zero)
     )
-    agent = AgentSpec(
-        delta_lambda=GridFunction.constant(0.0, m),
-        delta_a=GridFunction.constant(0.0, m),
-    )
-    stepper = AgentStepper(plant, agent, dt)
-    lhs = lu_factor(np.eye(n_w) - 0.5 * dt * gains.S)
-    rhs = np.eye(n_w) + 0.5 * dt * gains.S
-    g_vec = np.asarray(q_tilde_at_1, dtype=float)
+    agent = AgentSpec(delta_lambda=zero, delta_a=zero)
+    stepper = StackedStepper(heat, [agent] * n, [np.zeros((0, 0))] * n, dt)
+    target_model = TrapezoidStep(gains.S, q_tilde_at_1, dt)
+    no_w = np.zeros(0)
 
     sample_idx = [k for k in range(n_steps + 1) if k % sample_every == 0 or k == n_steps]
     times = np.empty(len(sample_idx))
     e_trace = np.empty((len(sample_idx), n, n_w))
     x_trace = np.empty((len(sample_idx), n, m + 1))
-    no_d = np.zeros(0)
 
     pos = 0
     for k in range(n_steps + 1):
@@ -484,10 +477,8 @@ def simulate_target_cascade(
         if k == n_steps:
             break
         boundary = e_v @ gains.k_v
-        kick = coupling @ boundary
-        e_v = lu_solve(lhs, (e_v @ rhs.T - dt * np.outer(kick, g_vec)).T).T
-        for i in range(n):
-            x_t[i] = stepper.step(x_t[i], boundary[i], no_d)
+        e_v = target_model(e_v, -(coupling @ boundary))
+        x_t = stepper.step(x_t, boundary, no_w)
     return CascadeTrace(times=times, e_v=e_trace, x_tilde=x_trace)
 
 

@@ -236,12 +236,6 @@ def numerator_at(s_point: complex, output_transformed: OutputOperator, mu_c: flo
     return complex(val)
 
 
-def numerator_matrix(
-    s_point: complex, output_transformed: OutputOperator, mu_c: float, n_agents: int
-) -> np.ndarray:
-    return numerator_at(s_point, output_transformed, mu_c) * np.eye(n_agents, dtype=complex)
-
-
 def check_controllable_pair(
     s: np.ndarray,
     b_y: np.ndarray,

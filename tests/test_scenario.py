@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from coopreg.cli import main
 from coopreg.errors import ParseError, SchemaError
 from coopreg.expressions import Expression
 from coopreg.scenario import loads, serialize
-from coopreg.synthesis import MODE_LEADER
+from coopreg.synthesis import MODE_LEADER, write_gains_file
 
 
 class TestExpressions:
@@ -236,6 +237,21 @@ class TestCli:
         res = run_cli("check", "--scenario", str(bad))
         assert res.returncode == 1
         assert "q0" in res.stderr
+
+    @pytest.mark.parametrize("flag, value", [("--dt", "-1"), ("--horizon", "0")])
+    def test_nonpositive_override_rejected(
+        self, scenario_file, leader_design, tmp_path, capsys, flag, value
+    ):
+        gains = tmp_path / "gains.txt"
+        write_gains_file(leader_design.gains, gains)
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scenario", str(scenario_file), "--gains", str(gains),
+            "--out", str(out), flag, value,
+        ])
+        assert code == 1
+        assert f"{flag[2:]} = " in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
     def test_check_fails_on_disconnected_graph(self, scenario_file, tmp_path):
         text = scenario_file.read_text().replace(

@@ -10,9 +10,9 @@ from coopreg.grid import GridFunction, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
 from coopreg.simulator import (
     AgentSpec,
-    AgentStepper,
     NominalPlant,
     SimTrace,
+    StackedStepper,
     controller_input,
     error_metrics,
     evaluate_output,
@@ -75,9 +75,13 @@ class TestEvaluateOutput:
         op = OutputOperator(
             GridFunction.constant(0.0, m), point_weights=((2.0, 0.3),)
         )
-        agent = plain_agent(m)
+        uncertain = plain_agent(
+            m, delta_c0=GridFunction.constant(1.0, m), delta_points=(0.5,)
+        )
         profile = np.linspace(0.0, 1.0, m + 1)
-        assert evaluate_output(agent, op, profile) == pytest.approx(0.6, abs=1e-12)
+        # the uncertain agent adds delta_points to the point weight and int z dz
+        for agent, expected in ((plain_agent(m), 0.6), (uncertain, 2.5 * 0.3 + 0.5)):
+            assert evaluate_output(agent, op, profile) == pytest.approx(expected, abs=1e-12)
 
     def test_uncertainties_and_feedthrough(self):
         m = 100
@@ -227,11 +231,11 @@ class TestPdeStep:
         plant = NominalPlant(
             a=GridFunction.constant(0.0, m), q0=0.0, q1=0.0, output=benchmark_output(m)
         )
-        stepper = AgentStepper(plant, plain_agent(m), dt)
+        stepper = StackedStepper(plant, [plain_agent(m)], [np.zeros((0, 0))], dt)
         nodes = np.linspace(0.0, 1.0, m + 1)
         x = np.cos(np.pi * nodes)
         for _ in range(int(round(t_end / dt))):
-            x = stepper.step(x, 0.0, np.zeros(0))
+            x = stepper.step(x[None], np.zeros(1), np.zeros(0))[0]
         exact = np.exp(-np.pi**2 * t_end) * np.cos(np.pi * nodes)
         rel = np.linalg.norm(x - exact) / np.linalg.norm(exact)
         assert rel <= 1e-3
@@ -241,10 +245,10 @@ class TestPdeStep:
         plant = NominalPlant(
             a=GridFunction.constant(-1.0, m), q0=0.0, q1=0.0, output=benchmark_output(m)
         )
-        stepper = AgentStepper(plant, plain_agent(m), dt)
+        stepper = StackedStepper(plant, [plain_agent(m)], [np.zeros((0, 0))], dt)
         x = np.zeros(m + 1)
         for _ in range(3000):
-            x = stepper.step(x, 2.0, np.zeros(0))
+            x = stepper.step(x[None], np.array([2.0]), np.zeros(0))[0]
         # the same spatial stencil solved directly for the steady state
         h = 1.0 / m
         a_mat = np.zeros((m + 1, m + 1))
@@ -277,11 +281,60 @@ class TestPdeStep:
             m, g1=np.zeros((m + 1, 1)), g2=np.array([1.0]), g3=np.array([1.0]),
             g4=np.zeros(1),
         )
-        stepper = AgentStepper(plant, agent, 1e-3)
-        f = stepper.forcing(0.0, np.array([2.0]))
+        stepper = StackedStepper(plant, [agent], [np.eye(1)], 1e-3)
+        f = stepper.forcing(np.zeros(1), np.array([2.0]))[0]
         # -2 lam/h * (g2 . d) at z = 0 and +2 lam/h * (g3 . d + u) at z = 1
         assert f[0] == pytest.approx(-2.0 * m * 2.0)
         assert f[-1] == pytest.approx(2.0 * m * 2.0)
+
+    def test_stacked_agents_step_independently(self):
+        m, dt, n_w = 32, 1e-3, 3
+        h = 1.0 / m
+        rng = np.random.default_rng(7)
+        plant = NominalPlant(
+            a=GridFunction.from_callable(lambda z: 2.0 * np.cos(2.0 * z), m),
+            q0=0.5, q1=-0.2, output=benchmark_output(m),
+        )
+        agents, read_outs = [], []
+        for lam_fn, a_fn, dq0, dq1, n_ch in (
+            (lambda z: 0.3 * z, lambda z: -0.5 + z**2, 0.2, -0.1, 2),
+            (lambda z: -0.2 + 0.0 * z, lambda z: np.sin(3.0 * z), -0.3, 0.4, 0),
+            (lambda z: 0.1 * np.cos(z), lambda z: 1.0 + 0.0 * z, 0.0, 0.25, 1),
+        ):
+            agents.append(plain_agent(
+                m,
+                delta_lambda=GridFunction.from_callable(lam_fn, m),
+                delta_a=GridFunction.from_callable(a_fn, m),
+                delta_q0=dq0, delta_q1=dq1,
+                g1=rng.normal(size=(m + 1, n_ch)), g2=rng.normal(size=n_ch),
+                g3=rng.normal(size=n_ch), g4=rng.normal(size=n_ch),
+            ))
+            read_outs.append(rng.normal(size=(n_ch, n_w)))
+        x = np.stack([random_smooth_profile(rng, m) for _ in agents])
+        u = rng.normal(size=len(agents))
+        w = rng.normal(size=n_w)
+        stacked = StackedStepper(plant, agents, read_outs, dt).step(x, u, w)
+
+        for i, (agent, p_i) in enumerate(zip(agents, read_outs)):
+            lam = 1.0 + agent.delta_lambda.values
+            abar = plant.a.values + agent.delta_a.values
+            a_mat = np.zeros((m + 1, m + 1))
+            for j in range(1, m):
+                a_mat[j, j - 1] = a_mat[j, j + 1] = lam[j] / h**2
+                a_mat[j, j] = -2.0 * lam[j] / h**2 + abar[j]
+            a_mat[0, 0] = -2.0 * lam[0] * (1.0 + h * (plant.q0 + agent.delta_q0)) / h**2 + abar[0]
+            a_mat[0, 1] = 2.0 * lam[0] / h**2
+            a_mat[m, m] = -2.0 * lam[m] * (1.0 - h * (plant.q1 + agent.delta_q1)) / h**2 + abar[m]
+            a_mat[m, m - 1] = 2.0 * lam[m] / h**2
+            d = p_i @ w
+            forcing = agent.g1 @ d
+            forcing[0] += -2.0 * lam[0] / h * (agent.g2 @ d)
+            forcing[m] += 2.0 * lam[m] / h * (agent.g3 @ d + u[i])
+            eye = np.eye(m + 1)
+            dense = np.linalg.solve(
+                eye - 0.5 * dt * a_mat, (eye + 0.5 * dt * a_mat) @ x[i] + dt * forcing
+            )
+            assert np.abs(stacked[i] - dense).max() < 1e-12
 
 
 class TestSimulate:
