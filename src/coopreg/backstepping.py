@@ -34,6 +34,9 @@ from scipy.integrate import cumulative_trapezoid
 from .errors import GridMismatch, NoConvergence
 from .grid import GridFunction, require_same_grid, uniform_nodes
 
+#: fewest grid intervals the kernel quadrature resolves
+MIN_GRID_POINTS = 32
+
 
 @dataclass(frozen=True)
 class TriangularKernel:
@@ -170,15 +173,15 @@ def solve_kernel(
         Shift defining the target dynamics; the solver treats it as an
         opaque parameter and leaves stability questions to the certificate.
     m : int
-        Intervals of the uniform grid (at least 32).
+        Intervals of the uniform grid (at least ``MIN_GRID_POINTS``).
     tol : float
         Sup-norm change between successive iterates that counts as converged.
     max_iter : int
         Iteration budget; exceeding it raises NoConvergence, which usually
         means tol is too tight for the grid resolution.
     """
-    if m < 32:
-        raise ValueError("kernel grid needs at least 32 intervals")
+    if m < MIN_GRID_POINTS:
+        raise ValueError(f"kernel grid needs at least {MIN_GRID_POINTS} intervals")
     if tol <= 0:
         raise ValueError("tol must be positive")
     h = 1.0 / m

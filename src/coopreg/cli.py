@@ -1,8 +1,13 @@
 """Command-line front end: synthesize, simulate, check.
 
-Orchestrates the full design pipeline on a scenario file, persists gains,
-certificates, traces and metrics, and aggregates the design hypotheses into
-one report.  Exit status is 0 exactly when everything requested passed.
+``run_synthesis`` is the one place that evaluates the design hypotheses
+(graph connectivity, internal-model rank, spectral margin, signal-model
+spectrum and controllability, spectrum separation, nonblocking transfer,
+decoupled-pair controllability, Hurwitz closed loop) and it runs the design
+pipeline.  ``synthesize`` persists the gains and the certificate, ``simulate``
+runs the closed loop from a gains file, and ``check`` prints the hypothesis
+rows.  ``synthesize`` and ``check`` share one verdict: every row passed.
+Exit status is 0 exactly when everything requested passed.
 """
 
 import argparse
@@ -10,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +31,15 @@ from .scenario import Scenario, load_scenario
 from .synthesis import MODE_LEADER
 
 _FMT = "{:.17g}".format
+
+
+class Hypothesis(NamedTuple):
+    """One design hypothesis: its condition, the verdict and its evidence."""
+
+    name: str
+    condition: str
+    passed: bool
+    evidence: str
 
 
 @dataclass
@@ -48,39 +63,89 @@ class SynthesisResult:
     certificate: synthesis.StabilityCertificate
     rank_ok: bool
     nonblocking: list
+    hypotheses: tuple
 
 
 def run_synthesis(scenario: Scenario, m: int | None = None) -> SynthesisResult:
-    """Kernel -> decoupling -> nonblocking -> Riccati -> gains -> certificate."""
+    """Hypotheses, then kernel -> decoupling -> nonblocking -> Riccati -> gains -> certificate.
+
+    Every structural hypothesis is evaluated before the first fatal one is
+    raised.  A ToolkitError raised past the grid check carries the rows in its
+    ``hypotheses`` attribute, closed by one failing ``design pipeline`` row.
+    """
+    m = scenario.numerics.grid_points if m is None else int(m)
+    if m < backstepping.MIN_GRID_POINTS:
+        raise SchemaError([f"grid_points = {m} must be at least {backstepping.MIN_GRID_POINTS}"])
+    rows = []
+    try:
+        return _design(scenario, m, rows)
+    except ToolkitError as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+        exc.hypotheses = (*rows, Hypothesis("design pipeline", "synthesis completes", False, failure))
+        raise
+
+
+def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
     num = scenario.numerics
-    m = num.grid_points if m is None else int(m)
     mode = scenario.mode
+    leader = mode == MODE_LEADER
     topology = scenario.topology()
     graph = comm_graph.laplacian(topology)
+    theta = None if leader else comm_graph.theta_decompose(graph.laplacian)
+    coupling = graph.leader_follower if leader else theta.l22
+    fatal = []
 
-    theta = None
-    if mode == MODE_LEADER:
-        if not comm_graph.is_connected(topology, with_root_zero=True):
-            raise NonPositiveBound(
-                "the extended graph is not connected with the reference node as root"
-            )
-        coupling = graph.leader_follower
-    else:
-        if not comm_graph.is_connected(topology, with_root_zero=False):
-            raise NonPositiveBound(
-                "the follower graph is not connected; no synchronization possible"
-            )
-        theta = comm_graph.theta_decompose(graph.laplacian)
-        coupling = theta.l22
-    spectral_bound = comm_graph.spectral_lower_bound(coupling)
-    nu = num.nu if num.nu is not None else spectral_bound
+    def hypothesis(name, condition, passed, evidence, error=None):
+        """Record one row; a failure is fatal when ``error`` names its exception type."""
+        rows.append(Hypothesis(name, condition, bool(passed), evidence))
+        if not passed and error is not None:
+            fatal.append(error(f"{name} fails: need {condition}; {evidence}"))
 
-    exo = scenario.exo_model()
-    if not signal_model.check_controllable(exo.S, exo.b_y):
-        raise NotControllable(
-            "the pair (S, b_y) is not controllable; the internal-model copy "
-            "cannot be driven from the coupled output errors"
+    hypothesis(
+        "graph connectivity",
+        "reference node reaches every agent" if leader else "some agent reaches every other agent",
+        comm_graph.is_connected(topology, with_root_zero=leader),
+        f"{topology.n_agents} agents",
+        NonPositiveBound,
+    )
+    rank_ok = synthesis.internal_model_rank_check(mode, graph, theta)
+    hypothesis("internal-model rank", "H nonsingular" if leader else "rank H_tilde = N - 1", rank_ok, "")
+    try:
+        spectral_bound = comm_graph.spectral_lower_bound(coupling)
+        nu = num.nu if num.nu is not None else spectral_bound
+        # one part in a thousand of slack tolerates a nu quoted to three decimals
+        passed = 0.0 < nu <= spectral_bound * (1.0 + 1e-3) + 1e-12
+        margin = (passed, f"nu = {nu:.6g}, bound = {spectral_bound:.6g}")
+    except NonPositiveBound as exc:
+        margin = (False, str(exc))
+    hypothesis("spectral margin", "0 < nu <= min Re eig(coupling)", *margin, NonPositiveBound)
+    try:
+        exo = scenario.exo_model()
+        spectrum = (True, f"max |Re| = {np.abs(np.linalg.eigvals(exo.S).real).max():.2e}")
+    except ValueError as exc:  # the signal model rejects its own matrix S
+        exo, spectrum = None, (False, str(exc))
+    hypothesis(
+        "signal-model spectrum",
+        "sigma(S) on the imaginary axis, S diagonalizable",
+        *spectrum,
+        lambda message: SchemaError([message]),
+    )
+    if exo is not None:
+        hypothesis(
+            "signal-model controllability",
+            "(S, b_y) controllable",
+            signal_model.check_controllable(exo.S, exo.b_y),
+            f"n_w = {exo.n_w}",
+            NotControllable,
         )
+        try:
+            synthesis.check_resonance(exo.S, num.mu_c)
+            separation = (True, f"mu_c = {num.mu_c:g}")
+        except ResonantSpectrum as exc:
+            separation = (False, str(exc))
+        hypothesis("spectrum separation", "sigma_c and sigma(S) disjoint", *separation, ResonantSpectrum)
+    if fatal:
+        raise fatal[0]
 
     plant = scenario.plant(m)
     kernel = backstepping.solve_kernel(
@@ -94,23 +159,29 @@ def run_synthesis(scenario: Scenario, m: int | None = None) -> SynthesisResult:
         exo.S, exo.b_y, output_transformed, num.mu_c, kernel
     )
 
-    eig_s = np.linalg.eigvals(exo.S)
-    nonblocking = [
-        (lam, abs(synthesis.numerator_at(lam, output_transformed, num.mu_c)))
-        for lam in eig_s
-    ]
-    if not synthesis.check_controllable_pair(
-        exo.S,
-        exo.b_y,
-        decoupling.q_tilde_at_1,
-        output_transformed,
-        num.mu_c,
-        reference_scale=float(np.abs(decoupling.q_tilde).max()),
-    ):
-        raise NotControllable(
-            "the pair (S, q_tilde(1)) is not controllable: a signal-model "
-            "frequency is blocked, det N(lambda) = 0 for some lambda in sigma(S)"
-        )
+    nonblocking_ok, nonblocking = synthesis.nonblocking_test(exo.S, output_transformed, num.mu_c)
+    hypothesis(
+        "nonblocking transfer",
+        f"|n(lambda)| > {synthesis.NONBLOCKING_TOL:g} on sigma(S)",
+        nonblocking_ok,
+        f"min |n| = {min(v for _, v in nonblocking):.4g}",
+    )
+    hypothesis(
+        "decoupled-pair controllability",
+        "(S, q_tilde(1)) controllable",
+        synthesis.check_controllable_pair(
+            exo.S,
+            exo.b_y,
+            decoupling.q_tilde_at_1,
+            output_transformed,
+            num.mu_c,
+            reference_scale=float(np.abs(decoupling.q_tilde).max()),
+        ),
+        f"|q_tilde(1)| = {np.linalg.norm(decoupling.q_tilde_at_1):.4g}",
+        NotControllable,
+    )
+    if fatal:
+        raise fatal[0]
 
     riccati_q = synthesis.solve_are(
         exo.S, decoupling.q_tilde_at_1, nu, num.riccati_a
@@ -122,7 +193,12 @@ def run_synthesis(scenario: Scenario, m: int | None = None) -> SynthesisResult:
     certificate = synthesis.certify_stability(
         mode, exo.S, decoupling.q_tilde_at_1, k_v, coupling, num.mu_c
     )
-    rank_ok = synthesis.internal_model_rank_check(mode, graph, theta)
+    hypothesis(
+        "closed-loop matrix Hurwitz",
+        "max Re eig(F) < 0",
+        certificate.passed,
+        f"alpha_ev = {certificate.alpha_ev:.4g}",
+    )
     return SynthesisResult(
         scenario=scenario,
         m=m,
@@ -141,6 +217,7 @@ def run_synthesis(scenario: Scenario, m: int | None = None) -> SynthesisResult:
         certificate=certificate,
         rank_ok=rank_ok,
         nonblocking=nonblocking,
+        hypotheses=tuple(rows),
     )
 
 
@@ -152,25 +229,12 @@ def certificate_payload(result: SynthesisResult | None, error: Exception | None 
             "detail": str(error),
         }
     cert = result.certificate
-    riccati_residual = float(
-        np.linalg.norm(
-            result.exo.S.T @ result.riccati_q
-            + result.riccati_q @ result.exo.S
-            - 2.0
-            * result.nu
-            * np.linalg.multi_dot(
-                [
-                    result.riccati_q,
-                    np.outer(result.decoupling.q_tilde_at_1, result.decoupling.q_tilde_at_1),
-                    result.riccati_q,
-                ]
-            )
-            + result.scenario.numerics.riccati_a * np.eye(result.exo.n_w),
-            "fro",
-        )
+    riccati_residual = synthesis.riccati_residual(
+        result.exo.S, result.riccati_q, result.decoupling.q_tilde_at_1,
+        result.nu, result.scenario.numerics.riccati_a,
     )
     return {
-        "passed": bool(cert.passed and result.rank_ok),
+        "passed": all(row.passed for row in result.hypotheses),
         "mode": cert.mode,
         "alpha_ev": cert.alpha_ev,
         "target_pde_top_eig": cert.target_pde_top_eig,
@@ -277,11 +341,6 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, scenario)
     gains = synthesis.read_gains_file(args.gains)
     resolved = scenario.resolve(m=gains.m, dt=args.dt, horizon=args.horizon)
-    if args.grid_points is not None and int(args.grid_points) != gains.m:
-        print(
-            f"note: using the gains grid ({gains.m} intervals), not --grid-points",
-            file=sys.stderr,
-        )
     certified = None
     cert_path = Path(args.gains).parent / "certificate.json"
     if cert_path.exists():
@@ -308,116 +367,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
-    rows = []
-
-    def row(name, condition, passed, evidence):
-        rows.append((name, condition, bool(passed), evidence))
-
-    topology = scenario.topology()
-    graph = comm_graph.laplacian(topology)
-    mode = scenario.mode
-    if mode == MODE_LEADER:
-        connected = comm_graph.is_connected(topology, with_root_zero=True)
-        row(
-            "graph connectivity",
-            "reference node reaches every agent",
-            connected,
-            f"{topology.n_agents} agents",
-        )
-        try:
-            det = float(np.linalg.det(graph.leader_follower))
-        except np.linalg.LinAlgError:
-            det = 0.0
-        row("internal-model rank", "det(H) != 0", abs(det) > 1e-12, f"det H = {det:.4g}")
-    else:
-        connected = comm_graph.is_connected(topology, with_root_zero=False)
-        row(
-            "graph connectivity",
-            "some agent reaches every other agent",
-            connected,
-            f"{topology.n_agents} agents",
-        )
-        if connected:
-            theta = comm_graph.theta_decompose(graph.laplacian)
-            ok = synthesis.internal_model_rank_check(mode, graph, theta)
-            row("internal-model rank", "rank H_tilde = N - 1", ok, "")
-
     try:
-        exo = scenario.exo_model()
-        eig_s = np.linalg.eigvals(exo.S)
-        row(
-            "signal-model spectrum",
-            "sigma(S) on the imaginary axis, S diagonalizable",
-            True,
-            f"max |Re| = {np.abs(eig_s.real).max():.2e}",
-        )
-        ctrb = signal_model.check_controllable(exo.S, exo.b_y)
-        row("signal-model controllability", "(S, b_y) controllable", ctrb, f"n_w = {exo.n_w}")
-    except (ValueError, ToolkitError) as exc:
-        row("signal model", "valid marginally stable model", False, str(exc))
-        exo = None
-
-    num = scenario.numerics
-    coupling = None
-    if connected:
-        if mode == MODE_LEADER:
-            coupling = graph.leader_follower
-        else:
-            coupling = comm_graph.theta_decompose(graph.laplacian).l22
-        try:
-            bound = comm_graph.spectral_lower_bound(coupling)
-            nu = num.nu if num.nu is not None else bound
-            # one part in a thousand of slack tolerates a nu quoted to three
-            # decimals; the Hurwitz row below is the decisive stability test
-            row(
-                "spectral margin",
-                "0 < nu <= min Re eig(coupling)",
-                0.0 < nu <= bound * (1.0 + 1e-3) + 1e-12,
-                f"nu = {nu:.6g}, bound = {bound:.6g}",
-            )
-        except ToolkitError as exc:
-            row("spectral margin", "positive spectral bound", False, str(exc))
-
-    if exo is not None:
-        try:
-            synthesis.check_resonance(exo.S, num.mu_c)
-            row(
-                "spectrum separation",
-                "sigma_c and sigma(S) disjoint",
-                True,
-                f"mu_c = {num.mu_c:g}",
-            )
-        except ResonantSpectrum as exc:
-            row("spectrum separation", "sigma_c and sigma(S) disjoint", False, str(exc))
-
-    if exo is not None and connected:
-        try:
-            full = run_synthesis(scenario, m=args.grid_points)
-            min_n = min(v for _, v in full.nonblocking)
-            row(
-                "nonblocking transfer",
-                "|n(lambda)| > 1e-6 on sigma(S)",
-                min_n > synthesis.NONBLOCKING_TOL,
-                f"min |n| = {min_n:.4g}",
-            )
-            row(
-                "decoupled-pair controllability",
-                "(S, q_tilde(1)) controllable",
-                True,
-                "",
-            )
-            row(
-                "closed-loop matrix Hurwitz",
-                "max Re eig(F) < 0",
-                full.certificate.passed,
-                f"alpha_ev = {full.certificate.alpha_ev:.4g}",
-            )
-        except ToolkitError as exc:
-            row("design pipeline", "synthesis completes", False, f"{type(exc).__name__}: {exc}")
-
-    width = max(len(r[0]) for r in rows)
-    cond_width = max(len(r[1]) for r in rows)
-    all_ok = all(r[2] for r in rows)
+        rows = run_synthesis(scenario, m=args.grid_points).hypotheses
+    except ToolkitError as exc:
+        rows = getattr(exc, "hypotheses", None)
+        if rows is None:
+            raise
+    width = max(len(r.name) for r in rows)
+    cond_width = max(len(r.condition) for r in rows)
+    all_ok = all(r.passed for r in rows)
     for name, condition, passed, evidence in rows:
         status = "PASS" if passed else "FAIL"
         print(f"{name:<{width}}  {condition:<{cond_width}}  {status}  {evidence}")
@@ -442,26 +400,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--grid-points", type=int, default=None, help="override grid intervals")
-        p.add_argument("--dt", type=float, default=None, help="override time step")
-        p.add_argument("--horizon", type=float, default=None, help="override horizon")
-
     p_syn = sub.add_parser("synthesize", help="design gains and write the certificate")
-    common(p_syn)
-    p_syn.add_argument("--kernel-csv", action="store_true", help="also dump the kernel table")
     p_syn.set_defaults(func=cmd_synthesize)
-
     p_sim = sub.add_parser("simulate", help="run the closed loop from a gains file")
-    common(p_sim)
-    p_sim.add_argument("--gains", required=True, help="gains file from synthesize")
     p_sim.set_defaults(func=cmd_simulate)
-
     p_chk = sub.add_parser("check", help="evaluate every design hypothesis")
-    common(p_chk)
     p_chk.set_defaults(func=cmd_check)
+    for p in (p_syn, p_sim, p_chk):
+        p.add_argument("--scenario", required=True, help="scenario file path")
+    for p in (p_syn, p_sim):
+        p.add_argument("--out", default=None, help="output directory")
+    for p in (p_syn, p_chk):
+        p.add_argument("--grid-points", type=int, default=None, help="override grid intervals")
+    p_syn.add_argument("--kernel-csv", action="store_true", help="also dump the kernel table")
+    p_sim.add_argument("--gains", required=True, help="gains file from synthesize")
+    p_sim.add_argument("--dt", type=float, default=None, help="override time step")
+    p_sim.add_argument("--horizon", type=float, default=None, help="override horizon")
     return parser
 
 
@@ -472,7 +426,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ToolkitError as exc:
+    except (OSError, ToolkitError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backstepping import OutputOperator
+from .backstepping import MIN_GRID_POINTS, OutputOperator
 from .comm_graph import CommTopology
 from .errors import ParseError, SchemaError
 from .expressions import Expression
@@ -569,7 +569,7 @@ def loads(text: str) -> Scenario:
         )
 
     numerics = Numerics(
-        grid_points=schema.integer("numerics", "grid_points", default=200, minimum=32),
+        grid_points=schema.integer("numerics", "grid_points", default=200, minimum=MIN_GRID_POINTS),
         dt=schema.number("numerics", "dt", default=1e-3, check=lambda v: v > 0),
         horizon=schema.number("numerics", "horizon", default=20.0, check=lambda v: v > 0),
         mu_c=schema.number("numerics", "mu_c", default=5.0),

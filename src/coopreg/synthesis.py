@@ -20,6 +20,7 @@ from .errors import (
     InconsistentCertificates,
     NewtonDivergence,
     NotControllable,
+    ParseError,
     ResonantSpectrum,
     SingularSystem,
 )
@@ -236,6 +237,14 @@ def numerator_at(s_point: complex, output_transformed: OutputOperator, mu_c: flo
     return complex(val)
 
 
+def nonblocking_test(
+    s: np.ndarray, output_transformed: OutputOperator, mu_c: float, tol: float = NONBLOCKING_TOL
+) -> tuple[bool, list]:
+    """Whether |n(lambda)| > tol on sigma(S), with the (lambda, |n(lambda)|) evidence."""
+    values = [(lam, abs(numerator_at(lam, output_transformed, mu_c))) for lam in np.linalg.eigvals(s)]
+    return min(v for _, v in values) > tol, values
+
+
 def check_controllable_pair(
     s: np.ndarray,
     b_y: np.ndarray,
@@ -258,13 +267,7 @@ def check_controllable_pair(
     raise InconsistentCertificates, which signals numerical trouble in q~.
     """
     s = np.asarray(s, dtype=float)
-    verdict = check_controllable(s, b_y)
-    if verdict:
-        n_vals = [
-            abs(numerator_at(lam, output_transformed, mu_c))
-            for lam in np.linalg.eigvals(s)
-        ]
-        verdict = min(n_vals) > tol
+    verdict = check_controllable(s, b_y) and nonblocking_test(s, output_transformed, mu_c, tol)[0]
 
     g = np.asarray(q_tilde_at_1, dtype=float).reshape(-1, 1)
     n = s.shape[0]
@@ -336,8 +339,7 @@ def solve_are(
             raise NewtonDivergence("iterate lost the stabilizing property")
         w = a * np.eye(n) + np.outer(k_gain, k_gain) / (2.0 * nu)
         q = _lyap_kron(a_cl, w)
-        residual = s.T @ q + q @ s - 2.0 * nu * (q @ gcol) @ (gcol.T @ q) + a * np.eye(n)
-        if np.linalg.norm(residual, "fro") <= tol:
+        if riccati_residual(s, q, g, nu, a) <= tol:
             if np.linalg.eigvalsh(q).min() <= 0:
                 raise NewtonDivergence("converged matrix is not positive definite")
             return q
@@ -345,6 +347,13 @@ def solve_are(
     raise NewtonDivergence(
         f"Riccati residual above tolerance {tol:.3e} after {max_iter} Newton steps"
     )
+
+
+def riccati_residual(s: np.ndarray, q: np.ndarray, g: np.ndarray, nu: float, a: float) -> float:
+    """Frobenius norm of S^T Q + Q S - 2 nu Q g g^T Q + a I."""
+    gcol = np.reshape(g, (-1, 1))
+    residual = s.T @ q + q @ s - 2.0 * nu * (q @ gcol) @ (gcol.T @ q) + a * np.eye(s.shape[0])
+    return float(np.linalg.norm(residual, "fro"))
 
 
 def feedback_gain(q: np.ndarray, q_tilde_at_1: np.ndarray) -> np.ndarray:
@@ -544,34 +553,65 @@ def write_gains_file(gains: RegulatorGains, path):
         fh.write(text)
 
 
+def _gain_value(token: str, line: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ParseError(f"{token!r} is not a finite number", line=line)
+    return value
+
+
 def read_gains_file(path) -> RegulatorGains:
-    scalars = {}
-    tables = {}
+    """Parse a file written by ``write_gains_file``.  ParseError names the line of
+    a missing key or section (the last line), of a value that is not a finite
+    number, and of a profile or matrix whose size disagrees with the others."""
+    fields = {}     # key -> (text, line); [section] -> (values, header line)
     section = None
+    lineno = 0
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1]
-                tables[section] = []
-                continue
-            if section is None:
+                section = line
+                fields[section] = ([], lineno)
+            elif section is None:
                 key, _, value = line.partition("=")
-                scalars[key.strip()] = value.strip()
+                fields[key.strip()] = (value.strip(), lineno)
             else:
-                _, value = line.split()
-                tables[section].append(float(value))
-    s_rows = [
-        [float(v) for v in row.split()] for row in scalars["S"].split(";")
-    ]
+                tokens = line.split()
+                if len(tokens) != 2:
+                    raise ParseError(f"expected 'z value', got {line!r}", line=lineno)
+                fields[section][0].append(_gain_value(tokens[1], lineno))
+
+    def field(key):
+        if key not in fields:
+            raise ParseError(f"missing {key}", line=lineno)
+        return fields[key]
+
+    def matrix(key):
+        value, at = field(key)
+        return [[_gain_value(v, at) for v in row.split()] for row in value.split(";")]
+
+    m = _gain_value(*field("grid_points"))
+    profiles = []
+    for name in ("[k_x]", "[r_x]"):
+        values, at = field(name)
+        if len(values) != m + 1:
+            raise ParseError(f"{name} has {len(values)} rows for grid_points = {m:g}", line=at)
+        profiles.append(GridFunction(np.array(values)))
+    s, k_v, b_y = matrix("S"), matrix("k_v")[0], matrix("b_y")[0]
+    if {len(s), len(b_y), *(len(row) for row in s)} != {len(k_v)}:
+        raise ParseError("k_v, b_y and S disagree in size", line=field("S")[1])
     return RegulatorGains(
-        k_v=np.array([float(v) for v in scalars["k_v"].split()]),
-        k_1=float(scalars["k_1"]),
-        k_x=GridFunction(np.array(tables["k_x"])),
-        r_x=GridFunction(np.array(tables["r_x"])),
-        b_y=np.array([float(v) for v in scalars["b_y"].split()]),
-        S=np.array(s_rows),
-        mu_c=float(scalars["mu_c"]),
+        k_v=np.array(k_v),
+        k_1=_gain_value(*field("k_1")),
+        k_x=profiles[0],
+        r_x=profiles[1],
+        b_y=np.array(b_y),
+        S=np.array(s),
+        mu_c=_gain_value(*field("mu_c")),
     )

@@ -258,12 +258,121 @@ class TestCli:
             "adjacency = 0 0 1 0 ; 1 0 0 1 ; 1 0 0 0 ; 0 0 1 0",
             "adjacency = 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0",
         ).replace("leader_links = 1 0 0 0", "leader_links = 0 0 0 0")
-        bad = tmp_path / "disconnected.cfg"
-        bad.write_text(text)
-        res = run_cli("check", "--scenario", str(bad))
-        assert res.returncode == 1
-        assert "overall: FAIL" in res.stdout
-        assert "graph connectivity" in res.stdout
+        undriven = text.replace("b_y = 1 1 1", "b_y = 0 0 0")
+        for text, failing in (
+            (text, ["graph connectivity"]),
+            (undriven, ["graph connectivity", "internal-model rank", "signal-model controllability"]),
+        ):
+            bad = tmp_path / "disconnected.cfg"
+            bad.write_text(text)
+            res = run_cli("check", "--scenario", str(bad))
+            assert res.returncode == 1
+            assert "overall: FAIL" in res.stdout
+            rows = {line.split("  ")[0]: line for line in res.stdout.splitlines()}
+            for name in failing:
+                assert "  FAIL  " in rows[name], res.stdout
+
+    @pytest.mark.parametrize(
+        "case, edits",
+        [
+            ("leader", []),
+            ("leaderless", None),
+            ("nu above margin", [("nu = 0.382", "nu = 0.5")]),
+            (
+                "edgeless",
+                [
+                    ("adjacency = 0 0 1 0 ; 1 0 0 1 ; 1 0 0 0 ; 0 0 1 0",
+                     "adjacency = 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0"),
+                    ("leader_links = 1 0 0 0", "leader_links = 0 0 0 0"),
+                ],
+            ),
+            ("undriven", [("b_y = 1 1 1", "b_y = 0 0 0")]),
+            ("resonant", [("mu_c = 5", "mu_c = 0")]),
+            ("weak leader link", [("leader_links = 1 0 0 0", "leader_links = 1e-10 0 0 0")]),
+        ],
+    )
+    def test_check_and_synthesize_share_verdict(self, scenario_file, tmp_path, capsys, case, edits):
+        from importlib.resources import files
+
+        if edits is None:
+            text = files("coopreg").joinpath("scenarios/four_agent_leaderless.cfg").read_text()
+            text = text.replace("grid_points = 200", "grid_points = 64")
+        else:
+            text = scenario_file.read_text()
+            for old, new in edits:
+                assert old in text
+                text = text.replace(old, new)
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        synthesize_code = main(["synthesize", "--scenario", str(cfg), "--out", str(out)])
+        passed = json.loads((out / "certificate.json").read_text())["passed"]
+        capsys.readouterr()
+        check_code = main(["check", "--scenario", str(cfg)])
+        check_passed = "overall: PASS" in capsys.readouterr().out
+        assert synthesize_code == check_code
+        assert passed == check_passed == (check_code == 0)
+
+    @pytest.mark.parametrize("grid", ["10", "-5"])
+    @pytest.mark.parametrize("command", ["synthesize", "check"])
+    def test_grid_points_below_minimum_rejected(self, scenario_file, tmp_path, capsys, command, grid):
+        out = ["--out", str(tmp_path)] if command == "synthesize" else []
+        code = main([command, "--scenario", str(scenario_file), "--grid-points", grid, *out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "must be at least 32" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("synthesize", "--dt"),
+            ("synthesize", "--horizon"),
+            ("simulate", "--grid-points"),
+            ("check", "--out"),
+            ("check", "--dt"),
+            ("check", "--horizon"),
+        ],
+    )
+    def test_unread_flag_rejected(self, scenario_file, capsys, command, flag):
+        gains = ["--gains", "gains.txt"] if command == "simulate" else []
+        with pytest.raises(SystemExit) as info:
+            main([command, "--scenario", str(scenario_file), *gains, flag, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["--scenario", "--gains"])
+    def test_missing_input_file_exits_1(
+        self, scenario_file, leader_design, tmp_path, capsys, missing
+    ):
+        paths = {"--scenario": scenario_file, "--gains": tmp_path / "gains.txt"}
+        write_gains_file(leader_design.gains, paths["--gains"])
+        paths[missing] = tmp_path / "absent.txt"
+        code = main([
+            "simulate", "--scenario", str(paths["--scenario"]),
+            "--gains", str(paths["--gains"]), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FileNotFoundError: ") and "absent.txt" in err
+        assert len(err.splitlines()) == 1
+
+    def test_nonfinite_gain_rejected_before_simulating(
+        self, scenario_file, leader_design, tmp_path, capsys
+    ):
+        gains = tmp_path / "gains.txt"
+        write_gains_file(leader_design.gains, gains)
+        lines = gains.read_text().splitlines()
+        assert lines[1].startswith("k_1 = ")
+        lines[1] = "k_1 = nan"
+        gains.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scenario", str(scenario_file), "--gains", str(gains), "--out", str(out),
+        ])
+        assert code == 1
+        assert "ParseError: line 2: 'nan' is not a finite number" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
     def test_snapshot_profiles_written(self, scenario_file, tmp_path):
         text = scenario_file.read_text().replace(

@@ -6,7 +6,7 @@ from scipy.interpolate import make_interp_spline
 
 from coopreg.backstepping import OutputOperator, TriangularKernel
 from coopreg.comm_graph import laplacian
-from coopreg.errors import NotControllable, ResonantSpectrum
+from coopreg.errors import NotControllable, ParseError, ResonantSpectrum
 from coopreg.grid import GridFunction
 from coopreg.signal_model import build_reference_block
 from coopreg.synthesis import (
@@ -320,6 +320,34 @@ class TestGains:
         assert np.array_equal(loaded.k_x.values, leader_design.gains.k_x.values)
         assert np.array_equal(loaded.S, leader_design.gains.S)
         assert loaded.k_1 == leader_design.gains.k_1
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            (lambda ls: ls[:209], 209, "missing [r_x]"),
+            (lambda ls: ls[:300], 210, "[r_x] has 90 rows"),
+            (lambda ls: ls[:1] + ls[2:], 410, "missing k_1"),
+            (lambda ls: [*ls[:1], "k_1 = abc", *ls[2:]], 2, "'abc' is not a finite number"),
+            (lambda ls: [*ls[:1], "k_1 = nan", *ls[2:]], 2, "'nan' is not a finite number"),
+            (lambda ls: [*ls[:49], "0.2 inf", *ls[50:]], 50, "'inf' is not a finite number"),
+            (lambda ls: [*ls[:6], "grid_points = 199", *ls[7:]], 8, "[k_x] has 201 rows"),
+            (lambda ls: [*ls[:3], "k_v = 1 2", *ls[4:]], 6, "k_v, b_y and S disagree in size"),
+        ],
+        ids=[
+            "missing-section", "truncated", "missing-key", "non-numeric", "nan", "inf-in-table",
+            "length", "short-k_v",
+        ],
+    )
+    def test_malformed_gains_file_rejected(self, leader_design, tmp_path, edit, line, message):
+        path = tmp_path / "gains.txt"
+        write_gains_file(leader_design.gains, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 411 and lines[6] == "grid_points = 200" and lines[7] == "[k_x]"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_gains_file(path)
+        assert info.value.line == line
+        assert message in str(info.value)
 
 
 class TestCertificates:
