@@ -29,10 +29,9 @@ composite trapezoid quadrature converges geometrically for continuous a.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridMismatch, NoConvergence
-from .grid import GridFunction, require_same_grid, uniform_nodes
+from .grid import GridFunction, cumulative_trapezoid, require_same_grid, uniform_nodes
 
 #: fewest grid intervals the kernel quadrature resolves
 MIN_GRID_POINTS = 32
@@ -200,7 +199,7 @@ def solve_kernel(
     phi_half = mu_c + np.asarray(a(tau), dtype=float) * np.ones_like(tau)
 
     # diagonal data f0(xi) = q0 - (1/2) int_0^{xi/2} phi and its derivative
-    f0 = q0 - 0.5 * cumulative_trapezoid(phi_half, dx=0.5 * h, initial=0.0)
+    f0 = q0 - 0.5 * cumulative_trapezoid(phi_half, dx=0.5 * h)
     f0_prime = -0.25 * phi_half
 
     diff = p_idx[:, None] - q_idx[None, :]
@@ -216,12 +215,12 @@ def solve_kernel(
     for iteration in range(1, max_iter + 1):
         w = phi_lattice * f
         # inner integral over eta, then cumulative over xi
-        c = cumulative_trapezoid(w, dx=h, axis=1, initial=0.0)
-        ct = cumulative_trapezoid(c, dx=h, axis=0, initial=0.0)
+        c = cumulative_trapezoid(w, dx=h, axis=1)
+        ct = cumulative_trapezoid(c, dx=h, axis=0)
         d = ct - ct[diag_idx, diag_idx][None, :]
         # edge ODE for the zeta = 0 trace, by integrating factor
         rhs = 2.0 * f0_prime[: m + 1] + 2.0 * c[diag_idx, diag_idx]
-        g = decay * (q0 + cumulative_trapezoid(growth * rhs, dx=h, initial=0.0))
+        g = decay * (q0 + cumulative_trapezoid(growth * rhs, dx=h))
         f_next = np.where(domain, g[None, :] + f0[:, None] - f0[: m + 1][None, :] + d, 0.0)
         delta = float(np.abs(np.where(domain, f_next - f, 0.0)).max())
         f = f_next

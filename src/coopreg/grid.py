@@ -97,3 +97,15 @@ def trapezoid_weights(m: int) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def cumulative_trapezoid(y: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
+    """Running composite-trapezoid integral of y along axis, starting from 0.
+
+    Same operations in the same order as scipy's ``cumulative_trapezoid``
+    with ``initial=0``, so results agree bit for bit.
+    """
+    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+    out = np.zeros_like(y)
+    np.cumsum(dx * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
+    return np.moveaxis(out, 0, axis)

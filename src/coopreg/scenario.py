@@ -184,7 +184,13 @@ class Scenario:
         bad = [f"{key} = {value} must be positive" for key, value in checks if not value > 0]
         if bad:
             raise SchemaError(bad)
-        n_steps = max(1, int(round(horizon / dt)))
+        steps = horizon / dt
+        if not 0 < steps < np.inf or abs(steps - round(steps)) > 1e-9 * steps:
+            raise SchemaError([
+                f"horizon = {horizon} is not a whole number of steps of dt = {dt} "
+                f"(horizon / dt = {steps:.10g})"
+            ])
+        n_steps = round(steps)
         exo = self.exo_model()
         return ResolvedScenario(
             mode=self.mode,
@@ -523,6 +529,11 @@ def loads(text: str) -> Scenario:
         schema.complain(
             f"adjacency is {n} x {n} but there are {len(agent_sections)} agent sections "
             "(fields adjacency and agents disagree)"
+        )
+    if mode == MODE_LEADERLESS and len(agent_sections) < 2:
+        schema.complain(
+            f"mode = {MODE_LEADERLESS} needs at least 2 agents to synchronize, "
+            f"got {len(agent_sections)}"
         )
 
     agents = []

@@ -1,5 +1,8 @@
 """Kernel equations, inverse kernel, transforms, output-weight pushforward."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from coopreg.backstepping import (
     transform_output_weight,
 )
 from coopreg.errors import GridMismatch, NoConvergence
-from coopreg.grid import GridFunction
+from coopreg.grid import GridFunction, cumulative_trapezoid
 
 from _support import random_smooth_profile
 
@@ -25,6 +28,27 @@ def benchmark_kernel(m=200):
 
 def constant_kernel(c: float, m: int) -> TriangularKernel:
     return TriangularKernel(np.full((m + 1, m + 1), c))
+
+
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("shape, axis", [((401,), -1), ((401, 201), 0), ((401, 201), 1)])
+    def test_bit_identical_to_scipy(self, shape, axis):
+        from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
+
+        y = np.random.default_rng(7).standard_normal(shape)
+        expected = scipy_cumulative_trapezoid(y, dx=0.0125, axis=axis, initial=0.0)
+        assert np.array_equal(cumulative_trapezoid(y, dx=0.0125, axis=axis), expected)
+
+    def test_package_import_leaves_out_scipy_integrate(self):
+        probe = (
+            "import sys, coopreg, coopreg.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert res.stdout.strip() == "[]"
 
 
 class TestSolveKernel:

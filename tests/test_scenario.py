@@ -253,6 +253,44 @@ class TestCli:
         assert f"{flag[2:]} = " in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("dt, horizon", [("0.3", "1"), ("0.001", "inf"), ("inf", "1")])
+    def test_horizon_not_multiple_of_dt_rejected(
+        self, scenario_file, leader_design, tmp_path, capsys, dt, horizon
+    ):
+        gains = tmp_path / "gains.txt"
+        write_gains_file(leader_design.gains, gains)
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scenario", str(scenario_file), "--gains", str(gains),
+            "--out", str(out), "--dt", dt, "--horizon", horizon,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"horizon = {float(horizon)} is not a whole number of steps of dt = {float(dt)}" in err
+        assert "Traceback" not in err
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "check"])
+    def test_one_agent_leaderless_rejected(self, tmp_path, capsys, command):
+        from importlib.resources import files
+
+        text = files("coopreg").joinpath("scenarios/four_agent_leaderless.cfg").read_text()
+        text = text[: text.index("[agent 2]")]
+        for old, new in (
+            ("adjacency = 0 0 1 0 ; 1 0 0 1 ; 1 0 0 0 ; 0 0 1 0", "adjacency = 0"),
+            ("leader_links = 0 0 0 0", "leader_links = 0"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "one_agent.cfg"
+        cfg.write_text(text)
+        out = ["--out", str(tmp_path / "out")] if command == "synthesize" else []
+        code = main([command, "--scenario", str(cfg), *out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "mode = leaderless needs at least 2 agents" in err
+        assert "Traceback" not in err
+
     def test_check_fails_on_disconnected_graph(self, scenario_file, tmp_path):
         text = scenario_file.read_text().replace(
             "adjacency = 0 0 1 0 ; 1 0 0 1 ; 1 0 0 0 ; 0 0 1 0",
