@@ -22,19 +22,24 @@ where f0 is the diagonal data and g(eta) = F(eta, eta) solves the scalar ODE
     g' = -q0 g + 2 f0'(eta) + 2 int_0^eta Phi(eta, t) F(eta, t) dt,
     g(0) = q0,
 
-obtained from the edge relation.  Successive approximation of this pair with
-composite trapezoid quadrature converges geometrically for continuous a.
+obtained from the edge relation.  Under composite trapezoid quadrature on the
+lattice xi = p h, eta = q h the discrete pair is causal in eta: level q needs
+only levels <= q, so one march over eta, vectorised over xi, solves it
+directly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .errors import GridMismatch, NoConvergence
+from .errors import GridMismatch, SingularSystem
 from .grid import GridFunction, cumulative_trapezoid, require_same_grid, uniform_nodes
 
 #: fewest grid intervals the kernel quadrature resolves
 MIN_GRID_POINTS = 32
+#: smallest |1 - h k(z, z)/2| the inverse-kernel solve accepts
+_CLOSURE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -152,15 +157,8 @@ class OutputOperator:
         return val + cb0 * float(profile.values[0]) + cb1 * float(profile.values[-1])
 
 
-def solve_kernel(
-    a,
-    q0: float,
-    mu_c: float,
-    m: int = 200,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> TriangularKernel:
-    """Solve the kernel equations by successive approximation.
+def solve_kernel(a, q0: float, mu_c: float, m: int = 200) -> TriangularKernel:
+    """Solve the discrete kernel equations by one march over eta.
 
     Parameters
     ----------
@@ -173,103 +171,104 @@ def solve_kernel(
         opaque parameter and leaves stability questions to the certificate.
     m : int
         Intervals of the uniform grid (at least ``MIN_GRID_POINTS``).
-    tol : float
-        Sup-norm change between successive iterates that counts as converged.
-    max_iter : int
-        Iteration budget; exceeding it raises NoConvergence, which usually
-        means tol is too tight for the grid resolution.
+
+    Raises SingularSystem when the grid under-resolves mu_c + a (the march
+    needs h^2 max|mu_c + a| <= 4) or the kernel overflows.
     """
     if m < MIN_GRID_POINTS:
         raise ValueError(f"kernel grid needs at least {MIN_GRID_POINTS} intervals")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    table = np.full((m + 1, m + 1), np.nan)
+    for q, level in enumerate(_kernel_levels(a, float(q0), float(mu_c), m)):
+        # lattice point xi = (q + 2j) h, eta = q h is the node (z_{q+j}, zeta_j)
+        j = np.arange(m - q + 1)
+        table[q + j, j] = level[::2]
+    return TriangularKernel(table)
+
+
+def _kernel_levels(a, q0: float, mu_c: float, m: int):
+    """Yield F(xi_p, eta_q) for p = q..2m-q, level by level in q = 0..m.
+
+    The lattice is xi = p h, eta = q h with composite trapezoid quadrature in
+    both directions.  Level q depends only on levels <= q: its diagonal value
+    g = F(eta, eta) solves one scalar linear equation, and the xi-cumulative
+    integral d along the level obeys d[k](1 - beta[k]) = d[k-1](1 + beta[k-1])
+    + s[k] with beta = h^2 Phi / 4, solved by cumprod/cumsum.
+    """
     h = 1.0 / m
-    q0 = float(q0)
-
-    # characteristic lattice: xi = p*h (p = 0..2m), eta = q*h (q = 0..m);
-    # the physical triangle is q <= p <= 2m - q
-    p_idx = np.arange(2 * m + 1)
-    q_idx = np.arange(m + 1)
-    domain = (q_idx[None, :] <= p_idx[:, None]) & (
-        p_idx[:, None] <= 2 * m - q_idx[None, :]
-    )
-
-    # reaction profile on the half-step grid tau = (xi - eta)/2
+    # reaction profile on the half-step grid tau = (xi - eta)/2; on level q
+    # the point xi = (q + k) h reads index k
     tau = 0.5 * h * np.arange(2 * m + 1)
     phi_half = mu_c + np.asarray(a(tau), dtype=float) * np.ones_like(tau)
+    # h/2 times the lattice weight Phi = phi_half/4, and beta = h/2 alpha
+    alpha = 0.125 * h * phi_half
+    beta = 0.5 * h * alpha
+    if not np.abs(beta).max() <= 0.25:
+        need = np.ceil(0.5 * np.sqrt(np.abs(phi_half).max()))
+        raise SingularSystem(
+            f"kernel march needs h^2 max|mu_c + a| <= 4, got "
+            f"{16.0 * np.abs(beta).max():.4g} at grid_points = {m}; "
+            f"use grid_points >= {need:.0f}"
+        )
 
     # diagonal data f0(xi) = q0 - (1/2) int_0^{xi/2} phi and its derivative
     f0 = q0 - 0.5 * cumulative_trapezoid(phi_half, dx=0.5 * h)
     f0_prime = -0.25 * phi_half
+    # the recurrence coefficients depend on k only, so one prefix serves every level
+    ratio = np.ones(2 * m + 1)
+    ratio[1:] = (1.0 + beta[:-1]) / (1.0 - beta[1:])
+    factor = np.cumprod(ratio)
+    step = 0.5 * h / (1.0 - beta)
+    decay = np.exp(-q0 * h)
 
-    diff = p_idx[:, None] - q_idx[None, :]
-    phi_lattice = np.where(domain, 0.25 * phi_half[np.clip(diff, 0, 2 * m)], 0.0)
-
-    eta = h * q_idx
-    growth = np.exp(q0 * eta)
-    decay = np.exp(-q0 * eta)
-    diag_idx = np.arange(m + 1)
-
-    f = np.zeros((2 * m + 1, m + 1))
-    delta = np.inf
-    for iteration in range(1, max_iter + 1):
-        w = phi_lattice * f
-        # inner integral over eta, then cumulative over xi
-        c = cumulative_trapezoid(w, dx=h, axis=1)
-        ct = cumulative_trapezoid(c, dx=h, axis=0)
-        d = ct - ct[diag_idx, diag_idx][None, :]
-        # edge ODE for the zeta = 0 trace, by integrating factor
-        rhs = 2.0 * f0_prime[: m + 1] + 2.0 * c[diag_idx, diag_idx]
-        g = decay * (q0 + cumulative_trapezoid(growth * rhs, dx=h))
-        f_next = np.where(domain, g[None, :] + f0[:, None] - f0[: m + 1][None, :] + d, 0.0)
-        delta = float(np.abs(np.where(domain, f_next - f, 0.0)).max())
-        f = f_next
-        if delta < tol:
-            break
-    else:
-        raise NoConvergence(
-            f"kernel iteration stalled at sup-change {delta:.3e} after {max_iter} steps",
-            iterations=max_iter,
-            delta=delta,
-        )
-
-    ii, jj = np.tril_indices(m + 1)
-    table = np.full((m + 1, m + 1), np.nan)
-    table[ii, jj] = f[ii + jj, ii - jj]
-    return TriangularKernel(table)
+    # level 0: the inner integral c = int_0^eta Phi F dt vanishes, g = q0, F = f0
+    level, c, g = f0, np.zeros(2 * m + 1), q0
+    yield level
+    for q in range(1, m + 1):
+        n = 2 * (m - q) + 1
+        # edge ODE g' = -q0 g + 2 f0' + 2 c(eta, eta) by the trapezoid rule
+        carried = decay * (g + h * (f0_prime[q - 1] + c[0]))
+        # c on xi = q h .. (2m - q) h, still without this level's own end term
+        c = (c + alpha[: n + 2] * level)[1:-1]
+        g = (carried + h * (f0_prime[q] + c[0])) / (1.0 - 2.0 * beta[0])
+        # F = base + d, with d the xi-trapezoid of c from eta to xi
+        base = g + f0[q : q + n] - f0[q]
+        u = c + alpha[:n] * base
+        t = np.zeros(n)
+        t[1:] = (u[:-1] + u[1:]) * step[1:n]
+        d = factor[:n] * np.cumsum(t / factor[:n])
+        level = base + d
+        c = u + alpha[:n] * d
+        if not np.isfinite(level).all():
+            raise SingularSystem(
+                f"kernel march overflowed at eta = {q * h:.4g}; "
+                f"mu_c = {mu_c:g} is out of range for grid_points = {m}"
+            )
+        yield level
 
 
-def invert_kernel(k: TriangularKernel, tol: float = 1e-8) -> TriangularKernel:
+def invert_kernel(k: TriangularKernel) -> TriangularKernel:
     """Kernel of the inverse transformation via the reciprocity identity.
 
-    k_I(z, zeta) = k(z, zeta) + int_zeta^z k(z, s) k_I(s, zeta) ds is a
-    Volterra equation in the band variable z - zeta and is marched directly,
-    one diagonal layer at a time; no outer iteration is needed.  ``tol``
-    guards the division by the trapezoid closure factor 1 - h k(z, z)/2,
-    which degenerates only for kernels far outside this problem class.
+    k_I(z, zeta) = k(z, zeta) + int_zeta^z k(z, s) k_I(s, zeta) ds under the
+    composite trapezoid rule is the lower-triangular system
+    (I - T) K_I = K diag(1 - h k(z, z)/2), T = h K with its diagonal halved,
+    solved in one call.  The closure factor 1 - h k(z, z)/2 is the diagonal
+    of I - T; it degenerates only for kernels far outside this problem class.
     """
-    m, h = k.m, k.h
+    h = k.h
     kv = k.lower()
-    ki = np.zeros((m + 1, m + 1))
-    idx = np.arange(m + 1)
-    ki[idx, idx] = kv[idx, idx]
-    denom = 1.0 - 0.5 * h * kv[idx, idx]
-    if np.abs(denom).min() < tol:
-        raise NoConvergence(
-            "reciprocity march is singular: diagonal closure factor vanishes",
-            delta=float(np.abs(denom).min()),
+    denom = 1.0 - 0.5 * h * np.diagonal(kv)
+    if np.abs(denom).min() < _CLOSURE_TOL:
+        raise SingularSystem(
+            "reciprocity system is singular: diagonal closure factor "
+            f"|1 - h k(z, z)/2| = {np.abs(denom).min():.3e}"
         )
-    for d in range(1, m + 1):
-        for i in range(d, m + 1):
-            j = i - d
-            inner = 0.5 * kv[i, j] * ki[j, j]
-            if i - j > 1:
-                inner += kv[i, j + 1 : i] @ ki[j + 1 : i, j]
-            ki[i, j] = (kv[i, j] + h * inner) / denom[i]
-    table = np.full((m + 1, m + 1), np.nan)
-    ii, jj = np.tril_indices(m + 1)
-    table[ii, jj] = ki[ii, jj]
-    return TriangularKernel(table)
+    system = np.eye(k.m + 1) - h * kv
+    np.fill_diagonal(system, denom)
+    k_inv = solve_triangular(system, kv * denom[None, :], lower=True)
+    if not np.isfinite(k_inv).all():
+        raise SingularSystem(f"inverse kernel overflows for max |k| = {np.abs(kv).max():.3e}")
+    return TriangularKernel(k_inv)
 
 
 def apply_transform(k: TriangularKernel, x: GridFunction) -> GridFunction:

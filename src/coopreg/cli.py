@@ -148,9 +148,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         raise fatal[0]
 
     plant = scenario.plant(m)
-    kernel = backstepping.solve_kernel(
-        plant.a, plant.q0, num.mu_c, m=m, tol=num.kernel_tol, max_iter=num.kernel_max_iter
-    )
+    kernel = backstepping.solve_kernel(plant.a, plant.q0, num.mu_c, m=m)
     kernel_inverse = backstepping.invert_kernel(kernel)
     output_transformed = backstepping.transform_output_weight(
         plant.output, kernel_inverse
@@ -338,7 +336,6 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    out = _out_dir(args, scenario)
     gains = synthesis.read_gains_file(args.gains)
     resolved = scenario.resolve(m=gains.m, dt=args.dt, horizon=args.horizon)
     certified = None
@@ -353,6 +350,7 @@ def cmd_simulate(args) -> int:
         print(f"simulation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     metrics = simulator.error_metrics(trace, scenario.mode)
+    out = _out_dir(args, scenario)
     write_trace_csv(trace, out / "trace.csv")
     write_metrics(metrics, trace, out / "metrics.txt")
     if trace.snapshots:

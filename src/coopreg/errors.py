@@ -21,15 +21,6 @@ class DuplicateFrequency(ToolkitError):
     """A signal-model block was requested twice at the same frequency."""
 
 
-class NoConvergence(ToolkitError):
-    """An iterative solver stopped before reaching its tolerance."""
-
-    def __init__(self, message, iterations=None, delta=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.delta = delta
-
-
 class ResonantSpectrum(ToolkitError):
     """Spectra that must be disjoint intersect within tolerance."""
 

@@ -56,8 +56,6 @@ class Numerics:
     nu: float | None = None
     riccati_a: float = 1.0
     b_y: tuple = ()
-    kernel_tol: float = 1e-10
-    kernel_max_iter: int = 200
     blowup: float = 1e8
 
 
@@ -431,8 +429,6 @@ _KNOWN_KEYS = {
         "nu",
         "riccati_a",
         "b_y",
-        "kernel_tol",
-        "kernel_max_iter",
         "blowup",
     },
     "outputs": {"sample_every", "snapshot_times", "out_dir"},
@@ -589,12 +585,6 @@ def loads(text: str) -> Scenario:
             "numerics", "riccati_a", default=1.0, check=lambda v: v > 0
         ),
         b_y=schema.vector("numerics", "b_y", default=(1.0,) * n_w),
-        kernel_tol=schema.number(
-            "numerics", "kernel_tol", default=1e-10, check=lambda v: v > 0
-        ),
-        kernel_max_iter=schema.integer(
-            "numerics", "kernel_max_iter", default=200, minimum=1
-        ),
         blowup=schema.number("numerics", "blowup", default=1e8, check=lambda v: v > 0),
     )
     if numerics.nu is not None and numerics.nu <= 0:
@@ -690,8 +680,6 @@ def serialize(scenario: Scenario) -> str:
     lines += [
         f"riccati_a = {_FMT(num.riccati_a)}",
         f"b_y = {vec(num.b_y)}",
-        f"kernel_tol = {_FMT(num.kernel_tol)}",
-        f"kernel_max_iter = {num.kernel_max_iter}",
         f"blowup = {_FMT(num.blowup)}",
         "",
         "[outputs]",

@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from coopreg.backstepping import TriangularKernel
 from coopreg.comm_graph import CommTopology
-from coopreg.grid import GridFunction, trapezoid_weights
+from coopreg.grid import GridFunction, cumulative_trapezoid, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
 from coopreg.simulator import AgentSpec
 
@@ -107,3 +108,47 @@ def cascade_discrepancy(e_v, x_tilde, cascade) -> float:
     num = np.sum((e_v - cascade.e_v) ** 2) + np.sum((x_tilde - cascade.x_tilde) ** 2 @ w)
     den = np.sum(cascade.e_v**2) + np.sum(cascade.x_tilde**2 @ w)
     return float(np.sqrt(num / den))
+
+
+def kernel_iteration_map(a, q0: float, mu_c: float, f: np.ndarray) -> np.ndarray:
+    """One sweep of the successive-approximation map of the discrete kernel problem.
+
+    ``f`` holds F(xi_p, eta_q) on the (2m+1) x (m+1) characteristic lattice
+    xi = p h, eta = q h; the discrete kernel is the fixed point of this map
+    (Smyshlyaev & Krstic, IEEE TAC 49(12), 2004).  Entries off the physical
+    triangle q <= p <= 2m - q come back zero.
+    """
+    m = f.shape[1] - 1
+    h = 1.0 / m
+    p_idx = np.arange(2 * m + 1)
+    q_idx = np.arange(m + 1)
+    domain = (q_idx[None, :] <= p_idx[:, None]) & (p_idx[:, None] <= 2 * m - q_idx[None, :])
+    tau = 0.5 * h * np.arange(2 * m + 1)
+    phi_half = mu_c + np.asarray(a(tau), dtype=float) * np.ones_like(tau)
+    f0 = q0 - 0.5 * cumulative_trapezoid(phi_half, dx=0.5 * h)
+    f0_prime = -0.25 * phi_half
+    diff = p_idx[:, None] - q_idx[None, :]
+    phi_lattice = np.where(domain, 0.25 * phi_half[np.clip(diff, 0, 2 * m)], 0.0)
+    eta = h * q_idx
+    diag = np.arange(m + 1)
+
+    c = cumulative_trapezoid(phi_lattice * f, dx=h, axis=1)
+    ct = cumulative_trapezoid(c, dx=h, axis=0)
+    d = ct - ct[diag, diag][None, :]
+    rhs = 2.0 * f0_prime[: m + 1] + 2.0 * c[diag, diag]
+    g = np.exp(-q0 * eta) * (q0 + cumulative_trapezoid(np.exp(q0 * eta) * rhs, dx=h))
+    return np.where(domain, g[None, :] + f0[:, None] - f0[: m + 1][None, :] + d, 0.0)
+
+
+def reciprocity_map(k: TriangularKernel, k_inv: TriangularKernel) -> np.ndarray:
+    """Right-hand side of the trapezoid reciprocity identity, lower triangle.
+
+    Entry (i, j) is (k(z_i, zeta_j) + h [k(z_i, zeta_j) k_I(zeta_j, zeta_j) / 2
+    + sum_{j<s<i} k(z_i, z_s) k_I(z_s, zeta_j)]) / (1 - h k(z_i, z_i)/2), and the
+    diagonal is k(z_i, z_i); the discrete inverse kernel equals it.
+    """
+    h = k.h
+    kv, ki = k.lower(), k_inv.lower()
+    inner = 0.5 * kv * np.diagonal(ki)[None, :] + np.tril(kv, -1) @ np.tril(ki, -1)
+    out = np.tril((kv + h * inner) / (1.0 - 0.5 * h * np.diagonal(kv))[:, None], -1)
+    return out + np.diag(np.diagonal(kv))

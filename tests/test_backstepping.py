@@ -9,6 +9,7 @@ import pytest
 from coopreg.backstepping import (
     OutputOperator,
     TriangularKernel,
+    _kernel_levels,
     apply_inverse_transform,
     apply_transform,
     invert_kernel,
@@ -16,10 +17,10 @@ from coopreg.backstepping import (
     solve_kernel,
     transform_output_weight,
 )
-from coopreg.errors import GridMismatch, NoConvergence
+from coopreg.errors import GridMismatch, SingularSystem
 from coopreg.grid import GridFunction, cumulative_trapezoid
 
-from _support import random_smooth_profile
+from _support import kernel_iteration_map, random_smooth_profile, reciprocity_map
 
 
 def benchmark_kernel(m=200):
@@ -85,10 +86,33 @@ class TestSolveKernel:
         k = solve_kernel(prof, q0=3.0, mu_c=5.0, m=100)
         assert k.value(k.m, k.m) == pytest.approx(-0.25, abs=1e-10)
 
-    def test_iteration_budget_enforced(self):
-        with pytest.raises(NoConvergence) as info:
-            solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=5.0, m=64, max_iter=2)
-        assert info.value.iterations == 2
+    @pytest.mark.parametrize(
+        "a, q0, mu_c",
+        [
+            (lambda z: z + 1.0, 3.0, 5.0),
+            (lambda z: z + 1.0, 0.0, 5.0),
+            (lambda z: np.sin(3.0 * z), -1.0, 5.0),
+            (GridFunction.from_callable(lambda z: z + 1.0, 400), 3.0, 5.0),
+            (lambda z: z + 1.0, 3.0, -1.6e4),
+        ],
+        ids=["benchmark", "q0 zero", "q0 negative", "grid function", "mu_c -1.6e4"],
+    )
+    def test_march_is_fixed_point_of_iteration_map(self, a, q0, mu_c):
+        m = 64
+        lattice = np.zeros((2 * m + 1, m + 1))
+        for q, level in enumerate(_kernel_levels(a, q0, mu_c, m)):
+            lattice[q : 2 * m + 1 - q, q] = level
+        change = kernel_iteration_map(a, q0, mu_c, lattice) - lattice
+        assert np.abs(change).max() <= 1e-12 * np.abs(lattice).max()
+        k = solve_kernel(a, q0, mu_c, m)
+        ii, jj = np.tril_indices(m + 1)
+        assert np.array_equal(k.values[ii, jj], lattice[ii + jj, ii - jj])
+
+    def test_under_resolved_grid_raises_singular_system(self):
+        with pytest.raises(SingularSystem, match="grid_points >= 71"):
+            solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=2e4, m=64)
+        k = solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=1e4, m=64)
+        assert np.all(np.isfinite(k.lower()))
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
@@ -116,6 +140,17 @@ class TestInverseKernel:
         k = benchmark_kernel(100)
         ki = invert_kernel(k)
         assert np.allclose(ki.diagonal_trace, k.diagonal_trace, atol=1e-14)
+
+    def test_satisfies_trapezoid_reciprocity(self):
+        k = benchmark_kernel(200)
+        ki = invert_kernel(k)
+        gap = np.abs(reciprocity_map(k, ki) - ki.lower()).max()
+        assert gap <= 1e-13 * np.abs(ki.lower()).max()
+
+    def test_vanishing_closure_factor_raises_singular_system(self):
+        # h k(z, z)/2 = 1 on a 32-interval grid
+        with pytest.raises(SingularSystem, match="closure factor"):
+            invert_kernel(constant_kernel(64.0, 32))
 
     def test_composition_is_identity(self):
         m = 200

@@ -125,8 +125,11 @@ class TestParsing:
         assert len(info.value.violations) >= 3
 
     def test_unknown_key_flagged(self, leader_scenario_text):
-        with pytest.raises(SchemaError):
-            loads(leader_scenario_text.replace("mu_c = 5", "mu_c = 5\nwarp = 9"))
+        for line in ("warp = 9", "kernel_tol = 1e-10", "kernel_max_iter = 200"):
+            with pytest.raises(SchemaError) as info:
+                loads(leader_scenario_text.replace("mu_c = 5", f"mu_c = 5\n{line}"))
+            key = line.split(" = ")[0]
+            assert any(repr(key) in v for v in info.value.violations)
 
     def test_multiline_matrix_continuation(self):
         text = (
@@ -251,7 +254,7 @@ class TestCli:
         ])
         assert code == 1
         assert f"{flag[2:]} = " in capsys.readouterr().err
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("dt, horizon", [("0.3", "1"), ("0.001", "inf"), ("inf", "1")])
     def test_horizon_not_multiple_of_dt_rejected(
@@ -268,7 +271,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"horizon = {float(horizon)} is not a whole number of steps of dt = {float(dt)}" in err
         assert "Traceback" not in err
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synthesize", "check"])
     def test_one_agent_leaderless_rejected(self, tmp_path, capsys, command):
@@ -290,6 +293,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "mode = leaderless needs at least 2 agents" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mu_c", ["10000", "20000", "1e6"])
+    def test_unusable_kernel_fails_cleanly(self, scenario_file, tmp_path, capsys, mu_c):
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text(scenario_file.read_text().replace("mu_c = 5", f"mu_c = {mu_c}"))
+        code = main(["check", "--scenario", str(cfg), "--grid-points", "64"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        row = next(line for line in captured.out.splitlines() if line.startswith("design pipeline"))
+        assert "  FAIL  SingularSystem: " in row
+        out = tmp_path / "out"
+        code = main([
+            "synthesize", "--scenario", str(cfg), "--grid-points", "64", "--out", str(out),
+        ])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((out / "certificate.json").read_text())
+        assert payload["passed"] is False
+        assert payload["error"] == "SingularSystem"
+        assert not (out / "gains.txt").exists()
+
+    def test_rejected_simulate_leaves_no_output_dir(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main([
+            "simulate", "--scenario", str(scenario_file),
+            "--gains", str(tmp_path / "absent" / "gains.txt"), "--out", str(out),
+        ])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_check_fails_on_disconnected_graph(self, scenario_file, tmp_path):
         text = scenario_file.read_text().replace(
@@ -410,7 +444,7 @@ class TestCli:
         ])
         assert code == 1
         assert "ParseError: line 2: 'nan' is not a finite number" in capsys.readouterr().err
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     def test_snapshot_profiles_written(self, scenario_file, tmp_path):
         text = scenario_file.read_text().replace(
