@@ -216,7 +216,10 @@ def _kernel_levels(a, q0: float, mu_c: float, m: int):
     # the recurrence coefficients depend on k only, so one prefix serves every level
     ratio = np.ones(2 * m + 1)
     ratio[1:] = (1.0 + beta[:-1]) / (1.0 - beta[1:])
-    factor = np.cumprod(ratio)
+    # the prefix can under- or overflow far outside the problem class; the
+    # finiteness check below turns that into SingularSystem
+    with np.errstate(all="ignore"):
+        factor = np.cumprod(ratio)
     step = 0.5 * h / (1.0 - beta)
     decay = np.exp(-q0 * h)
 
@@ -235,12 +238,13 @@ def _kernel_levels(a, q0: float, mu_c: float, m: int):
         u = c + alpha[:n] * base
         t = np.zeros(n)
         t[1:] = (u[:-1] + u[1:]) * step[1:n]
-        d = factor[:n] * np.cumsum(t / factor[:n])
+        with np.errstate(all="ignore"):
+            d = factor[:n] * np.cumsum(t / factor[:n])
         level = base + d
         c = u + alpha[:n] * d
         if not np.isfinite(level).all():
             raise SingularSystem(
-                f"kernel march overflowed at eta = {q * h:.4g}; "
+                f"kernel march left the floating-point range at eta = {q * h:.4g}; "
                 f"mu_c = {mu_c:g} is out of range for grid_points = {m}"
             )
         yield level

@@ -296,6 +296,10 @@ def write_metrics(metrics: simulator.ErrorMetrics, trace: simulator.SimTrace, pa
         f"decay_rate = {_FMT(metrics.decay_rate)}",
         f"tail_sync_error = {_FMT(float(trace.pairwise_sync_errors()[trace.times >= trace.times[0] + 0.8 * (trace.times[-1] - trace.times[0])].max()))}",
     ]
+    lines += [
+        f"{key} = {_FMT(trace.metadata[key])}"
+        for key in ("steps_per_s", "peak_state", "peak_ratio", "peak_time")
+    ]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -4,15 +4,22 @@ Each agent is a 1-D reaction-diffusion system with Robin boundary conditions,
 actuated at z = 1 and disturbed in-domain and at the boundaries.  The N agents
 share one stacked (N, m + 1) state.  Diffusion and reaction advance by
 Crank-Nicolson with ghost-node boundary closure, as one tridiagonal system
-factored once per run; the internal models advance by a trapezoidal map
-inverted once per run.  The controller and internal-model coupling are
-evaluated once per step (first order splitting), and the exogenous signal
-state advances by its exact matrix exponential.  Per step the order is:
-outputs, controller, then the internal-model and PDE advances.  ``simulate``,
-the target cascade and the one-step helpers all run on these same pieces.
+factored once per run and solved in midpoint form: A x_half = x + (dt/2) f,
+then x+ = 2 x_half - x.  The internal models advance by a trapezoidal map
+inverted once per run, and the exogenous signal state by its exact matrix
+exponential.  The controller and internal-model coupling are held over each
+step (first-order splitting).
+
+The whole loop is linear, so ``ClosedLoopStep`` assembles it once per run.
+The loop reads three scalars per agent from the profiles (output quadrature,
+k_x . x + k_1 x(1) and the lumped xi = int r_x x) through one block-diagonal
+read-out G; with z = [x G, v, w], one small matrix maps z to the next (v, w)
+and one matrix F maps z to the half-step forcing (dt/2) f.  ``simulate`` and
+the target cascade run on this step; the one-step helpers share its pieces.
 """
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 from scipy.linalg import expm
@@ -163,9 +170,6 @@ class StackedStepper:
         )
         if info != 0:
             raise SingularStep(f"Crank-Nicolson matrix is singular (pivot {info})")
-        self.rhs_upper = half * upper[:, :-1]
-        self.rhs_diag = 1.0 + half * diag
-        self.rhs_lower = half * lower[:, 1:]
 
         # forcing: interior disturbance profile plus boundary injections
         self.bc1_gain = 2.0 * lam[:, m] / h
@@ -204,14 +208,17 @@ class StackedStepper:
         f[:, -1] += self.bc1_gain * u
         return f
 
+    def midpoint(self, x: np.ndarray, half_forcing: np.ndarray) -> np.ndarray:
+        """Crank-Nicolson on flat state: A x_half = x + (dt/2) f, then x+ = 2 x_half - x."""
+        out, _ = dgttrs(*self.lu, x + half_forcing, overwrite_b=1)
+        out *= 2.0
+        out -= x
+        return out
+
     def step(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Advance every profile one step with the forcing held over the step."""
-        rhs = self.rhs_diag * x
-        rhs[:, :-1] += self.rhs_upper * x[:, 1:]
-        rhs[:, 1:] += self.rhs_lower * x[:, :-1]
-        rhs += self.dt * self.forcing(u, w)
-        out, _ = dgttrs(*self.lu, rhs.ravel(), overwrite_b=1)
-        return out.reshape(x.shape)
+        half_forcing = 0.5 * self.dt * self.forcing(u, w)
+        return self.midpoint(x.ravel(), half_forcing.ravel()).reshape(x.shape)
 
 
 class TrapezoidStep:
@@ -241,27 +248,66 @@ class NetworkFeedback:
           + a_i0 xi_i  with the lumped quantity xi_i = int r_x x_i, so only
     one scalar per agent crosses the network.  The internal models are driven
     by sum_j a_ij (y_i - y_j) + a_i0 (y_i - r); in leaderless mode the
-    reference never enters.
+    reference never enters.  The law is three fixed matrices: ``read_out``
+    (m + 1, 2) takes c_i = k_x . x_i + k_1 x_i(1) and xi_i from a profile,
+    ``law`` maps [c, xi, vec v] to u, and ``drive_map`` maps [y, r] to the drive.
     """
 
     def __init__(self, gains: RegulatorGains, topology: CommTopology, mode: str):
         graph = laplacian(topology)
         if mode == MODE_LEADER:
-            self.coupling, self.leader_links = graph.leader_follower, topology.leader_links
+            coupling, leader_links = graph.leader_follower, topology.leader_links
         elif mode == MODE_LEADERLESS:
-            self.coupling, self.leader_links = graph.laplacian, np.zeros(topology.n_agents)
+            coupling, leader_links = graph.laplacian, np.zeros(topology.n_agents)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        self.k_v, self.k_1 = gains.k_v, gains.k_1
-        self.w_kx = trapezoid_weights(gains.m) * gains.k_x.values
-        self.w_rx = trapezoid_weights(gains.m) * gains.r_x.values
+        n = coupling.shape[0]
+        weights = trapezoid_weights(gains.m)
+        self.read_out = np.stack([weights * gains.k_x.values, weights * gains.r_x.values], axis=1)
+        self.read_out[-1, 0] += gains.k_1
+        self.law = np.hstack([-np.eye(n), coupling, np.kron(np.eye(n), gains.k_v)])
+        self.drive_map = np.column_stack([coupling, -leader_links])
 
     def inputs(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-        xi = x @ self.w_rx
-        return v @ self.k_v - self.k_1 * x[:, -1] - x @ self.w_kx + self.coupling @ xi
+        c, xi = (x @ self.read_out).T
+        return self.law @ np.concatenate([c, xi, v.ravel()])
 
     def drive(self, y: np.ndarray, r: float) -> np.ndarray:
-        return self.coupling @ y - self.leader_links * r
+        return self.drive_map @ np.append(y, r)
+
+
+class ClosedLoopStep:
+    """One step of a linear closed loop on flat profiles x and small state s = [vec v, w].
+
+    z = [x G, s] holds all a step reads: the read-out G takes a few scalars
+    per agent from the profiles.  The boundary inputs are u = U z and the
+    internal-model drive is D z; from them one small matrix gives the next
+    s (trapezoidal internal model, exact propagator of w) and one matrix F
+    the half-step forcing (dt/2) f of the midpoint Crank-Nicolson solve.
+    """
+
+    def __init__(self, stepper: StackedStepper, read_out, inputs, internal_model: TrapezoidStep,
+                 drive, propagator):
+        n, n_nodes = stepper.weights.shape
+        n_v = n * internal_model.column.size
+        v_cols = slice(read_out.shape[1], read_out.shape[1] + n_v)
+        self.stepper, self.read_out = stepper, read_out
+        self.small_map = np.zeros((n_v + propagator.shape[0], v_cols.stop + propagator.shape[0]))
+        self.small_map[:n_v, v_cols] = np.kron(np.eye(n), internal_model.map)
+        self.small_map[:n_v] += np.kron(drive, internal_model.column[:, None])
+        self.small_map[n_v:, v_cols.stop :] = propagator
+        half = 0.5 * stepper.dt
+        forcing = np.zeros((n, n_nodes, self.small_map.shape[1]))
+        forcing[:, :, v_cols.stop :] = half * stepper.wiring
+        forcing[:, -1] += half * stepper.bc1_gain[:, None] * inputs
+        self.forcing = forcing.reshape(n * n_nodes, -1)
+
+    def read(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return np.concatenate([x @ self.read_out, s])
+
+    def __call__(self, x: np.ndarray, z: np.ndarray):
+        """(x+, s+) from the flat profiles x and their read z = read(x, s)."""
+        return self.stepper.midpoint(x, self.forcing @ z), self.small_map @ z
 
 
 def _one_agent(agent: AgentSpec, profile, d):
@@ -354,26 +400,40 @@ def simulate(
 
     n = len(agents)
     n_w = gains.n_w
+    n_v = n * n_w
     stepper = StackedStepper(scenario_objects.plant, agents, exo.read_outs, dt)
     feedback = NetworkFeedback(gains, scenario_objects.topology, mode)
-    internal_model = TrapezoidStep(gains.S, gains.b_y, dt)
-    propagator = expm(exo.S * dt)
-
-    x = np.stack(
-        [
-            np.zeros(m + 1) if ag.initial_profile is None else ag.initial_profile.values.copy()
-            for ag in agents
-        ]
+    # z = [q, c, xi, vec v, w]: q_i the output quadrature of agent i, c_i and
+    # xi_i the read-outs of the feedback law
+    basis = np.eye(3 * n + n_v + exo.n_w)
+    w_part = basis[3 * n + n_v :]
+    y_map = basis[:n] + stepper.feedthrough @ w_part
+    r_map = exo.p @ w_part
+    u_map = feedback.law @ basis[n : 3 * n + n_v]
+    read_out = np.zeros((n, m + 1, 3, n))
+    for i in range(n):
+        read_out[i, :, 0, i] = stepper.weights[i]
+        read_out[i, :, 1:, i] = feedback.read_out
+    step = ClosedLoopStep(
+        stepper,
+        read_out.reshape(n * (m + 1), 3 * n),
+        u_map,
+        TrapezoidStep(gains.S, gains.b_y, dt),
+        feedback.drive_map @ np.vstack([y_map, r_map]),
+        expm(exo.S * dt),
     )
-    v = np.array(scenario_objects.v0, dtype=float).reshape(n, n_w)
-    w = np.array(scenario_objects.w0, dtype=float)
+    signals = np.vstack([y_map, u_map, r_map])
+
+    x = np.concatenate([
+        np.zeros(m + 1) if ag.initial_profile is None else ag.initial_profile.values
+        for ag in agents
+    ])
+    s = np.concatenate([np.reshape(scenario_objects.v0, n_v), scenario_objects.w0], dtype=float)
 
     sample_idx = [k for k in range(n_steps + 1) if k % stride == 0 or k == n_steps]
     n_s = len(sample_idx)
     times = np.empty(n_s)
-    ref_tr = np.empty(n_s)
-    y_tr = np.empty((n_s, n))
-    u_tr = np.empty((n_s, n))
+    sampled = np.empty((n_s, 2 * n + 1))   # y, u, r
     v_tr = np.empty((n_s, n, n_w)) if record_state else None
     x_tr = np.empty((n_s, n, m + 1)) if record_state else None
     snapshots = {}
@@ -381,43 +441,41 @@ def simulate(
         int(round(t_s / dt)): t_s for t_s in scenario_objects.snapshot_times
     }
 
+    peak_state, peak_time = max(np.abs(x).max(), np.abs(s[:n_v]).max()), 0.0
     pos = 0
+    started = perf_counter()
     for k in range(n_steps + 1):
         t = k * dt
-        y = stepper.outputs(x, w)
-        r = float(exo.p @ w)
-        u = feedback.inputs(v, x)
-
+        z = step.read(x, s)
         if k == sample_idx[pos]:
             times[pos] = t
-            ref_tr[pos] = r
-            y_tr[pos] = y
-            u_tr[pos] = u
+            sampled[pos] = signals @ z
             if record_state:
-                v_tr[pos] = v
-                x_tr[pos] = x
+                v_tr[pos] = s[:n_v].reshape(n, n_w)
+                x_tr[pos] = x.reshape(n, m + 1)
             pos += 1
         if k in snap_steps:
-            snapshots[snap_steps[k]] = x.copy()
+            snapshots[snap_steps[k]] = x.reshape(n, m + 1).copy()
         if k == n_steps:
             break
 
-        v = internal_model(v, feedback.drive(y, r))
-        x = stepper.step(x, u, w)
-        w = propagator @ w
+        x, s = step(x, z)
 
-        peak = max(np.abs(x).max(), np.abs(v).max())
+        peak = max(np.abs(x).max(), np.abs(s[:n_v]).max())
         if not np.isfinite(peak) or peak > blowup:
             raise NumericalBlowup(
                 f"state norm {peak:.3e} exceeded {blowup:.1e} at t = {t + dt:.6g}",
                 time=t + dt,
             )
+        if peak > peak_state:
+            peak_state, peak_time = peak, t + dt
+    elapsed = perf_counter() - started
 
     return SimTrace(
         times=times,
-        reference=ref_tr,
-        outputs=y_tr,
-        inputs=u_tr,
+        reference=sampled[:, -1],
+        outputs=sampled[:, :n],
+        inputs=sampled[:, n:-1],
         snapshots=snapshots,
         states_v=v_tr,
         states_x=x_tr,
@@ -426,6 +484,10 @@ def simulate(
             "dt": dt,
             "grid_points": m,
             "certified": bool(certified) if certified is not None else None,
+            "steps_per_s": n_steps / elapsed,
+            "peak_state": float(peak_state),
+            "peak_ratio": float(peak_state) / blowup,
+            "peak_time": peak_time,
         },
     )
 
@@ -459,8 +521,17 @@ def simulate_target_cascade(
     )
     agent = AgentSpec(delta_lambda=zero, delta_a=zero)
     stepper = StackedStepper(heat, [agent] * n, [np.zeros((0, 0))] * n, dt)
-    target_model = TrapezoidStep(gains.S, q_tilde_at_1, dt)
-    no_w = np.zeros(0)
+    # the profiles enter nothing but their own step: an empty read-out
+    boundary = np.kron(np.eye(n), gains.k_v)
+    step = ClosedLoopStep(
+        stepper,
+        np.zeros((n * (m + 1), 0)),
+        boundary,
+        TrapezoidStep(gains.S, q_tilde_at_1, dt),
+        -(coupling @ boundary),
+        np.zeros((0, 0)),
+    )
+    x, s = x_t.ravel(), e_v.ravel()
 
     sample_idx = [k for k in range(n_steps + 1) if k % sample_every == 0 or k == n_steps]
     times = np.empty(len(sample_idx))
@@ -471,14 +542,12 @@ def simulate_target_cascade(
     for k in range(n_steps + 1):
         if k == sample_idx[pos]:
             times[pos] = k * dt
-            e_trace[pos] = e_v
-            x_trace[pos] = x_t
+            e_trace[pos] = s.reshape(n, n_w)
+            x_trace[pos] = x.reshape(n, m + 1)
             pos += 1
         if k == n_steps:
             break
-        boundary = e_v @ gains.k_v
-        e_v = target_model(e_v, -(coupling @ boundary))
-        x_t = stepper.step(x_t, boundary, no_w)
+        x, s = step(x, step.read(x, s))
     return CascadeTrace(times=times, e_v=e_trace, x_tilde=x_trace)
 
 

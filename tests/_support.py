@@ -1,12 +1,15 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from scipy.linalg import expm
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from coopreg.backstepping import TriangularKernel
-from coopreg.comm_graph import CommTopology
+from coopreg.backstepping import OutputOperator, TriangularKernel
+from coopreg.comm_graph import CommTopology, laplacian
 from coopreg.grid import GridFunction, cumulative_trapezoid, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
-from coopreg.simulator import AgentSpec
+from coopreg.simulator import AgentSpec, NominalPlant, StackedStepper, TrapezoidStep
+from coopreg.synthesis import MODE_LEADER
 
 
 def _dyadic_weight(rng, low=0.25, high=2.0) -> float:
@@ -152,3 +155,121 @@ def reciprocity_map(k: TriangularKernel, k_inv: TriangularKernel) -> np.ndarray:
     inner = 0.5 * kv * np.diagonal(ki)[None, :] + np.tril(kv, -1) @ np.tril(ki, -1)
     out = np.tril((kv + h * inner) / (1.0 - 0.5 * h * np.diagonal(kv))[:, None], -1)
     return out + np.diag(np.diagonal(kv))
+
+
+def split_crank_nicolson(plant: NominalPlant, agents, dt: float):
+    """Crank-Nicolson step of stacked agents with the explicit three-diagonal right-hand side.
+
+    (I - dt/2 L) x+ = (I + dt/2 L) x + dt f, with L the ghost-node stencil of
+    each agent and the N systems chained into one with zero coupling.
+    """
+    m = plant.a.m
+    h = 1.0 / m
+    lam = 1.0 + np.stack([ag.delta_lambda.values for ag in agents])
+    abar = plant.a.values + np.stack([ag.delta_a.values for ag in agents])
+    q0b = plant.q0 + np.array([ag.delta_q0 for ag in agents])
+    q1b = plant.q1 + np.array([ag.delta_q1 for ag in agents])
+    lower = np.zeros_like(lam)
+    diag = np.zeros_like(lam)
+    upper = np.zeros_like(lam)
+    diag[:, 1:m] = -2.0 * lam[:, 1:m] / h**2 + abar[:, 1:m]
+    lower[:, 1:m] = upper[:, 1:m] = lam[:, 1:m] / h**2
+    diag[:, 0] = -2.0 * lam[:, 0] * (1.0 + h * q0b) / h**2 + abar[:, 0]
+    upper[:, 0] = 2.0 * lam[:, 0] / h**2
+    diag[:, m] = -2.0 * lam[:, m] * (1.0 - h * q1b) / h**2 + abar[:, m]
+    lower[:, m] = 2.0 * lam[:, m] / h**2
+
+    half = 0.5 * dt
+    *lu, info = dgttrf(
+        -half * lower.ravel()[1:], 1.0 - half * diag.ravel(), -half * upper.ravel()[:-1]
+    )
+    assert info == 0
+    rhs_upper = half * upper[:, :-1]
+    rhs_diag = 1.0 + half * diag
+    rhs_lower = half * lower[:, 1:]
+
+    def step(x, f):
+        rhs = rhs_diag * x
+        rhs[:, :-1] += rhs_upper * x[:, 1:]
+        rhs[:, 1:] += rhs_lower * x[:, :-1]
+        rhs += dt * f
+        out, _ = dgttrs(*lu, rhs.ravel())
+        return out.reshape(x.shape)
+
+    return step
+
+
+def split_step_loop(resolved, gains):
+    """Reference first-order split-step closed loop, every step recorded.
+
+    Per step: outputs, controller, internal model, then the split
+    Crank-Nicolson step, and the signal state by its matrix exponential.
+    Returns (y, u, v, x) arrays over the steps run and the time of the first
+    step whose max(|x|, |v|) is not finite or exceeds the blow-up bound
+    (None when every step stays inside it); the loop stops there.
+    """
+    agents, exo, dt = resolved.agents, resolved.exo, resolved.dt
+    m, n = resolved.m, len(agents)
+    # output weights, feedthrough and wiring; its own step is not used
+    stepper = StackedStepper(resolved.plant, agents, exo.read_outs, dt)
+    cn_step = split_crank_nicolson(resolved.plant, agents, dt)
+    graph = laplacian(resolved.topology)
+    if resolved.mode == MODE_LEADER:
+        coupling, links = graph.leader_follower, resolved.topology.leader_links
+    else:
+        coupling, links = graph.laplacian, np.zeros(n)
+    w_kx = trapezoid_weights(m) * gains.k_x.values
+    w_rx = trapezoid_weights(m) * gains.r_x.values
+    internal_model = TrapezoidStep(gains.S, gains.b_y, dt)
+    propagator = expm(exo.S * dt)
+
+    x = np.stack([ag.initial_profile.values.copy() for ag in agents])
+    v = np.array(resolved.v0, dtype=float).reshape(n, gains.n_w)
+    w = np.array(resolved.w0, dtype=float)
+    ys, us, vs, xs = [], [], [], []
+    blowup_time = None
+    for k in range(resolved.n_steps + 1):
+        t = k * dt
+        y = np.einsum("ij,ij->i", stepper.weights, x) + stepper.feedthrough @ w
+        r = float(exo.p @ w)
+        u = v @ gains.k_v - gains.k_1 * x[:, -1] - x @ w_kx + coupling @ (x @ w_rx)
+        ys.append(y)
+        us.append(u)
+        vs.append(v)
+        xs.append(x)
+        if k == resolved.n_steps:
+            break
+        v = internal_model(v, coupling @ y - links * r)
+        f = stepper.wiring @ w
+        f[:, -1] += stepper.bc1_gain * u
+        x = cn_step(x, f)
+        w = propagator @ w
+        peak = max(np.abs(x).max(), np.abs(v).max())
+        if not np.isfinite(peak) or peak > resolved.blowup_bound:
+            blowup_time = t + dt
+            break
+    return (np.array(ys), np.array(us), np.array(vs), np.array(xs)), blowup_time
+
+
+def split_step_cascade(gains, coupling, q_tilde_at_1, e_v0, x_tilde0, dt, n_steps):
+    """Reference split-step target cascade, every step recorded: (e_v, x_tilde)."""
+    e_v = np.array(e_v0, dtype=float)
+    x_t = np.array(x_tilde0, dtype=float)
+    m = x_t.shape[1] - 1
+    zero = GridFunction.constant(0.0, m)
+    heat = NominalPlant(
+        a=GridFunction.constant(-gains.mu_c, m), q0=0.0, q1=0.0, output=OutputOperator(zero)
+    )
+    agents = [AgentSpec(delta_lambda=zero, delta_a=zero)] * len(e_v)
+    cn_step = split_crank_nicolson(heat, agents, dt)
+    target_model = TrapezoidStep(gains.S, q_tilde_at_1, dt)
+    e_trace, x_trace = [e_v], [x_t]
+    for _ in range(n_steps):
+        boundary = e_v @ gains.k_v
+        e_v = target_model(e_v, -(coupling @ boundary))
+        f = np.zeros_like(x_t)
+        f[:, -1] = 2.0 * m * boundary
+        x_t = cn_step(x_t, f)
+        e_trace.append(e_v)
+        x_trace.append(x_t)
+    return np.array(e_trace), np.array(x_trace)

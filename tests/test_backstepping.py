@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ class TestSolveKernel:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             solve_kernel(lambda z: z, q0=0.0, mu_c=1.0, m=16)
+
+    def test_march_out_of_float_range_raises_without_warnings(self):
+        # h^2 max|mu_c + a| = 3.75 passes the grid guard, but the prefix
+        # product of the level recurrence underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="floating-point range"):
+                solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=-2.4e6, m=800)
 
 
 class TestTriangularKernel:

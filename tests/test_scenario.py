@@ -494,6 +494,27 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert "tail_sync_error" in (out / "metrics.txt").read_text()
 
+    @pytest.mark.parametrize("name", ["four_agent_leader.cfg", "four_agent_leaderless.cfg"])
+    def test_simulate_reports_step_rate_and_peak(self, name, tmp_path):
+        from importlib.resources import files
+
+        cfg = tmp_path / name
+        cfg.write_text(files("coopreg").joinpath(f"scenarios/{name}").read_text())
+        assert main(["synthesize", "--scenario", str(cfg), "--out", str(tmp_path / "design")]) == 0
+        assert main([
+            "simulate", "--scenario", str(cfg), "--gains", str(tmp_path / "design" / "gains.txt"),
+            "--out", str(tmp_path / "run"), "--horizon", "0.5",
+        ]) == 0
+        metrics = {}
+        for line in (tmp_path / "run" / "metrics.txt").read_text().splitlines():
+            key, _, value = line.partition(" = ")
+            metrics[key] = float(value)
+        fields = ("steps_per_s", "peak_state", "peak_ratio", "peak_time")
+        assert all(np.isfinite(metrics[key]) for key in fields)
+        assert metrics["steps_per_s"] > 0.0
+        assert 0.0 < metrics["peak_ratio"] < 1.0
+        assert 0.0 <= metrics["peak_time"] <= 0.5
+
     def test_default_margin_used_when_nu_missing(self, leader_scenario_text):
         from coopreg.cli import run_synthesis
 

@@ -1,5 +1,8 @@
 """Closed-loop simulation: outputs, controller, steppers, traces, metrics."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,8 @@ from _support import (
     nominal_agents,
     nominal_resolved,
     random_smooth_profile,
+    split_step_cascade,
+    split_step_loop,
 )
 
 
@@ -56,6 +61,53 @@ def toy_gains(m: int, n_w: int = 2) -> RegulatorGains:
         S=s,
         mu_c=1.0,
     )
+
+
+def uncertain_resolved(scenario, m: int = 48, n_steps: int = 200, seed: int = 3):
+    """The scenario's graph and signal model, with a plant and agents that use every loop term.
+
+    Point output weights, g4 feedthrough and nonzero delta-uncertainties in
+    every coefficient; every step is sampled.
+    """
+    rng = np.random.default_rng(seed)
+    resolved = scenario.resolve(m=m, horizon=n_steps * 1e-3)
+    plant = NominalPlant(
+        a=GridFunction.from_callable(lambda z: z + 1.0, m), q0=3.0, q1=0.5,
+        output=OutputOperator(
+            GridFunction.from_callable(lambda z: -z, m),
+            point_weights=((0.7, 0.3), (-0.4, 0.85)),
+            boundary_weights=(1.0, 0.5),
+        ),
+    )
+    agents = tuple(
+        AgentSpec(
+            delta_lambda=GridFunction(0.1 * np.tanh(random_smooth_profile(rng, m))),
+            delta_a=GridFunction(random_smooth_profile(rng, m)),
+            delta_q0=rng.normal(scale=0.2), delta_q1=rng.normal(scale=0.2),
+            delta_c0=GridFunction(0.1 * random_smooth_profile(rng, m)),
+            delta_points=(rng.normal(scale=0.1),),
+            delta_cb0=rng.normal(scale=0.05), delta_cb1=rng.normal(scale=0.05),
+            g1=rng.normal(size=(m + 1, p_i.shape[0])), g2=rng.normal(size=p_i.shape[0]),
+            g3=rng.normal(size=p_i.shape[0]), g4=1.0 + rng.random(p_i.shape[0]),
+            initial_profile=GridFunction(random_smooth_profile(rng, m)),
+        )
+        for p_i in resolved.exo.read_outs
+    )
+    gains = RegulatorGains(
+        k_v=rng.normal(size=3), k_1=0.7,
+        k_x=GridFunction(random_smooth_profile(rng, m)),
+        r_x=GridFunction(random_smooth_profile(rng, m)),
+        b_y=rng.normal(size=3), S=resolved.exo.S, mu_c=5.0,
+    )
+    resolved = dataclasses.replace(
+        resolved, plant=plant, agents=agents, sample_every=1, n_steps=n_steps,
+        v0=tuple(map(tuple, rng.normal(size=(len(agents), 3)))),
+    )
+    return resolved, gains
+
+
+def assert_rel_close(actual, expected, rel: float = 1e-12):
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
 
 
 class TestEvaluateOutput:
@@ -394,6 +446,34 @@ class TestSimulate:
         with pytest.raises(NumericalBlowup) as info:
             simulate(resolved, gains)
         assert info.value.time is not None and info.value.time > 0
+        assert info.value.time == split_step_loop(resolved, gains)[1]
+
+    def test_nan_initial_profile_raises_after_first_step(self, leader_scenario):
+        resolved, gains = uncertain_resolved(leader_scenario)
+        profile = np.array(resolved.agents[2].initial_profile.values)
+        profile[5] = np.nan
+        agents = list(resolved.agents)
+        agents[2] = dataclasses.replace(agents[2], initial_profile=SimpleNamespace(values=profile))
+        resolved = dataclasses.replace(resolved, agents=tuple(agents))
+        with pytest.raises(NumericalBlowup) as info:
+            simulate(resolved, gains)
+        assert info.value.time == resolved.dt
+
+    @pytest.mark.parametrize("scenario", ["leader_scenario", "leaderless_scenario"])
+    def test_matches_split_step_loop(self, scenario, request):
+        resolved, gains = uncertain_resolved(request.getfixturevalue(scenario))
+        trace = simulate(resolved, gains, record_state=True)
+        (y, u, v, x), blowup_time = split_step_loop(resolved, gains)
+        assert blowup_time is None
+        assert trace.times.size == resolved.n_steps + 1
+        for actual, expected in (
+            (trace.outputs, y), (trace.inputs, u), (trace.states_v, v), (trace.states_x, x)
+        ):
+            assert_rel_close(actual, expected)
+        peaks = np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(v).max(axis=(1, 2)))
+        assert trace.metadata["peak_state"] == pytest.approx(peaks.max(), rel=1e-12)
+        assert trace.metadata["peak_time"] == trace.times[np.argmax(peaks)]
+        assert trace.metadata["peak_ratio"] == trace.metadata["peak_state"] / resolved.blowup_bound
 
     def test_channel_mismatch_reported(self, leader_scenario, leader_design):
         m = 200
@@ -457,6 +537,26 @@ class TestTargetCascade:
             sample_every=5,
         )
         assert cascade_discrepancy(e_v, x_t, cascade) <= 5.0 * (1.0 / m**2 + dt)
+
+    def test_matches_split_step_cascade(self):
+        m, n, n_steps, dt = 48, 4, 200, 1e-3
+        rng = np.random.default_rng(17)
+        gains = RegulatorGains(
+            k_v=rng.normal(size=3), k_1=0.0,
+            k_x=GridFunction.constant(0.0, m), r_x=GridFunction.constant(0.0, m),
+            b_y=np.ones(3), S=np.array([[0.0, np.pi, 0.0], [-np.pi, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            mu_c=5.0,
+        )
+        coupling = rng.normal(size=(n, n))
+        q_tilde_at_1 = rng.normal(size=3)
+        e_v0 = rng.normal(size=(n, 3))
+        x0 = np.stack([random_smooth_profile(rng, m) for _ in range(n)])
+        cascade = simulate_target_cascade(
+            gains, coupling, q_tilde_at_1, e_v0, x0, dt, n_steps, sample_every=1
+        )
+        e_v, x_tilde = split_step_cascade(gains, coupling, q_tilde_at_1, e_v0, x0, dt, n_steps)
+        assert_rel_close(cascade.e_v, e_v)
+        assert_rel_close(cascade.x_tilde, x_tilde)
 
     def test_cascade_decay_matches_spectrum(self, leader_design):
         r = leader_design
