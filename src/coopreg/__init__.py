@@ -9,8 +9,6 @@ from . import errors
 from .backstepping import (
     OutputOperator,
     TriangularKernel,
-    apply_inverse_transform,
-    apply_transform,
     invert_kernel,
     solve_kernel,
     transform_output_weight,
@@ -32,7 +30,6 @@ from .signal_model import (
     ExoModel,
     build_reference_block,
     check_controllable,
-    exo_step,
     merge,
 )
 from .simulator import (
@@ -40,11 +37,7 @@ from .simulator import (
     ErrorMetrics,
     NominalPlant,
     SimTrace,
-    controller_input,
     error_metrics,
-    evaluate_output,
-    internal_model_step,
-    pde_step,
     simulate,
     simulate_target_cascade,
 )

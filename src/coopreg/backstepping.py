@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import GridMismatch, SingularSystem
-from .grid import GridFunction, cumulative_trapezoid, require_same_grid, uniform_nodes
+from .grid import GridFunction, cumulative_trapezoid, uniform_nodes
 
 #: fewest grid intervals the kernel quadrature resolves
 MIN_GRID_POINTS = 32
@@ -145,16 +145,6 @@ class OutputOperator:
     @property
     def m(self) -> int:
         return self.smooth_weight.m
-
-    def apply(self, profile: GridFunction) -> float:
-        require_same_grid(self.smooth_weight, profile)
-        val = float(
-            np.trapezoid(self.smooth_weight.values * profile.values, dx=profile.h)
-        )
-        for c, z in self.point_weights:
-            val += c * float(profile(z))
-        cb0, cb1 = self.boundary_weights
-        return val + cb0 * float(profile.values[0]) + cb1 * float(profile.values[-1])
 
 
 def solve_kernel(a, q0: float, mu_c: float, m: int = 200) -> TriangularKernel:
@@ -273,20 +263,6 @@ def invert_kernel(k: TriangularKernel) -> TriangularKernel:
     if not np.isfinite(k_inv).all():
         raise SingularSystem(f"inverse kernel overflows for max |k| = {np.abs(kv).max():.3e}")
     return TriangularKernel(k_inv)
-
-
-def apply_transform(k: TriangularKernel, x: GridFunction) -> GridFunction:
-    """Forward transform x~ = x - int_0^z k(z, .) x."""
-    if k.m != x.m:
-        raise GridMismatch(f"kernel grid {k.m} vs profile grid {x.m}")
-    return GridFunction(x.values - k.integral_operator() @ x.values)
-
-
-def apply_inverse_transform(k_inv: TriangularKernel, x_tilde: GridFunction) -> GridFunction:
-    """Inverse transform x = x~ + int_0^z k_I(z, .) x~."""
-    if k_inv.m != x_tilde.m:
-        raise GridMismatch(f"kernel grid {k_inv.m} vs profile grid {x_tilde.m}")
-    return GridFunction(x_tilde.values + k_inv.integral_operator() @ x_tilde.values)
 
 
 def transform_output_weight(c: OutputOperator, k_inv: TriangularKernel) -> OutputOperator:

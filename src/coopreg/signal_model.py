@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DuplicateFrequency
 
@@ -247,14 +246,3 @@ def check_controllable(s: np.ndarray, b: np.ndarray) -> bool:
     if sv.size == 0 or sv[0] == 0.0:
         return False
     return bool(np.sum(sv > 1e-9 * sv[0]) == n)
-
-
-def exo_step(model: ExoModel, w: np.ndarray, dt: float) -> np.ndarray:
-    """Advance the signal state by the exact matrix exponential.
-
-    Exactness keeps reference signals phase accurate over long horizons, so
-    exosystem drift never contaminates closed-loop error measurements.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return expm(model.S * dt) @ np.asarray(w, dtype=float)

@@ -15,7 +15,7 @@ The loop reads three scalars per agent from the profiles (output quadrature,
 k_x . x + k_1 x(1) and the lumped xi = int r_x x) through one block-diagonal
 read-out G; with z = [x G, v, w], one small matrix maps z to the next (v, w)
 and one matrix F maps z to the half-step forcing (dt/2) f.  ``simulate`` and
-the target cascade run on this step; the one-step helpers share its pieces.
+the target cascade run on this step.
 """
 
 from dataclasses import dataclass, field
@@ -199,26 +199,12 @@ class StackedStepper:
                 row[j + 1] += c_k * theta
             self.weights[i] = row
 
-    def outputs(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """True outputs of all agents: quadrature + point samples + boundary + feedthrough."""
-        return np.einsum("ij,ij->i", self.weights, x) + self.feedthrough @ w
-
-    def forcing(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        f = self.wiring @ w
-        f[:, -1] += self.bc1_gain * u
-        return f
-
     def midpoint(self, x: np.ndarray, half_forcing: np.ndarray) -> np.ndarray:
         """Crank-Nicolson on flat state: A x_half = x + (dt/2) f, then x+ = 2 x_half - x."""
         out, _ = dgttrs(*self.lu, x + half_forcing, overwrite_b=1)
         out *= 2.0
         out -= x
         return out
-
-    def step(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Advance every profile one step with the forcing held over the step."""
-        half_forcing = 0.5 * self.dt * self.forcing(u, w)
-        return self.midpoint(x.ravel(), half_forcing.ravel()).reshape(x.shape)
 
 
 class TrapezoidStep:
@@ -242,15 +228,15 @@ class TrapezoidStep:
 
 
 class NetworkFeedback:
-    """Boundary inputs under the networked state feedback, and the internal-model drive.
+    """The three matrices of the networked state feedback and the internal-model drive.
 
     u_i = k_v . v_i - k_1 x_i(1) - int k_x x_i + sum_j a_ij (xi_i - xi_j)
           + a_i0 xi_i  with the lumped quantity xi_i = int r_x x_i, so only
     one scalar per agent crosses the network.  The internal models are driven
     by sum_j a_ij (y_i - y_j) + a_i0 (y_i - r); in leaderless mode the
-    reference never enters.  The law is three fixed matrices: ``read_out``
-    (m + 1, 2) takes c_i = k_x . x_i + k_1 x_i(1) and xi_i from a profile,
-    ``law`` maps [c, xi, vec v] to u, and ``drive_map`` maps [y, r] to the drive.
+    reference never enters.  ``read_out`` (m + 1, 2) takes
+    c_i = k_x . x_i + k_1 x_i(1) and xi_i from a profile, ``law`` maps
+    [c, xi, vec v] to u, and ``drive_map`` maps [y, r] to the drive.
     """
 
     def __init__(self, gains: RegulatorGains, topology: CommTopology, mode: str):
@@ -267,13 +253,6 @@ class NetworkFeedback:
         self.read_out[-1, 0] += gains.k_1
         self.law = np.hstack([-np.eye(n), coupling, np.kron(np.eye(n), gains.k_v)])
         self.drive_map = np.column_stack([coupling, -leader_links])
-
-    def inputs(self, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-        c, xi = (x @ self.read_out).T
-        return self.law @ np.concatenate([c, xi, v.ravel()])
-
-    def drive(self, y: np.ndarray, r: float) -> np.ndarray:
-        return self.drive_map @ np.append(y, r)
 
 
 class ClosedLoopStep:
@@ -310,63 +289,6 @@ class ClosedLoopStep:
         return self.stepper.midpoint(x, self.forcing @ z), self.small_map @ z
 
 
-def _one_agent(agent: AgentSpec, profile, d):
-    """Stacked (1, m + 1) state, and a signal state that is the disturbance d itself."""
-    values = profile.values if isinstance(profile, GridFunction) else np.asarray(profile, dtype=float)
-    d = np.zeros(agent.n_channels) if d is None else np.asarray(d, dtype=float)
-    return values[None], d, [np.eye(agent.n_channels)]
-
-
-def evaluate_output(
-    agent: AgentSpec, nominal: OutputOperator, profile, d=None
-) -> float:
-    """True output of one agent: quadrature + point samples + boundary + g4 . d."""
-    x, d, read_outs = _one_agent(agent, profile, d)
-    # the output map does not depend on the reaction, the Robin data or the step
-    zero = GridFunction.constant(0.0, x.shape[1] - 1)
-    plant = NominalPlant(a=zero, q0=0.0, q1=0.0, output=nominal)
-    return float(StackedStepper(plant, [agent], read_outs, 0.0).outputs(x, d)[0])
-
-
-def pde_step(plant: NominalPlant, agent: AgentSpec, profile, u: float, d=None, dt: float = 1e-3):
-    """One Crank-Nicolson step of a single agent; forcing held over the step."""
-    x, d, read_outs = _one_agent(agent, profile, d)
-    out = StackedStepper(plant, [agent], read_outs, dt).step(x, np.array([float(u)]), d)[0]
-    return GridFunction(out) if isinstance(profile, GridFunction) else out
-
-
-def controller_input(
-    gains: RegulatorGains,
-    topology: CommTopology,
-    v: np.ndarray,
-    x: np.ndarray,
-    mode: str = MODE_LEADER,
-) -> np.ndarray:
-    """Boundary inputs of all agents under the networked state feedback."""
-    x = np.asarray(x, dtype=float)
-    if gains.m != x.shape[1] - 1:
-        raise GridMismatch(f"gain grid {gains.m} vs state grid {x.shape[1] - 1}")
-    return NetworkFeedback(gains, topology, mode).inputs(np.asarray(v, dtype=float), x)
-
-
-def internal_model_step(
-    gains: RegulatorGains,
-    topology: CommTopology,
-    v: np.ndarray,
-    y: np.ndarray,
-    r: float,
-    dt: float,
-    mode: str = MODE_LEADER,
-) -> np.ndarray:
-    """Advance every internal-model copy one step.
-
-    The linear part v' = S v is trapezoidal (same family as the PDE stepper);
-    the diffusive output coupling is held over the step.
-    """
-    drive = NetworkFeedback(gains, topology, mode).drive(np.asarray(y, dtype=float), r)
-    return TrapezoidStep(gains.S, gains.b_y, dt)(np.asarray(v, dtype=float), drive)
-
-
 @dataclass
 class CascadeTrace:
     """Trace of the decoupled target dynamics, for cross-validation."""
@@ -398,6 +320,8 @@ def simulate(
     stride = scenario_objects.sample_every
     blowup = scenario_objects.blowup_bound
 
+    if gains.m != m:
+        raise GridMismatch(f"gain grid {gains.m} vs scenario grid {m}")
     n = len(agents)
     n_w = gains.n_w
     n_v = n * n_w

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 from scipy.linalg import expm
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -8,8 +10,9 @@ from coopreg.backstepping import OutputOperator, TriangularKernel
 from coopreg.comm_graph import CommTopology, laplacian
 from coopreg.grid import GridFunction, cumulative_trapezoid, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
-from coopreg.simulator import AgentSpec, NominalPlant, StackedStepper, TrapezoidStep
-from coopreg.synthesis import MODE_LEADER
+from coopreg.signal_model import ExoModel
+from coopreg.simulator import AgentSpec, NominalPlant, StackedStepper, TrapezoidStep, simulate
+from coopreg.synthesis import MODE_LEADER, RegulatorGains
 
 
 def _dyadic_weight(rng, low=0.25, high=2.0) -> float:
@@ -93,6 +96,63 @@ def nominal_resolved(scenario, m: int, dt: float, n_steps: int, x0, v0, sample_e
         v0=tuple(tuple(row) for row in np.asarray(v0, dtype=float)),
         w0=(0.0,) * exo.n_w,
     )
+
+
+def silent_plant(m: int, output: OutputOperator | None = None) -> NominalPlant:
+    """Pure heat equation with Neumann ends; the output operator defaults to zero."""
+    zero = GridFunction.constant(0.0, m)
+    return NominalPlant(a=zero, q0=0.0, q1=0.0, output=output or OutputOperator(zero))
+
+
+def silent_gains(m: int, n_w: int = 1) -> RegulatorGains:
+    """Zero feedback (u = 0) and a frozen internal model."""
+    zero = GridFunction.constant(0.0, m)
+    return RegulatorGains(
+        k_v=np.zeros(n_w), k_1=0.0, k_x=zero, r_x=zero,
+        b_y=np.zeros(n_w), S=np.zeros((n_w, n_w)), mu_c=1.0,
+    )
+
+
+def constant_exo(r: float, read_outs) -> ExoModel:
+    """One constant signal state: with w0 = (1,) the reference is r and d_i = P_i."""
+    return ExoModel(
+        S=np.zeros((1, 1)), p=[r], read_outs=tuple(read_outs), b_y=np.ones(1), n_reference=1
+    )
+
+
+def silent_exo(n_agents: int) -> ExoModel:
+    """A zero reference and no disturbance channels."""
+    return constant_exo(0.0, [np.zeros((0, 1))] * n_agents)
+
+
+def loop_scenario(plant, agents, topology, exo, w0, v0, mode=MODE_LEADER, dt=1e-3, n_steps=1):
+    """A resolved closed loop of the given pieces; every step is sampled."""
+    return ResolvedScenario(
+        mode=mode,
+        plant=plant,
+        agents=tuple(agents),
+        topology=topology,
+        exo=exo,
+        m=plant.a.m,
+        dt=dt,
+        n_steps=n_steps,
+        sample_every=1,
+        snapshot_times=(),
+        blowup_bound=1e8,
+        v0=tuple(map(tuple, np.asarray(v0, dtype=float))),
+        w0=tuple(np.asarray(w0, dtype=float)),
+    )
+
+
+def first_output(agent: AgentSpec, nominal: OutputOperator, profile, d=()) -> float:
+    """Output at sample 0 of a one-agent ``simulate`` run from ``profile``, with disturbance d."""
+    m = agent.m
+    agent = dataclasses.replace(agent, initial_profile=GridFunction(np.asarray(profile, float)))
+    resolved = loop_scenario(
+        silent_plant(m, nominal), [agent], CommTopology(np.zeros((1, 1)), np.ones(1)),
+        constant_exo(0.0, [np.reshape(d, (-1, 1))]), w0=[1.0], v0=[[0.0]],
+    )
+    return simulate(resolved, silent_gains(m)).outputs[0, 0]
 
 
 def combined_state_norms(trace) -> np.ndarray:

@@ -11,17 +11,16 @@ from coopreg.backstepping import (
     OutputOperator,
     TriangularKernel,
     _kernel_levels,
-    apply_inverse_transform,
-    apply_transform,
     invert_kernel,
     kernel_residual,
     solve_kernel,
     transform_output_weight,
 )
-from coopreg.errors import GridMismatch, SingularSystem
+from coopreg.errors import SingularSystem
 from coopreg.grid import GridFunction, cumulative_trapezoid
+from coopreg.simulator import AgentSpec, SimTrace, transform_state_trace
 
-from _support import kernel_iteration_map, random_smooth_profile, reciprocity_map
+from _support import first_output, kernel_iteration_map, random_smooth_profile, reciprocity_map
 
 
 def benchmark_kernel(m=200):
@@ -30,6 +29,18 @@ def benchmark_kernel(m=200):
 
 def constant_kernel(c: float, m: int) -> TriangularKernel:
     return TriangularKernel(np.full((m + 1, m + 1), c))
+
+
+def forward(k: TriangularKernel, profiles) -> np.ndarray:
+    """x~ of each profile, as ``transform_state_trace`` computes it for a recorded trace."""
+    x = np.asarray(profiles, dtype=float)[None]
+    trace = SimTrace(
+        times=np.zeros(1), reference=np.zeros(1), outputs=np.zeros((1, x.shape[1])),
+        inputs=np.zeros((1, x.shape[1])), states_v=np.zeros(x.shape[:2] + (0,)), states_x=x,
+    )
+    n = x.shape[1]
+    _, x_tilde = transform_state_trace(trace, k, np.zeros((0, k.m + 1)), np.zeros((n, n)))
+    return x_tilde[0]
 
 
 class TestCumulativeTrapezoid:
@@ -167,10 +178,12 @@ class TestInverseKernel:
         ki = invert_kernel(k)
         rng = np.random.default_rng(7)
         bound = 10.0 / m**2
-        for _ in range(10):
-            prof = GridFunction(random_smooth_profile(rng, m, 6))
-            back = apply_inverse_transform(ki, apply_transform(k, prof))
-            rel = np.linalg.norm(back.values - prof.values) / np.linalg.norm(prof.values)
+        profiles = np.stack([random_smooth_profile(rng, m, 6) for _ in range(10)])
+        x_tilde = forward(k, profiles)
+        # inverse transform x = x~ + int_0^z k_I(z, .) x~
+        back = x_tilde + x_tilde @ ki.integral_operator().T
+        for prof, prof_back in zip(profiles, back):
+            rel = np.linalg.norm(prof_back - prof) / np.linalg.norm(prof)
             assert rel < bound
 
 
@@ -178,24 +191,21 @@ class TestTransforms:
     def test_zero_kernel_is_identity(self):
         m = 50
         prof = GridFunction.from_callable(lambda z: np.sin(3 * z), m)
-        out = apply_transform(constant_kernel(0.0, m), prof)
-        assert np.array_equal(out.values, prof.values)
+        out = forward(constant_kernel(0.0, m), [prof.values])[0]
+        assert np.array_equal(out, prof.values)
 
     def test_zero_profile_maps_to_zero(self):
-        out = apply_transform(constant_kernel(2.0, 50), GridFunction.constant(0.0, 50))
-        assert np.abs(out.values).max() == 0.0
+        out = forward(constant_kernel(2.0, 50), [np.zeros(51)])[0]
+        assert np.abs(out).max() == 0.0
 
     def test_constant_kernel_closed_form(self):
         m, c = 80, 1.5
         ones = GridFunction.constant(1.0, m)
-        fwd = apply_transform(constant_kernel(c, m), ones)
-        assert np.allclose(fwd.values, 1.0 - c * ones.nodes, atol=1e-14)
-        inv = apply_inverse_transform(constant_kernel(c, m), ones)
-        assert np.allclose(inv.values, 1.0 + c * ones.nodes, atol=1e-14)
-
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(GridMismatch):
-            apply_transform(constant_kernel(1.0, 40), GridFunction.constant(1.0, 50))
+        fwd = forward(constant_kernel(c, m), [ones.values])[0]
+        assert np.allclose(fwd, 1.0 - c * ones.nodes, atol=1e-14)
+        # inverse transform x = x~ + int_0^z k_I(z, .) x~ with k_I = c
+        inv = ones.values + constant_kernel(c, m).integral_operator() @ ones.values
+        assert np.allclose(inv, 1.0 + c * ones.nodes, atol=1e-14)
 
 
 class TestOutputOperator:
@@ -212,9 +222,11 @@ class TestOutputOperator:
             point_weights=((2.0, 0.3),),
             boundary_weights=(1.0, 1.0),
         )
-        prof = GridFunction.from_callable(lambda z: z, m)
+        zero = GridFunction.constant(0.0, m)
+        agent = AgentSpec(delta_lambda=zero, delta_a=zero)
+        y = first_output(agent, op, GridFunction.from_callable(lambda z: z, m).values)
         # exact: int -z*z = -1/3, point 2*0.3, borders 0 and 1
-        assert op.apply(prof) == pytest.approx(-1.0 / 3.0 + 0.6 + 1.0, abs=1e-4)
+        assert y == pytest.approx(-1.0 / 3.0 + 0.6 + 1.0, abs=1e-4)
 
 
 class TestTransformOutputWeight:

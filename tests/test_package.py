@@ -1,0 +1,47 @@
+"""Package-wide guards over the source tree."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coopreg"
+
+# Independent oracles the tests check the program against, so nothing in the
+# package or the benchmark calls them: the kernel-equation residual and the
+# leaderless steady state (acceptance criteria), and the scenario writer
+# that pins the parser by the round trip loads(serialize(s)) == s.
+ORACLES = {"backstepping.kernel_residual", "synthesis.sync_steady_state", "scenario.serialize"}
+
+
+def _referenced_names(path: Path) -> set:
+    """Identifiers a file uses: names, attributes, imports and dotted-path strings."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias) and path != PACKAGE / "__init__.py":
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # the benchmark patches functions named by strings like "Scenario.resolve"
+            if re.fullmatch(r"[\w.]+", node.value):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_public_definition_is_used():
+    used = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        used |= _referenced_names(path)
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    dead = sorted(set(unused) - ORACLES)
+    assert not dead, f"public definitions nothing in src/ or bench/ uses: {', '.join(dead)}"

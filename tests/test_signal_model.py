@@ -1,17 +1,21 @@
-"""Signal-model construction, merging, controllability, exact stepping."""
+"""Signal-model construction, merging, controllability, exact propagation in simulate."""
 
 import numpy as np
 import pytest
 
+from coopreg.comm_graph import CommTopology
 from coopreg.errors import DuplicateFrequency
+from coopreg.grid import GridFunction
 from coopreg.signal_model import (
     DisturbanceBlock,
     ExoModel,
     build_reference_block,
     check_controllable,
-    exo_step,
     merge,
 )
+from coopreg.simulator import AgentSpec, simulate
+
+from _support import loop_scenario, silent_gains, silent_plant
 
 PI_ROTATION = np.array([[0.0, np.pi], [-np.pi, 0.0]])
 
@@ -131,6 +135,28 @@ class TestControllability:
         assert not check_controllable(np.zeros((2, 2)), np.array([1.0, 1.0]))
 
 
+def probe_trace(model: ExoModel, w0, dt: float, n_steps: int):
+    """``simulate`` on one probe agent per signal state; output k is the state w_k.
+
+    The plant's output operator is zero, so a probe's output is its
+    feedthrough g4 . d = w_k, advanced by the propagator simulate builds.
+    """
+    m, n = 32, model.n_w
+    zero = GridFunction.constant(0.0, m)
+    probes = ExoModel(
+        S=model.S, p=model.p, read_outs=tuple(np.eye(n)[:, None]), b_y=model.b_y,
+        n_reference=model.n_reference,
+    )
+    agents = [
+        AgentSpec(delta_lambda=zero, delta_a=zero, g1=np.zeros((m + 1, 1)), g4=np.ones(1))
+    ] * n
+    resolved = loop_scenario(
+        silent_plant(m), agents, CommTopology(np.zeros((n, n)), np.ones(n)), probes,
+        w0=w0, v0=np.zeros((n, 1)), dt=dt, n_steps=n_steps,
+    )
+    return simulate(resolved, silent_gains(m))
+
+
 class TestExoStep:
     def _benchmark_model(self):
         return merge(
@@ -142,30 +168,26 @@ class TestExoStep:
     def test_zero_dynamics_fixed_point(self):
         model = merge(build_reference_block([0.0]), [], n_agents=1)
         w = np.array([1.7])
-        assert np.array_equal(exo_step(model, w, 0.5), w)
+        assert np.array_equal(probe_trace(model, w, 0.5, 1).outputs[1], w)
 
     def test_half_turn_rotation(self):
         model = merge(build_reference_block([np.pi]), [], n_agents=1)
-        w = exo_step(model, np.array([2.0, 0.0]), 1.0)
+        w = probe_trace(model, np.array([2.0, 0.0]), 1.0, 1).outputs[1]
         assert np.allclose(w, [-2.0, 0.0], atol=1e-12)
 
     def test_reference_signal_is_cosine(self):
         model = self._benchmark_model()
         w = np.array([2.0, 0.0, 1.0])
+        dt = 0.05
+        trace = probe_trace(model, w, dt, 26)
         for t in (0.1, 0.25, 0.5, 1.3):
-            wt = exo_step(model, w, t)
-            assert model.reference(wt) == pytest.approx(2.0 * np.cos(np.pi * t), abs=1e-12)
-            assert model.disturbance(0, wt)[0] == pytest.approx(3.0, abs=1e-12)
+            k = int(round(t / dt))
+            assert trace.reference[k] == pytest.approx(2.0 * np.cos(np.pi * t), abs=1e-12)
+            assert model.disturbance(0, trace.outputs[k])[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_norm_conserved_over_long_run(self):
         model = self._benchmark_model()
         w = np.array([2.0, 0.0, 1.0])
         n0 = np.linalg.norm(w)
-        for _ in range(1000):
-            w = exo_step(model, w, 0.01)
-        assert abs(np.linalg.norm(w) - n0) < 1e-9
-
-    def test_rejects_nonpositive_dt(self):
-        model = self._benchmark_model()
-        with pytest.raises(ValueError):
-            exo_step(model, np.zeros(3), 0.0)
+        norms = np.linalg.norm(probe_trace(model, w, 0.01, 1000).outputs, axis=1)
+        assert np.abs(norms - n0).max() < 1e-9

@@ -8,19 +8,16 @@ import pytest
 
 from coopreg.backstepping import OutputOperator
 from coopreg.comm_graph import CommTopology
-from coopreg.errors import NumericalBlowup
+from coopreg.errors import GridMismatch, NumericalBlowup
 from coopreg.grid import GridFunction, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
+from coopreg.signal_model import ExoModel
 from coopreg.simulator import (
     AgentSpec,
     NominalPlant,
     SimTrace,
     StackedStepper,
-    controller_input,
     error_metrics,
-    evaluate_output,
-    internal_model_step,
-    pde_step,
     simulate,
     simulate_target_cascade,
     transform_state_trace,
@@ -29,9 +26,15 @@ from coopreg.synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
 
 from _support import (
     cascade_discrepancy,
+    constant_exo,
+    first_output,
+    loop_scenario,
     nominal_agents,
     nominal_resolved,
     random_smooth_profile,
+    silent_exo,
+    silent_gains,
+    silent_plant,
     split_step_cascade,
     split_step_loop,
 )
@@ -110,16 +113,57 @@ def assert_rel_close(actual, expected, rel: float = 1e-12):
     assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
 
 
+def first_inputs(gains: RegulatorGains, topology, v, x, mode) -> np.ndarray:
+    """Boundary inputs at sample 0 of a ``simulate`` run from profiles x and internal models v."""
+    agents = [plain_agent(gains.m, initial_profile=GridFunction(row)) for row in x]
+    resolved = loop_scenario(
+        silent_plant(gains.m), agents, topology, silent_exo(len(agents)), w0=[0.0], v0=v,
+        mode=mode,
+    )
+    return simulate(resolved, gains).inputs[0]
+
+
+def stepped_models(gains: RegulatorGains, topology, v, y, r, dt, mode=MODE_LEADER, n_steps=1):
+    """Internal models after n_steps of ``simulate`` with every output y_i and the reference r held.
+
+    The output operator is zero, so agent i's output is its feedthrough
+    g4 . d_i = y_i, read from a constant signal state like the reference.
+    """
+    m = gains.m
+    agents = [plain_agent(m, g1=np.zeros((m + 1, 1)), g4=np.ones(1)) for _ in y]
+    resolved = loop_scenario(
+        silent_plant(m), agents, topology, constant_exo(r, [[[y_i]] for y_i in y]),
+        w0=[1.0], v0=v, mode=mode, dt=dt, n_steps=n_steps,
+    )
+    return simulate(resolved, gains, record_state=True).states_v[-1]
+
+
+def held_input_states(plant: NominalPlant, agents, u, dt, exo=None, w0=(0.0,), n_steps=1):
+    """Profiles over n_steps of ``simulate`` with each boundary input held at u_i.
+
+    The law is u = k_v v with k_v = 1 and a frozen internal model started at v = u.
+    """
+    n = len(agents)
+    gains = dataclasses.replace(silent_gains(plant.a.m), k_v=np.ones(1))
+    resolved = loop_scenario(
+        plant, agents, CommTopology(np.zeros((n, n)), np.ones(n)), exo or silent_exo(n),
+        w0=w0, v0=np.reshape(u, (n, 1)), dt=dt, n_steps=n_steps,
+    )
+    trace = simulate(resolved, gains, record_state=True)
+    assert np.array_equal(trace.inputs[0], u)
+    return trace.states_x
+
+
 class TestEvaluateOutput:
     def test_zero_profile_zero_disturbance(self):
         m = 50
         agent = plain_agent(m)
-        assert evaluate_output(agent, benchmark_output(m), np.zeros(m + 1)) == 0.0
+        assert first_output(agent, benchmark_output(m), np.zeros(m + 1)) == 0.0
 
     def test_flat_profile_benchmark_operator(self):
         m = 200
         agent = plain_agent(m)
-        val = evaluate_output(agent, benchmark_output(m), np.ones(m + 1))
+        val = first_output(agent, benchmark_output(m), np.ones(m + 1))
         assert val == pytest.approx(1.5, abs=1e-12)
 
     def test_point_weight_on_linear_profile(self):
@@ -133,7 +177,7 @@ class TestEvaluateOutput:
         profile = np.linspace(0.0, 1.0, m + 1)
         # the uncertain agent adds delta_points to the point weight and int z dz
         for agent, expected in ((plain_agent(m), 0.6), (uncertain, 2.5 * 0.3 + 0.5)):
-            assert evaluate_output(agent, op, profile) == pytest.approx(expected, abs=1e-12)
+            assert first_output(agent, op, profile) == pytest.approx(expected, abs=1e-12)
 
     def test_uncertainties_and_feedthrough(self):
         m = 100
@@ -146,7 +190,7 @@ class TestEvaluateOutput:
             g4=np.array([2.0]),
             g1=np.zeros((m + 1, 1)),
         )
-        val = evaluate_output(agent, benchmark_output(m), np.ones(m + 1), d=np.array([1.5]))
+        val = first_output(agent, benchmark_output(m), np.ones(m + 1), d=[1.5])
         assert val == pytest.approx(1.5 + 0.05 + 3.0, abs=1e-12)
 
 
@@ -155,7 +199,7 @@ class TestControllerInput:
         m = 64
         top = CommTopology(adjacency=np.zeros((3, 3)))
         gains = toy_gains(m)
-        u = controller_input(gains, top, np.zeros((3, 2)), np.zeros((3, m + 1)), MODE_LEADER)
+        u = first_inputs(gains, top, np.zeros((3, 2)), np.zeros((3, m + 1)), MODE_LEADER)
         assert np.array_equal(u, np.zeros(3))
 
     def test_edgeless_graph_reduces_to_local_feedback(self):
@@ -173,7 +217,7 @@ class TestControllerInput:
         )
         v = rng.normal(size=(2, 2))
         x = rng.normal(size=(2, m + 1))
-        u = controller_input(gains, top, v, x, MODE_LEADER)
+        u = first_inputs(gains, top, v, x, MODE_LEADER)
         w_kx = trapezoid_weights(m) * gains.k_x.values
         expected = v @ gains.k_v - 0.5 * x[:, -1] - x @ w_kx
         assert np.allclose(u, expected, atol=1e-14)
@@ -192,7 +236,7 @@ class TestControllerInput:
         )
         profile = np.cos(np.linspace(0.0, np.pi, m + 1))
         x = np.stack([profile, profile])
-        u = controller_input(gains, top, np.zeros((2, 2)), x, MODE_LEADER)
+        u = first_inputs(gains, top, np.zeros((2, 2)), x, MODE_LEADER)
         xi = profile @ (trapezoid_weights(m) * np.ones(m + 1))
         assert u[0] == pytest.approx(1.0 * xi, abs=1e-14)  # leader link weight 1
         assert u[1] == pytest.approx(0.0, abs=1e-14)
@@ -209,7 +253,7 @@ class TestControllerInput:
             b_y=gains.b_y, S=gains.S, mu_c=gains.mu_c,
         )
         x = np.ones((2, m + 1))
-        u = controller_input(gains, top, np.zeros((2, 2)), x, MODE_LEADERLESS)
+        u = first_inputs(gains, top, np.zeros((2, 2)), x, MODE_LEADERLESS)
         assert np.array_equal(u, np.zeros(2))
 
 
@@ -221,7 +265,7 @@ class TestInternalModelStep:
         rng = np.random.default_rng(1)
         v = rng.normal(size=(3, 2))
         y = np.full(3, 0.8)
-        out = internal_model_step(gains, top, v, y, r=0.8, dt=0.01, mode=MODE_LEADER)
+        out = stepped_models(gains, top, v, y, r=0.8, dt=0.01, mode=MODE_LEADER)
         lhs = np.eye(2) - 0.005 * gains.S
         rhs = np.eye(2) + 0.005 * gains.S
         expected = np.linalg.solve(lhs, rhs @ v.T).T
@@ -235,9 +279,7 @@ class TestInternalModelStep:
             b_y=np.ones(1), S=np.zeros((1, 1)), mu_c=1.0,
         )
         top = CommTopology(adjacency=np.zeros((1, 1)), leader_links=np.array([1.0]))
-        v = np.zeros((1, 1))
-        for _ in range(100):
-            v = internal_model_step(gains, top, v, np.array([1.5]), r=0.5, dt=0.01)
+        v = stepped_models(gains, top, np.zeros((1, 1)), [1.5], r=0.5, dt=0.01, n_steps=100)
         assert v[0, 0] == pytest.approx(1.0, abs=1e-12)  # integrates y - r = 1
 
     def test_matches_aggregated_kronecker_form(self):
@@ -257,7 +299,7 @@ class TestInternalModelStep:
         top = CommTopology(adjacency=adjacency, leader_links=links)
         v = rng.normal(size=(n, n_w))
         y = rng.normal(size=n)
-        stepped = internal_model_step(gains, top, v, y, r=0.0, dt=dt, mode=MODE_LEADER)
+        stepped = stepped_models(gains, top, v, y, r=0.0, dt=dt, mode=MODE_LEADER)
 
         lap = np.diag(adjacency.sum(axis=1)) - adjacency
         h_mat = lap + np.diag(links)
@@ -275,7 +317,7 @@ class TestPdeStep:
         plant = NominalPlant(
             a=GridFunction.constant(0.0, m), q0=0.0, q1=0.0, output=benchmark_output(m)
         )
-        out = pde_step(plant, plain_agent(m), np.zeros(m + 1), u=0.0, dt=1e-3)
+        out = held_input_states(plant, [plain_agent(m)], [0.0], dt=1e-3)[1, 0]
         assert np.abs(out).max() == 0.0
 
     def test_heat_eigenfunction_decay(self):
@@ -283,11 +325,9 @@ class TestPdeStep:
         plant = NominalPlant(
             a=GridFunction.constant(0.0, m), q0=0.0, q1=0.0, output=benchmark_output(m)
         )
-        stepper = StackedStepper(plant, [plain_agent(m)], [np.zeros((0, 0))], dt)
         nodes = np.linspace(0.0, 1.0, m + 1)
-        x = np.cos(np.pi * nodes)
-        for _ in range(int(round(t_end / dt))):
-            x = stepper.step(x[None], np.zeros(1), np.zeros(0))[0]
+        agent = plain_agent(m, initial_profile=GridFunction(np.cos(np.pi * nodes)))
+        x = held_input_states(plant, [agent], [0.0], dt, n_steps=int(round(t_end / dt)))[-1, 0]
         exact = np.exp(-np.pi**2 * t_end) * np.cos(np.pi * nodes)
         rel = np.linalg.norm(x - exact) / np.linalg.norm(exact)
         assert rel <= 1e-3
@@ -297,10 +337,7 @@ class TestPdeStep:
         plant = NominalPlant(
             a=GridFunction.constant(-1.0, m), q0=0.0, q1=0.0, output=benchmark_output(m)
         )
-        stepper = StackedStepper(plant, [plain_agent(m)], [np.zeros((0, 0))], dt)
-        x = np.zeros(m + 1)
-        for _ in range(3000):
-            x = stepper.step(x[None], np.array([2.0]), np.zeros(0))[0]
+        x = held_input_states(plant, [plain_agent(m)], [2.0], dt, n_steps=3000)[-1, 0]
         # the same spatial stencil solved directly for the steady state
         h = 1.0 / m
         a_mat = np.zeros((m + 1, m + 1))
@@ -334,10 +371,11 @@ class TestPdeStep:
             g4=np.zeros(1),
         )
         stepper = StackedStepper(plant, [agent], [np.eye(1)], 1e-3)
-        f = stepper.forcing(np.zeros(1), np.array([2.0]))[0]
+        f = stepper.wiring[0] @ np.array([2.0])
         # -2 lam/h * (g2 . d) at z = 0 and +2 lam/h * (g3 . d + u) at z = 1
         assert f[0] == pytest.approx(-2.0 * m * 2.0)
         assert f[-1] == pytest.approx(2.0 * m * 2.0)
+        assert stepper.bc1_gain[0] == pytest.approx(2.0 * m)
 
     def test_stacked_agents_step_independently(self):
         m, dt, n_w = 32, 1e-3, 3
@@ -365,7 +403,14 @@ class TestPdeStep:
         x = np.stack([random_smooth_profile(rng, m) for _ in agents])
         u = rng.normal(size=len(agents))
         w = rng.normal(size=n_w)
-        stacked = StackedStepper(plant, agents, read_outs, dt).step(x, u, w)
+        agents = [
+            dataclasses.replace(ag, initial_profile=GridFunction(row)) for ag, row in zip(agents, x)
+        ]
+        exo = ExoModel(
+            S=np.zeros((n_w, n_w)), p=np.zeros(n_w), read_outs=read_outs, b_y=np.ones(n_w),
+            n_reference=1,
+        )
+        stacked = held_input_states(plant, agents, u, dt, exo=exo, w0=w)[1]
 
         for i, (agent, p_i) in enumerate(zip(agents, read_outs)):
             lam = 1.0 + agent.delta_lambda.values
@@ -487,6 +532,14 @@ class TestSimulate:
         )
         with pytest.raises(ValueError, match="channels"):
             simulate(resolved, leader_design.gains)
+
+    def test_gain_grid_mismatch_reported(self, leader_scenario):
+        from coopreg.cli import run_synthesis
+
+        gains = run_synthesis(leader_scenario, m=64).gains
+        with pytest.raises(GridMismatch) as info:
+            simulate(leader_scenario.resolve(m=100), gains)
+        assert "64" in str(info.value) and "100" in str(info.value)
 
     def test_snapshots_recorded(self, leader_scenario, leader_design):
         resolved = leader_scenario.resolve(m=200, horizon=0.2)
