@@ -76,10 +76,6 @@ class TriangularKernel:
     def nodes(self) -> np.ndarray:
         return uniform_nodes(self.m)
 
-    @property
-    def diagonal_trace(self) -> np.ndarray:
-        return np.diagonal(self.values).copy()
-
     def value(self, i: int, j: int) -> float:
         if j > i:
             raise IndexError(f"({i}, {j}) lies above the diagonal")

@@ -56,10 +56,6 @@ class GridFunction:
     def __call__(self, z):
         return np.interp(z, self.nodes, self.values)
 
-    def integral(self) -> float:
-        """Composite-trapezoid integral over [0, 1]."""
-        return float(np.trapezoid(self.values, dx=self.h))
-
     def _binary(self, other, op):
         if isinstance(other, GridFunction):
             require_same_grid(self, other)

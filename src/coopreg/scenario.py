@@ -10,7 +10,9 @@ Syntax errors raise ParseError with a line number; semantic problems are
 collected and raised together as one SchemaError listing every violation.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,40 +32,40 @@ _FMT = "{:.17g}".format
 class AgentConfig:
     """Raw per-agent configuration (expressions kept as sources)."""
 
-    delta_lambda: str = "0"
-    delta_a: str = "0"
-    delta_q0: float = 0.0
-    delta_q1: float = 0.0
-    delta_c0: str = "0"
-    delta_points: tuple = ()
-    delta_c_b0: float = 0.0
-    delta_c_b1: float = 0.0
-    g1: tuple = ()          # one expression per disturbance channel
-    g2: tuple = ()
-    g3: tuple = ()
-    g4: tuple = ()
-    P: tuple = ()           # m_i rows over the merged signal state
-    x0: str = "0"
-    v0: tuple = ()
+    delta_lambda: str
+    delta_a: str
+    delta_q0: float
+    delta_q1: float
+    delta_c0: str
+    delta_points: tuple
+    delta_c_b0: float
+    delta_c_b1: float
+    g1: tuple               # one expression per disturbance channel
+    g2: tuple
+    g3: tuple
+    g4: tuple
+    P: tuple                # m_i rows over the merged signal state
+    x0: str
+    v0: tuple
 
 
 @dataclass(frozen=True)
 class Numerics:
-    grid_points: int = 200
-    dt: float = 1e-3
-    horizon: float = 20.0
-    mu_c: float = 5.0
-    nu: float | None = None
-    riccati_a: float = 1.0
-    b_y: tuple = ()
-    blowup: float = 1e8
+    grid_points: int
+    dt: float
+    horizon: float
+    mu_c: float
+    nu: float | None
+    riccati_a: float
+    b_y: tuple
+    blowup: float
 
 
 @dataclass(frozen=True)
 class OutputOptions:
-    sample_every: int = 10
-    snapshot_times: tuple = ()
-    out_dir: str | None = None
+    sample_every: int
+    snapshot_times: tuple
+    out_dir: str | None
 
 
 @dataclass(frozen=True)
@@ -230,19 +232,6 @@ class ResolvedScenario:
 # parsing
 
 
-def _split_tokens(text: str) -> list:
-    return text.replace(",", " ").split()
-
-
-def _to_float(token: str) -> float:
-    sign, body = 1.0, token.strip()
-    if body.startswith("-"):
-        sign, body = -1.0, body[1:]
-    if body == "pi":
-        return sign * np.pi
-    return sign * float(body)
-
-
 def _read_sections(text: str):
     """Split into {section: {key: (value, line)}}, preserving agent order."""
     sections: dict = {"": {}}
@@ -280,346 +269,265 @@ def _read_sections(text: str):
     return sections
 
 
-class _Schema:
-    """Typed access to the raw sections, accumulating violations."""
-
-    def __init__(self, sections):
-        self.sections = sections
-        self.violations: list = []
-        self.consumed: dict = {name: set() for name in sections}
-
-    def complain(self, message: str):
-        self.violations.append(message)
-
-    def get(self, section: str, key: str, default=None, required=False):
-        sec = self.sections.get(section)
-        if sec is None or key not in sec:
-            if required:
-                self.complain(f"[{section}] is missing required key {key!r}")
-            return default
-        self.consumed[section].add(key)
-        return sec[key][0]
-
-    def number(self, section, key, default=None, required=False, check=None):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            self.complain(f"[{section}] {key} = {raw!r} is not a number")
-            return default
-        if check is not None and not check(value):
-            self.complain(f"[{section}] {key} = {value} is out of range")
-        return value
-
-    def integer(self, section, key, default=None, required=False, minimum=None):
-        value = self.number(section, key, required=required)
-        if value is None:
-            return default
-        if value != int(value):
-            self.complain(f"[{section}] {key} must be an integer")
-            return default
-        value = int(value)
-        if minimum is not None and value < minimum:
-            self.complain(f"[{section}] {key} must be at least {minimum}")
-        return value
-
-    def vector(self, section, key, default=(), required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return tuple(default)
-        try:
-            return tuple(_to_float(v) for v in _split_tokens(raw.replace(";", " ")))
-        except ValueError:
-            self.complain(f"[{section}] {key} is not a numeric vector")
-            return tuple(default)
-
-    def matrix(self, section, key, default=(), required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return tuple(default)
-        rows = []
-        for chunk in raw.split(";"):
-            if not chunk.strip():
-                continue
-            try:
-                rows.append(tuple(_to_float(v) for v in _split_tokens(chunk)))
-            except ValueError:
-                self.complain(f"[{section}] {key} has a non-numeric row {chunk!r}")
-                return tuple(default)
-        return tuple(rows)
-
-    def expression(self, section, key, default="0", required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            Expression(raw)
-        except ParseError as exc:
-            self.complain(f"[{section}] {key}: {exc}")
-            return default
-        return raw
-
-    def expressions(self, section, key, default=(), required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return tuple(default)
-        out = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                Expression(chunk)
-            except ParseError as exc:
-                self.complain(f"[{section}] {key}: {exc}")
-                continue
-            out.append(chunk)
-        return tuple(out)
-
-    def points(self, section, key):
-        raw = self.get(section, key)
-        if raw is None:
-            return ()
-        out = []
-        for item in raw.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            coeff, at, loc = item.partition("@")
-            if not at:
-                self.complain(
-                    f"[{section}] {key}: point weight {item!r} must look like 'coeff @ z'"
-                )
-                continue
-            try:
-                c, z = float(coeff), float(loc)
-            except ValueError:
-                self.complain(f"[{section}] {key}: point weight {item!r} is not numeric")
-                continue
-            if not 0.0 < z < 1.0:
-                self.complain(f"[{section}] {key}: location {z} must lie in (0, 1)")
-                continue
-            out.append((c, z))
-        return tuple(out)
-
-    def check_unknown(self, known: dict):
-        for name, keys in self.sections.items():
-            base = name.split()[0] if name else name
-            if base not in known:
-                self.complain(f"unknown section [{name}]")
-                continue
-            for key in keys:
-                if key not in known[base]:
-                    self.complain(f"unknown key {key!r} in section [{name or 'top level'}]")
+def _number(token: str) -> float:
+    sign, body = (-1.0, token[1:]) if token.startswith("-") else (1.0, token)
+    try:
+        value = sign * (np.pi if body == "pi" else float(body))
+    except ValueError:
+        value = np.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not a finite number")
+    return value
 
 
-_KNOWN_KEYS = {
-    "": {"mode"},
-    "plant": {"a", "q0", "q1"},
-    "output": {"c0", "c_b0", "c_b1", "points"},
-    "graph": {"adjacency", "leader_links"},
-    "exosystem": {"reference_frequencies", "disturbance_frequencies", "w0", "p"},
-    "numerics": {
-        "grid_points",
-        "dt",
-        "horizon",
-        "mu_c",
-        "nu",
-        "riccati_a",
-        "b_y",
-        "blowup",
-    },
-    "outputs": {"sample_every", "snapshot_times", "out_dir"},
-    "agent": {
-        "delta_lambda",
-        "delta_a",
-        "delta_q0",
-        "delta_q1",
-        "delta_c0",
-        "delta_points",
-        "delta_c_b0",
-        "delta_c_b1",
-        "g1",
-        "g2",
-        "g3",
-        "g4",
-        "p",
-        "x0",
-        "v0",
-    },
+def _integer(raw: str) -> int:
+    value = _number(raw)
+    if value != int(value):
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(value)
+
+
+def _vector(raw: str) -> tuple:
+    return tuple(_number(token) for token in raw.replace(",", " ").replace(";", " ").split())
+
+
+def _expression(raw: str) -> str:
+    Expression(raw)
+    return raw
+
+
+def _points(raw: str) -> tuple:
+    out = []
+    for item in filter(None, map(str.strip, raw.split(","))):
+        coeff, at, loc = item.partition("@")
+        if not at:
+            raise ValueError(f"point weight {item!r} must look like 'coeff @ z'")
+        c, z = _number(coeff.strip()), _number(loc.strip())
+        if not 0.0 < z < 1.0:
+            raise ValueError(f"location {z} must lie in (0, 1)")
+        out.append((c, z))
+    return tuple(out)
+
+
+def _write_vector(values) -> str:
+    return " ".join(map(_FMT, values))
+
+
+# kind: (read the raw text, write the value back)
+_KINDS = {
+    "expression": (_expression, str),
+    "expressions": (
+        lambda raw: tuple(_expression(c.strip()) for c in raw.split(";") if c.strip()),
+        " ; ".join,
+    ),
+    "number": (_number, _FMT),
+    "integer": (_integer, str),
+    "vector": (_vector, _write_vector),
+    "matrix": (
+        lambda raw: tuple(_vector(chunk) for chunk in raw.split(";") if chunk.strip()),
+        lambda rows: " ; ".join(map(_write_vector, rows)),
+    ),
+    "points": (_points, lambda points: ", ".join(f"{_FMT(c)} @ {_FMT(z)}" for c, z in points)),
+    "text": (str, str),
 }
+
+
+def _signal_dim(values) -> int:
+    freqs = (*values.get("reference_frequencies", ()), *values["disturbance_frequencies"])
+    return sum(1 if f == 0 else 2 for f in freqs)
+
+
+# the sizes a default can be filled to, from the values read so far
+_SIZES = {
+    "one per agent": lambda values: len(values.get("adjacency", ())),
+    "one per signal state": _signal_dim,
+    "one per P row": lambda values: len(values["P"]),
+}
+
+
+class _Fill(NamedTuple):
+    """Default of `entry` repeated to a size; a given value must have that size."""
+
+    entry: object
+    size: str
+
+
+class _Key(NamedTuple):
+    section: str
+    key: str
+    field: str
+    kind: str
+    default: object
+    check: tuple | None = None  # (predicate, requirement) on a value that was given
+
+
+_REQUIRED = object()
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_FREQUENCIES = (
+    lambda fs: min(fs, default=0) >= 0 and len(set(fs)) == len(fs),
+    "must be nonnegative and distinct",
+)
+
+# The one list of scenario keys: the parser, its unknown-key check and the
+# writer all follow it.  Sizes are read before the rows whose defaults use them.
+_KEYS = (
+    _Key("", "mode", "mode", "text", _REQUIRED, (
+        lambda v: v.lower() in (MODE_LEADER, MODE_LEADERLESS),
+        f"must be {MODE_LEADER!r} or {MODE_LEADERLESS!r}",
+    )),
+    _Key("plant", "a", "plant_a", "expression", _REQUIRED),
+    _Key("plant", "q0", "q0", "number", _REQUIRED),
+    _Key("plant", "q1", "q1", "number", _REQUIRED),
+    _Key("output", "c0", "c0", "expression", "0"),
+    _Key("output", "c_b0", "c_b0", "number", 0.0),
+    _Key("output", "c_b1", "c_b1", "number", 0.0),
+    _Key("output", "points", "points", "points", ()),
+    _Key("graph", "adjacency", "adjacency", "matrix", _REQUIRED, (
+        lambda rows: all(v >= 0 for row in rows for v in row), "must be nonnegative",
+    )),
+    _Key("graph", "leader_links", "leader_links", "vector", _Fill(0.0, "one per agent")),
+    _Key("exosystem", "reference_frequencies", "reference_frequencies", "vector",
+         _REQUIRED, _FREQUENCIES),
+    _Key("exosystem", "disturbance_frequencies", "disturbance_frequencies", "vector",
+         (), _FREQUENCIES),
+    _Key("exosystem", "w0", "w0", "vector", _Fill(0.0, "one per signal state")),
+    _Key("exosystem", "p", "p_override", "vector", None),
+    _Key("numerics", "grid_points", "grid_points", "integer", 200, (
+        lambda v: v >= MIN_GRID_POINTS, f"must be at least {MIN_GRID_POINTS}",
+    )),
+    _Key("numerics", "dt", "dt", "number", 1e-3, _POSITIVE),
+    _Key("numerics", "horizon", "horizon", "number", 20.0, _POSITIVE),
+    _Key("numerics", "mu_c", "mu_c", "number", 5.0),
+    _Key("numerics", "nu", "nu", "number", None, _POSITIVE),
+    _Key("numerics", "riccati_a", "riccati_a", "number", 1.0, _POSITIVE),
+    _Key("numerics", "b_y", "b_y", "vector", _Fill(1.0, "one per signal state")),
+    _Key("numerics", "blowup", "blowup", "number", 1e8, _POSITIVE),
+    _Key("outputs", "sample_every", "sample_every", "integer", 10, (
+        lambda v: v >= 1, "must be at least 1",
+    )),
+    _Key("outputs", "snapshot_times", "snapshot_times", "vector", ()),
+    _Key("outputs", "out_dir", "out_dir", "text", None),
+    _Key("agent", "delta_lambda", "delta_lambda", "expression", "0"),
+    _Key("agent", "delta_a", "delta_a", "expression", "0"),
+    _Key("agent", "delta_q0", "delta_q0", "number", 0.0),
+    _Key("agent", "delta_q1", "delta_q1", "number", 0.0),
+    _Key("agent", "delta_c0", "delta_c0", "expression", "0"),
+    _Key("agent", "delta_points", "delta_points", "vector", ()),
+    _Key("agent", "delta_c_b0", "delta_c_b0", "number", 0.0),
+    _Key("agent", "delta_c_b1", "delta_c_b1", "number", 0.0),
+    _Key("agent", "p", "P", "matrix", ()),
+    _Key("agent", "g1", "g1", "expressions", _Fill("0", "one per P row")),
+    _Key("agent", "g2", "g2", "vector", _Fill(0.0, "one per P row")),
+    _Key("agent", "g3", "g3", "vector", _Fill(0.0, "one per P row")),
+    _Key("agent", "g4", "g4", "vector", _Fill(0.0, "one per P row")),
+    _Key("agent", "x0", "x0", "expression", "0"),
+    _Key("agent", "v0", "v0", "vector", _Fill(0.0, "one per signal state")),
+)
+_SECTIONS = tuple(dict.fromkeys(row.section for row in _KEYS if row.section != "agent"))
+
+
+def _default(row: _Key, values):
+    if isinstance(row.default, _Fill):
+        return (row.default.entry,) * _SIZES[row.default.size](values)
+    return row.default
+
+
+def _read(name: str, entries: dict, values, violations: list):
+    """Read one section into `values` by the table; absent keys take their defaults."""
+    rows = [row for row in _KEYS if row.section == name.partition(" ")[0]]
+    known = {row.key for row in rows}
+    violations += [
+        f"unknown key {key!r} in section [{name or 'top level'}]"
+        for key in entries
+        if key not in known
+    ]
+    for row in rows:
+        where = f"[{name}] {row.key}" if name else row.key
+        default = _default(row, values)
+        if default is not _REQUIRED:
+            values[row.field] = default
+        if row.key not in entries:
+            if default is _REQUIRED:
+                violations.append(f"[{name or 'top level'}] is missing required key {row.key!r}")
+            continue
+        raw = entries[row.key][0]
+        try:
+            value = _KINDS[row.kind][0](raw)
+        except (ValueError, ParseError) as exc:
+            violations.append(f"{where}: {exc}")
+            continue
+        if isinstance(row.default, _Fill) and len(value) != len(default):
+            violations.append(
+                f"{where} has {len(value)} entries but needs {len(default)}, {row.default.size}"
+            )
+        elif row.check is not None and not row.check[0](value):
+            violations.append(f"{where} = {raw} {row.check[1]}")
+        values[row.field] = value
+
+
+def _build(cls, values):
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def loads(text: str) -> Scenario:
     sections = _read_sections(text)
     if len(sections) == 1 and not sections[""]:
         raise ParseError("scenario file is empty")
-    schema = _Schema(sections)
-    schema.check_unknown(_KNOWN_KEYS)
+    agent_names = [name for name in sections if name.partition(" ")[0] == "agent"]
+    violations = [
+        f"unknown section [{name}]"
+        for name in sections
+        if name not in _SECTIONS and name not in agent_names
+    ]
+    values: dict = {}
+    for name in _SECTIONS:
+        _read(name, sections.get(name, {}), values, violations)
+    expected = [f"agent {i}" for i in range(1, len(agent_names) + 1)]
+    agents = {name: dict(values) for name in expected if name in sections}
+    for name, agent in agents.items():
+        _read(name, sections[name], agent, violations)
 
-    mode = (schema.get("", "mode", required=True) or MODE_LEADER).strip().lower()
-    if mode not in (MODE_LEADER, MODE_LEADERLESS):
-        schema.complain(
-            f"mode must be {MODE_LEADER!r} or {MODE_LEADERLESS!r}, got {mode!r}"
-        )
-
-    plant_a = schema.expression("plant", "a", required=True)
-    q0 = schema.number("plant", "q0", default=0.0, required=True)
-    q1 = schema.number("plant", "q1", default=0.0, required=True)
-
-    c0 = schema.expression("output", "c0", default="0")
-    c_b0 = schema.number("output", "c_b0", default=0.0)
-    c_b1 = schema.number("output", "c_b1", default=0.0)
-    points = schema.points("output", "points")
-
-    adjacency = schema.matrix("graph", "adjacency", required=True)
+    adjacency = values.get("adjacency", ())
     n = len(adjacency)
-    square = n > 0 and all(len(row) == n for row in adjacency)
-    if adjacency and not square:
-        schema.complain("[graph] adjacency must be square")
-    if any(v < 0 for row in adjacency for v in row):
-        schema.complain("[graph] adjacency weights must be nonnegative")
-    if square and any(adjacency[i][i] != 0 for i in range(n)):
-        schema.complain("[graph] adjacency diagonal must be zero")
-    leader_links = schema.vector("graph", "leader_links", default=(0.0,) * n)
-    if len(leader_links) != n:
-        schema.complain(
-            f"[graph] leader_links has {len(leader_links)} entries for {n} agents "
-            "(fields adjacency and leader_links disagree)"
+    if any(len(row) != n for row in adjacency):
+        violations.append("[graph] adjacency must be square")
+    elif any(adjacency[i][i] != 0 for i in range(n)):
+        violations.append("[graph] adjacency diagonal must be zero")
+    if set(agent_names) != set(expected):
+        violations.append(
+            f"agent sections must be named [agent 1] .. [agent N]; found {agent_names}"
         )
-
-    ref_freqs = schema.vector("exosystem", "reference_frequencies", required=True)
-    dist_freqs = schema.vector("exosystem", "disturbance_frequencies")
-    for name, freqs in (("reference", ref_freqs), ("disturbance", dist_freqs)):
-        if any(f < 0 for f in freqs):
-            schema.complain(f"[exosystem] {name}_frequencies must be nonnegative")
-        if len(set(freqs)) != len(freqs):
-            schema.complain(f"[exosystem] {name}_frequencies must be distinct")
-    n_w = sum(1 if f == 0 else 2 for f in ref_freqs) + sum(
-        1 if f == 0 else 2 for f in dist_freqs
-    )
-    w0 = schema.vector("exosystem", "w0", default=(0.0,) * n_w)
-    if len(w0) != n_w:
-        schema.complain(
-            f"[exosystem] w0 has {len(w0)} entries but the signal state has {n_w}"
-        )
-    p_raw = schema.get("exosystem", "p")
-    p_override = None
-    if p_raw is not None:
-        p_override = schema.vector("exosystem", "p")
-        if len(p_override) != n_w:
-            schema.complain("[exosystem] p must have one entry per signal state")
-
-    agent_sections = sorted(
-        (name for name in sections if name.startswith("agent")),
-        key=lambda s: int(s.split()[1]) if len(s.split()) > 1 and s.split()[1].isdigit() else 0,
-    )
-    expected = [f"agent {i + 1}" for i in range(len(agent_sections))]
-    if agent_sections != expected:
-        schema.complain(
-            f"agent sections must be named [agent 1] .. [agent N]; found {agent_sections}"
-        )
-    if n and len(agent_sections) != n:
-        schema.complain(
-            f"adjacency is {n} x {n} but there are {len(agent_sections)} agent sections "
+    if n and len(agent_names) != n:
+        violations.append(
+            f"adjacency is {n} x {n} but there are {len(agent_names)} agent sections "
             "(fields adjacency and agents disagree)"
         )
-    if mode == MODE_LEADERLESS and len(agent_sections) < 2:
-        schema.complain(
+    mode = values.get("mode", "").lower()
+    if mode == MODE_LEADERLESS and len(agent_names) < 2:
+        violations.append(
             f"mode = {MODE_LEADERLESS} needs at least 2 agents to synchronize, "
-            f"got {len(agent_sections)}"
+            f"got {len(agent_names)}"
         )
-
-    agents = []
-    for name in agent_sections:
-        p_rows = schema.matrix(name, "p")
-        m_i = len(p_rows)
-        if any(len(row) != n_w for row in p_rows):
-            schema.complain(f"[{name}] P rows must have {n_w} columns")
-        g1 = schema.expressions(name, "g1", default=("0",) * m_i)
-        g2 = schema.vector(name, "g2", default=(0.0,) * m_i)
-        g3 = schema.vector(name, "g3", default=(0.0,) * m_i)
-        g4 = schema.vector(name, "g4", default=(0.0,) * m_i)
-        for label, seq in (("g1", g1), ("g2", g2), ("g3", g3), ("g4", g4)):
-            if len(seq) != m_i:
-                schema.complain(
-                    f"[{name}] {label} must have {m_i} entries (one per P row)"
-                )
-        v0 = schema.vector(name, "v0", default=(0.0,) * n_w)
-        if len(v0) != n_w:
-            schema.complain(f"[{name}] v0 must have {n_w} entries")
-        delta_points = schema.vector(name, "delta_points")
-        if len(delta_points) > len(points):
-            schema.complain(
+    n_w = _signal_dim(values)
+    if values["p_override"] is not None and len(values["p_override"]) != n_w:
+        violations.append("[exosystem] p must have one entry per signal state")
+    for name, agent in agents.items():
+        if any(len(row) != n_w for row in agent["P"]):
+            violations.append(f"[{name}] P rows must have {n_w} columns")
+        if len(agent["delta_points"]) > len(values["points"]):
+            violations.append(
                 f"[{name}] delta_points has more entries than nominal point weights"
             )
-        agents.append(
-            AgentConfig(
-                delta_lambda=schema.expression(name, "delta_lambda"),
-                delta_a=schema.expression(name, "delta_a"),
-                delta_q0=schema.number(name, "delta_q0", default=0.0),
-                delta_q1=schema.number(name, "delta_q1", default=0.0),
-                delta_c0=schema.expression(name, "delta_c0"),
-                delta_points=delta_points,
-                delta_c_b0=schema.number(name, "delta_c_b0", default=0.0),
-                delta_c_b1=schema.number(name, "delta_c_b1", default=0.0),
-                g1=g1,
-                g2=g2,
-                g3=g3,
-                g4=g4,
-                P=p_rows,
-                x0=schema.expression(name, "x0"),
-                v0=v0,
-            )
-        )
+    if violations:
+        raise SchemaError(violations)
 
-    numerics = Numerics(
-        grid_points=schema.integer("numerics", "grid_points", default=200, minimum=MIN_GRID_POINTS),
-        dt=schema.number("numerics", "dt", default=1e-3, check=lambda v: v > 0),
-        horizon=schema.number("numerics", "horizon", default=20.0, check=lambda v: v > 0),
-        mu_c=schema.number("numerics", "mu_c", default=5.0),
-        nu=schema.number("numerics", "nu", default=None),
-        riccati_a=schema.number(
-            "numerics", "riccati_a", default=1.0, check=lambda v: v > 0
-        ),
-        b_y=schema.vector("numerics", "b_y", default=(1.0,) * n_w),
-        blowup=schema.number("numerics", "blowup", default=1e8, check=lambda v: v > 0),
-    )
-    if numerics.nu is not None and numerics.nu <= 0:
-        schema.complain("[numerics] nu must be positive when given")
-    if len(numerics.b_y) != n_w:
-        schema.complain(f"[numerics] b_y must have {n_w} entries")
-
-    outputs = OutputOptions(
-        sample_every=schema.integer("outputs", "sample_every", default=10, minimum=1),
-        snapshot_times=schema.vector("outputs", "snapshot_times"),
-        out_dir=schema.get("outputs", "out_dir"),
-    )
-
-    if schema.violations:
-        raise SchemaError(schema.violations)
-
-    return Scenario(
+    values.update(
         mode=mode,
-        plant_a=plant_a,
-        q0=q0,
-        q1=q1,
-        c0=c0,
-        points=points,
-        c_b0=c_b0,
-        c_b1=c_b1,
-        adjacency=adjacency,
-        leader_links=leader_links,
-        reference_frequencies=ref_freqs,
-        disturbance_frequencies=dist_freqs,
-        w0=w0,
-        p_override=p_override,
-        agents=tuple(agents),
-        numerics=numerics,
-        outputs=outputs,
+        agents=tuple(_build(AgentConfig, agent) for agent in agents.values()),
+        numerics=_build(Numerics, values),
+        outputs=_build(OutputOptions, values),
     )
+    return _build(Scenario, values)
 
 
 def load_scenario(path) -> Scenario:
@@ -628,92 +536,19 @@ def load_scenario(path) -> Scenario:
 
 
 def serialize(scenario: Scenario) -> str:
-    """Canonical text form; loads(serialize(s)) == s."""
-
-    def vec(values):
-        return " ".join(_FMT(v) for v in values)
-
-    def mat(rows):
-        return " ; ".join(vec(row) for row in rows)
-
-    lines = [f"mode = {scenario.mode}", ""]
-    lines += [
-        "[plant]",
-        f"a = {scenario.plant_a}",
-        f"q0 = {_FMT(scenario.q0)}",
-        f"q1 = {_FMT(scenario.q1)}",
-        "",
-        "[output]",
-        f"c0 = {scenario.c0}",
-        f"c_b0 = {_FMT(scenario.c_b0)}",
-        f"c_b1 = {_FMT(scenario.c_b1)}",
+    """Canonical text form, keys at their defaults left out; loads(serialize(s)) == s."""
+    values = {**vars(scenario), **vars(scenario.numerics), **vars(scenario.outputs)}
+    sections = [(name, values) for name in _SECTIONS] + [
+        (f"agent {i}", {**values, **vars(agent)})
+        for i, agent in enumerate(scenario.agents, start=1)
     ]
-    if scenario.points:
-        lines.append(
-            "points = " + ", ".join(f"{_FMT(c)} @ {_FMT(z)}" for c, z in scenario.points)
-        )
-    lines += [
-        "",
-        "[graph]",
-        f"adjacency = {mat(scenario.adjacency)}",
-        f"leader_links = {vec(scenario.leader_links)}",
-        "",
-        "[exosystem]",
-        f"reference_frequencies = {vec(scenario.reference_frequencies)}",
-    ]
-    if scenario.disturbance_frequencies:
-        lines.append(f"disturbance_frequencies = {vec(scenario.disturbance_frequencies)}")
-    lines.append(f"w0 = {vec(scenario.w0)}")
-    if scenario.p_override is not None:
-        lines.append(f"p = {vec(scenario.p_override)}")
-    num = scenario.numerics
-    lines += [
-        "",
-        "[numerics]",
-        f"grid_points = {num.grid_points}",
-        f"dt = {_FMT(num.dt)}",
-        f"horizon = {_FMT(num.horizon)}",
-        f"mu_c = {_FMT(num.mu_c)}",
-    ]
-    if num.nu is not None:
-        lines.append(f"nu = {_FMT(num.nu)}")
-    lines += [
-        f"riccati_a = {_FMT(num.riccati_a)}",
-        f"b_y = {vec(num.b_y)}",
-        f"blowup = {_FMT(num.blowup)}",
-        "",
-        "[outputs]",
-        f"sample_every = {scenario.outputs.sample_every}",
-    ]
-    if scenario.outputs.snapshot_times:
-        lines.append(f"snapshot_times = {vec(scenario.outputs.snapshot_times)}")
-    if scenario.outputs.out_dir is not None:
-        lines.append(f"out_dir = {scenario.outputs.out_dir}")
-    for i, agent in enumerate(scenario.agents, start=1):
-        lines += ["", f"[agent {i}]"]
-        for key, value in (
-            ("delta_lambda", agent.delta_lambda),
-            ("delta_a", agent.delta_a),
-            ("delta_c0", agent.delta_c0),
-            ("x0", agent.x0),
-        ):
-            if value != "0":
-                lines.append(f"{key} = {value}")
-        for key, value in (
-            ("delta_q0", agent.delta_q0),
-            ("delta_q1", agent.delta_q1),
-            ("delta_c_b0", agent.delta_c_b0),
-            ("delta_c_b1", agent.delta_c_b1),
-        ):
-            if value != 0.0:
-                lines.append(f"{key} = {_FMT(value)}")
-        if agent.delta_points:
-            lines.append(f"delta_points = {vec(agent.delta_points)}")
-        if agent.P:
-            lines.append(f"g1 = {' ; '.join(agent.g1)}")
-            lines.append(f"g2 = {vec(agent.g2)}")
-            lines.append(f"g3 = {vec(agent.g3)}")
-            lines.append(f"g4 = {vec(agent.g4)}")
-            lines.append(f"p = {mat(agent.P)}")
-        lines.append(f"v0 = {vec(agent.v0)}")
+    lines = []
+    for name, section_values in sections:
+        lines += ["", f"[{name}]"] if name else []
+        lines += [
+            f"{row.key} = {_KINDS[row.kind][1](section_values[row.field])}"
+            for row in _KEYS
+            if row.section == name.partition(" ")[0]
+            and section_values[row.field] != _default(row, section_values)
+        ]
     return "\n".join(lines) + "\n"

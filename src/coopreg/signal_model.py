@@ -122,9 +122,6 @@ class ExoModel:
     def reference(self, w: np.ndarray) -> float:
         return float(self.p @ np.asarray(w))
 
-    def disturbance(self, agent: int, w: np.ndarray) -> np.ndarray:
-        return self.read_outs[agent] @ np.asarray(w)
-
 
 def _check_marginally_stable(s: np.ndarray):
     if s.ndim != 2 or s.shape[0] != s.shape[1]:

@@ -65,7 +65,7 @@ def test_criterion_2_kernel_suite():
 
     z = k200.nodes
     diag_exact = 3.0 - 0.5 * (6.0 * z + 0.5 * z**2)
-    ok &= np.abs(k200.diagonal_trace - diag_exact).max() <= 1e-3
+    ok &= np.abs(np.diagonal(k200.values) - diag_exact).max() <= 1e-3
 
     r100 = kernel_residual(k100, a_fn, 5.0)
     r200 = kernel_residual(k200, a_fn, 5.0)

@@ -73,7 +73,7 @@ class TestSolveKernel:
         k = benchmark_kernel()
         z = k.nodes
         exact = 3.0 - 0.5 * (6.0 * z + 0.5 * z**2)
-        assert np.abs(k.diagonal_trace - exact).max() < 1e-12
+        assert np.abs(np.diagonal(k.values) - exact).max() < 1e-12
         assert k.value(k.m, k.m) == pytest.approx(-0.25, abs=1e-12)
 
     def test_interior_residual_second_order(self):
@@ -146,10 +146,6 @@ class TestTriangularKernel:
             k.value(2, 5)
         assert np.isnan(k.values[2, 5])
 
-    def test_diagonal_trace(self):
-        k = constant_kernel(2.5, 8)
-        assert np.array_equal(k.diagonal_trace, np.full(9, 2.5))
-
 
 class TestInverseKernel:
     def test_zero_kernel(self):
@@ -159,7 +155,7 @@ class TestInverseKernel:
     def test_diagonal_carries_over(self):
         k = benchmark_kernel(100)
         ki = invert_kernel(k)
-        assert np.allclose(ki.diagonal_trace, k.diagonal_trace, atol=1e-14)
+        assert np.allclose(np.diagonal(ki.values), np.diagonal(k.values), atol=1e-14)
 
     def test_satisfies_trapezoid_reciprocity(self):
         k = benchmark_kernel(200)

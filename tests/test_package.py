@@ -31,17 +31,26 @@ def _referenced_names(path: Path) -> set:
     return names
 
 
+def _public_definitions(path: Path):
+    """Dotted names of a module's public functions and classes, and of their methods."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{method.name}", method.name
+
+
 def test_every_public_definition_is_used():
     used = set()
     for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
         used |= _referenced_names(path)
     unused = [
-        f"{path.stem}.{node.name}"
+        dotted
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        for dotted, name in _public_definitions(path)
+        if name not in used
     ]
     dead = sorted(set(unused) - ORACLES)
     assert not dead, f"public definitions nothing in src/ or bench/ uses: {', '.join(dead)}"

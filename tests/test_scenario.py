@@ -522,3 +522,41 @@ class TestCli:
         design = run_synthesis(loads(text), m=64)
         assert design.nu == pytest.approx(design.spectral_bound)
         assert design.certificate.passed
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("grid_points = 64", "grid_points = nan", "[numerics] grid_points: 'nan' is not"),
+        ("grid_points = 64", "grid_points = inf", "[numerics] grid_points: 'inf' is not"),
+        ("sample_every = 10", "sample_every = inf", "[outputs] sample_every: 'inf' is not"),
+        ("q0 = 3", "q0 = nan", "[plant] q0: 'nan' is not"),
+        ("w0 = 2 0 1", "w0 = nan 0 1", "[exosystem] w0: 'nan' is not"),
+    ],
+    ids=["grid_points-nan", "grid_points-inf", "sample_every-inf", "q0-nan", "w0-nan"],
+)
+def test_nonfinite_number_rejected(scenario_file, tmp_path, capsys, old, new, message):
+    text = scenario_file.read_text()
+    assert old in text
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert main(["check", "--scenario", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{message} a finite number" in err
+
+
+def test_readme_lists_every_scenario_key():
+    from pathlib import Path
+
+    from coopreg.scenario import _KEYS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| ") and cells[1].startswith("`"):
+            name = {"top level": "", "agent N": "agent"}.get(cells[0], cells[0])
+            listed.add((name, cells[1].strip("`"), cells[2]))
+    assert listed == {(row.section, row.key, row.kind) for row in _KEYS}

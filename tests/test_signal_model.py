@@ -183,7 +183,7 @@ class TestExoStep:
         for t in (0.1, 0.25, 0.5, 1.3):
             k = int(round(t / dt))
             assert trace.reference[k] == pytest.approx(2.0 * np.cos(np.pi * t), abs=1e-12)
-            assert model.disturbance(0, trace.outputs[k])[0] == pytest.approx(3.0, abs=1e-12)
+            assert (model.read_outs[0] @ trace.outputs[k])[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_norm_conserved_over_long_run(self):
         model = self._benchmark_model()
