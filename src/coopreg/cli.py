@@ -13,7 +13,7 @@ Exit status is 0 exactly when everything requested passed.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -324,7 +324,7 @@ def cmd_synthesize(args) -> int:
         write_certificate(certificate_payload(None, error=exc), out / "certificate.json")
         print(f"synthesis failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    synthesis.write_gains_file(result.gains, out / "gains.txt")
+    synthesis.write_gains_file(replace(result.gains, mode=scenario.mode), out / "gains.txt")
     payload = certificate_payload(result)
     write_certificate(payload, out / "certificate.json")
     if args.kernel_csv:

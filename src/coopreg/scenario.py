@@ -11,6 +11,7 @@ collected and raised together as one SchemaError listing every violation.
 """
 
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -232,13 +233,17 @@ class ResolvedScenario:
 # parsing
 
 
+# a comment starts with '#' at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _read_sections(text: str):
     """Split into {section: {key: (value, line)}}, preserving agent order."""
     sections: dict = {"": {}}
     current = ""
     last_key = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = _COMMENT.split(raw, 1)[0].rstrip()
         if not line.strip():
             last_key = None
             continue
@@ -309,6 +314,12 @@ def _points(raw: str) -> tuple:
     return tuple(out)
 
 
+def _write_text(value: str) -> str:
+    if value.splitlines() != [value] or value != value.strip() or _COMMENT.search(value):
+        raise ValueError(f"text value {value!r} cannot be written to a scenario file")
+    return value
+
+
 def _write_vector(values) -> str:
     return " ".join(map(_FMT, values))
 
@@ -328,7 +339,7 @@ _KINDS = {
         lambda rows: " ; ".join(map(_write_vector, rows)),
     ),
     "points": (_points, lambda points: ", ".join(f"{_FMT(c)} @ {_FMT(z)}" for c, z in points)),
-    "text": (str, str),
+    "text": (str, _write_text),
 }
 
 

@@ -2,20 +2,14 @@
 
 Each agent is a 1-D reaction-diffusion system with Robin boundary conditions,
 actuated at z = 1 and disturbed in-domain and at the boundaries.  The N agents
-share one stacked (N, m + 1) state.  Diffusion and reaction advance by
-Crank-Nicolson with ghost-node boundary closure, as one tridiagonal system
-factored once per run and solved in midpoint form: A x_half = x + (dt/2) f,
-then x+ = 2 x_half - x.  The internal models advance by a trapezoidal map
-inverted once per run, and the exogenous signal state by its exact matrix
-exponential.  The controller and internal-model coupling are held over each
-step (first-order splitting).
+share one stacked (N, m + 1) state, discretised by a ghost-node stencil.
 
-The whole loop is linear, so ``ClosedLoopStep`` assembles it once per run.
+The whole loop is linear, so ``ClosedLoopStep`` assembles it once per run and
+advances profiles and internal models together by one Crank-Nicolson step,
+second order in dt; the signal state advances by its exact matrix exponential.
 The loop reads three scalars per agent from the profiles (output quadrature,
-k_x . x + k_1 x(1) and the lumped xi = int r_x x) through one block-diagonal
-read-out G; with z = [x G, v, w], one small matrix maps z to the next (v, w)
-and one matrix F maps z to the half-step forcing (dt/2) f.  ``simulate`` and
-the target cascade run on this step.
+k_x . x + k_1 x(1) and the lumped xi = int r_x x).  ``simulate`` and the
+target cascade run on this step.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +21,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .backstepping import OutputOperator, TriangularKernel
 from .comm_graph import CommTopology, laplacian
-from .errors import GridMismatch, NumericalBlowup, SingularStep
+from .errors import GridMismatch, NumericalBlowup, SingularStep, ToolkitError
 from .grid import GridFunction, trapezoid_weights
 from .signal_model import ExoModel
 from .synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
@@ -124,16 +118,15 @@ class ErrorMetrics:
 
 
 class StackedStepper:
-    """Crank-Nicolson step and output map of N agents on stacked (N, m + 1) state.
+    """Crank-Nicolson matrix, forcing and output map of N agents on stacked (N, m + 1) state.
 
-    The spatial operator uses the true coefficients 1 + delta_lambda and
+    The spatial operator L uses the true coefficients 1 + delta_lambda and
     a + delta_a directly in the stencil; boundary actuation and boundary
-    disturbances enter through the second-order ghost-node closure.  The N
-    tridiagonal systems are chained into one of size N (m + 1) with zero
-    coupling between agents, factored once.  Each agent's disturbance wiring
-    is composed with its read-out P_i (an (m_i, n_w) matrix), so forcing and
-    output feedthrough are fixed maps of the signal state w.  Point samples
-    of the output are folded into the weight matrix.
+    disturbances enter through the second-order ghost-node closure.  ``bands``
+    holds the three diagonals of I - (dt/2) L, the N agents chained with zero
+    coupling.  Each agent's disturbance wiring is composed with its read-out
+    P_i, so forcing and output feedthrough are fixed maps of the signal state
+    w.  Point samples of the output are folded into the weight matrix.
     """
 
     def __init__(self, plant: NominalPlant, agents, read_outs, dt: float):
@@ -165,11 +158,9 @@ class StackedStepper:
 
         self.dt = dt
         half = 0.5 * dt
-        *self.lu, info = dgttrf(
+        self.bands = (
             -half * lower.ravel()[1:], 1.0 - half * diag.ravel(), -half * upper.ravel()[:-1]
         )
-        if info != 0:
-            raise SingularStep(f"Crank-Nicolson matrix is singular (pivot {info})")
 
         # forcing: interior disturbance profile plus boundary injections
         self.bc1_gain = 2.0 * lam[:, m] / h
@@ -198,33 +189,6 @@ class StackedStepper:
                 row[j] += c_k * (1.0 - theta)
                 row[j + 1] += c_k * theta
             self.weights[i] = row
-
-    def midpoint(self, x: np.ndarray, half_forcing: np.ndarray) -> np.ndarray:
-        """Crank-Nicolson on flat state: A x_half = x + (dt/2) f, then x+ = 2 x_half - x."""
-        out, _ = dgttrs(*self.lu, x + half_forcing, overwrite_b=1)
-        out *= 2.0
-        out -= x
-        return out
-
-
-class TrapezoidStep:
-    """Trapezoidal step of v' = S v + column * drive with the drive held over the step.
-
-    The implicit half is inverted up front, so a step is one fixed n_w x n_w
-    map plus a multiple of one fixed column.
-    """
-
-    def __init__(self, s: np.ndarray, column: np.ndarray, dt: float):
-        n_w = s.shape[0]
-        lhs = np.eye(n_w) - 0.5 * dt * s
-        try:
-            self.map = np.linalg.solve(lhs, np.eye(n_w) + 0.5 * dt * s)
-            self.column = np.linalg.solve(lhs, dt * np.asarray(column, dtype=float))
-        except np.linalg.LinAlgError as exc:
-            raise SingularStep(f"trapezoidal step matrix is singular: {exc}") from exc
-
-    def __call__(self, v: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        return v @ self.map.T + np.outer(drive, self.column)
 
 
 class NetworkFeedback:
@@ -256,37 +220,60 @@ class NetworkFeedback:
 
 
 class ClosedLoopStep:
-    """One step of a linear closed loop on flat profiles x and small state s = [vec v, w].
+    """One Crank-Nicolson step of a linear closed loop y' = L y + E z, w exact.
 
-    z = [x G, s] holds all a step reads: the read-out G takes a few scalars
-    per agent from the profiles.  The boundary inputs are u = U z and the
-    internal-model drive is D z; from them one small matrix gives the next
-    s (trapezoidal internal model, exact propagator of w) and one matrix F
-    the half-step forcing (dt/2) f of the midpoint Crank-Nicolson solve.
+    y = [x, vec v] stacks the flat profiles and the internal models; z =
+    [x G, v, w] is all the loop reads, G a read-out of a few scalars per agent.
+    E feeds the inputs u = U z in at z = 1 and the disturbances through the
+    wiring, and drives v_i' = S v_i + column (D z)_i.  w advances by its exact
+    propagator and enters at its midpoint (w + w+)/2.  A = I - (dt/2) L is
+    tridiagonal (identity rows for v), so the midpoint is a rank-k update of
+    y0 = A^-1 y: y_h = y0 + P [y0 read, w], P = (dt/2) W (I - (dt/2) R W)^-1
+    with W = A^-1 E, R the read of z, and the w columns folded over
+    (I + propagator) / 2; then y+ = 2 y_h - y.
     """
 
-    def __init__(self, stepper: StackedStepper, read_out, inputs, internal_model: TrapezoidStep,
-                 drive, propagator):
+    def __init__(self, stepper: StackedStepper, read_out, inputs, s, column, drive, propagator):
         n, n_nodes = stepper.weights.shape
-        n_v = n * internal_model.column.size
-        v_cols = slice(read_out.shape[1], read_out.shape[1] + n_v)
-        self.stepper, self.read_out = stepper, read_out
-        self.small_map = np.zeros((n_v + propagator.shape[0], v_cols.stop + propagator.shape[0]))
-        self.small_map[:n_v, v_cols] = np.kron(np.eye(n), internal_model.map)
-        self.small_map[:n_v] += np.kron(drive, internal_model.column[:, None])
-        self.small_map[n_v:, v_cols.stop :] = propagator
+        self.n_x = n * n_nodes
+        n_v = n * column.size
+        n_read = read_out.shape[1] + n_v
+        self.read_out, self.propagator = read_out, propagator
+        e = np.zeros((self.n_x + n_v, n_read + propagator.shape[0]), order="F")
+        e[: self.n_x, n_read:] = stepper.wiring.reshape(self.n_x, -1)
+        e[n_nodes - 1 : self.n_x : n_nodes] += stepper.bc1_gain[:, None] * inputs
+        e[self.n_x :, read_out.shape[1] : n_read] = np.kron(np.eye(n), s)
+        e[self.n_x :] += np.kron(drive, column[:, None])
+
+        pad = np.zeros(n_v)     # identity rows for v
+        lower, diag, upper = stepper.bands
+        *self.lu, info = dgttrf(
+            np.append(lower, pad), np.append(diag, pad + 1.0), np.append(upper, pad)
+        )
+        if info != 0:
+            raise SingularStep(f"Crank-Nicolson matrix is singular (pivot {info})")
+        w_mat, _ = dgttrs(*self.lu, e, overwrite_b=1)
         half = 0.5 * stepper.dt
-        forcing = np.zeros((n, n_nodes, self.small_map.shape[1]))
-        forcing[:, :, v_cols.stop :] = half * stepper.wiring
-        forcing[:, -1] += half * stepper.bc1_gain[:, None] * inputs
-        self.forcing = forcing.reshape(n * n_nodes, -1)
+        coupled = np.eye(e.shape[1])
+        coupled[:n_read] -= half * np.vstack([read_out.T @ w_mat[: self.n_x], w_mat[self.n_x :]])
+        fold = np.eye(e.shape[1])
+        fold[n_read:, n_read:] = 0.5 * (fold[n_read:, n_read:] + propagator)
+        try:
+            self.p = w_mat @ np.linalg.solve(coupled, half * fold)
+        except np.linalg.LinAlgError as exc:
+            raise SingularStep(f"Crank-Nicolson coupling matrix is singular: {exc}") from exc
 
-    def read(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return np.concatenate([x @ self.read_out, s])
+    def read(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """z = [x G, v, w] from y = [x, vec v]."""
+        return np.concatenate([y[: self.n_x] @ self.read_out, y[self.n_x :], w])
 
-    def __call__(self, x: np.ndarray, z: np.ndarray):
-        """(x+, s+) from the flat profiles x and their read z = read(x, s)."""
-        return self.stepper.midpoint(x, self.forcing @ z), self.small_map @ z
+    def __call__(self, y: np.ndarray, w: np.ndarray):
+        """(y+, w+) from the state y = [x, vec v] and the signal state w."""
+        y_half, _ = dgttrs(*self.lu, y)
+        y_half += self.p @ self.read(y_half, w)
+        y_half *= 2.0
+        y_half -= y
+        return y_half, self.propagator @ w
 
 
 @dataclass
@@ -309,7 +296,8 @@ def simulate(
 
     ``scenario_objects`` bundles the resolved plant, agents, topology, signal
     model, numerics and sampling (see ``Scenario.resolve``); passing gains
-    whose certificate failed is allowed but recorded in the trace metadata.
+    whose certificate failed is allowed but recorded in the trace metadata,
+    and gains that record another mode than the scenario's raise.
     """
     agents = scenario_objects.agents
     exo: ExoModel = scenario_objects.exo
@@ -322,6 +310,8 @@ def simulate(
 
     if gains.m != m:
         raise GridMismatch(f"gain grid {gains.m} vs scenario grid {m}")
+    if gains.mode not in (None, mode):
+        raise ToolkitError(f"gains designed for {gains.mode} mode run a {mode} scenario")
     n = len(agents)
     n_w = gains.n_w
     n_v = n * n_w
@@ -339,20 +329,17 @@ def simulate(
         read_out[i, :, 0, i] = stepper.weights[i]
         read_out[i, :, 1:, i] = feedback.read_out
     step = ClosedLoopStep(
-        stepper,
-        read_out.reshape(n * (m + 1), 3 * n),
-        u_map,
-        TrapezoidStep(gains.S, gains.b_y, dt),
-        feedback.drive_map @ np.vstack([y_map, r_map]),
-        expm(exo.S * dt),
+        stepper, read_out.reshape(n * (m + 1), 3 * n), u_map, gains.S, gains.b_y,
+        feedback.drive_map @ np.vstack([y_map, r_map]), expm(exo.S * dt),
     )
     signals = np.vstack([y_map, u_map, r_map])
 
-    x = np.concatenate([
+    x0 = [
         np.zeros(m + 1) if ag.initial_profile is None else ag.initial_profile.values
         for ag in agents
-    ])
-    s = np.concatenate([np.reshape(scenario_objects.v0, n_v), scenario_objects.w0], dtype=float)
+    ]
+    y = np.concatenate([*x0, np.reshape(scenario_objects.v0, n_v)], dtype=float)
+    w = np.array(scenario_objects.w0, dtype=float)
 
     sample_idx = [k for k in range(n_steps + 1) if k % stride == 0 or k == n_steps]
     n_s = len(sample_idx)
@@ -361,31 +348,29 @@ def simulate(
     v_tr = np.empty((n_s, n, n_w)) if record_state else None
     x_tr = np.empty((n_s, n, m + 1)) if record_state else None
     snapshots = {}
-    snap_steps = {
-        int(round(t_s / dt)): t_s for t_s in scenario_objects.snapshot_times
-    }
+    snap_steps = {int(round(t_s / dt)): t_s for t_s in scenario_objects.snapshot_times}
 
-    peak_state, peak_time = max(np.abs(x).max(), np.abs(s[:n_v]).max()), 0.0
+    n_x = n * (m + 1)
+    peak_state, peak_time = np.abs(y).max(), 0.0
     pos = 0
     started = perf_counter()
     for k in range(n_steps + 1):
         t = k * dt
-        z = step.read(x, s)
         if k == sample_idx[pos]:
             times[pos] = t
-            sampled[pos] = signals @ z
+            sampled[pos] = signals @ step.read(y, w)
             if record_state:
-                v_tr[pos] = s[:n_v].reshape(n, n_w)
-                x_tr[pos] = x.reshape(n, m + 1)
+                v_tr[pos] = y[n_x:].reshape(n, n_w)
+                x_tr[pos] = y[:n_x].reshape(n, m + 1)
             pos += 1
         if k in snap_steps:
-            snapshots[snap_steps[k]] = x.reshape(n, m + 1).copy()
+            snapshots[snap_steps[k]] = y[:n_x].reshape(n, m + 1).copy()
         if k == n_steps:
             break
 
-        x, s = step(x, z)
+        y, w = step(y, w)
 
-        peak = max(np.abs(x).max(), np.abs(s[:n_v]).max())
+        peak = np.abs(y).max()
         if not np.isfinite(peak) or peak > blowup:
             raise NumericalBlowup(
                 f"state norm {peak:.3e} exceeded {blowup:.1e} at t = {t + dt:.6g}",
@@ -430,14 +415,13 @@ def simulate_target_cascade(
 
     The agents become independent heat equations with decay mu_c, driven at
     z = 1 by the internal-model deviations, whose block dynamics mirror the
-    closed-loop matrix.  Stepping mirrors the full simulator: trapezoidal on
-    the linear parts, coupling held per step, so both traces are comparable
+    closed-loop matrix.  The cascade is stepped by the same Crank-Nicolson
+    ``ClosedLoopStep`` as the full simulator, so both traces are comparable
     at matching resolution.
     """
-    e_v = np.array(e_v0, dtype=float)
-    x_t = np.array(x_tilde0, dtype=float)
-    n, n_w = e_v.shape
-    m = x_t.shape[1] - 1
+    n, n_w = np.shape(e_v0)
+    m = np.shape(x_tilde0)[1] - 1
+    n_x = n * (m + 1)
 
     zero = GridFunction.constant(0.0, m)
     heat = NominalPlant(
@@ -448,14 +432,10 @@ def simulate_target_cascade(
     # the profiles enter nothing but their own step: an empty read-out
     boundary = np.kron(np.eye(n), gains.k_v)
     step = ClosedLoopStep(
-        stepper,
-        np.zeros((n * (m + 1), 0)),
-        boundary,
-        TrapezoidStep(gains.S, q_tilde_at_1, dt),
-        -(coupling @ boundary),
-        np.zeros((0, 0)),
+        stepper, np.zeros((n_x, 0)), boundary, gains.S, np.asarray(q_tilde_at_1, dtype=float),
+        -(coupling @ boundary), np.zeros((0, 0)),
     )
-    x, s = x_t.ravel(), e_v.ravel()
+    y, w = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)], dtype=float), np.zeros(0)
 
     sample_idx = [k for k in range(n_steps + 1) if k % sample_every == 0 or k == n_steps]
     times = np.empty(len(sample_idx))
@@ -466,12 +446,12 @@ def simulate_target_cascade(
     for k in range(n_steps + 1):
         if k == sample_idx[pos]:
             times[pos] = k * dt
-            e_trace[pos] = s.reshape(n, n_w)
-            x_trace[pos] = x.reshape(n, m + 1)
+            e_trace[pos] = y[n_x:].reshape(n, n_w)
+            x_trace[pos] = y[:n_x].reshape(n, m + 1)
             pos += 1
         if k == n_steps:
             break
-        x, s = step(x, step.read(x, s))
+        y, w = step(y, w)
     return CascadeTrace(times=times, e_v=e_trace, x_tilde=x_trace)
 
 

@@ -66,6 +66,7 @@ class RegulatorGains:
     b_y: np.ndarray
     S: np.ndarray
     mu_c: float
+    mode: str | None = None     # the design's mode, when a gains file records it
 
     @property
     def n_w(self) -> int:
@@ -536,6 +537,7 @@ def write_gains_file(gains: RegulatorGains, path):
     fmt = "{:.17g}".format
     lines = [
         "# regulator gains",
+        *([f"mode = {gains.mode}"] if gains.mode is not None else []),
         f"k_1 = {fmt(gains.k_1)}",
         f"mu_c = {fmt(gains.mu_c)}",
         "k_v = " + " ".join(fmt(v) for v in gains.k_v),
@@ -566,7 +568,8 @@ def _gain_value(token: str, line: int) -> float:
 def read_gains_file(path) -> RegulatorGains:
     """Parse a file written by ``write_gains_file``.  ParseError names the line of
     a missing key or section (the last line), of a value that is not a finite
-    number, and of a profile or matrix whose size disagrees with the others."""
+    number, of an unknown mode, and of a profile or matrix whose size
+    disagrees with the others.  A file without a mode line has mode None."""
     fields = {}     # key -> (text, line); [section] -> (values, header line)
     section = None
     lineno = 0
@@ -606,6 +609,9 @@ def read_gains_file(path) -> RegulatorGains:
     s, k_v, b_y = matrix("S"), matrix("k_v")[0], matrix("b_y")[0]
     if {len(s), len(b_y), *(len(row) for row in s)} != {len(k_v)}:
         raise ParseError("k_v, b_y and S disagree in size", line=field("S")[1])
+    mode, at = fields.get("mode", (None, None))
+    if mode not in (None, MODE_LEADER, MODE_LEADERLESS):
+        raise ParseError(f"unknown mode {mode!r}", line=at)
     return RegulatorGains(
         k_v=np.array(k_v),
         k_1=_gain_value(*field("k_1")),
@@ -614,4 +620,5 @@ def read_gains_file(path) -> RegulatorGains:
         b_y=np.array(b_y),
         S=np.array(s),
         mu_c=_gain_value(*field("mu_c")),
+        mode=mode,
     )

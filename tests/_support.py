@@ -3,15 +3,14 @@
 import dataclasses
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg import block_diag, expm
 
 from coopreg.backstepping import OutputOperator, TriangularKernel
 from coopreg.comm_graph import CommTopology, laplacian
 from coopreg.grid import GridFunction, cumulative_trapezoid, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
 from coopreg.signal_model import ExoModel
-from coopreg.simulator import AgentSpec, NominalPlant, StackedStepper, TrapezoidStep, simulate
+from coopreg.simulator import AgentSpec, NominalPlant, StackedStepper, simulate
 from coopreg.synthesis import MODE_LEADER, RegulatorGains
 
 
@@ -217,62 +216,67 @@ def reciprocity_map(k: TriangularKernel, k_inv: TriangularKernel) -> np.ndarray:
     return out + np.diag(np.diagonal(kv))
 
 
-def split_crank_nicolson(plant: NominalPlant, agents, dt: float):
-    """Crank-Nicolson step of stacked agents with the explicit three-diagonal right-hand side.
-
-    (I - dt/2 L) x+ = (I + dt/2 L) x + dt f, with L the ghost-node stencil of
-    each agent and the N systems chained into one with zero coupling.
-    """
-    m = plant.a.m
+def dense_stencil(lam, abar, q0b: float, q1b: float) -> np.ndarray:
+    """Dense ghost-node operator L of one agent on m + 1 nodes."""
+    m = lam.size - 1
     h = 1.0 / m
-    lam = 1.0 + np.stack([ag.delta_lambda.values for ag in agents])
-    abar = plant.a.values + np.stack([ag.delta_a.values for ag in agents])
-    q0b = plant.q0 + np.array([ag.delta_q0 for ag in agents])
-    q1b = plant.q1 + np.array([ag.delta_q1 for ag in agents])
-    lower = np.zeros_like(lam)
-    diag = np.zeros_like(lam)
-    upper = np.zeros_like(lam)
-    diag[:, 1:m] = -2.0 * lam[:, 1:m] / h**2 + abar[:, 1:m]
-    lower[:, 1:m] = upper[:, 1:m] = lam[:, 1:m] / h**2
-    diag[:, 0] = -2.0 * lam[:, 0] * (1.0 + h * q0b) / h**2 + abar[:, 0]
-    upper[:, 0] = 2.0 * lam[:, 0] / h**2
-    diag[:, m] = -2.0 * lam[:, m] * (1.0 - h * q1b) / h**2 + abar[:, m]
-    lower[:, m] = 2.0 * lam[:, m] / h**2
+    op = np.zeros((m + 1, m + 1))
+    for j in range(1, m):
+        op[j, j - 1] = op[j, j + 1] = lam[j] / h**2
+        op[j, j] = -2.0 * lam[j] / h**2 + abar[j]
+    op[0, 0] = -2.0 * lam[0] * (1.0 + h * q0b) / h**2 + abar[0]
+    op[0, 1] = 2.0 * lam[0] / h**2
+    op[m, m] = -2.0 * lam[m] * (1.0 - h * q1b) / h**2 + abar[m]
+    op[m, m - 1] = 2.0 * lam[m] / h**2
+    return op
 
-    half = 0.5 * dt
-    *lu, info = dgttrf(
-        -half * lower.ravel()[1:], 1.0 - half * diag.ravel(), -half * upper.ravel()[:-1]
+
+def dense_crank_nicolson(generator, forcing, propagator, y0, w0, dt, n_steps, bound=np.inf):
+    """Reference Crank-Nicolson of y' = generator y + forcing w, w+ = propagator w exactly.
+
+    (I - dt/2 G) y+ = (I + dt/2 G) y + dt/2 F (w + w+), with the step matrix
+    from one dense ``np.linalg.solve``.  Returns the (y, w) of every step run
+    and the time of the first step whose max |y| is not finite or exceeds
+    ``bound`` (None when every step stays inside it); stepping stops there.
+    """
+    eye = np.eye(generator.shape[0])
+    step = np.linalg.solve(
+        eye - 0.5 * dt * generator,
+        np.hstack([eye + 0.5 * dt * generator, 0.5 * dt * forcing]),
     )
-    assert info == 0
-    rhs_upper = half * upper[:, :-1]
-    rhs_diag = 1.0 + half * diag
-    rhs_lower = half * lower[:, 1:]
-
-    def step(x, f):
-        rhs = rhs_diag * x
-        rhs[:, :-1] += rhs_upper * x[:, 1:]
-        rhs[:, 1:] += rhs_lower * x[:, :-1]
-        rhs += dt * f
-        out, _ = dgttrs(*lu, rhs.ravel())
-        return out.reshape(x.shape)
-
-    return step
+    ys, ws = [np.asarray(y0, dtype=float)], [np.asarray(w0, dtype=float)]
+    for k in range(1, n_steps + 1):
+        w = propagator @ ws[-1]
+        ys.append(step @ np.concatenate([ys[-1], ws[-1] + w]))
+        ws.append(w)
+        peak = np.abs(ys[-1]).max()
+        if not np.isfinite(peak) or peak > bound:
+            return (np.array(ys), np.array(ws)), k * dt
+    return (np.array(ys), np.array(ws)), None
 
 
-def split_step_loop(resolved, gains):
-    """Reference first-order split-step closed loop, every step recorded.
+def dense_step_loop(resolved, gains):
+    """Reference closed loop: its dense generator stepped by ``dense_crank_nicolson``.
 
-    Per step: outputs, controller, internal model, then the split
-    Crank-Nicolson step, and the signal state by its matrix exponential.
-    Returns (y, u, v, x) arrays over the steps run and the time of the first
-    step whose max(|x|, |v|) is not finite or exceeds the blow-up bound
-    (None when every step stays inside it); the loop stops there.
+    The state is [x, vec v] with x the stacked profiles of the N agents.
+    Returns (y, u, v, x) arrays over the steps run and the blow-up time.
     """
     agents, exo, dt = resolved.agents, resolved.exo, resolved.dt
-    m, n = resolved.m, len(agents)
-    # output weights, feedthrough and wiring; its own step is not used
-    stepper = StackedStepper(resolved.plant, agents, exo.read_outs, dt)
-    cn_step = split_crank_nicolson(resolved.plant, agents, dt)
+    m, n, n_w = resolved.m, len(agents), gains.n_w
+    n_x = n * (m + 1)
+    h = 1.0 / m
+    plant = resolved.plant
+    # output weights, feedthrough and disturbance wiring of each agent
+    stepper = StackedStepper(plant, agents, exo.read_outs, dt)
+    lam = [1.0 + ag.delta_lambda.values for ag in agents]
+    stencil = block_diag(*(
+        dense_stencil(lam_i, plant.a.values + ag.delta_a.values,
+                      plant.q0 + ag.delta_q0, plant.q1 + ag.delta_q1)
+        for lam_i, ag in zip(lam, agents)
+    ))
+    actuation = np.zeros((n_x, n))        # u_i enters at node m of agent i
+    for i, lam_i in enumerate(lam):
+        actuation[i * (m + 1) + m, i] = 2.0 * lam_i[m] / h
     graph = laplacian(resolved.topology)
     if resolved.mode == MODE_LEADER:
         coupling, links = graph.leader_follower, resolved.topology.leader_links
@@ -280,56 +284,47 @@ def split_step_loop(resolved, gains):
         coupling, links = graph.laplacian, np.zeros(n)
     w_kx = trapezoid_weights(m) * gains.k_x.values
     w_rx = trapezoid_weights(m) * gains.r_x.values
-    internal_model = TrapezoidStep(gains.S, gains.b_y, dt)
-    propagator = expm(exo.S * dt)
 
-    x = np.stack([ag.initial_profile.values.copy() for ag in agents])
-    v = np.array(resolved.v0, dtype=float).reshape(n, gains.n_w)
-    w = np.array(resolved.w0, dtype=float)
-    ys, us, vs, xs = [], [], [], []
-    blowup_time = None
-    for k in range(resolved.n_steps + 1):
-        t = k * dt
-        y = np.einsum("ij,ij->i", stepper.weights, x) + stepper.feedthrough @ w
-        r = float(exo.p @ w)
-        u = v @ gains.k_v - gains.k_1 * x[:, -1] - x @ w_kx + coupling @ (x @ w_rx)
-        ys.append(y)
-        us.append(u)
-        vs.append(v)
-        xs.append(x)
-        if k == resolved.n_steps:
-            break
-        v = internal_model(v, coupling @ y - links * r)
-        f = stepper.wiring @ w
-        f[:, -1] += stepper.bc1_gain * u
-        x = cn_step(x, f)
-        w = propagator @ w
-        peak = max(np.abs(x).max(), np.abs(v).max())
-        if not np.isfinite(peak) or peak > resolved.blowup_bound:
-            blowup_time = t + dt
-            break
-    return (np.array(ys), np.array(us), np.array(vs), np.array(xs)), blowup_time
-
-
-def split_step_cascade(gains, coupling, q_tilde_at_1, e_v0, x_tilde0, dt, n_steps):
-    """Reference split-step target cascade, every step recorded: (e_v, x_tilde)."""
-    e_v = np.array(e_v0, dtype=float)
-    x_t = np.array(x_tilde0, dtype=float)
-    m = x_t.shape[1] - 1
-    zero = GridFunction.constant(0.0, m)
-    heat = NominalPlant(
-        a=GridFunction.constant(-gains.mu_c, m), q0=0.0, q1=0.0, output=OutputOperator(zero)
+    u_x = np.kron(coupling, w_rx) - np.kron(np.eye(n), w_kx)
+    u_x[:, m :: m + 1] -= gains.k_1 * np.eye(n)
+    u_map = np.hstack([u_x, np.kron(np.eye(n), gains.k_v)])          # u from [x, v]
+    y_map = np.hstack([block_diag(*stepper.weights), np.zeros((n, n * n_w))])
+    drive = np.kron(coupling, gains.b_y[:, None])
+    generator = np.vstack([
+        np.hstack([stencil, np.zeros((n_x, n * n_w))]) + actuation @ u_map,
+        drive @ y_map + np.hstack([np.zeros((n * n_w, n_x)), np.kron(np.eye(n), gains.S)]),
+    ])
+    forcing = np.vstack([
+        stepper.wiring.reshape(n_x, -1),
+        drive @ stepper.feedthrough - np.outer(np.kron(links, gains.b_y), exo.p),
+    ])
+    x0 = np.concatenate([ag.initial_profile.values for ag in agents])
+    (ys, ws), blowup_time = dense_crank_nicolson(
+        generator, forcing, expm(exo.S * dt), np.concatenate([x0, np.ravel(resolved.v0)]),
+        resolved.w0, dt, resolved.n_steps, resolved.blowup_bound,
     )
-    agents = [AgentSpec(delta_lambda=zero, delta_a=zero)] * len(e_v)
-    cn_step = split_crank_nicolson(heat, agents, dt)
-    target_model = TrapezoidStep(gains.S, q_tilde_at_1, dt)
-    e_trace, x_trace = [e_v], [x_t]
-    for _ in range(n_steps):
-        boundary = e_v @ gains.k_v
-        e_v = target_model(e_v, -(coupling @ boundary))
-        f = np.zeros_like(x_t)
-        f[:, -1] = 2.0 * m * boundary
-        x_t = cn_step(x_t, f)
-        e_trace.append(e_v)
-        x_trace.append(x_t)
-    return np.array(e_trace), np.array(x_trace)
+    outputs = ys @ y_map.T + ws @ stepper.feedthrough.T
+    inputs = ys @ u_map.T
+    states = (ys[:, n_x:].reshape(-1, n, n_w), ys[:, :n_x].reshape(-1, n, m + 1))
+    return (outputs, inputs, *states), blowup_time
+
+
+def dense_step_cascade(gains, coupling, q_tilde_at_1, e_v0, x_tilde0, dt, n_steps):
+    """Reference target cascade by ``dense_crank_nicolson``, every step: (e_v, x_tilde)."""
+    n, n_w = np.shape(e_v0)
+    m = np.shape(x_tilde0)[1] - 1
+    n_x = n * (m + 1)
+    heat = dense_stencil(np.ones(m + 1), np.full(m + 1, -gains.mu_c), 0.0, 0.0)
+    boundary = np.kron(np.eye(n), gains.k_v)       # the input of agent i is k_v . e_v_i
+    drive = np.kron(coupling, np.reshape(q_tilde_at_1, (-1, 1)))
+    actuation = np.zeros((n_x, n))
+    actuation[m :: m + 1] = 2.0 * m * np.eye(n)
+    generator = np.block([
+        [np.kron(np.eye(n), heat), actuation @ boundary],
+        [np.zeros((n * n_w, n_x)), np.kron(np.eye(n), gains.S) - drive @ boundary],
+    ])
+    y0 = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)])
+    (ys, _), _ = dense_crank_nicolson(
+        generator, np.zeros((n_x + n * n_w, 0)), np.zeros((0, 0)), y0, np.zeros(0), dt, n_steps
+    )
+    return ys[:, n_x:].reshape(-1, n, n_w), ys[:, :n_x].reshape(-1, n, m + 1)

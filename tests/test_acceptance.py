@@ -127,29 +127,41 @@ def test_criterion_4_nonblocking(leader_design):
     report(4, "nonblocking margins at the signal frequencies, vs ODE oracle", ok, started, 1.0)
 
 
-def test_criterion_5_structural_oracle(leader_scenario, leader_design):
-    started = time.time()
-    m, dt, n_steps = 200, 1e-3, 2000
-    r = leader_design
-    rng = np.random.default_rng(42)
-    ok = True
-    tol = 5.0 * (1.0 / m**2 + dt)
-    for _ in range(5):
+def cascade_draws(scenario, design, rng, n_draws, m=200, dt=1e-3, n_steps=2000):
+    """Criterion-5 discrepancies of random draws of x0 and v0, and their bound 5(1/m^2 + dt)."""
+    discrepancies = []
+    for _ in range(n_draws):
         x0 = np.stack([random_smooth_profile(rng, m) for _ in range(4)])
         v0 = rng.normal(size=(4, 3))
         resolved = nominal_resolved(
-            leader_scenario, m=m, dt=dt, n_steps=n_steps, x0=x0, v0=v0, sample_every=5
+            scenario, m=m, dt=dt, n_steps=n_steps, x0=x0, v0=v0, sample_every=5
         )
-        trace = sim.simulate(resolved, r.gains, record_state=True)
+        trace = sim.simulate(resolved, design.gains, record_state=True)
         e_v, x_t = sim.transform_state_trace(
-            trace, r.kernel, r.decoupling.q_tilde, r.graph.leader_follower
+            trace, design.kernel, design.decoupling.q_tilde, design.graph.leader_follower
         )
         cascade = sim.simulate_target_cascade(
-            r.gains, r.graph.leader_follower, r.decoupling.q_tilde_at_1,
+            design.gains, design.graph.leader_follower, design.decoupling.q_tilde_at_1,
             e_v[0], x_t[0], dt, n_steps, sample_every=5,
         )
-        ok &= cascade_discrepancy(e_v, x_t, cascade) <= tol
+        discrepancies.append(cascade_discrepancy(e_v, x_t, cascade))
+    return np.array(discrepancies), 5.0 * (1.0 / m**2 + dt)
+
+
+def test_criterion_5_structural_oracle(leader_scenario, leader_design):
+    started = time.time()
+    discrepancies, tol = cascade_draws(leader_scenario, leader_design, np.random.default_rng(42), 5)
+    ok = bool(np.all(discrepancies <= tol))
     report(5, "transform pushforward matches the target-cascade simulation", ok, started, 120.0)
+
+
+@pytest.mark.parametrize("seed, rep", [(10, 1), (9, 10), (17, 12)])
+def test_criterion_5_on_rare_benchmark_draws(leader_scenario, leader_design, seed, rep):
+    # the oracle_cross repetitions whose worst draw exceeded the bound while
+    # the internal-model drive and the boundary input were held over each step
+    rng = np.random.default_rng([seed, rep])
+    discrepancies, tol = cascade_draws(leader_scenario, leader_design, rng, 4)
+    assert discrepancies.max() <= tol
 
 
 def test_criterion_6_leader_follower_regulation(leader_scenario, leader_design):

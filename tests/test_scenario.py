@@ -1,5 +1,6 @@
 """Scenario parsing, validation, serialization, expressions, and the CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -93,6 +94,18 @@ class TestParsing:
         assert s.points == ((2.0, 0.3), (-1.5, 0.7))
         assert s.p_override == (1.0, 0.0, 0.0)
         assert loads(serialize(s)) == s
+
+    def test_hash_inside_text_value_kept(self, leader_scenario_text):
+        text = leader_scenario_text.replace(
+            "sample_every = 10", "sample_every = 10\nout_dir = runs/#1  # trailing comment"
+        )
+        assert loads(text).outputs.out_dir == "runs/#1"
+
+    @pytest.mark.parametrize("out_dir", ["#1", "runs #1", " runs", "runs\n1", ""])
+    def test_serialize_rejects_unwritable_text(self, leader_scenario, out_dir):
+        outputs = dataclasses.replace(leader_scenario.outputs, out_dir=out_dir)
+        with pytest.raises(ValueError, match="cannot be written"):
+            serialize(dataclasses.replace(leader_scenario, outputs=outputs))
 
     def test_empty_file(self):
         with pytest.raises(ParseError):
@@ -314,6 +327,25 @@ class TestCli:
         assert payload["passed"] is False
         assert payload["error"] == "SingularSystem"
         assert not (out / "gains.txt").exists()
+
+    def test_gains_of_other_mode_rejected(self, scenario_file, tmp_path, capsys):
+        from importlib.resources import files
+
+        leaderless = files("coopreg").joinpath("scenarios/four_agent_leaderless.cfg")
+        design = tmp_path / "design"
+        assert main(["synthesize", "--scenario", str(scenario_file), "--out", str(design)]) == 0
+        assert f"mode = {MODE_LEADER}" in (design / "gains.txt").read_text()
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = main([
+            "simulate", "--scenario", str(leaderless), "--gains", str(design / "gains.txt"),
+            "--out", str(out), "--horizon", "0.1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "gains designed for leader-follower mode run a leaderless scenario" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_rejected_simulate_leaves_no_output_dir(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "run"

@@ -9,6 +9,8 @@ from coopreg.synthesis import MODE_LEADER, MODE_LEADERLESS
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# '#' starts a comment only at the start of a value or after whitespace
+OUT_DIRS = st.text("abz019/._-#", min_size=1, max_size=12).filter(lambda s: s[0] != "#")
 EXPRESSIONS = st.sampled_from(
     ["0", "z", "z + 1", "-z", "2*z^2 - 0.5", "sin(pi*z)", "exp(-z)/e", "3*(z - 1)"]
 )
@@ -87,7 +89,7 @@ def scenarios(draw):
         outputs=OutputOptions(
             sample_every=draw(st.integers(1, 1000)),
             snapshot_times=tuple(draw(st.lists(FINITE, max_size=3))),
-            out_dir=draw(st.none() | st.text("abz019/._-", min_size=1, max_size=12)),
+            out_dir=draw(st.none() | OUT_DIRS),
         ),
     )
 

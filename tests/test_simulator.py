@@ -27,6 +27,8 @@ from coopreg.synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
 from _support import (
     cascade_discrepancy,
     constant_exo,
+    dense_step_cascade,
+    dense_step_loop,
     first_output,
     loop_scenario,
     nominal_agents,
@@ -35,8 +37,6 @@ from _support import (
     silent_exo,
     silent_gains,
     silent_plant,
-    split_step_cascade,
-    split_step_loop,
 )
 
 
@@ -491,7 +491,7 @@ class TestSimulate:
         with pytest.raises(NumericalBlowup) as info:
             simulate(resolved, gains)
         assert info.value.time is not None and info.value.time > 0
-        assert info.value.time == split_step_loop(resolved, gains)[1]
+        assert info.value.time == dense_step_loop(resolved, gains)[1]
 
     def test_nan_initial_profile_raises_after_first_step(self, leader_scenario):
         resolved, gains = uncertain_resolved(leader_scenario)
@@ -505,10 +505,10 @@ class TestSimulate:
         assert info.value.time == resolved.dt
 
     @pytest.mark.parametrize("scenario", ["leader_scenario", "leaderless_scenario"])
-    def test_matches_split_step_loop(self, scenario, request):
+    def test_matches_dense_step_loop(self, scenario, request):
         resolved, gains = uncertain_resolved(request.getfixturevalue(scenario))
         trace = simulate(resolved, gains, record_state=True)
-        (y, u, v, x), blowup_time = split_step_loop(resolved, gains)
+        (y, u, v, x), blowup_time = dense_step_loop(resolved, gains)
         assert blowup_time is None
         assert trace.times.size == resolved.n_steps + 1
         for actual, expected in (
@@ -519,6 +519,18 @@ class TestSimulate:
         assert trace.metadata["peak_state"] == pytest.approx(peaks.max(), rel=1e-12)
         assert trace.metadata["peak_time"] == trace.times[np.argmax(peaks)]
         assert trace.metadata["peak_ratio"] == trace.metadata["peak_state"] / resolved.blowup_bound
+
+    def test_second_order_in_dt(self, leader_scenario):
+        from coopreg.cli import run_synthesis
+
+        gains = run_synthesis(leader_scenario, m=32).gains
+        finals = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            resolved = leader_scenario.resolve(m=32, dt=dt, horizon=0.5)
+            trace = simulate(resolved, gains, record_state=True)
+            finals.append(np.concatenate([trace.states_x[-1].ravel(), trace.states_v[-1].ravel()]))
+        coarse, fine = np.abs(np.diff(finals, axis=0)).max(axis=1)
+        assert np.log2(coarse / fine) >= 1.9
 
     def test_channel_mismatch_reported(self, leader_scenario, leader_design):
         m = 200
@@ -591,7 +603,7 @@ class TestTargetCascade:
         )
         assert cascade_discrepancy(e_v, x_t, cascade) <= 5.0 * (1.0 / m**2 + dt)
 
-    def test_matches_split_step_cascade(self):
+    def test_matches_dense_step_cascade(self):
         m, n, n_steps, dt = 48, 4, 200, 1e-3
         rng = np.random.default_rng(17)
         gains = RegulatorGains(
@@ -607,7 +619,7 @@ class TestTargetCascade:
         cascade = simulate_target_cascade(
             gains, coupling, q_tilde_at_1, e_v0, x0, dt, n_steps, sample_every=1
         )
-        e_v, x_tilde = split_step_cascade(gains, coupling, q_tilde_at_1, e_v0, x0, dt, n_steps)
+        e_v, x_tilde = dense_step_cascade(gains, coupling, q_tilde_at_1, e_v0, x0, dt, n_steps)
         assert_rel_close(cascade.e_v, e_v)
         assert_rel_close(cascade.x_tilde, x_tilde)
 

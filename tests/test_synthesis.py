@@ -1,5 +1,7 @@
 """Decoupling equations, nonblocking test, Riccati solve, gains, certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
@@ -320,6 +322,15 @@ class TestGains:
         assert np.array_equal(loaded.k_x.values, leader_design.gains.k_x.values)
         assert np.array_equal(loaded.S, leader_design.gains.S)
         assert loaded.k_1 == leader_design.gains.k_1
+
+    def test_gains_file_mode_line(self, leader_design, tmp_path):
+        path = tmp_path / "gains.txt"
+        write_gains_file(dataclasses.replace(leader_design.gains, mode=MODE_LEADERLESS), path)
+        assert read_gains_file(path).mode == MODE_LEADERLESS
+        path.write_text(path.read_text().replace(MODE_LEADERLESS, "sideways"))
+        with pytest.raises(ParseError) as info:
+            read_gains_file(path)
+        assert info.value.line == 2 and "unknown mode 'sideways'" in str(info.value)
 
     @pytest.mark.parametrize(
         "edit, line, message",
