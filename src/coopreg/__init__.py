@@ -18,7 +18,6 @@ from .comm_graph import (
     GraphMatrices,
     ThetaDecomposition,
     is_connected,
-    kron,
     laplacian,
     spectral_lower_bound,
     theta_decompose,
@@ -26,11 +25,10 @@ from .comm_graph import (
 from .grid import GridFunction
 from .scenario import Scenario, load_scenario, loads, serialize
 from .signal_model import (
-    DisturbanceBlock,
     ExoModel,
-    build_reference_block,
+    build_signal_model,
     check_controllable,
-    merge,
+    frequency_blocks,
 )
 from .simulator import (
     AgentSpec,

@@ -96,6 +96,16 @@ class TriangularKernel:
         w[0, 0] = 0.0
         return w
 
+    def column_operator(self) -> np.ndarray:
+        """Matrix W with (f @ W)_j ~ int_{zeta_j}^1 f(s) k(s, zeta_j) ds."""
+        m = self.m
+        w = self.lower() * self.h
+        idx = np.arange(m + 1)
+        w[idx, idx] *= 0.5
+        w[m, :] *= 0.5
+        w[m, m] = 0.0
+        return w
+
     def z_derivative_top_row(self) -> np.ndarray:
         """d/dz k(z, zeta) at z = 1, one-sided second-order in z.
 
@@ -277,12 +287,7 @@ def transform_output_weight(c: OutputOperator, k_inv: TriangularKernel) -> Outpu
     cb0, cb1 = c.boundary_weights
 
     # column-wise trapezoid of c0(s) k_I(s, zeta) over s in [zeta, 1]
-    w = ki * h
-    idx = np.arange(m + 1)
-    w[idx, idx] *= 0.5
-    w[m, :] *= 0.5
-    w[m, m] = 0.0
-    comp = c0 @ w
+    comp = c0 @ k_inv.column_operator()
 
     smooth = cb1 * ki[m, :] + c0 + comp
     nodes = uniform_nodes(m)

@@ -185,8 +185,9 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         exo.S, decoupling.q_tilde_at_1, nu, num.riccati_a
     )
     k_v = synthesis.feedback_gain(riccati_q, decoupling.q_tilde_at_1)
-    gains = synthesis.assemble_gains(
-        kernel, decoupling, plant.q1, k_v, exo.b_y, exo.S, num.mu_c
+    gains = replace(
+        synthesis.assemble_gains(kernel, decoupling, plant.q1, k_v, exo.b_y, exo.S, num.mu_c),
+        mode=mode,
     )
     certificate = synthesis.certify_stability(
         mode, exo.S, decoupling.q_tilde_at_1, k_v, coupling, num.mu_c
@@ -324,7 +325,7 @@ def cmd_synthesize(args) -> int:
         write_certificate(certificate_payload(None, error=exc), out / "certificate.json")
         print(f"synthesis failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    synthesis.write_gains_file(replace(result.gains, mode=scenario.mode), out / "gains.txt")
+    synthesis.write_gains_file(result.gains, out / "gains.txt")
     payload = certificate_payload(result)
     write_certificate(payload, out / "certificate.json")
     if args.kernel_csv:

@@ -171,11 +171,6 @@ def spectral_lower_bound(mat: np.ndarray, require_positive: bool = True) -> floa
     return bound
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, used to assemble the aggregated closed-loop matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def leaderless_rank_matrix(theta_dec: ThetaDecomposition) -> np.ndarray:
     """The N x (N-1) matrix whose full column rank certifies that pairwise
     output differences vanish only when all outputs agree."""

@@ -22,7 +22,7 @@ from .comm_graph import CommTopology
 from .errors import ParseError, SchemaError
 from .expressions import Expression
 from .grid import GridFunction
-from .signal_model import DisturbanceBlock, ExoModel, build_reference_block, merge
+from .signal_model import ExoModel, build_signal_model
 from .simulator import AgentSpec, NominalPlant
 from .synthesis import MODE_LEADER, MODE_LEADERLESS
 
@@ -45,7 +45,7 @@ class AgentConfig:
     g2: tuple
     g3: tuple
     g4: tuple
-    P: tuple                # m_i rows over the merged signal state
+    P: tuple                # m_i rows over the signal state
     x0: str
     v0: tuple
 
@@ -103,31 +103,13 @@ class Scenario:
         )
 
     def exo_model(self) -> ExoModel:
-        reference = build_reference_block(self.reference_frequencies)
-        n_r = reference[0].shape[0]
-        dims = [1 if f == 0.0 else 2 for f in self.disturbance_frequencies]
-        blocks = []
-        col = n_r
-        for freq, dim in zip(self.disturbance_frequencies, dims):
-            readouts = {}
-            for i, agent in enumerate(self.agents):
-                rows = np.array(agent.P, dtype=float).reshape(len(agent.P), -1)
-                if rows.size:
-                    readouts[i] = rows[:, col : col + dim]
-            blocks.append(DisturbanceBlock(frequency=freq, readouts=readouts))
-            col += dim
-        model = merge(
-            reference, blocks, n_agents=self.n_agents, b_y=np.array(self.numerics.b_y)
+        return build_signal_model(
+            self.reference_frequencies,
+            self.disturbance_frequencies,
+            [agent.P for agent in self.agents],
+            self.numerics.b_y,
+            self.p_override,
         )
-        if self.p_override is not None:
-            model = ExoModel(
-                S=model.S,
-                p=np.array(self.p_override, dtype=float),
-                read_outs=model.read_outs,
-                b_y=model.b_y,
-                n_reference=model.n_reference,
-            )
-        return model
 
     def plant(self, m: int | None = None) -> NominalPlant:
         m = self.numerics.grid_points if m is None else m

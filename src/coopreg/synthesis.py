@@ -14,7 +14,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .backstepping import OutputOperator, TriangularKernel
-from .comm_graph import GraphMatrices, ThetaDecomposition, kron, leaderless_rank_matrix
+from .comm_graph import GraphMatrices, ThetaDecomposition, leaderless_rank_matrix
 from .errors import (
     GridMismatch,
     InconsistentCertificates,
@@ -208,13 +208,7 @@ def solve_decoupling(
     q_tilde = _neumann_bvp(a_mat, rhs, b_y * cb0, -b_y * cb1, deltas)
 
     # pullback q(zeta) = q~(zeta) - int_zeta^1 q~(s) k(s, zeta) ds
-    m, h = kernel.m, kernel.h
-    w = kernel.lower() * h
-    idx = np.arange(m + 1)
-    w[idx, idx] *= 0.5
-    w[m, :] *= 0.5
-    w[m, m] = 0.0
-    q = q_tilde - q_tilde @ w
+    q = q_tilde - q_tilde @ kernel.column_operator()
     return DecouplingSolution(q_tilde=q_tilde, q=q)
 
 
@@ -398,7 +392,7 @@ def closed_loop_matrix(
     """I (x) S - coupling (x) q~(1) k_v^T for any coupling matrix."""
     coupling = np.atleast_2d(np.asarray(coupling, dtype=float))
     r = coupling.shape[0]
-    return kron(np.eye(r), s) - kron(coupling, np.outer(q_tilde_at_1, k_v))
+    return np.kron(np.eye(r), s) - np.kron(coupling, np.outer(q_tilde_at_1, k_v))
 
 
 def certify_stability(
@@ -489,7 +483,7 @@ def sync_steady_state(
         )
 
     # Pi F_eps - S Pi = -(l12 (x) q~(1) k_v^T)
-    rhs = -kron(theta_dec.l12.reshape(1, -1), np.outer(q1v, k_v))
+    rhs = -np.kron(theta_dec.l12.reshape(1, -1), np.outer(q1v, k_v))
     dim = n_minus_1 * n_w
     coeff = np.kron(f_eps.T, np.eye(n_w)) - np.kron(np.eye(dim), s)
     pi = np.linalg.solve(coeff, rhs.reshape(-1, order="F")).reshape(n_w, dim, order="F")

@@ -115,7 +115,7 @@ def silent_gains(m: int, n_w: int = 1) -> RegulatorGains:
 def constant_exo(r: float, read_outs) -> ExoModel:
     """One constant signal state: with w0 = (1,) the reference is r and d_i = P_i."""
     return ExoModel(
-        S=np.zeros((1, 1)), p=[r], read_outs=tuple(read_outs), b_y=np.ones(1), n_reference=1
+        S=np.zeros((1, 1)), p=[r], read_outs=tuple(read_outs), b_y=np.ones(1)
     )
 
 

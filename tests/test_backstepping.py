@@ -203,6 +203,13 @@ class TestTransforms:
         inv = ones.values + constant_kernel(c, m).integral_operator() @ ones.values
         assert np.allclose(inv, 1.0 + c * ones.nodes, atol=1e-14)
 
+    def test_column_operator_closed_form(self):
+        # int_zeta^1 c ds = c (1 - zeta), exact under the trapezoid rule
+        m, c = 80, 1.5
+        ones = GridFunction.constant(1.0, m)
+        cols = ones.values @ constant_kernel(c, m).column_operator()
+        assert np.allclose(cols, c * (1.0 - ones.nodes), atol=1e-14)
+
 
 class TestOutputOperator:
     def test_point_locations_must_be_interior(self):

@@ -6,7 +6,6 @@ import pytest
 from coopreg.comm_graph import (
     CommTopology,
     is_connected,
-    kron,
     laplacian,
     leaderless_rank_matrix,
     spectral_lower_bound,
@@ -155,9 +154,11 @@ class TestSpectralLowerBound:
 
 
 class TestKron:
+    """The Kronecker identities the aggregated closed-loop matrices rely on."""
+
     def test_block_structure(self):
         b = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = kron(np.eye(2), b)
+        out = np.kron(np.eye(2), b)
         assert out.shape == (4, 4)
         assert np.array_equal(out[:2, :2], b)
         assert np.array_equal(out[2:, 2:], b)
@@ -167,17 +168,17 @@ class TestKron:
         rng = np.random.default_rng(2)
         for _ in range(10):
             a, b, c, d = (rng.normal(size=(2, 2)) for _ in range(4))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
+            lhs = np.kron(a, b) @ np.kron(c, d)
+            rhs = np.kron(a @ c, b @ d)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_row_wise_assembly_matches_full_product(self):
         h = laplacian(four_agent_topology()).leader_follower
         b_y = np.array([1.0, 1.0, 1.0])
         stacked = np.vstack(
-            [kron(np.eye(4)[i][None, :] @ h, b_y[:, None]) for i in range(4)]
+            [np.kron(np.eye(4)[i][None, :] @ h, b_y[:, None]) for i in range(4)]
         )
-        assert np.allclose(stacked, kron(h, b_y[:, None]))
+        assert np.allclose(stacked, np.kron(h, b_y[:, None]))
 
 
 class TestConnectedGraphSpectra:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from coopreg.cli import main
-from coopreg.errors import ParseError, SchemaError
+from coopreg.errors import ParseError, SchemaError, ToolkitError
 from coopreg.expressions import Expression
 from coopreg.scenario import loads, serialize
+from coopreg.simulator import simulate
 from coopreg.synthesis import MODE_LEADER, write_gains_file
 
 
@@ -81,6 +82,10 @@ class TestParsing:
         assert s.agents[3].delta_c_b0 == -0.05
         assert s.agents[3].delta_c_b1 == 0.1
         assert s.agents[1].P == ((0.0, 0.0, -3.0),)
+
+    def test_agent_read_out_keeps_reference_columns(self, leader_scenario_text):
+        text = leader_scenario_text.replace("p = 0 0 3", "p = 1 0 3", 1)
+        assert np.array_equal(loads(text).exo_model().read_outs[0], [[1.0, 0.0, 3.0]])
 
     def test_round_trip(self, leader_scenario, leaderless_scenario):
         for s in (leader_scenario, leaderless_scenario):
@@ -347,6 +352,12 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_designed_gains_of_other_mode_rejected(self, leader_design, leaderless_scenario):
+        assert leader_design.gains.mode == MODE_LEADER
+        resolved = leaderless_scenario.resolve(m=leader_design.m, horizon=0.1)
+        with pytest.raises(ToolkitError, match="gains designed for leader-follower mode"):
+            simulate(resolved, leader_design.gains)
+
     def test_rejected_simulate_leaves_no_output_dir(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "run"
         code = main([
@@ -467,15 +478,15 @@ class TestCli:
         gains = tmp_path / "gains.txt"
         write_gains_file(leader_design.gains, gains)
         lines = gains.read_text().splitlines()
-        assert lines[1].startswith("k_1 = ")
-        lines[1] = "k_1 = nan"
+        assert lines[2].startswith("k_1 = ")
+        lines[2] = "k_1 = nan"
         gains.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         code = main([
             "simulate", "--scenario", str(scenario_file), "--gains", str(gains), "--out", str(out),
         ])
         assert code == 1
-        assert "ParseError: line 2: 'nan' is not a finite number" in capsys.readouterr().err
+        assert "ParseError: line 3: 'nan' is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_snapshot_profiles_written(self, scenario_file, tmp_path):

@@ -1,4 +1,4 @@
-"""Signal-model construction, merging, controllability, exact propagation in simulate."""
+"""Signal-model construction, controllability, exact propagation in simulate."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ from coopreg.comm_graph import CommTopology
 from coopreg.errors import DuplicateFrequency
 from coopreg.grid import GridFunction
 from coopreg.signal_model import (
-    DisturbanceBlock,
     ExoModel,
-    build_reference_block,
+    build_signal_model,
     check_controllable,
-    merge,
+    frequency_blocks,
 )
 from coopreg.simulator import AgentSpec, simulate
 
@@ -22,17 +21,17 @@ PI_ROTATION = np.array([[0.0, np.pi], [-np.pi, 0.0]])
 
 class TestReferenceBlock:
     def test_single_harmonic(self):
-        s_r, p_r = build_reference_block([np.pi])
+        s_r, p_r = frequency_blocks([np.pi])
         assert np.array_equal(s_r, PI_ROTATION)
         assert np.array_equal(p_r, [1.0, 0.0])
 
     def test_constant_reference(self):
-        s_r, p_r = build_reference_block([0.0])
+        s_r, p_r = frequency_blocks([0.0])
         assert np.array_equal(s_r, [[0.0]])
         assert np.array_equal(p_r, [1.0])
 
     def test_direct_sum(self):
-        s_r, p_r = build_reference_block([0.0, np.pi])
+        s_r, p_r = frequency_blocks([0.0, np.pi])
         assert s_r.shape == (3, 3)
         assert s_r[0, 0] == 0.0
         assert np.array_equal(s_r[1:, 1:], PI_ROTATION)
@@ -40,23 +39,19 @@ class TestReferenceBlock:
 
     def test_duplicate_frequency_rejected(self):
         with pytest.raises(DuplicateFrequency):
-            build_reference_block([np.pi, np.pi])
+            frequency_blocks([np.pi, np.pi])
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
-            build_reference_block([-1.0])
+            frequency_blocks([-1.0])
 
 
 class TestMerge:
+    """The reference blocks and the disturbance blocks in one signal model."""
+
     def test_benchmark_shape(self):
-        reference = build_reference_block([np.pi])
-        blocks = [
-            DisturbanceBlock(
-                frequency=0.0,
-                readouts={i: np.array([[v]]) for i, v in enumerate([3.0, -3.0, 1.0, 1.0])},
-            )
-        ]
-        model = merge(reference, blocks, n_agents=4)
+        read_outs = [[[0.0, 0.0, v]] for v in (3.0, -3.0, 1.0, 1.0)]
+        model = build_signal_model([np.pi], [0.0], read_outs, np.ones(3))
         assert model.n_w == 3
         assert np.array_equal(model.S[:2, :2], PI_ROTATION)
         assert np.array_equal(model.S[2], [0.0, 0.0, 0.0])
@@ -65,40 +60,23 @@ class TestMerge:
         assert np.array_equal(model.read_outs[1], [[0.0, 0.0, -3.0]])
 
     def test_no_disturbance_blocks(self):
-        model = merge(build_reference_block([np.pi]), [], n_agents=2)
+        model = build_signal_model([np.pi], [], [(), ()], np.ones(2))
         assert model.n_w == 2
         assert np.array_equal(model.S, PI_ROTATION)
         assert all(p.shape == (0, 2) for p in model.read_outs)
 
-    def test_identical_blocks_share_states(self):
-        reference = build_reference_block([np.pi])
-        blocks = [
-            DisturbanceBlock(frequency=0.0, readouts={0: np.array([[2.0]])}),
-            DisturbanceBlock(frequency=0.0, readouts={1: np.array([[5.0]])}),
-        ]
-        model = merge(reference, blocks, n_agents=2)
-        assert model.n_w == 3  # one shared constant mode, not two
-        assert np.array_equal(model.read_outs[0], [[0.0, 0.0, 2.0]])
-        assert np.array_equal(model.read_outs[1], [[0.0, 0.0, 5.0]])
-
-    def test_merged_readouts_stay_observable(self):
-        reference = build_reference_block([0.0])
-        blocks = [
-            DisturbanceBlock(frequency=np.pi, readouts={0: np.array([[1.0, 0.0]])}),
-            DisturbanceBlock(frequency=0.0, readouts={0: np.array([[2.0]])}),
-        ]
-        model = merge(reference, blocks, n_agents=1)
-        # the agent reads a 3-dimensional sub-model; its observability matrix
-        # over those states must have full rank
-        assert model.read_outs[0].shape == (1, 4)
-
     def test_spectrum_stays_on_imaginary_axis(self):
-        model = merge(
-            build_reference_block([np.pi, 2.0]),
-            [DisturbanceBlock(frequency=0.5, readouts={0: np.array([[1.0, 1.0]])})],
-            n_agents=1,
-        )
+        model = build_signal_model([np.pi, 2.0], [0.5], [[[0.0] * 4 + [1.0, 1.0]]], np.ones(6))
         assert np.abs(np.linalg.eigvals(model.S).real).max() < 1e-9
+
+    def test_scenario_read_outs_and_p_kept_as_given(self):
+        model = build_signal_model([np.pi], [0.0], [[[1.0, 0.0, 3.0]]], np.ones(3), p=[0.0, 1.0, 0.5])
+        assert np.array_equal(model.p, [0.0, 1.0, 0.5])
+        assert np.array_equal(model.read_outs[0], [[1.0, 0.0, 3.0]])
+
+    def test_needs_a_reference_frequency(self):
+        with pytest.raises(ValueError):
+            build_signal_model([], [0.0], [()], np.ones(1))
 
     def test_unstable_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +85,6 @@ class TestMerge:
                 p=np.array([1.0]),
                 read_outs=(np.zeros((0, 1)),),
                 b_y=np.array([1.0]),
-                n_reference=1,
             )
 
     def test_non_diagonalizable_rejected(self):
@@ -118,7 +95,6 @@ class TestMerge:
                 p=np.array([1.0, 0.0]),
                 read_outs=(np.zeros((0, 2)),),
                 b_y=np.array([1.0, 1.0]),
-                n_reference=2,
             )
 
 
@@ -143,10 +119,7 @@ def probe_trace(model: ExoModel, w0, dt: float, n_steps: int):
     """
     m, n = 32, model.n_w
     zero = GridFunction.constant(0.0, m)
-    probes = ExoModel(
-        S=model.S, p=model.p, read_outs=tuple(np.eye(n)[:, None]), b_y=model.b_y,
-        n_reference=model.n_reference,
-    )
+    probes = ExoModel(S=model.S, p=model.p, read_outs=tuple(np.eye(n)[:, None]), b_y=model.b_y)
     agents = [
         AgentSpec(delta_lambda=zero, delta_a=zero, g1=np.zeros((m + 1, 1)), g4=np.ones(1))
     ] * n
@@ -159,19 +132,15 @@ def probe_trace(model: ExoModel, w0, dt: float, n_steps: int):
 
 class TestExoStep:
     def _benchmark_model(self):
-        return merge(
-            build_reference_block([np.pi]),
-            [DisturbanceBlock(frequency=0.0, readouts={0: np.array([[3.0]])})],
-            n_agents=1,
-        )
+        return build_signal_model([np.pi], [0.0], [[[0.0, 0.0, 3.0]]], np.ones(3))
 
     def test_zero_dynamics_fixed_point(self):
-        model = merge(build_reference_block([0.0]), [], n_agents=1)
+        model = build_signal_model([0.0], [], [()], np.ones(1))
         w = np.array([1.7])
         assert np.array_equal(probe_trace(model, w, 0.5, 1).outputs[1], w)
 
     def test_half_turn_rotation(self):
-        model = merge(build_reference_block([np.pi]), [], n_agents=1)
+        model = build_signal_model([np.pi], [], [()], np.ones(2))
         w = probe_trace(model, np.array([2.0, 0.0]), 1.0, 1).outputs[1]
         assert np.allclose(w, [-2.0, 0.0], atol=1e-12)
 

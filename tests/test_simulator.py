@@ -407,8 +407,7 @@ class TestPdeStep:
             dataclasses.replace(ag, initial_profile=GridFunction(row)) for ag, row in zip(agents, x)
         ]
         exo = ExoModel(
-            S=np.zeros((n_w, n_w)), p=np.zeros(n_w), read_outs=read_outs, b_y=np.ones(n_w),
-            n_reference=1,
+            S=np.zeros((n_w, n_w)), p=np.zeros(n_w), read_outs=read_outs, b_y=np.ones(n_w)
         )
         stacked = held_input_states(plant, agents, u, dt, exo=exo, w0=w)[1]
 

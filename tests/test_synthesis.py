@@ -10,7 +10,7 @@ from coopreg.backstepping import OutputOperator, TriangularKernel
 from coopreg.comm_graph import laplacian
 from coopreg.errors import NotControllable, ParseError, ResonantSpectrum
 from coopreg.grid import GridFunction
-from coopreg.signal_model import build_reference_block
+from coopreg.signal_model import frequency_blocks
 from coopreg.synthesis import (
     MODE_LEADER,
     MODE_LEADERLESS,
@@ -78,7 +78,7 @@ def numerator_by_ode(s_val: complex, op: OutputOperator, mu_c: float) -> complex
 
 class TestSolveDecoupling:
     def test_zero_injection_vector(self):
-        s, _ = build_reference_block([np.pi])
+        s, _ = frequency_blocks([np.pi])
         dec = solve_decoupling(
             s, np.zeros(2), constant_output(1.0, 64, cb=(1.0, 1.0)), 5.0, zero_kernel(64)
         )
@@ -202,7 +202,7 @@ class TestControllablePair:
 
     def test_blocked_frequency_detected_by_both_routes(self):
         m, mu_c = 200, 5.0
-        s, _ = build_reference_block([np.pi])
+        s, _ = frequency_blocks([np.pi])
         b_y = np.array([1.0, 1.0])
         beta = np.sqrt(1j * np.pi + mu_c)
         z1, z2 = 0.3, 0.7
@@ -335,14 +335,14 @@ class TestGains:
     @pytest.mark.parametrize(
         "edit, line, message",
         [
-            (lambda ls: ls[:209], 209, "missing [r_x]"),
-            (lambda ls: ls[:300], 210, "[r_x] has 90 rows"),
-            (lambda ls: ls[:1] + ls[2:], 410, "missing k_1"),
-            (lambda ls: [*ls[:1], "k_1 = abc", *ls[2:]], 2, "'abc' is not a finite number"),
-            (lambda ls: [*ls[:1], "k_1 = nan", *ls[2:]], 2, "'nan' is not a finite number"),
-            (lambda ls: [*ls[:49], "0.2 inf", *ls[50:]], 50, "'inf' is not a finite number"),
-            (lambda ls: [*ls[:6], "grid_points = 199", *ls[7:]], 8, "[k_x] has 201 rows"),
-            (lambda ls: [*ls[:3], "k_v = 1 2", *ls[4:]], 6, "k_v, b_y and S disagree in size"),
+            (lambda ls: ls[:210], 210, "missing [r_x]"),
+            (lambda ls: ls[:301], 211, "[r_x] has 90 rows"),
+            (lambda ls: ls[:2] + ls[3:], 411, "missing k_1"),
+            (lambda ls: [*ls[:2], "k_1 = abc", *ls[3:]], 3, "'abc' is not a finite number"),
+            (lambda ls: [*ls[:2], "k_1 = nan", *ls[3:]], 3, "'nan' is not a finite number"),
+            (lambda ls: [*ls[:50], "0.2 inf", *ls[51:]], 51, "'inf' is not a finite number"),
+            (lambda ls: [*ls[:7], "grid_points = 199", *ls[8:]], 9, "[k_x] has 201 rows"),
+            (lambda ls: [*ls[:4], "k_v = 1 2", *ls[5:]], 7, "k_v, b_y and S disagree in size"),
         ],
         ids=[
             "missing-section", "truncated", "missing-key", "non-numeric", "nan", "inf-in-table",
@@ -353,7 +353,7 @@ class TestGains:
         path = tmp_path / "gains.txt"
         write_gains_file(leader_design.gains, path)
         lines = path.read_text().splitlines()
-        assert len(lines) == 411 and lines[6] == "grid_points = 200" and lines[7] == "[k_x]"
+        assert len(lines) == 412 and lines[7] == "grid_points = 200" and lines[8] == "[k_x]"
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ParseError) as info:
             read_gains_file(path)
@@ -424,7 +424,7 @@ class TestSyncSteadyState:
     def test_homogeneous_problem_vanishes(self):
         from coopreg.synthesis import _neumann_bvp
 
-        s, _ = build_reference_block([np.pi])
+        s, _ = frequency_blocks([np.pi])
         a_mat = 5.0 * np.eye(2) + s.T
         out = _neumann_bvp(a_mat, np.zeros((2, 101)), np.zeros(2), np.zeros(2))
         assert np.abs(out).max() < 1e-12
@@ -476,7 +476,7 @@ class TestSyncSteadyState:
 
 class TestResonanceCheck:
     def test_clear_separation_passes(self):
-        s, _ = build_reference_block([np.pi])
+        s, _ = frequency_blocks([np.pi])
         check_resonance(s, 5.0)
 
     def test_constant_mode_with_zero_shift(self):
