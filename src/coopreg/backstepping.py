@@ -212,36 +212,36 @@ def _kernel_levels(a, q0: float, mu_c: float, m: int):
     # the recurrence coefficients depend on k only, so one prefix serves every level
     ratio = np.ones(2 * m + 1)
     ratio[1:] = (1.0 + beta[:-1]) / (1.0 - beta[1:])
-    # the prefix can under- or overflow far outside the problem class; the
-    # finiteness check below turns that into SingularSystem
+    # the prefix and the edge decay can under- or overflow far outside the
+    # problem class; the finiteness check below turns that into SingularSystem
     with np.errstate(all="ignore"):
         factor = np.cumprod(ratio)
+        decay = np.exp(-q0 * h)
     step = 0.5 * h / (1.0 - beta)
-    decay = np.exp(-q0 * h)
 
     # level 0: the inner integral c = int_0^eta Phi F dt vanishes, g = q0, F = f0
     level, c, g = f0, np.zeros(2 * m + 1), q0
     yield level
     for q in range(1, m + 1):
         n = 2 * (m - q) + 1
-        # edge ODE g' = -q0 g + 2 f0' + 2 c(eta, eta) by the trapezoid rule
-        carried = decay * (g + h * (f0_prime[q - 1] + c[0]))
-        # c on xi = q h .. (2m - q) h, still without this level's own end term
-        c = (c + alpha[: n + 2] * level)[1:-1]
-        g = (carried + h * (f0_prime[q] + c[0])) / (1.0 - 2.0 * beta[0])
-        # F = base + d, with d the xi-trapezoid of c from eta to xi
-        base = g + f0[q : q + n] - f0[q]
-        u = c + alpha[:n] * base
-        t = np.zeros(n)
-        t[1:] = (u[:-1] + u[1:]) * step[1:n]
         with np.errstate(all="ignore"):
+            # edge ODE g' = -q0 g + 2 f0' + 2 c(eta, eta) by the trapezoid rule
+            carried = decay * (g + h * (f0_prime[q - 1] + c[0]))
+            # c on xi = q h .. (2m - q) h, still without this level's own end term
+            c = (c + alpha[: n + 2] * level)[1:-1]
+            g = (carried + h * (f0_prime[q] + c[0])) / (1.0 - 2.0 * beta[0])
+            # F = base + d, with d the xi-trapezoid of c from eta to xi
+            base = g + f0[q : q + n] - f0[q]
+            u = c + alpha[:n] * base
+            t = np.zeros(n)
+            t[1:] = (u[:-1] + u[1:]) * step[1:n]
             d = factor[:n] * np.cumsum(t / factor[:n])
-        level = base + d
-        c = u + alpha[:n] * d
+            level = base + d
+            c = u + alpha[:n] * d
         if not np.isfinite(level).all():
             raise SingularSystem(
                 f"kernel march left the floating-point range at eta = {q * h:.4g}; "
-                f"mu_c = {mu_c:g} is out of range for grid_points = {m}"
+                f"mu_c = {mu_c:g} and q0 = {q0:g} are out of range for grid_points = {m}"
             )
         yield level
 
@@ -265,7 +265,8 @@ def invert_kernel(k: TriangularKernel) -> TriangularKernel:
         )
     system = np.eye(k.m + 1) - h * kv
     np.fill_diagonal(system, denom)
-    k_inv = solve_triangular(system, kv * denom[None, :], lower=True)
+    with np.errstate(all="ignore"):  # an overflow is reported by the check below
+        k_inv = solve_triangular(system, kv * denom[None, :], lower=True, check_finite=False)
     if not np.isfinite(k_inv).all():
         raise SingularSystem(f"inverse kernel overflows for max |k| = {np.abs(kv).max():.3e}")
     return TriangularKernel(k_inv)

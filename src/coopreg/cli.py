@@ -260,34 +260,22 @@ def write_certificate(payload: dict, path: Path):
         fh.write("\n")
 
 
+def _write_csv(path: Path, header: list, columns: list, fmt="%.17g"):
+    table = np.column_stack(columns)
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+
+
 def write_trace_csv(trace: simulator.SimTrace, path: Path):
     n = trace.n_agents
-    header = (
-        ["t", "r"]
-        + [f"y_{i + 1}" for i in range(n)]
-        + [f"e_{i + 1}" for i in range(n)]
-        + [f"u_{i + 1}" for i in range(n)]
-    )
-    errors = trace.tracking_errors
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(trace.times.size):
-            row = (
-                [trace.times[k], trace.reference[k]]
-                + list(trace.outputs[k])
-                + list(errors[k])
-                + list(trace.inputs[k])
-            )
-            fh.write(",".join(_FMT(v) for v in row) + "\n")
+    header = ["t", "r"] + [f"{name}_{i + 1}" for name in "yeu" for i in range(n)]
+    columns = [trace.times, trace.reference, trace.outputs, trace.tracking_errors, trace.inputs]
+    _write_csv(path, header, columns)
 
 
 def write_snapshot_csv(trace: simulator.SimTrace, path_for, m: int):
-    nodes = np.linspace(0.0, 1.0, m + 1)
     for t_snap, profiles in sorted(trace.snapshots.items()):
-        with open(path_for(t_snap), "w", encoding="ascii", newline="\n") as fh:
-            fh.write("z," + ",".join(f"x_{i + 1}" for i in range(profiles.shape[0])) + "\n")
-            for j, z in enumerate(nodes):
-                fh.write(",".join(_FMT(v) for v in [z, *profiles[:, j]]) + "\n")
+        header = ["z"] + [f"x_{i + 1}" for i in range(profiles.shape[0])]
+        _write_csv(path_for(t_snap), header, [np.linspace(0.0, 1.0, m + 1), profiles.T])
 
 
 def write_metrics(metrics: simulator.ErrorMetrics, trace: simulator.SimTrace, path: Path):
@@ -306,14 +294,10 @@ def write_metrics(metrics: simulator.ErrorMetrics, trace: simulator.SimTrace, pa
 
 
 def write_kernel_csv(kernel: backstepping.TriangularKernel, path: Path):
+    i, j = np.tril_indices(kernel.m + 1)
     nodes = kernel.nodes
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("i,j,z,zeta,value\n")
-        for i in range(kernel.m + 1):
-            for j in range(i + 1):
-                fh.write(
-                    f"{i},{j},{_FMT(nodes[i])},{_FMT(nodes[j])},{_FMT(kernel.values[i, j])}\n"
-                )
+    columns = [i, j, nodes[i], nodes[j], kernel.values[i, j]]
+    _write_csv(path, ["i", "j", "z", "zeta", "value"], columns, fmt=["%d", "%d"] + ["%.17g"] * 3)
 
 
 def cmd_synthesize(args) -> int:

@@ -2,44 +2,31 @@
 
 Scenario files describe functions of z with expressions over
 +, -, *, /, ^, sin, cos, exp, parentheses, numeric literals, and the
-constants pi and e.  A tiny recursive-descent parser compiles them to
-numpy-vectorized evaluators; nothing is ever passed to eval().
+constants pi and e.  Python's own parser reads them once ``^`` is ``**``,
+and a whitelist of syntax nodes compiles the tree to numpy-vectorized
+closures; nothing is ever passed to eval().
 """
 
+import ast
 import math
+import operator
 import re
+import warnings
 
 import numpy as np
 
 from .errors import ParseError
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]+)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
+# The grammar's characters.  Python alone would read a fullwidth name as its
+# ASCII twin and a comma as an argument separator.
+_ALPHABET = re.compile(r"[A-Za-z0-9_.+\-*/^()\s]*", re.ASCII)
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")  # 01 is a SyntaxError in Python
+_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?", re.ASCII)
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
+_SIGNS = {ast.UAdd: False, ast.USub: True}
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None or match.end() == pos:
-            rest = text[pos:].strip()
-            raise ParseError(f"cannot read expression near {rest[:12]!r}")
-        if match.group("num") is not None:
-            tokens.append(("num", float(match.group("num"))))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
-        pos = match.end()
-    tokens.append(("end", None))
-    return tokens
 
 
 class Expression:
@@ -47,15 +34,15 @@ class Expression:
 
     def __init__(self, source: str):
         self.source = source.strip()
-        if not self.source:
-            raise ParseError("empty expression")
-        self._tokens = _tokenize(self.source)
-        self._pos = 0
-        self._fn = self._parse_sum()
-        if self._peek()[0] != "end":
-            raise ParseError(
-                f"unexpected trailing input in expression {self.source!r}"
-            )
+        if not _ALPHABET.fullmatch(self.source) or "**" in self.source:
+            raise ParseError(f"cannot read expression {self.source!r}")
+        text = _LEADING_ZEROS.sub("", " ".join(self.source.split())).replace("^", "**")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a parser warning rejects the input
+                self._fn = _compile(ast.parse(text, mode="eval").body, text)
+        except (SyntaxError, RecursionError):
+            raise ParseError(f"cannot read expression {self.source!r}") from None
 
     def __call__(self, z):
         return self._fn(np.asarray(z, dtype=float))
@@ -69,80 +56,29 @@ class Expression:
     def __repr__(self):
         return f"Expression({self.source!r})"
 
-    # recursive descent ------------------------------------------------
-    def _peek(self):
-        return self._tokens[self._pos]
 
-    def _next(self):
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _parse_sum(self):
-        fn = self._parse_product()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            op = self._next()[1]
-            rhs = self._parse_product()
-            lhs = fn
-            fn = (
-                (lambda a, b: lambda z: a(z) + b(z))
-                if op == "+"
-                else (lambda a, b: lambda z: a(z) - b(z))
-            )(lhs, rhs)
-        return fn
-
-    def _parse_product(self):
-        fn = self._parse_unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            op = self._next()[1]
-            rhs = self._parse_unary()
-            lhs = fn
-            fn = (
-                (lambda a, b: lambda z: a(z) * b(z))
-                if op == "*"
-                else (lambda a, b: lambda z: a(z) / b(z))
-            )(lhs, rhs)
-        return fn
-
-    def _parse_unary(self):
-        sign = 1.0
-        while self._peek() in (("op", "-"), ("op", "+")):
-            if self._next()[1] == "-":
-                sign = -sign
-        fn = self._parse_power()
-        if sign < 0:
-            inner = fn
-            fn = lambda z: -inner(z)
-        return fn
-
-    def _parse_power(self):
-        base = self._parse_atom()
-        if self._peek() == ("op", "^"):
-            self._next()
-            expo = self._parse_unary()  # right associative, allows -z^2 style
-            return lambda z: base(z) ** expo(z)
-        return base
-
-    def _parse_atom(self):
-        kind, value = self._next()
-        if kind == "num":
-            return lambda z, v=value: np.full_like(z, v, dtype=float)
-        if kind == "name":
-            if value == "z":
-                return lambda z: z
-            if value in _CONSTANTS:
-                return lambda z, v=_CONSTANTS[value]: np.full_like(z, v, dtype=float)
-            if value in _FUNCTIONS:
-                if self._next() != ("op", "("):
-                    raise ParseError(f"{value} needs parenthesized argument")
-                arg = self._parse_sum()
-                if self._next() != ("op", ")"):
-                    raise ParseError(f"unbalanced parentheses after {value}(")
-                return lambda z, f=_FUNCTIONS[value]: f(arg(z))
-            raise ParseError(f"unknown name {value!r} in expression")
-        if (kind, value) == ("op", "("):
-            inner = self._parse_sum()
-            if self._next() != ("op", ")"):
-                raise ParseError("unbalanced parentheses")
-            return inner
-        raise ParseError(f"unexpected token {value!r} in expression")
+def _compile(node, text: str):
+    """Closure of z for one whitelisted syntax node of `text`."""
+    negative = False
+    while isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:  # --z is z itself
+        negative ^= _SIGNS[type(node.op)]
+        node = node.operand
+    if negative:
+        inner = _compile(node, text)
+        return lambda z: -inner(z)
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        op, a, b = _OPERATORS[type(node.op)], _compile(node.left, text), _compile(node.right, text)
+        return lambda z: op(a(z), b(z))
+    value = ast.get_source_segment(text, node)
+    if isinstance(node, ast.Name) and node.id == "z":
+        return lambda z: z
+    number = isinstance(node, ast.Constant) and _NUMBER.fullmatch(value)
+    if number or isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        v = float(value) if number else _CONSTANTS[node.id]
+        return lambda z: np.full_like(z, v, dtype=float)
+    name = isinstance(node, ast.Call) and getattr(node.func, "id", None)
+    # sin(z), not (sin)(z): the function's name opens the call
+    if name in _FUNCTIONS and value.startswith(name) and len(node.args) == 1 and not node.keywords:
+        f, arg = _FUNCTIONS[name], _compile(node.args[0], text)
+        return lambda z: f(arg(z))
+    raise ParseError(f"unsupported syntax {value!r} in expression")

@@ -4,8 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
-
 
 def uniform_nodes(m: int) -> np.ndarray:
     """The m + 1 equidistant nodes covering [0, 1]."""
@@ -33,11 +31,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_callable(cls, fn, m: int) -> "GridFunction":
-        z = uniform_nodes(m)
-        return cls(np.broadcast_to(np.asarray(fn(z), dtype=float), z.shape))
-
-    @classmethod
     def constant(cls, value: float, m: int) -> "GridFunction":
         return cls(np.full(m + 1, float(value)))
 
@@ -55,36 +48,6 @@ class GridFunction:
 
     def __call__(self, z):
         return np.interp(z, self.nodes, self.values)
-
-    def _binary(self, other, op):
-        if isinstance(other, GridFunction):
-            require_same_grid(self, other)
-            return GridFunction(op(self.values, other.values))
-        return GridFunction(op(self.values, float(other)))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(-self.values)
-
-
-def require_same_grid(*funcs) -> int:
-    """Return the shared interval count, raising GridMismatch otherwise."""
-    sizes = {f.m for f in funcs}
-    if len(sizes) != 1:
-        raise GridMismatch(f"grids differ: interval counts {sorted(sizes)}")
-    return sizes.pop()
 
 
 def trapezoid_weights(m: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from .backstepping import MIN_GRID_POINTS, OutputOperator
 from .comm_graph import CommTopology
 from .errors import ParseError, SchemaError
 from .expressions import Expression
-from .grid import GridFunction
+from .grid import GridFunction, uniform_nodes
 from .signal_model import ExoModel, build_signal_model
 from .simulator import AgentSpec, NominalPlant
 from .synthesis import MODE_LEADER, MODE_LEADERLESS
@@ -114,11 +114,11 @@ class Scenario:
     def plant(self, m: int | None = None) -> NominalPlant:
         m = self.numerics.grid_points if m is None else m
         return NominalPlant(
-            a=GridFunction.from_callable(Expression(self.plant_a), m),
+            a=_profile("[plant] a", self.plant_a, m),
             q0=self.q0,
             q1=self.q1,
             output=OutputOperator(
-                smooth_weight=GridFunction.from_callable(Expression(self.c0), m),
+                smooth_weight=_profile("[output] c0", self.c0, m),
                 point_weights=self.points,
                 boundary_weights=(self.c_b0, self.c_b1),
             ),
@@ -126,22 +126,19 @@ class Scenario:
 
     def agent_specs(self, m: int | None = None) -> tuple:
         m = self.numerics.grid_points if m is None else m
-        nodes = np.linspace(0.0, 1.0, m + 1)
         specs = []
-        for agent in self.agents:
-            n_ch = len(agent.P)
-            g1 = np.zeros((m + 1, n_ch))
-            for c, expr in enumerate(agent.g1):
-                g1[:, c] = Expression(expr)(nodes) * np.ones(m + 1)
+        for i, agent in enumerate(self.agents, start=1):
+            where = f"[agent {i}]"
+            g1 = np.zeros((m + 1, len(agent.P)))
+            for c, source in enumerate(agent.g1):
+                g1[:, c] = _profile(f"{where} g1", source, m).values
             specs.append(
                 AgentSpec(
-                    delta_lambda=GridFunction.from_callable(
-                        Expression(agent.delta_lambda), m
-                    ),
-                    delta_a=GridFunction.from_callable(Expression(agent.delta_a), m),
+                    delta_lambda=_profile(f"{where} delta_lambda", agent.delta_lambda, m),
+                    delta_a=_profile(f"{where} delta_a", agent.delta_a, m),
                     delta_q0=agent.delta_q0,
                     delta_q1=agent.delta_q1,
-                    delta_c0=GridFunction.from_callable(Expression(agent.delta_c0), m),
+                    delta_c0=_profile(f"{where} delta_c0", agent.delta_c0, m),
                     delta_points=agent.delta_points,
                     delta_cb0=agent.delta_c_b0,
                     delta_cb1=agent.delta_c_b1,
@@ -149,7 +146,7 @@ class Scenario:
                     g2=np.array(agent.g2, dtype=float),
                     g3=np.array(agent.g3, dtype=float),
                     g4=np.array(agent.g4, dtype=float),
-                    initial_profile=GridFunction.from_callable(Expression(agent.x0), m),
+                    initial_profile=_profile(f"{where} x0", agent.x0, m),
                 )
             )
         return tuple(specs)
@@ -190,6 +187,17 @@ class Scenario:
             v0=tuple(agent.v0 for agent in self.agents),
             w0=self.w0,
         )
+
+
+def _profile(where: str, source: str, m: int) -> GridFunction:
+    """The expression sampled at the m + 1 grid nodes; a non-finite sample is a SchemaError."""
+    z = uniform_nodes(m)
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(Expression(source)(z), z.shape)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise SchemaError([f"{where} = {source} is not finite at z = {z[bad.argmax()]:.6g}"])
+    return GridFunction(values)
 
 
 @dataclass(frozen=True)
@@ -379,8 +387,9 @@ _KEYS = (
         lambda rows: all(v >= 0 for row in rows for v in row), "must be nonnegative",
     )),
     _Key("graph", "leader_links", "leader_links", "vector", _Fill(0.0, "one per agent")),
-    _Key("exosystem", "reference_frequencies", "reference_frequencies", "vector",
-         _REQUIRED, _FREQUENCIES),
+    _Key("exosystem", "reference_frequencies", "reference_frequencies", "vector", _REQUIRED, (
+        lambda fs: len(fs) > 0 and _FREQUENCIES[0](fs), "must be nonempty, nonnegative and distinct",
+    )),
     _Key("exosystem", "disturbance_frequencies", "disturbance_frequencies", "vector",
          (), _FREQUENCIES),
     _Key("exosystem", "w0", "w0", "vector", _Fill(0.0, "one per signal state")),

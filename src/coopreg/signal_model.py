@@ -116,14 +116,20 @@ def build_signal_model(
 
 
 def check_controllable(s: np.ndarray, b: np.ndarray) -> bool:
-    """Kalman rank test via singular values (tolerance 1e-9 relative)."""
+    """Kalman rank test via singular values (tolerance 1e-9 relative).
+
+    A Krylov matrix outside the floating-point range fails the test.
+    """
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float).reshape(s.shape[0], -1)
     n = s.shape[0]
     cols = [b]
-    for _ in range(n - 1):
-        cols.append(s @ cols[-1])
+    with np.errstate(all="ignore"):
+        for _ in range(n - 1):
+            cols.append(s @ cols[-1])
     ctrb = np.hstack(cols)
+    if not np.isfinite(ctrb).all():
+        return False
     sv = np.linalg.svd(ctrb, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return False

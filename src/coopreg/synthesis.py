@@ -108,19 +108,20 @@ class SyncSteadyState:
     f_eps: np.ndarray
 
 
-def target_spectrum(mu_c: float, count: int) -> np.ndarray:
-    """Leading eigenvalues -mu_c - (k pi)^2 of the Neumann target dynamics."""
-    k = np.arange(count)
-    return -mu_c - (k * np.pi) ** 2
+def _target_distance(eigs: np.ndarray, mu_c: float) -> float:
+    """Distance from the eigenvalues to the target spectrum {-mu_c - (k pi)^2 : k >= 0}.
+
+    The nearest (k pi)^2 to -Re(lambda) - mu_c has k = floor(x) or floor(x) + 1,
+    with x = sqrt(max(0, -Re(lambda) - mu_c)) / pi.
+    """
+    with np.errstate(all="ignore"):  # an overflowing candidate is never the nearest
+        k = np.floor(np.sqrt(np.maximum(0.0, -eigs.real - mu_c)) / np.pi)
+        return min(np.abs(eigs + mu_c + ((k + i) * np.pi) ** 2).min() for i in (0, 1))
 
 
 def check_resonance(s: np.ndarray, mu_c: float, tol: float = 1e-8):
     """Raise ResonantSpectrum when sigma(S) meets the target spectrum."""
-    eigs = np.linalg.eigvals(np.asarray(s, dtype=float))
-    radius = np.abs(eigs).max(initial=0.0) + abs(mu_c) + 1.0
-    count = int(np.sqrt(radius) / np.pi) + 2
-    sigma_c = target_spectrum(mu_c, count)
-    dist = np.abs(eigs[:, None] - sigma_c[None, :]).min()
+    dist = _target_distance(np.linalg.eigvals(np.asarray(s, dtype=float)), mu_c)
     if dist < tol:
         raise ResonantSpectrum(
             "signal-model spectrum meets the target dynamics spectrum "
@@ -347,8 +348,9 @@ def solve_are(
 def riccati_residual(s: np.ndarray, q: np.ndarray, g: np.ndarray, nu: float, a: float) -> float:
     """Frobenius norm of S^T Q + Q S - 2 nu Q g g^T Q + a I."""
     gcol = np.reshape(g, (-1, 1))
-    residual = s.T @ q + q @ s - 2.0 * nu * (q @ gcol) @ (gcol.T @ q) + a * np.eye(s.shape[0])
-    return float(np.linalg.norm(residual, "fro"))
+    with np.errstate(all="ignore"):  # an overflowing residual reads inf or nan, never converged
+        residual = s.T @ q + q @ s - 2.0 * nu * (q @ gcol) @ (gcol.T @ q) + a * np.eye(s.shape[0])
+        return float(np.linalg.norm(residual, "fro"))
 
 
 def feedback_gain(q: np.ndarray, q_tilde_at_1: np.ndarray) -> np.ndarray:
@@ -475,9 +477,7 @@ def sync_steady_state(
             "synchronization block shares an eigenvalue with the signal model"
         )
     check_resonance(s, mu_c, tol)
-    radius = np.abs(eig_f).max() + abs(mu_c) + 1.0
-    sigma_c = target_spectrum(mu_c, int(np.sqrt(radius) / np.pi) + 2)
-    if np.abs(eig_f[:, None] - sigma_c[None, :]).min() < tol:
+    if _target_distance(eig_f, mu_c) < tol:
         raise ResonantSpectrum(
             "synchronization block meets the target dynamics spectrum"
         )

@@ -17,7 +17,7 @@ from coopreg.backstepping import (
     transform_output_weight,
 )
 from coopreg.errors import SingularSystem
-from coopreg.grid import GridFunction, cumulative_trapezoid
+from coopreg.grid import GridFunction, cumulative_trapezoid, uniform_nodes
 from coopreg.simulator import AgentSpec, SimTrace, transform_state_trace
 
 from _support import first_output, kernel_iteration_map, random_smooth_profile, reciprocity_map
@@ -94,7 +94,7 @@ class TestSolveKernel:
         assert np.array_equal(k1.values, k2.values, equal_nan=True)
 
     def test_accepts_grid_function_coefficient(self):
-        prof = GridFunction.from_callable(lambda z: z + 1.0, 400)
+        prof = GridFunction(uniform_nodes(400) + 1.0)
         k = solve_kernel(prof, q0=3.0, mu_c=5.0, m=100)
         assert k.value(k.m, k.m) == pytest.approx(-0.25, abs=1e-10)
 
@@ -104,7 +104,7 @@ class TestSolveKernel:
             (lambda z: z + 1.0, 3.0, 5.0),
             (lambda z: z + 1.0, 0.0, 5.0),
             (lambda z: np.sin(3.0 * z), -1.0, 5.0),
-            (GridFunction.from_callable(lambda z: z + 1.0, 400), 3.0, 5.0),
+            (GridFunction(uniform_nodes(400) + 1.0), 3.0, 5.0),
             (lambda z: z + 1.0, 3.0, -1.6e4),
         ],
         ids=["benchmark", "q0 zero", "q0 negative", "grid function", "mu_c -1.6e4"],
@@ -186,7 +186,7 @@ class TestInverseKernel:
 class TestTransforms:
     def test_zero_kernel_is_identity(self):
         m = 50
-        prof = GridFunction.from_callable(lambda z: np.sin(3 * z), m)
+        prof = GridFunction(np.sin(3 * uniform_nodes(m)))
         out = forward(constant_kernel(0.0, m), [prof.values])[0]
         assert np.array_equal(out, prof.values)
 
@@ -221,13 +221,13 @@ class TestOutputOperator:
     def test_apply_combines_all_terms(self):
         m = 100
         op = OutputOperator(
-            GridFunction.from_callable(lambda z: -z, m),
+            GridFunction(-uniform_nodes(m)),
             point_weights=((2.0, 0.3),),
             boundary_weights=(1.0, 1.0),
         )
         zero = GridFunction.constant(0.0, m)
         agent = AgentSpec(delta_lambda=zero, delta_a=zero)
-        y = first_output(agent, op, GridFunction.from_callable(lambda z: z, m).values)
+        y = first_output(agent, op, uniform_nodes(m))
         # exact: int -z*z = -1/3, point 2*0.3, borders 0 and 1
         assert y == pytest.approx(-1.0 / 3.0 + 0.6 + 1.0, abs=1e-4)
 
@@ -236,7 +236,7 @@ class TestTransformOutputWeight:
     def test_zero_inverse_kernel_keeps_operator(self):
         m = 60
         op = OutputOperator(
-            GridFunction.from_callable(lambda z: -z, m),
+            GridFunction(-uniform_nodes(m)),
             point_weights=((2.0, 0.25),),
             boundary_weights=(1.0, 1.0),
         )
@@ -264,7 +264,7 @@ class TestTransformOutputWeight:
         def transformed(m):
             ki = invert_kernel(benchmark_kernel(m))
             op = OutputOperator(
-                GridFunction.from_callable(lambda z: -z, m), boundary_weights=(1.0, 1.0)
+                GridFunction(-uniform_nodes(m)), boundary_weights=(1.0, 1.0)
             )
             return transform_output_weight(op, ki).smooth_weight.values
 

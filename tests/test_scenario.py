@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopreg.cli import main
 from coopreg.errors import ParseError, SchemaError, ToolkitError
@@ -14,6 +18,36 @@ from coopreg.expressions import Expression
 from coopreg.scenario import loads, serialize
 from coopreg.simulator import simulate
 from coopreg.synthesis import MODE_LEADER, write_gains_file
+
+
+def _grammar_expressions():
+    """Pairs (expression source, the same expression as Python text).
+
+    In the Python text `^` is `**` and each literal is an array of the
+    evaluation point's shape, as the compiled expression treats it.
+    """
+    space = st.sampled_from(["", " "])
+    number = st.from_regex(r"\A([0-9]{1,3}(\.[0-9]{0,2})?|\.[0-9]{1,2})([eE][+-]?[0-9]{1,2})?\Z")
+    leaves = st.sampled_from([("z", "z"), ("pi", "pi"), ("e", "e")]) | number.map(
+        lambda lit: (lit, f"_c({lit!r})")
+    )
+
+    def extend(inner):
+        binary = st.tuples(inner, st.sampled_from("+-*/^"), space, inner).map(
+            lambda t: (
+                f"{t[0][0]}{t[2]}{t[1]}{t[2]}{t[3][0]}",
+                f"{t[0][1]}{t[1].replace('^', '**')}{t[3][1]}",
+            )
+        )
+        unary = st.tuples(st.sampled_from("+-"), inner).map(
+            lambda t: (t[0] + t[1][0], t[0] + t[1][1])
+        )
+        call = st.tuples(st.sampled_from(["", "sin", "cos", "exp"]), inner).map(
+            lambda t: (f"{t[0]}({t[1][0]})", f"{t[0]}({t[1][1]})")
+        )
+        return binary | unary | call
+
+    return st.recursive(leaves, extend, max_leaves=10)
 
 
 class TestExpressions:
@@ -29,6 +63,11 @@ class TestExpressions:
             ("3*(z - 1)", 0.0, -3.0),
             ("--z", 2.0, 2.0),
             ("2^z^2", 2.0, 16.0),
+            ("01", 0.3, 1.0),
+            ("00.5", 0.3, 0.5),
+            ("1.e1", 0.3, 10.0),
+            (".5", 0.3, 0.5),
+            ("z^-z^2", 2.0, 0.0625),
         ],
     )
     def test_values(self, source, z, expected):
@@ -44,7 +83,12 @@ class TestExpressions:
         assert np.array_equal(Expression("3")(nodes), np.full(5, 3.0))
 
     @pytest.mark.parametrize(
-        "source", ["", "z +", "foo(z)", "sin z", "(z", "z)", "1 2", "z $ 2"]
+        "source",
+        [
+            "", "z +", "foo(z)", "sin z", "(z", "z)", "1 2", "z $ 2",
+            "z**2", "1_0", "0x1", "1j", "sin(z, z)", "exp(z,)", "z(1)", "z.real", "[z]",
+            "z < 1", "True", "__import__('os')", "\uff53\uff49\uff4e(z)", "(sin)(z)",
+        ],
     )
     def test_rejects_malformed(self, source):
         with pytest.raises(ParseError):
@@ -53,6 +97,29 @@ class TestExpressions:
     def test_equality_by_source(self):
         assert Expression("z+1") == Expression("z+1")
         assert Expression("z+1") != Expression("z + 1")
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_grammar_expressions())
+    def test_agrees_with_python_evaluation(self, pair):
+        source, python_text = pair
+        for z in (np.linspace(0.0, 1.0, 33), np.asarray(0.37)):
+            names = {
+                "__builtins__": {},
+                "z": z,
+                "_c": lambda lit, z=z: np.full_like(z, float(lit)),
+                "pi": np.full_like(z, math.pi),
+                "e": np.full_like(z, math.e),
+                "sin": np.sin,
+                "cos": np.cos,
+                "exp": np.exp,
+            }
+            with np.errstate(all="ignore"):
+                got = np.broadcast_to(Expression(source)(z), z.shape)
+                want = np.broadcast_to(eval(python_text, names), z.shape)
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite), source
+            assert np.array_equal(got[~finite], want[~finite], equal_nan=True), source
+            assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=0.0), source
 
 
 class TestParsing:
@@ -587,6 +654,69 @@ def test_nonfinite_number_rejected(scenario_file, tmp_path, capsys, old, new, me
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{message} a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "old, new, row",
+    [
+        ("a = z + 1", "a = 1/z", "[plant] a = 1/z is not finite at z = 0"),
+        ("a = z + 1", "a = exp(1000*z)", "[plant] a = exp(1000*z) is not finite at z = 0.7"),
+        ("a = z + 1", "a = 1e999", "[plant] a = 1e999 is not finite at z = 0"),
+        ("c0 = -z", "c0 = 1/(z-z)", "[output] c0 = 1/(z-z) is not finite at z = 0"),
+        ("q0 = 3", "q0 = 1e300", "FAIL  SingularSystem: inverse kernel overflows"),
+        ("q0 = 3", "q0 = -1e300", "FAIL  SingularSystem: kernel march left the floating-point"),
+        ("riccati_a = 150", "riccati_a = 1e300", "FAIL  NewtonDivergence: "),
+        ("mu_c = 5", "mu_c = 1e300", "FAIL  SingularSystem: kernel march needs"),
+        ("reference_frequencies = pi", "reference_frequencies = 1e300", "FAIL  n_w = 3"),
+    ],
+    ids=["a-pole", "a-overflow", "a-literal", "c0-nan", "q0-huge", "q0-negative-huge",
+         "riccati_a-huge", "mu_c-huge", "reference-huge"],
+)
+def test_out_of_range_design_fails_cleanly(scenario_file, tmp_path, capsys, old, new, row):
+    text = scenario_file.read_text()
+    assert old in text
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text.replace(old, new, 1))
+    assert main(["check", "--scenario", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert row in captured.out
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+def test_nonfinite_agent_profile_rejected_by_simulate(
+    scenario_file, leader_design, tmp_path, capsys
+):
+    text = scenario_file.read_text()
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text(text.replace("x0 = 2\n", "x0 = 1/z\n"))
+    gains = tmp_path / "gains.txt"
+    write_gains_file(leader_design.gains, gains)
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(cfg), "--gains", str(gains), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[agent 2] x0 = 1/z is not finite at z = 0" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_empty_reference_frequencies_rejected(leader_scenario_text, tmp_path, capsys):
+    # with the reference gone the signal state is the one disturbance mode
+    text = leader_scenario_text.replace("reference_frequencies = pi", "reference_frequencies =")
+    text = text.replace("w0 = 2 0 1", "w0 = 1").replace("b_y = 1 1 1", "b_y = 1")
+    text = re.sub(r"(?m)^p = \S+ \S+ (\S+)$", r"p = \1", text)
+    text = re.sub(r"(?m)^v0 = \S+ \S+ (\S+)$", r"v0 = \1", text)
+    with pytest.raises(SchemaError) as info:
+        loads(text)
+    assert [v.split(" =")[0] for v in info.value.violations] == [
+        "[exosystem] reference_frequencies"
+    ]
+    cfg = tmp_path / "no_reference.cfg"
+    cfg.write_text(text)
+    assert main(["check", "--scenario", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "[exosystem] reference_frequencies =  must be nonempty" in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_readme_lists_every_scenario_key():

@@ -9,7 +9,7 @@ import pytest
 from coopreg.backstepping import OutputOperator
 from coopreg.comm_graph import CommTopology
 from coopreg.errors import GridMismatch, NumericalBlowup
-from coopreg.grid import GridFunction, trapezoid_weights
+from coopreg.grid import GridFunction, trapezoid_weights, uniform_nodes
 from coopreg.scenario import ResolvedScenario
 from coopreg.signal_model import ExoModel
 from coopreg.simulator import (
@@ -48,7 +48,7 @@ def plain_agent(m: int, **kwargs) -> AgentSpec:
 
 def benchmark_output(m: int) -> OutputOperator:
     return OutputOperator(
-        GridFunction.from_callable(lambda z: -z, m), boundary_weights=(1.0, 1.0)
+        GridFunction(-uniform_nodes(m)), boundary_weights=(1.0, 1.0)
     )
 
 
@@ -75,9 +75,9 @@ def uncertain_resolved(scenario, m: int = 48, n_steps: int = 200, seed: int = 3)
     rng = np.random.default_rng(seed)
     resolved = scenario.resolve(m=m, horizon=n_steps * 1e-3)
     plant = NominalPlant(
-        a=GridFunction.from_callable(lambda z: z + 1.0, m), q0=3.0, q1=0.5,
+        a=GridFunction(uniform_nodes(m) + 1.0), q0=3.0, q1=0.5,
         output=OutputOperator(
-            GridFunction.from_callable(lambda z: -z, m),
+            GridFunction(-uniform_nodes(m)),
             point_weights=((0.7, 0.3), (-0.4, 0.85)),
             boundary_weights=(1.0, 0.5),
         ),
@@ -382,7 +382,7 @@ class TestPdeStep:
         h = 1.0 / m
         rng = np.random.default_rng(7)
         plant = NominalPlant(
-            a=GridFunction.from_callable(lambda z: 2.0 * np.cos(2.0 * z), m),
+            a=GridFunction(2.0 * np.cos(2.0 * uniform_nodes(m))),
             q0=0.5, q1=-0.2, output=benchmark_output(m),
         )
         agents, read_outs = [], []
@@ -393,8 +393,8 @@ class TestPdeStep:
         ):
             agents.append(plain_agent(
                 m,
-                delta_lambda=GridFunction.from_callable(lam_fn, m),
-                delta_a=GridFunction.from_callable(a_fn, m),
+                delta_lambda=GridFunction(lam_fn(uniform_nodes(m))),
+                delta_a=GridFunction(a_fn(uniform_nodes(m))),
                 delta_q0=dq0, delta_q1=dq1,
                 g1=rng.normal(size=(m + 1, n_ch)), g2=rng.normal(size=n_ch),
                 g3=rng.normal(size=n_ch), g4=rng.normal(size=n_ch),
