@@ -76,11 +76,6 @@ class TriangularKernel:
     def nodes(self) -> np.ndarray:
         return uniform_nodes(self.m)
 
-    def value(self, i: int, j: int) -> float:
-        if j > i:
-            raise IndexError(f"({i}, {j}) lies above the diagonal")
-        return float(self.values[i, j])
-
     def lower(self) -> np.ndarray:
         """Dense copy with zeros above the diagonal, for vectorized algebra."""
         out = np.array(self.values)
@@ -203,7 +198,7 @@ def _kernel_levels(a, q0: float, mu_c: float, m: int):
         raise SingularSystem(
             f"kernel march needs h^2 max|mu_c + a| <= 4, got "
             f"{16.0 * np.abs(beta).max():.4g} at grid_points = {m}; "
-            f"use grid_points >= {need:.0f}"
+            f"use grid_points >= {need:.4g}"
         )
 
     # diagonal data f0(xi) = q0 - (1/2) int_0^{xi/2} phi and its derivative

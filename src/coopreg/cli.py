@@ -55,7 +55,6 @@ class SynthesisResult:
     spectral_bound: float
     exo: signal_model.ExoModel
     kernel: backstepping.TriangularKernel
-    kernel_inverse: backstepping.TriangularKernel
     output_transformed: backstepping.OutputOperator
     decoupling: synthesis.DecouplingSolution
     riccati_q: np.ndarray
@@ -149,9 +148,8 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
 
     plant = scenario.plant(m)
     kernel = backstepping.solve_kernel(plant.a, plant.q0, num.mu_c, m=m)
-    kernel_inverse = backstepping.invert_kernel(kernel)
     output_transformed = backstepping.transform_output_weight(
-        plant.output, kernel_inverse
+        plant.output, backstepping.invert_kernel(kernel)
     )
     decoupling = synthesis.solve_decoupling(
         exo.S, exo.b_y, output_transformed, num.mu_c, kernel
@@ -208,7 +206,6 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         spectral_bound=spectral_bound,
         exo=exo,
         kernel=kernel,
-        kernel_inverse=kernel_inverse,
         output_transformed=output_transformed,
         decoupling=decoupling,
         riccati_q=riccati_q,
@@ -327,14 +324,11 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     gains = synthesis.read_gains_file(args.gains)
     resolved = scenario.resolve(m=gains.m, dt=args.dt, horizon=args.horizon)
-    certified = None
     cert_path = Path(args.gains).parent / "certificate.json"
-    if cert_path.exists():
-        certified = bool(json.loads(cert_path.read_text()).get("passed"))
-        if not certified:
-            print("warning: simulating with gains whose certificate failed", file=sys.stderr)
+    if cert_path.exists() and not json.loads(cert_path.read_text()).get("passed"):
+        print("warning: simulating with gains whose certificate failed", file=sys.stderr)
     try:
-        trace = simulator.simulate(resolved, gains, certified=certified)
+        trace = simulator.simulate(resolved, gains)
     except ToolkitError as exc:
         print(f"simulation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -360,6 +354,7 @@ def cmd_check(args) -> int:
         rows = getattr(exc, "hypotheses", None)
         if rows is None:
             raise
+    scenario.agent_specs(args.grid_points)  # simulate samples the agents' profiles too
     width = max(len(r.name) for r in rows)
     cond_width = max(len(r.condition) for r in rows)
     all_ok = all(r.passed for r in rows)

@@ -58,9 +58,8 @@ class CommTopology:
 
 @dataclass(frozen=True)
 class GraphMatrices:
-    """Degree matrix, graph Laplacian and leader-follower matrix H."""
+    """Graph Laplacian and leader-follower matrix H."""
 
-    degree: np.ndarray
     laplacian: np.ndarray
     leader_follower: np.ndarray
 
@@ -81,48 +80,36 @@ class ThetaDecomposition:
 
 
 def laplacian(topology: CommTopology) -> GraphMatrices:
-    """Degree/Laplacian matrices and H = L + diag(leader links).
+    """Laplacian L = D - A and H = L + diag(leader links).
 
     Row i of the Laplacian is built directly from the weights, so each row
     sums to zero exactly.
     """
     adj = topology.adjacency
-    deg = np.diag(adj.sum(axis=1))
-    lap = deg - adj
-    h = lap + np.diag(topology.leader_links)
-    return GraphMatrices(degree=deg, laplacian=lap, leader_follower=h)
+    lap = np.diag(adj.sum(axis=1)) - adj
+    return GraphMatrices(laplacian=lap, leader_follower=lap + np.diag(topology.leader_links))
 
 
 def is_connected(topology: CommTopology, with_root_zero: bool) -> bool:
-    """Reachability test by breadth-first search over the directed edges.
+    """Reachability test on the transitive closure of the directed edges.
 
     With ``with_root_zero`` the virtual reference node 0 is added with edges
     to every agent holding a positive leader link, and the question is
     whether node 0 reaches all agents.  Otherwise the question is whether any
     agent is a root of the follower digraph.
     """
-    adj = topology.adjacency
+    # reach[i, j]: agent j reaches agent i (adjacency[i, j] > 0 is an edge j -> i)
+    # in at most 2^k hops after k squarings; n.bit_length() of them cover n - 1 hops
     n = topology.n_agents
-
-    def reach(seeds) -> set:
-        seen = set(seeds)
-        queue = list(seeds)
-        while queue:
-            j = queue.pop()
-            # adjacency[i, j] > 0 is an edge j -> i
-            for i in np.nonzero(adj[:, j] > 0)[0]:
-                if i not in seen:
-                    seen.add(int(i))
-                    queue.append(int(i))
-        return seen
-
+    reach = np.eye(n, dtype=bool) | (topology.adjacency > 0)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
     if with_root_zero:
-        seeds = [int(i) for i in np.nonzero(topology.leader_links > 0)[0]]
-        return len(reach(seeds)) == n
-    return any(len(reach([r])) == n for r in range(n))
+        return bool(reach[:, topology.leader_links > 0].any(axis=1).all())
+    return bool(reach.all(axis=0).any())
 
 
-def theta_decompose(lap: np.ndarray, tol: float | None = None) -> ThetaDecomposition:
+def theta_decompose(lap: np.ndarray) -> ThetaDecomposition:
     """Similarity transform of a Laplacian into its synchronization blocks.
 
     Raises BlockStructureViolation when the first column of the transformed
@@ -138,10 +125,8 @@ def theta_decompose(lap: np.ndarray, tol: float | None = None) -> ThetaDecomposi
     theta_inv = np.eye(n)
     theta_inv[1:, 0] = 1.0
     transformed = theta @ lap @ theta_inv
-    if tol is None:
-        tol = ZERO_EIG_TOL * max(1.0, np.abs(lap).max())
     first_col = np.abs(transformed[:, 0]).max()
-    if first_col > tol:
+    if first_col > ZERO_EIG_TOL * max(1.0, np.abs(lap).max()):
         raise BlockStructureViolation(
             f"first column of the transformed matrix has magnitude {first_col:.3e}; "
             "the input rows do not sum to zero"
@@ -154,17 +139,17 @@ def theta_decompose(lap: np.ndarray, tol: float | None = None) -> ThetaDecomposi
     )
 
 
-def spectral_lower_bound(mat: np.ndarray, require_positive: bool = True) -> float:
+def spectral_lower_bound(mat: np.ndarray) -> float:
     """Smallest real part over the spectrum of ``mat``.
 
     Any value in (0, result] is a valid margin for the Riccati design.
-    Raises NonPositiveBound when a positive bound is required but the
-    spectrum touches the closed left half plane, which for the
-    leader-follower matrix signals a disconnected communication graph.
+    Raises NonPositiveBound when the spectrum touches the closed left half
+    plane, which for the leader-follower matrix signals a disconnected
+    communication graph.
     """
     mat = np.asarray(mat, dtype=float)
     bound = float(np.linalg.eigvals(mat).real.min())
-    if require_positive and bound <= ZERO_EIG_TOL:
+    if bound <= ZERO_EIG_TOL:
         raise NonPositiveBound(
             f"smallest eigenvalue real part {bound:.3e} is not positive"
         )

@@ -134,7 +134,8 @@ class Scenario:
                 g1[:, c] = _profile(f"{where} g1", source, m).values
             specs.append(
                 AgentSpec(
-                    delta_lambda=_profile(f"{where} delta_lambda", agent.delta_lambda, m),
+                    # parabolicity: the diffusion 1 + delta_lambda stays positive
+                    delta_lambda=_profile(f"{where} delta_lambda", agent.delta_lambda, m, -1.0),
                     delta_a=_profile(f"{where} delta_a", agent.delta_a, m),
                     delta_q0=agent.delta_q0,
                     delta_q1=agent.delta_q1,
@@ -189,14 +190,16 @@ class Scenario:
         )
 
 
-def _profile(where: str, source: str, m: int) -> GridFunction:
-    """The expression sampled at the m + 1 grid nodes; a non-finite sample is a SchemaError."""
+def _profile(where: str, source: str, m: int, above: float = -np.inf) -> GridFunction:
+    """The expression sampled at the m + 1 grid nodes; a sample that is not finite,
+    or not above ``above``, is a SchemaError naming the key and the first such z."""
     z = uniform_nodes(m)
     with np.errstate(all="ignore"):
         values = np.broadcast_to(Expression(source)(z), z.shape)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise SchemaError([f"{where} = {source} is not finite at z = {z[bad.argmax()]:.6g}"])
+    rules = {"is not finite": ~np.isfinite(values), f"must stay above {above:g}": values <= above}
+    for rule, bad in rules.items():
+        if bad.any():
+            raise SchemaError([f"{where} = {source} {rule} at z = {z[bad.argmax()]:.6g}"])
     return GridFunction(values)
 
 

@@ -275,6 +275,18 @@ class ClosedLoopStep:
         y_half -= y
         return y_half, self.propagator @ w
 
+    def run(self, y: np.ndarray, w: np.ndarray, n_steps: int):
+        """Yield (k, y, w) after k = 0 .. n_steps steps from (y, w)."""
+        yield 0, y, w
+        for k in range(1, n_steps + 1):
+            y, w = self(y, w)
+            yield k, y, w
+
+
+def _sample_rows(n_steps: int, every: int) -> dict:
+    """{step: trace row} of the recorded steps: every ``every``-th and the last."""
+    return {k: row for row, k in enumerate([*range(0, n_steps, every), n_steps])}
+
 
 @dataclass
 class CascadeTrace:
@@ -285,19 +297,12 @@ class CascadeTrace:
     x_tilde: np.ndarray    # (n_s, N, m + 1)
 
 
-def simulate(
-    scenario_objects,
-    gains: RegulatorGains,
-    *,
-    record_state: bool = False,
-    certified: bool | None = None,
-) -> SimTrace:
+def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = False) -> SimTrace:
     """Run the networked closed loop and record the requested signals.
 
     ``scenario_objects`` bundles the resolved plant, agents, topology, signal
-    model, numerics and sampling (see ``Scenario.resolve``); passing gains
-    whose certificate failed is allowed but recorded in the trace metadata,
-    and gains that record another mode than the scenario's raise.
+    model, numerics and sampling (see ``Scenario.resolve``); gains that record
+    another mode than the scenario's raise.
     """
     agents = scenario_objects.agents
     exo: ExoModel = scenario_objects.exo
@@ -341,43 +346,34 @@ def simulate(
     y = np.concatenate([*x0, np.reshape(scenario_objects.v0, n_v)], dtype=float)
     w = np.array(scenario_objects.w0, dtype=float)
 
-    sample_idx = [k for k in range(n_steps + 1) if k % stride == 0 or k == n_steps]
-    n_s = len(sample_idx)
-    times = np.empty(n_s)
-    sampled = np.empty((n_s, 2 * n + 1))   # y, u, r
-    v_tr = np.empty((n_s, n, n_w)) if record_state else None
-    x_tr = np.empty((n_s, n, m + 1)) if record_state else None
+    rows = _sample_rows(n_steps, stride)
+    times = np.empty(len(rows))
+    sampled = np.empty((len(rows), 2 * n + 1))   # y, u, r
+    v_tr = np.empty((len(rows), n, n_w)) if record_state else None
+    x_tr = np.empty((len(rows), n, m + 1)) if record_state else None
     snapshots = {}
     snap_steps = {int(round(t_s / dt)): t_s for t_s in scenario_objects.snapshot_times}
 
     n_x = n * (m + 1)
     peak_state, peak_time = np.abs(y).max(), 0.0
-    pos = 0
     started = perf_counter()
-    for k in range(n_steps + 1):
-        t = k * dt
-        if k == sample_idx[pos]:
-            times[pos] = t
-            sampled[pos] = signals @ step.read(y, w)
+    for k, y, w in step.run(y, w, n_steps):
+        if k:   # the initial state is not checked
+            peak, t = np.abs(y).max(), (k - 1) * dt + dt
+            if not np.isfinite(peak) or peak > blowup:
+                raise NumericalBlowup(
+                    f"state norm {peak:.3e} exceeded {blowup:.1e} at t = {t:.6g}", time=t
+                )
+            if peak > peak_state:
+                peak_state, peak_time = peak, t
+        if k in rows:
+            times[rows[k]] = k * dt
+            sampled[rows[k]] = signals @ step.read(y, w)
             if record_state:
-                v_tr[pos] = y[n_x:].reshape(n, n_w)
-                x_tr[pos] = y[:n_x].reshape(n, m + 1)
-            pos += 1
+                v_tr[rows[k]] = y[n_x:].reshape(n, n_w)
+                x_tr[rows[k]] = y[:n_x].reshape(n, m + 1)
         if k in snap_steps:
             snapshots[snap_steps[k]] = y[:n_x].reshape(n, m + 1).copy()
-        if k == n_steps:
-            break
-
-        y, w = step(y, w)
-
-        peak = np.abs(y).max()
-        if not np.isfinite(peak) or peak > blowup:
-            raise NumericalBlowup(
-                f"state norm {peak:.3e} exceeded {blowup:.1e} at t = {t + dt:.6g}",
-                time=t + dt,
-            )
-        if peak > peak_state:
-            peak_state, peak_time = peak, t + dt
     elapsed = perf_counter() - started
 
     return SimTrace(
@@ -389,10 +385,6 @@ def simulate(
         states_v=v_tr,
         states_x=x_tr,
         metadata={
-            "mode": mode,
-            "dt": dt,
-            "grid_points": m,
-            "certified": bool(certified) if certified is not None else None,
             "steps_per_s": n_steps / elapsed,
             "peak_state": float(peak_state),
             "peak_ratio": float(peak_state) / blowup,
@@ -435,23 +427,17 @@ def simulate_target_cascade(
         stepper, np.zeros((n_x, 0)), boundary, gains.S, np.asarray(q_tilde_at_1, dtype=float),
         -(coupling @ boundary), np.zeros((0, 0)),
     )
-    y, w = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)], dtype=float), np.zeros(0)
+    y = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)], dtype=float)
 
-    sample_idx = [k for k in range(n_steps + 1) if k % sample_every == 0 or k == n_steps]
-    times = np.empty(len(sample_idx))
-    e_trace = np.empty((len(sample_idx), n, n_w))
-    x_trace = np.empty((len(sample_idx), n, m + 1))
-
-    pos = 0
-    for k in range(n_steps + 1):
-        if k == sample_idx[pos]:
-            times[pos] = k * dt
-            e_trace[pos] = y[n_x:].reshape(n, n_w)
-            x_trace[pos] = y[:n_x].reshape(n, m + 1)
-            pos += 1
-        if k == n_steps:
-            break
-        y, w = step(y, w)
+    rows = _sample_rows(n_steps, sample_every)
+    times = np.empty(len(rows))
+    e_trace = np.empty((len(rows), n, n_w))
+    x_trace = np.empty((len(rows), n, m + 1))
+    for k, y, _ in step.run(y, np.zeros(0), n_steps):
+        if k in rows:
+            times[rows[k]] = k * dt
+            e_trace[rows[k]] = y[n_x:].reshape(n, n_w)
+            x_trace[rows[k]] = y[:n_x].reshape(n, m + 1)
     return CascadeTrace(times=times, e_v=e_trace, x_tilde=x_trace)
 
 
@@ -477,13 +463,14 @@ def transform_state_trace(
     return e_v, x_tilde
 
 
-def error_metrics(trace: SimTrace, mode: str, settle_fraction: float = 0.05) -> ErrorMetrics:
+def error_metrics(trace: SimTrace, mode: str) -> ErrorMetrics:
     """Settling time, tail error and fitted decay rate of a trace.
 
     The error signal is the worst tracking error in leader-follower mode and
-    the worst pairwise output difference otherwise.  The tail error is the
-    sup over the last fifth of the horizon; the decay rate is a least-squares
-    fit to the log of the error envelope above its terminal floor.
+    the worst pairwise output difference otherwise.  The settling time is the
+    first time after which the error stays within 5% of its peak, the tail
+    error the sup over the last fifth of the horizon; the decay rate is a
+    least-squares fit to the log of the error envelope above its terminal floor.
     """
     if trace.times.size == 0:
         raise ValueError("empty trace")
@@ -502,7 +489,7 @@ def error_metrics(trace: SimTrace, mode: str, settle_fraction: float = 0.05) -> 
     if peak == 0.0:
         return ErrorMetrics(settling_time=0.0, tail_error=0.0, decay_rate=0.0)
 
-    threshold = settle_fraction * peak
+    threshold = 0.05 * peak
     suffix_max = np.maximum.accumulate(err[::-1])[::-1]
     below = np.nonzero(suffix_max <= threshold)[0]
     settling = float(times[below[0]]) if below.size else float(times[-1])

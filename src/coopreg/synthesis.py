@@ -10,8 +10,6 @@ synchronization maps.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .backstepping import OutputOperator, TriangularKernel
 from .comm_graph import GraphMatrices, ThetaDecomposition, leaderless_rank_matrix
@@ -32,6 +30,9 @@ MODE_LEADERLESS = "leaderless"
 
 #: |n(lambda)| above this counts as a nonblocked frequency
 NONBLOCKING_TOL = 1e-6
+#: spectra closer than this count as meeting
+RESONANCE_TOL = 1e-8
+_NEWTON_STEPS = 60  # Newton steps the Riccati solve may take
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,10 @@ def _target_distance(eigs: np.ndarray, mu_c: float) -> float:
         return min(np.abs(eigs + mu_c + ((k + i) * np.pi) ** 2).min() for i in (0, 1))
 
 
-def check_resonance(s: np.ndarray, mu_c: float, tol: float = 1e-8):
+def check_resonance(s: np.ndarray, mu_c: float):
     """Raise ResonantSpectrum when sigma(S) meets the target spectrum."""
     dist = _target_distance(np.linalg.eigvals(np.asarray(s, dtype=float)), mu_c)
-    if dist < tol:
+    if dist < RESONANCE_TOL:
         raise ResonantSpectrum(
             "signal-model spectrum meets the target dynamics spectrum "
             f"(distance {dist:.3e}); the separation sigma_c and sigma(S) disjoint fails"
@@ -160,24 +161,19 @@ def _neumann_bvp(
         load[j] += jump * (1.0 - theta) / h
         load[j + 1] += jump * theta / h
 
-    eye = scipy.sparse.identity(m + 1, format="csr")
-    d2 = scipy.sparse.diags(
-        [np.full(m, 1.0 / h**2), np.full(m + 1, -2.0 / h**2), np.full(m, 1.0 / h**2)],
-        offsets=(-1, 0, 1),
-        format="lil",
-    )
-    d2[0, 1] = 2.0 / h**2
-    d2[m, m - 1] = 2.0 / h**2
-    system = scipy.sparse.kron(d2.tocsr(), scipy.sparse.identity(n)) - scipy.sparse.kron(
-        eye, scipy.sparse.csr_matrix(a_mat)
-    )
+    # The ghost-node stencil is the second difference of the even 2m-periodic
+    # extension, a circulant, so the FFT of that extension (a DCT-I) diagonalises
+    # it exactly: cosine mode k leaves (eig_k I - A) u_k = load_k, one n x n solve.
+    modes = np.fft.rfft(np.concatenate([load, load[-2:0:-1]]), axis=0).real
+    eig = -(2.0 / h * np.sin(np.arange(m + 1) * np.pi / (2 * m))) ** 2
     try:
-        sol = scipy.sparse.linalg.spsolve(system.tocsr(), load.reshape(-1))
-    except RuntimeError as exc:  # umfpack/superlu signal singularity this way
-        raise SingularSystem(str(exc)) from exc
+        sol = np.linalg.solve(eig[:, None, None] * np.eye(n) - a_mat, modes[:, :, None])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"boundary-value system is singular: {exc}") from exc
+    sol = np.fft.irfft(sol[:, :, 0], n=2 * m, axis=0)[: m + 1]
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("boundary-value system is numerically singular")
-    return sol.reshape(m + 1, n).T
+    return sol.T
 
 
 def solve_decoupling(
@@ -234,11 +230,11 @@ def numerator_at(s_point: complex, output_transformed: OutputOperator, mu_c: flo
 
 
 def nonblocking_test(
-    s: np.ndarray, output_transformed: OutputOperator, mu_c: float, tol: float = NONBLOCKING_TOL
+    s: np.ndarray, output_transformed: OutputOperator, mu_c: float
 ) -> tuple[bool, list]:
-    """Whether |n(lambda)| > tol on sigma(S), with the (lambda, |n(lambda)|) evidence."""
+    """Whether |n(lambda)| > NONBLOCKING_TOL on sigma(S), with the (lambda, |n|) evidence."""
     values = [(lam, abs(numerator_at(lam, output_transformed, mu_c))) for lam in np.linalg.eigvals(s)]
-    return min(v for _, v in values) > tol, values
+    return min(v for _, v in values) > NONBLOCKING_TOL, values
 
 
 def check_controllable_pair(
@@ -247,7 +243,6 @@ def check_controllable_pair(
     q_tilde_at_1: np.ndarray,
     output_transformed: OutputOperator,
     mu_c: float,
-    tol: float = NONBLOCKING_TOL,
     reference_scale: float | None = None,
 ) -> bool:
     """Controllability of (S, q~(1)) via the nonblocking characterization.
@@ -263,7 +258,7 @@ def check_controllable_pair(
     raise InconsistentCertificates, which signals numerical trouble in q~.
     """
     s = np.asarray(s, dtype=float)
-    verdict = check_controllable(s, b_y) and nonblocking_test(s, output_transformed, mu_c, tol)[0]
+    verdict = check_controllable(s, b_y) and nonblocking_test(s, output_transformed, mu_c)[0]
 
     g = np.asarray(q_tilde_at_1, dtype=float).reshape(-1, 1)
     n = s.shape[0]
@@ -297,20 +292,13 @@ def _lyap_kron(a_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def solve_are(
-    s: np.ndarray,
-    g: np.ndarray,
-    nu: float,
-    a: float,
-    tol: float | None = None,
-    max_iter: int = 60,
-) -> np.ndarray:
+def solve_are(s: np.ndarray, g: np.ndarray, nu: float, a: float) -> np.ndarray:
     """Stabilizing solution of  S^T Q + Q S - 2 nu Q g g^T Q + a I = 0.
 
     Newton iteration on the Riccati residual: each step solves a Lyapunov
     equation by Kronecker vectorization, starting from a stabilizing gain
     produced by the Bass trick (a shifted Lyapunov solve).  Quadratically
-    convergent for (S, g) controllable.
+    convergent for (S, g) controllable; converged at residual 1e-8 a n.
     """
     s = np.asarray(s, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
@@ -319,8 +307,7 @@ def solve_are(
         raise ValueError("nu and a must be positive")
     if not check_controllable(s, g):
         raise NotControllable("(S, g) must be controllable for the Riccati solve")
-    if tol is None:
-        tol = 1e-8 * a * n
+    tol = 1e-8 * a * n
 
     # Bass initialization: (S + beta I) Z + Z (S + beta I)^T = 2 g g^T
     beta = 1.0 + float(np.linalg.norm(s, 2))
@@ -329,7 +316,7 @@ def solve_are(
     k_gain = np.linalg.solve(z, g)  # row vector of the stabilizing start
 
     gcol = g.reshape(-1, 1)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         a_cl = s - gcol @ k_gain.reshape(1, -1)
         if np.linalg.eigvals(a_cl).real.max() >= 0:
             raise NewtonDivergence("iterate lost the stabilizing property")
@@ -341,7 +328,7 @@ def solve_are(
             return q
         k_gain = 2.0 * nu * (q @ g)
     raise NewtonDivergence(
-        f"Riccati residual above tolerance {tol:.3e} after {max_iter} Newton steps"
+        f"Riccati residual above tolerance {tol:.3e} after {_NEWTON_STEPS} Newton steps"
     )
 
 
@@ -374,7 +361,7 @@ def assemble_gains(
     if kernel.m != decoupling.m:
         raise GridMismatch(f"kernel grid {kernel.m} vs decoupling grid {decoupling.m}")
     k_v = np.asarray(k_v, dtype=float)
-    k_1 = float(q1) - kernel.value(kernel.m, kernel.m)
+    k_1 = float(q1) - float(kernel.values[-1, -1])
     k_x = GridFunction(-kernel.z_derivative_top_row())
     r_x = GridFunction(-(k_v @ decoupling.q))
     return RegulatorGains(
@@ -452,7 +439,6 @@ def sync_steady_state(
     theta_dec: ThetaDecomposition,
     mu_c: float,
     output_transformed: OutputOperator,
-    tol: float = 1e-8,
 ) -> SyncSteadyState:
     """Steady-state synchronization maps of the leaderless closed loop.
 
@@ -472,12 +458,12 @@ def sync_steady_state(
 
     eig_s = np.linalg.eigvals(s)
     eig_f = np.linalg.eigvals(f_eps)
-    if np.abs(eig_s[:, None] - eig_f[None, :]).min() < tol:
+    if np.abs(eig_s[:, None] - eig_f[None, :]).min() < RESONANCE_TOL:
         raise ResonantSpectrum(
             "synchronization block shares an eigenvalue with the signal model"
         )
-    check_resonance(s, mu_c, tol)
-    if _target_distance(eig_f, mu_c) < tol:
+    check_resonance(s, mu_c)
+    if _target_distance(eig_f, mu_c) < RESONANCE_TOL:
         raise ResonantSpectrum(
             "synchronization block meets the target dynamics spectrum"
         )

@@ -328,3 +328,45 @@ def dense_step_cascade(gains, coupling, q_tilde_at_1, e_v0, x_tilde0, dt, n_step
         generator, np.zeros((n_x + n * n_w, 0)), np.zeros((0, 0)), y0, np.zeros(0), dt, n_steps
     )
     return ys[:, n_x:].reshape(-1, n, n_w), ys[:, :n_x].reshape(-1, n, m + 1)
+
+
+def bfs_is_connected(topology: CommTopology, with_root_zero: bool) -> bool:
+    """Reachability by breadth-first search over the directed edges, the oracle
+    for ``comm_graph.is_connected``: adjacency[i, j] > 0 is an edge j -> i."""
+    adj = topology.adjacency
+    n = topology.n_agents
+
+    def reach(seeds) -> set:
+        seen = set(seeds)
+        queue = list(seeds)
+        while queue:
+            j = queue.pop()
+            for i in np.nonzero(adj[:, j] > 0)[0]:
+                if i not in seen:
+                    seen.add(int(i))
+                    queue.append(int(i))
+        return seen
+
+    if with_root_zero:
+        return len(reach([int(i) for i in np.nonzero(topology.leader_links > 0)[0]])) == n
+    return any(len(reach([r])) == n for r in range(n))
+
+
+def dense_neumann_bvp(a_mat, rhs, gamma0, gamma1, deltas=()):
+    """Ghost-node reference for ``synthesis._neumann_bvp``: the dense Kronecker
+    system of u'' - A u = r, u'(0) = gamma0, u'(1) = gamma1, point jumps of u'."""
+    n = a_mat.shape[0]
+    m = rhs.shape[1] - 1
+    h = 1.0 / m
+    load = rhs.T.copy()
+    load[0] += 2.0 * gamma0 / h
+    load[m] -= 2.0 * gamma1 / h
+    for z_k, jump in deltas:
+        j = min(int(z_k / h), m - 1)
+        theta = z_k / h - j
+        load[j] += jump * (1.0 - theta) / h
+        load[j + 1] += jump * theta / h
+    d2 = (np.diag(np.full(m, 1.0), -1) - 2.0 * np.eye(m + 1) + np.diag(np.full(m, 1.0), 1)) / h**2
+    d2[0, 1] = d2[m, m - 1] = 2.0 / h**2
+    system = np.kron(d2, np.eye(n)) - np.kron(np.eye(m + 1), a_mat)
+    return np.linalg.solve(system, load.reshape(-1)).reshape(m + 1, n).T

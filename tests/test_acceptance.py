@@ -166,7 +166,7 @@ def test_criterion_5_on_rare_benchmark_draws(leader_scenario, leader_design, see
 
 def test_criterion_6_leader_follower_regulation(leader_scenario, leader_design):
     started = time.time()
-    trace = sim.simulate(leader_scenario.resolve(), leader_design.gains, certified=True)
+    trace = sim.simulate(leader_scenario.resolve(), leader_design.gains)
     errors = np.abs(trace.tracking_errors)
     tail = errors[trace.times >= 16.0].max()
     metrics = sim.error_metrics(trace, MODE_LEADER)
@@ -181,7 +181,7 @@ def test_criterion_6_leader_follower_regulation(leader_scenario, leader_design):
 def test_criterion_7_leaderless_synchronization(leaderless_scenario, leaderless_design):
     started = time.time()
     r = leaderless_design
-    trace = sim.simulate(leaderless_scenario.resolve(), r.gains, certified=True)
+    trace = sim.simulate(leaderless_scenario.resolve(), r.gains)
     sync = trace.pairwise_sync_errors()
     tail = sync[trace.times >= 16.0].max()
     ss = synthesis.sync_steady_state(
@@ -233,7 +233,7 @@ def test_criterion_8_disturbance_location_robustness(leader_scenario, leader_des
         snapshot_times=resolved.snapshot_times, blowup_bound=resolved.blowup_bound,
         v0=resolved.v0, w0=resolved.w0,
     )
-    trace = sim.simulate(resolved, leader_design.gains, certified=True)
+    trace = sim.simulate(resolved, leader_design.gains)
     tail = np.abs(trace.tracking_errors)[trace.times >= 16.0].max()
     ok = tail < 0.1
     report(8, f"regulation with randomized disturbance locations (tail {tail:.2e})", ok, started, 300.0)

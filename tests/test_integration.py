@@ -87,7 +87,7 @@ def test_leader_follower_tracks_mixed_reference():
     design = run_synthesis(scenario)
     assert design.certificate.passed
     assert min(v for _, v in design.nonblocking) > 1e-6
-    trace = sim.simulate(scenario.resolve(), design.gains, certified=True)
+    trace = sim.simulate(scenario.resolve(), design.gains)
     tail = np.abs(trace.tracking_errors)[trace.times >= 12.8].max()
     assert tail < 0.02
     # the reference mixes a constant and a harmonic
@@ -104,6 +104,6 @@ def test_leaderless_synchronizes_same_plant():
     design = run_synthesis(scenario)
     assert design.certificate.passed
     assert design.nu == pytest.approx(design.spectral_bound)
-    trace = sim.simulate(scenario.resolve(), design.gains, certified=True)
+    trace = sim.simulate(scenario.resolve(), design.gains)
     tail = trace.pairwise_sync_errors()[trace.times >= 12.8].max()
     assert tail < 0.01

@@ -1,7 +1,11 @@
 """Package-wide guards over the source tree."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,3 +58,20 @@ def test_every_public_definition_is_used():
     ]
     dead = sorted(set(unused) - ORACLES)
     assert not dead, f"public definitions nothing in src/ or bench/ uses: {', '.join(dead)}"
+
+
+def test_design_path_loads_no_sparse_module():
+    # import the package and run one check, then list the scipy.sparse modules loaded
+    script = (
+        "import json, sys, coopreg, coopreg.cli\n"
+        "code = coopreg.cli.main(['check', '--scenario', sys.argv[1], '--grid-points', '64'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy.sparse'))]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", script, str(PACKAGE / "scenarios" / "four_agent_leader.cfg")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    code, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0, res.stdout + res.stderr
+    assert loaded == []

@@ -240,7 +240,7 @@ class TestParsing:
         design = run_synthesis(scenario, m=64)
         assert design.certificate.passed
         trace = simulate(
-            scenario.resolve(m=64, horizon=8.0), design.gains, certified=True
+            scenario.resolve(m=64, horizon=8.0), design.gains
         )
         metrics = error_metrics(trace, scenario.mode)
         assert metrics.tail_error < 0.1
@@ -733,3 +733,43 @@ def test_readme_lists_every_scenario_key():
             name = {"top level": "", "agent N": "agent"}.get(cells[0], cells[0])
             listed.add((name, cells[1].strip("`"), cells[2]))
     assert listed == {(row.section, row.key, row.kind) for row in _KEYS}
+
+
+def test_nonparabolic_agent_rejected_by_simulate(scenario_file, tmp_path, capsys):
+    text = scenario_file.read_text()
+    assert "delta_lambda = 0.2\n" in text
+    cfg = tmp_path / "backward.cfg"
+    cfg.write_text(text.replace("delta_lambda = 0.2\n", "delta_lambda = -2\n", 1))
+    design = tmp_path / "design"
+    assert main(["synthesize", "--scenario", str(cfg), "--out", str(design)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main([
+        "simulate", "--scenario", str(cfg), "--gains", str(design / "gains.txt"),
+        "--out", str(out), "--horizon", "0.01",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[agent 1] delta_lambda = -2 must stay above -1 at z = 0" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_check_samples_agent_profiles(scenario_file, tmp_path, capsys):
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text(scenario_file.read_text().replace("x0 = 2\n", "x0 = 1/z\n"))
+    assert main(["check", "--scenario", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "[agent 2] x0 = 1/z is not finite at z = 0" in captured.err
+    assert "overall: PASS" not in captured.out
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+def test_grid_suggestion_is_readable(scenario_file, tmp_path, capsys):
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(scenario_file.read_text().replace("mu_c = 5\n", "mu_c = 1e300\n"))
+    assert main(["check", "--scenario", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    row = next(line for line in captured.out.splitlines() if line.startswith("design pipeline"))
+    assert row.endswith("at grid_points = 64; use grid_points >= 5e+149")
+    assert "Traceback" not in captured.err and "Warning" not in captured.err

@@ -8,7 +8,7 @@ from scipy.interpolate import make_interp_spline
 
 from coopreg.backstepping import OutputOperator, TriangularKernel
 from coopreg.comm_graph import laplacian
-from coopreg.errors import NotControllable, ParseError, ResonantSpectrum
+from coopreg.errors import NotControllable, ParseError, ResonantSpectrum, SingularSystem
 from coopreg.grid import GridFunction
 from coopreg.signal_model import frequency_blocks
 from coopreg.synthesis import (
@@ -28,6 +28,8 @@ from coopreg.synthesis import (
     sync_steady_state,
     write_gains_file,
 )
+
+from _support import dense_neumann_bvp
 
 
 def zero_kernel(m: int) -> TriangularKernel:
@@ -418,6 +420,36 @@ class TestRankChecks:
         h_tilde = leaderless_rank_matrix(r.theta)
         assert h_tilde.shape == (4, 3)
         assert np.linalg.matrix_rank(h_tilde) == 3
+
+
+class TestNeumannBvp:
+    @pytest.mark.parametrize(
+        "m, a_mat",
+        [
+            (8, 4.0 * np.eye(3) + np.random.default_rng(8).normal(size=(3, 3))),
+            (33, 5.0 * np.eye(2) + frequency_blocks([np.pi])[0].T),
+            (40, np.array([[6.0, 1.0], [0.0, 6.0]])),   # one Jordan block
+        ],
+        ids=["random", "rotation", "jordan"],
+    )
+    def test_matches_dense_ghost_node_system(self, m, a_mat):
+        from coopreg.synthesis import _neumann_bvp
+
+        rng = np.random.default_rng(m)
+        n = a_mat.shape[0]
+        rhs = rng.normal(size=(n, m + 1))
+        gamma0, gamma1, jump = rng.normal(size=(3, n))
+        deltas = [(0.37, jump)]
+        got = _neumann_bvp(a_mat, rhs, gamma0, gamma1, deltas)
+        want = dense_neumann_bvp(a_mat, rhs, gamma0, gamma1, deltas)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_singular_problem_raises(self):
+        from coopreg.synthesis import _neumann_bvp
+
+        # A = 0 leaves the constants in the kernel of the Neumann operator
+        with pytest.raises(SingularSystem):
+            _neumann_bvp(np.zeros((2, 2)), np.zeros((2, 17)), np.zeros(2), np.zeros(2))
 
 
 class TestSyncSteadyState:
