@@ -31,7 +31,6 @@ directly.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import GridMismatch, SingularSystem
 from .grid import GridFunction, cumulative_trapezoid, uniform_nodes
@@ -40,6 +39,8 @@ from .grid import GridFunction, cumulative_trapezoid, uniform_nodes
 MIN_GRID_POINTS = 32
 #: smallest |1 - h k(z, z)/2| the inverse-kernel solve accepts
 _CLOSURE_TOL = 1e-8
+#: rows per block of the inverse-kernel forward substitution
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,9 @@ def _kernel_levels(a, q0: float, mu_c: float, m: int):
     beta = 0.5 * h * alpha
     if not np.abs(beta).max() <= 0.25:
         need = np.ceil(0.5 * np.sqrt(np.abs(phi_half).max()))
+        if np.isfinite(need):  # round up to 4 significant digits, never below the need
+            unit = 10 ** max(0, len(str(int(need))) - 4)
+            need = -(-int(need) // unit) * unit
         raise SingularSystem(
             f"kernel march needs h^2 max|mu_c + a| <= 4, got "
             f"{16.0 * np.abs(beta).max():.4g} at grid_points = {m}; "
@@ -247,8 +251,9 @@ def invert_kernel(k: TriangularKernel) -> TriangularKernel:
     k_I(z, zeta) = k(z, zeta) + int_zeta^z k(z, s) k_I(s, zeta) ds under the
     composite trapezoid rule is the lower-triangular system
     (I - T) K_I = K diag(1 - h k(z, z)/2), T = h K with its diagonal halved,
-    solved in one call.  The closure factor 1 - h k(z, z)/2 is the diagonal
-    of I - T; it degenerates only for kernels far outside this problem class.
+    solved by forward substitution.  The closure factor 1 - h k(z, z)/2 is
+    the diagonal of I - T; it degenerates only for kernels far outside this
+    problem class.
     """
     h = k.h
     kv = k.lower()
@@ -261,10 +266,28 @@ def invert_kernel(k: TriangularKernel) -> TriangularKernel:
     system = np.eye(k.m + 1) - h * kv
     np.fill_diagonal(system, denom)
     with np.errstate(all="ignore"):  # an overflow is reported by the check below
-        k_inv = solve_triangular(system, kv * denom[None, :], lower=True, check_finite=False)
+        k_inv = _forward_substitution(system, kv * denom[None, :])
     if not np.isfinite(k_inv).all():
         raise SingularSystem(f"inverse kernel overflows for max |k| = {np.abs(kv).max():.3e}")
     return TriangularKernel(k_inv)
+
+
+def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lower @ x = rhs, both lower triangular, by blocked forward substitution.
+
+    One matmul per block of rows a:b brings in the rows solved so far (lower
+    triangular, so zero from column a on), then each row is eliminated in
+    turn (LAPACK Users' Guide, 3rd ed., SIAM 1999).  No pivoting, so an
+    overflow stays non-finite for the caller to report.
+    """
+    x = np.array(rhs, dtype=float)
+    for a in range(0, x.shape[0], _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, x.shape[0])
+        x[a:b, :a] -= lower[a:b, :a] @ x[:a, :a]
+        for i in range(a, b):
+            x[i, : i + 1] -= lower[i, a:i] @ x[a:i, : i + 1]
+            x[i, : i + 1] /= lower[i, i]
+    return x
 
 
 def transform_output_weight(c: OutputOperator, k_inv: TriangularKernel) -> OutputOperator:

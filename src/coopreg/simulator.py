@@ -9,15 +9,15 @@ advances profiles and internal models together by one Crank-Nicolson step,
 second order in dt; the signal state advances by its exact matrix exponential.
 The loop reads three scalars per agent from the profiles (output quadrature,
 k_x . x + k_1 x(1) and the lumped xi = int r_x x).  ``simulate`` and the
-target cascade run on this step.
+target cascade run on this step.  The tridiagonal factorization (LAPACK
+``dgttrf``/``dgttrs``) and the propagator (``expm``) come from scipy.linalg,
+imported only where a step is built, so the design path runs on numpy alone.
 """
 
 from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .backstepping import OutputOperator, TriangularKernel
 from .comm_graph import CommTopology, laplacian
@@ -245,6 +245,9 @@ class ClosedLoopStep:
         e[self.n_x :, read_out.shape[1] : n_read] = np.kron(np.eye(n), s)
         e[self.n_x :] += np.kron(drive, column[:, None])
 
+        # numpy has no banded solver; scipy loads here, so a design never imports it
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        self._dgttrs = dgttrs
         pad = np.zeros(n_v)     # identity rows for v
         lower, diag, upper = stepper.bands
         *self.lu, info = dgttrf(
@@ -269,7 +272,7 @@ class ClosedLoopStep:
 
     def __call__(self, y: np.ndarray, w: np.ndarray):
         """(y+, w+) from the state y = [x, vec v] and the signal state w."""
-        y_half, _ = dgttrs(*self.lu, y)
+        y_half, _ = self._dgttrs(*self.lu, y)
         y_half += self.p @ self.read(y_half, w)
         y_half *= 2.0
         y_half -= y
@@ -313,6 +316,8 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
     stride = scenario_objects.sample_every
     blowup = scenario_objects.blowup_bound
 
+    # numpy has no matrix exponential; scipy loads here, so a design never imports it
+    from scipy.linalg import expm
     if gains.m != m:
         raise GridMismatch(f"gain grid {gains.m} vs scenario grid {m}")
     if gains.mode not in (None, mode):

@@ -3,7 +3,7 @@
 import dataclasses
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import block_diag, expm, solve_triangular
 
 from coopreg.backstepping import OutputOperator, TriangularKernel
 from coopreg.comm_graph import CommTopology, laplacian
@@ -214,6 +214,21 @@ def reciprocity_map(k: TriangularKernel, k_inv: TriangularKernel) -> np.ndarray:
     inner = 0.5 * kv * np.diagonal(ki)[None, :] + np.tril(kv, -1) @ np.tril(ki, -1)
     out = np.tril((kv + h * inner) / (1.0 - 0.5 * h * np.diagonal(kv))[:, None], -1)
     return out + np.diag(np.diagonal(kv))
+
+
+def triangular_inverse_kernel(k: TriangularKernel) -> np.ndarray:
+    """The inverse-kernel table as LAPACK's triangular solve gives it, lower triangle.
+
+    The same reciprocity system as ``invert_kernel``,
+    (I - T) K_I = K diag(1 - h k(z, z)/2), solved by scipy's
+    ``solve_triangular``; the entries may be non-finite when it overflows.
+    """
+    h, kv = k.h, k.lower()
+    denom = 1.0 - 0.5 * h * np.diagonal(kv)
+    system = np.eye(k.m + 1) - h * kv
+    np.fill_diagonal(system, denom)
+    with np.errstate(all="ignore"):
+        return solve_triangular(system, kv * denom[None, :], lower=True, check_finite=False)
 
 
 def dense_stencil(lam, abar, q0b: float, q1b: float) -> np.ndarray:

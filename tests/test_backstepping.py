@@ -1,8 +1,7 @@
 """Kernel equations, inverse kernel, transforms, output-weight pushforward."""
 
-import subprocess
-import sys
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -18,9 +17,16 @@ from coopreg.backstepping import (
 )
 from coopreg.errors import SingularSystem
 from coopreg.grid import GridFunction, cumulative_trapezoid, uniform_nodes
+from coopreg.scenario import load_scenario
 from coopreg.simulator import AgentSpec, SimTrace, transform_state_trace
 
-from _support import first_output, kernel_iteration_map, random_smooth_profile, reciprocity_map
+from _support import (
+    first_output,
+    kernel_iteration_map,
+    random_smooth_profile,
+    reciprocity_map,
+    triangular_inverse_kernel,
+)
 
 
 def benchmark_kernel(m=200):
@@ -51,17 +57,6 @@ class TestCumulativeTrapezoid:
         y = np.random.default_rng(7).standard_normal(shape)
         expected = scipy_cumulative_trapezoid(y, dx=0.0125, axis=axis, initial=0.0)
         assert np.array_equal(cumulative_trapezoid(y, dx=0.0125, axis=axis), expected)
-
-    def test_package_import_leaves_out_scipy_integrate(self):
-        probe = (
-            "import sys, coopreg, coopreg.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') "
-            "if m in sys.modules))"
-        )
-        res = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
-        )
-        assert res.stdout.strip() == "[]"
 
 
 class TestSolveKernel:
@@ -165,6 +160,25 @@ class TestInverseKernel:
         # h k(z, z)/2 = 1 on a 32-interval grid
         with pytest.raises(SingularSystem, match="closure factor"):
             invert_kernel(constant_kernel(64.0, 32))
+
+    @pytest.mark.parametrize("m", [64, 200, 800])
+    @pytest.mark.parametrize("name", ["four_agent_leader.cfg", "four_agent_leaderless.cfg"])
+    def test_matches_lapack_triangular_solve(self, name, m):
+        scenario = load_scenario(files("coopreg").joinpath(f"scenarios/{name}"))
+        plant = scenario.plant(m)
+        k = solve_kernel(plant.a, plant.q0, scenario.numerics.mu_c, m)
+        expected = triangular_inverse_kernel(k)
+        gap = np.abs(invert_kernel(k).lower() - expected).max()
+        assert gap <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "q0, mu_c, m", [(1e300, 5.0, 200), (3.0, 1e4, 64)], ids=["q0 1e300", "mu_c 1e4"]
+    )
+    def test_overflow_raises_where_lapack_overflows(self, q0, mu_c, m):
+        k = solve_kernel(lambda z: z + 1.0, q0=q0, mu_c=mu_c, m=m)
+        assert not np.isfinite(triangular_inverse_kernel(k)).all()
+        with pytest.raises(SingularSystem, match="inverse kernel overflows"):
+            invert_kernel(k)
 
     def test_composition_is_identity(self):
         m = 200

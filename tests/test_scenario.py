@@ -773,3 +773,14 @@ def test_grid_suggestion_is_readable(scenario_file, tmp_path, capsys):
     row = next(line for line in captured.out.splitlines() if line.startswith("design pipeline"))
     assert row.endswith("at grid_points = 64; use grid_points >= 5e+149")
     assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+def test_grid_suggestion_rounds_up(scenario_file, tmp_path, capsys):
+    # h^2 max|mu_c + a| <= 4 needs grid_points >= sqrt(609596002) / 2, i.e. 12,345
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(scenario_file.read_text().replace("mu_c = 5\n", "mu_c = 609596000\n"))
+    assert main(["check", "--scenario", str(cfg)]) == 1
+    row = next(
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("design pipeline")
+    )
+    assert float(row.rpartition("use grid_points >= ")[2]) >= 12345
