@@ -1,5 +1,7 @@
 """Kernel equations, inverse kernel, transforms, output-weight pushforward."""
 
+import subprocess
+import sys
 import warnings
 from importlib.resources import files
 
@@ -57,6 +59,17 @@ class TestCumulativeTrapezoid:
         y = np.random.default_rng(7).standard_normal(shape)
         expected = scipy_cumulative_trapezoid(y, dx=0.0125, axis=axis, initial=0.0)
         assert np.array_equal(cumulative_trapezoid(y, dx=0.0125, axis=axis), expected)
+
+    def test_package_import_leaves_out_scipy_integrate(self):
+        probe = (
+            "import sys, coopreg, coopreg.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert res.stdout.strip() == "[]"
 
 
 class TestSolveKernel:

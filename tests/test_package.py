@@ -60,6 +60,23 @@ def test_every_public_definition_is_used():
     assert not dead, f"public definitions nothing in src/ or bench/ uses: {', '.join(dead)}"
 
 
+def test_design_path_loads_no_sparse_module():
+    # import the package and run one check, then list the scipy.sparse modules loaded
+    script = (
+        "import json, sys, coopreg, coopreg.cli\n"
+        "code = coopreg.cli.main(['check', '--scenario', sys.argv[1], '--grid-points', '64'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy.sparse'))]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", script, str(PACKAGE / "scenarios" / "four_agent_leader.cfg")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    code, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0, res.stdout + res.stderr
+    assert loaded == []
+
+
 def test_design_path_loads_no_scipy(tmp_path):
     # import the package, check and synthesize both shipped scenarios, then
     # list the scipy modules loaded: the design runs on numpy alone
