@@ -164,8 +164,8 @@ def solve_kernel(a, q0: float, mu_c: float, m: int = 200) -> TriangularKernel:
     m : int
         Intervals of the uniform grid (at least ``MIN_GRID_POINTS``).
 
-    Raises SingularSystem when the grid under-resolves mu_c + a (the march
-    needs h^2 max|mu_c + a| <= 4) or the kernel overflows.
+    Raises SingularSystem when mu_c + a overflows, the grid under-resolves it
+    (the march needs h^2 max|mu_c + a| <= 4) or the kernel overflows.
     """
     if m < MIN_GRID_POINTS:
         raise ValueError(f"kernel grid needs at least {MIN_GRID_POINTS} intervals")
@@ -190,15 +190,17 @@ def _kernel_levels(a, q0: float, mu_c: float, m: int):
     # reaction profile on the half-step grid tau = (xi - eta)/2; on level q
     # the point xi = (q + k) h reads index k
     tau = 0.5 * h * np.arange(2 * m + 1)
-    phi_half = mu_c + np.asarray(a(tau), dtype=float) * np.ones_like(tau)
+    with np.errstate(all="ignore"):
+        phi_half = mu_c + np.asarray(a(tau), dtype=float) * np.ones_like(tau)
+    if not np.isfinite(phi_half).all():
+        raise SingularSystem("mu_c + a leaves the floating-point range")
     # h/2 times the lattice weight Phi = phi_half/4, and beta = h/2 alpha
     alpha = 0.125 * h * phi_half
     beta = 0.5 * h * alpha
     if not np.abs(beta).max() <= 0.25:
-        need = np.ceil(0.5 * np.sqrt(np.abs(phi_half).max()))
-        if np.isfinite(need):  # round up to 4 significant digits, never below the need
-            unit = 10 ** max(0, len(str(int(need))) - 4)
-            need = -(-int(need) // unit) * unit
+        need = int(np.ceil(0.5 * np.sqrt(np.abs(phi_half).max())))
+        unit = 10 ** max(0, len(str(need)) - 4)  # round up to 4 significant digits
+        need = -(-need // unit) * unit
         raise SingularSystem(
             f"kernel march needs h^2 max|mu_c + a| <= 4, got "
             f"{16.0 * np.abs(beta).max():.4g} at grid_points = {m}; "

@@ -280,7 +280,7 @@ def write_metrics(metrics: simulator.ErrorMetrics, trace: simulator.SimTrace, pa
         f"settling_time = {_FMT(metrics.settling_time)}",
         f"tail_error = {_FMT(metrics.tail_error)}",
         f"decay_rate = {_FMT(metrics.decay_rate)}",
-        f"tail_sync_error = {_FMT(float(trace.pairwise_sync_errors()[trace.times >= trace.times[0] + 0.8 * (trace.times[-1] - trace.times[0])].max()))}",
+        f"tail_sync_error = {_FMT(metrics.tail_sync_error)}",
     ]
     lines += [
         f"{key} = {_FMT(trace.metadata[key])}"

@@ -8,9 +8,10 @@ The whole loop is linear, so ``ClosedLoopStep`` assembles it once per run and
 advances profiles and internal models together by one Crank-Nicolson step,
 second order in dt; the signal state advances by its exact matrix exponential.
 The loop reads three scalars per agent from the profiles (output quadrature,
-k_x . x + k_1 x(1) and the lumped xi = int r_x x).  ``simulate`` and the
-target cascade run on this step.  The tridiagonal factorization (LAPACK
-``dgttrf``/``dgttrs``) and the propagator (``expm``) come from scipy.linalg,
+k_x . x + k_1 x(1) and the lumped xi = int r_x x).  ``simulate`` hands the
+step the true agents' stencil, wiring and networked feedback; the target
+cascade hands it the stencil of a heat equation with decay mu_c.  The LAPACK
+tridiagonal solver (``dgttrf``/``dgttrs``) and ``expm`` come from scipy.linalg,
 imported only where a step is built, so the design path runs on numpy alone.
 """
 
@@ -20,7 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from .backstepping import OutputOperator, TriangularKernel
-from .comm_graph import CommTopology, laplacian
+from .comm_graph import laplacian
 from .errors import GridMismatch, NumericalBlowup, SingularStep, ToolkitError
 from .grid import GridFunction, trapezoid_weights
 from .signal_model import ExoModel
@@ -115,108 +116,48 @@ class ErrorMetrics:
     settling_time: float
     tail_error: float
     decay_rate: float
+    tail_sync_error: float
 
 
-class StackedStepper:
-    """Crank-Nicolson matrix, forcing and output map of N agents on stacked (N, m + 1) state.
+def _stencil(lam, abar, q0, q1, dt: float):
+    """Diagonals of I - (dt/2) L and the gain 2 lam(1)/h of an input at z = 1.
 
-    The spatial operator L uses the true coefficients 1 + delta_lambda and
-    a + delta_a directly in the stencil; boundary actuation and boundary
-    disturbances enter through the second-order ghost-node closure.  ``bands``
-    holds the three diagonals of I - (dt/2) L, the N agents chained with zero
-    coupling.  Each agent's disturbance wiring is composed with its read-out
-    P_i, so forcing and output feedthrough are fixed maps of the signal state
-    w.  Point samples of the output are folded into the weight matrix.
+    L is the ghost-node stencil of N agents chained with zero coupling, with
+    the (N, m + 1) coefficients ``lam`` and ``abar`` and Robin data q0, q1.
     """
-
-    def __init__(self, plant: NominalPlant, agents, read_outs, dt: float):
-        m = plant.a.m
-        for i, (ag, p_i) in enumerate(zip(agents, read_outs, strict=True)):
-            if ag.m != m:
-                raise GridMismatch("plant and agent grids differ")
-            if ag.n_channels != p_i.shape[0]:
-                raise ValueError(
-                    f"agent {i + 1} wires {ag.n_channels} disturbance channels but the "
-                    f"signal model produces {p_i.shape[0]}"
-                )
-        h = 1.0 / m
-        lam = 1.0 + np.stack([ag.delta_lambda.values for ag in agents])
-        abar = plant.a.values + np.stack([ag.delta_a.values for ag in agents])
-        q0b = plant.q0 + np.array([ag.delta_q0 for ag in agents])
-        q1b = plant.q1 + np.array([ag.delta_q1 for ag in agents])
-
-        # upper[:, m] and lower[:, 0] stay zero: no coupling between agents
-        lower = np.zeros_like(lam)
-        diag = np.zeros_like(lam)
-        upper = np.zeros_like(lam)
-        diag[:, 1:m] = -2.0 * lam[:, 1:m] / h**2 + abar[:, 1:m]
-        lower[:, 1:m] = upper[:, 1:m] = lam[:, 1:m] / h**2
-        diag[:, 0] = -2.0 * lam[:, 0] * (1.0 + h * q0b) / h**2 + abar[:, 0]
-        upper[:, 0] = 2.0 * lam[:, 0] / h**2
-        diag[:, m] = -2.0 * lam[:, m] * (1.0 - h * q1b) / h**2 + abar[:, m]
-        lower[:, m] = 2.0 * lam[:, m] / h**2
-
-        self.dt = dt
-        half = 0.5 * dt
-        self.bands = (
-            -half * lower.ravel()[1:], 1.0 - half * diag.ravel(), -half * upper.ravel()[:-1]
-        )
-
-        # forcing: interior disturbance profile plus boundary injections
-        self.bc1_gain = 2.0 * lam[:, m] / h
-        self.wiring = np.stack([ag.g1 @ p_i for ag, p_i in zip(agents, read_outs)])
-        for i, (ag, p_i) in enumerate(zip(agents, read_outs)):
-            self.wiring[i, 0] += -2.0 * lam[i, 0] / h * (ag.g2 @ p_i)
-            self.wiring[i, -1] += self.bc1_gain[i] * (ag.g3 @ p_i)
-        self.feedthrough = np.stack([ag.g4 @ p_i for ag, p_i in zip(agents, read_outs)])
-
-        nominal = plant.output
-        cb0, cb1 = nominal.boundary_weights
-        self.weights = np.empty_like(lam)
-        for i, ag in enumerate(agents):
-            smooth = nominal.smooth_weight.values
-            if ag.delta_c0 is not None:
-                if ag.delta_c0.m != m:
-                    raise GridMismatch("delta_c0 grid does not match the simulation grid")
-                smooth = smooth + ag.delta_c0.values
-            row = trapezoid_weights(m) * smooth
-            row[0] += cb0 + ag.delta_cb0
-            row[-1] += cb1 + ag.delta_cb1
-            for k, (c_k, z_k) in enumerate(nominal.point_weights):
-                c_k += ag.delta_points[k] if k < len(ag.delta_points) else 0.0
-                j = min(int(z_k * m), m - 1)
-                theta = z_k * m - j
-                row[j] += c_k * (1.0 - theta)
-                row[j + 1] += c_k * theta
-            self.weights[i] = row
+    m = lam.shape[1] - 1
+    h = 1.0 / m
+    # upper[:, m] and lower[:, 0] stay zero: no coupling between agents
+    lower, diag, upper = np.zeros((3, *lam.shape))
+    diag[:, 1:m] = -2.0 * lam[:, 1:m] / h**2 + abar[:, 1:m]
+    lower[:, 1:m] = upper[:, 1:m] = lam[:, 1:m] / h**2
+    diag[:, 0] = -2.0 * lam[:, 0] * (1.0 + h * q0) / h**2 + abar[:, 0]
+    upper[:, 0] = 2.0 * lam[:, 0] / h**2
+    diag[:, m] = -2.0 * lam[:, m] * (1.0 - h * q1) / h**2 + abar[:, m]
+    lower[:, m] = 2.0 * lam[:, m] / h**2
+    half = 0.5 * dt
+    bands = (-half * lower.ravel()[1:], 1.0 - half * diag.ravel(), -half * upper.ravel()[:-1])
+    return bands, 2.0 * lam[:, m] / h
 
 
-class NetworkFeedback:
-    """The three matrices of the networked state feedback and the internal-model drive.
-
-    u_i = k_v . v_i - k_1 x_i(1) - int k_x x_i + sum_j a_ij (xi_i - xi_j)
-          + a_i0 xi_i  with the lumped quantity xi_i = int r_x x_i, so only
-    one scalar per agent crosses the network.  The internal models are driven
-    by sum_j a_ij (y_i - y_j) + a_i0 (y_i - r); in leaderless mode the
-    reference never enters.  ``read_out`` (m + 1, 2) takes
-    c_i = k_x . x_i + k_1 x_i(1) and xi_i from a profile, ``law`` maps
-    [c, xi, vec v] to u, and ``drive_map`` maps [y, r] to the drive.
-    """
-
-    def __init__(self, gains: RegulatorGains, topology: CommTopology, mode: str):
-        graph = laplacian(topology)
-        if mode == MODE_LEADER:
-            coupling, leader_links = graph.leader_follower, topology.leader_links
-        elif mode == MODE_LEADERLESS:
-            coupling, leader_links = graph.laplacian, np.zeros(topology.n_agents)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        n = coupling.shape[0]
-        weights = trapezoid_weights(gains.m)
-        self.read_out = np.stack([weights * gains.k_x.values, weights * gains.r_x.values], axis=1)
-        self.read_out[-1, 0] += gains.k_1
-        self.law = np.hstack([-np.eye(n), coupling, np.kron(np.eye(n), gains.k_v)])
-        self.drive_map = np.column_stack([coupling, -leader_links])
+def _output_row(output: OutputOperator, agent: AgentSpec, m: int) -> np.ndarray:
+    """Quadrature row of one agent's output, its boundary and point samples folded in."""
+    smooth = output.smooth_weight.values
+    if agent.delta_c0 is not None:
+        if agent.delta_c0.m != m:
+            raise GridMismatch("delta_c0 grid does not match the simulation grid")
+        smooth = smooth + agent.delta_c0.values
+    row = trapezoid_weights(m) * smooth
+    cb0, cb1 = output.boundary_weights
+    row[0] += cb0 + agent.delta_cb0
+    row[-1] += cb1 + agent.delta_cb1
+    for k, (c_k, z_k) in enumerate(output.point_weights):
+        c_k += agent.delta_points[k] if k < len(agent.delta_points) else 0.0
+        j = min(int(z_k * m), m - 1)
+        theta = z_k * m - j
+        row[j] += c_k * (1.0 - theta)
+        row[j + 1] += c_k * theta
+    return row
 
 
 class ClosedLoopStep:
@@ -224,24 +165,23 @@ class ClosedLoopStep:
 
     y = [x, vec v] stacks the flat profiles and the internal models; z =
     [x G, v, w] is all the loop reads, G a read-out of a few scalars per agent.
-    E feeds the inputs u = U z in at z = 1 and the disturbances through the
-    wiring, and drives v_i' = S v_i + column (D z)_i.  w advances by its exact
-    propagator and enters at its midpoint (w + w+)/2.  A = I - (dt/2) L is
-    tridiagonal (identity rows for v), so the midpoint is a rank-k update of
-    y0 = A^-1 y: y_h = y0 + P [y0 read, w], P = (dt/2) W (I - (dt/2) R W)^-1
-    with W = A^-1 E, R the read of z, and the w columns folded over
-    (I + propagator) / 2; then y+ = 2 y_h - y.
+    The profile rows of E (``forcing``) feed the inputs in at z = 1 and the
+    disturbances through the wiring; E drives v_i' = S v_i + column (D z)_i.
+    w advances by its exact propagator and enters at its midpoint (w + w+)/2.
+    A = I - (dt/2) L is tridiagonal (``bands``, identity rows for v), so the
+    midpoint is a rank-k update of y0 = A^-1 y: y_h = y0 + P [y0 read, w],
+    P = (dt/2) W (I - (dt/2) R W)^-1 with W = A^-1 E, R the read of z, and the
+    w columns folded over (I + propagator) / 2; then y+ = 2 y_h - y.
     """
 
-    def __init__(self, stepper: StackedStepper, read_out, inputs, s, column, drive, propagator):
-        n, n_nodes = stepper.weights.shape
-        self.n_x = n * n_nodes
+    def __init__(self, bands, forcing, read_out, s, column, drive, propagator, dt: float):
+        self.n_x = forcing.shape[0]
+        n = drive.shape[0]
         n_v = n * column.size
         n_read = read_out.shape[1] + n_v
         self.read_out, self.propagator = read_out, propagator
-        e = np.zeros((self.n_x + n_v, n_read + propagator.shape[0]), order="F")
-        e[: self.n_x, n_read:] = stepper.wiring.reshape(self.n_x, -1)
-        e[n_nodes - 1 : self.n_x : n_nodes] += stepper.bc1_gain[:, None] * inputs
+        e = np.zeros((self.n_x + n_v, forcing.shape[1]), order="F")
+        e[: self.n_x] = forcing
         e[self.n_x :, read_out.shape[1] : n_read] = np.kron(np.eye(n), s)
         e[self.n_x :] += np.kron(drive, column[:, None])
 
@@ -249,14 +189,14 @@ class ClosedLoopStep:
         from scipy.linalg.lapack import dgttrf, dgttrs
         self._dgttrs = dgttrs
         pad = np.zeros(n_v)     # identity rows for v
-        lower, diag, upper = stepper.bands
+        lower, diag, upper = bands
         *self.lu, info = dgttrf(
             np.append(lower, pad), np.append(diag, pad + 1.0), np.append(upper, pad)
         )
         if info != 0:
             raise SingularStep(f"Crank-Nicolson matrix is singular (pivot {info})")
         w_mat, _ = dgttrs(*self.lu, e, overwrite_b=1)
-        half = 0.5 * stepper.dt
+        half = 0.5 * dt
         coupled = np.eye(e.shape[1])
         coupled[:n_read] -= half * np.vstack([read_out.T @ w_mat[: self.n_x], w_mat[self.n_x :]])
         fold = np.eye(e.shape[1])
@@ -322,25 +262,64 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
         raise GridMismatch(f"gain grid {gains.m} vs scenario grid {m}")
     if gains.mode not in (None, mode):
         raise ToolkitError(f"gains designed for {gains.mode} mode run a {mode} scenario")
+    plant = scenario_objects.plant
+    for i, (ag, p_i) in enumerate(zip(agents, exo.read_outs, strict=True)):
+        if ag.m != plant.a.m:
+            raise GridMismatch("plant and agent grids differ")
+        if ag.n_channels != p_i.shape[0]:
+            raise ValueError(
+                f"agent {i + 1} wires {ag.n_channels} disturbance channels but the "
+                f"signal model produces {p_i.shape[0]}"
+            )
     n = len(agents)
     n_w = gains.n_w
     n_v = n * n_w
-    stepper = StackedStepper(scenario_objects.plant, agents, exo.read_outs, dt)
-    feedback = NetworkFeedback(gains, scenario_objects.topology, mode)
-    # z = [q, c, xi, vec v, w]: q_i the output quadrature of agent i, c_i and
-    # xi_i the read-outs of the feedback law
+    h = 1.0 / m
+    lam = 1.0 + np.stack([ag.delta_lambda.values for ag in agents])
+    bands, bc1_gain = _stencil(
+        lam, plant.a.values + np.stack([ag.delta_a.values for ag in agents]),
+        plant.q0 + np.array([ag.delta_q0 for ag in agents]),
+        plant.q1 + np.array([ag.delta_q1 for ag in agents]), dt,
+    )
+    # u_i = k_v . v_i - k_1 x_i(1) - int k_x x_i + sum_j a_ij (xi_i - xi_j) + a_i0 xi_i
+    # with xi_i = int r_x x_i, so one scalar per agent crosses the network; the
+    # internal models are driven by sum_j a_ij (y_i - y_j) + a_i0 (y_i - r)
+    graph = laplacian(scenario_objects.topology)
+    if mode == MODE_LEADER:
+        coupling, leader_links = graph.leader_follower, scenario_objects.topology.leader_links
+    elif mode == MODE_LEADERLESS:
+        coupling, leader_links = graph.laplacian, np.zeros(n)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    weights = trapezoid_weights(m)
+    law_read = np.stack([weights * gains.k_x.values, weights * gains.r_x.values], axis=1)
+    law_read[-1, 0] += gains.k_1
+
+    # z = [q, c, xi, vec v, w]: q_i the output quadrature of agent i, c_i =
+    # k_x . x_i + k_1 x_i(1) and xi_i the read-outs of the feedback law
     basis = np.eye(3 * n + n_v + exo.n_w)
     w_part = basis[3 * n + n_v :]
-    y_map = basis[:n] + stepper.feedthrough @ w_part
+    # each agent's disturbance wiring composed with its read-out P_i, so the
+    # forcing and the output feedthrough are fixed maps of the signal state w
+    feedthrough = np.stack([ag.g4 @ p_i for ag, p_i in zip(agents, exo.read_outs)])
+    y_map = basis[:n] + feedthrough @ w_part
     r_map = exo.p @ w_part
-    u_map = feedback.law @ basis[n : 3 * n + n_v]
+    law = np.hstack([-np.eye(n), coupling, np.kron(np.eye(n), gains.k_v)])
+    u_map = law @ basis[n : 3 * n + n_v]
     read_out = np.zeros((n, m + 1, 3, n))
-    for i in range(n):
-        read_out[i, :, 0, i] = stepper.weights[i]
-        read_out[i, :, 1:, i] = feedback.read_out
+    forcing = np.zeros((n, m + 1, basis.shape[0]))
+    for i, (ag, p_i) in enumerate(zip(agents, exo.read_outs)):
+        read_out[i, :, 0, i] = _output_row(plant.output, ag, m)
+        read_out[i, :, 1:, i] = law_read
+        wiring = forcing[i, :, 3 * n + n_v :]
+        wiring[:] = ag.g1 @ p_i
+        wiring[0] += -2.0 * lam[i, 0] / h * (ag.g2 @ p_i)
+        wiring[-1] += bc1_gain[i] * (ag.g3 @ p_i)
+    forcing[:, m] += bc1_gain[:, None] * u_map
     step = ClosedLoopStep(
-        stepper, read_out.reshape(n * (m + 1), 3 * n), u_map, gains.S, gains.b_y,
-        feedback.drive_map @ np.vstack([y_map, r_map]), expm(exo.S * dt),
+        bands, forcing.reshape(n * (m + 1), -1), read_out.reshape(n * (m + 1), 3 * n), gains.S,
+        gains.b_y, np.column_stack([coupling, -leader_links]) @ np.vstack([y_map, r_map]),
+        expm(exo.S * dt), dt,
     )
     signals = np.vstack([y_map, u_map, r_map])
 
@@ -420,17 +399,14 @@ def simulate_target_cascade(
     m = np.shape(x_tilde0)[1] - 1
     n_x = n * (m + 1)
 
-    zero = GridFunction.constant(0.0, m)
-    heat = NominalPlant(
-        a=GridFunction.constant(-gains.mu_c, m), q0=0.0, q1=0.0, output=OutputOperator(zero)
-    )
-    agent = AgentSpec(delta_lambda=zero, delta_a=zero)
-    stepper = StackedStepper(heat, [agent] * n, [np.zeros((0, 0))] * n, dt)
+    bands, bc1_gain = _stencil(np.ones((n, m + 1)), np.full((n, m + 1), -gains.mu_c), 0.0, 0.0, dt)
     # the profiles enter nothing but their own step: an empty read-out
     boundary = np.kron(np.eye(n), gains.k_v)
+    forcing = np.zeros((n, m + 1, n * n_w))
+    forcing[:, m] += bc1_gain[:, None] * boundary
     step = ClosedLoopStep(
-        stepper, np.zeros((n_x, 0)), boundary, gains.S, np.asarray(q_tilde_at_1, dtype=float),
-        -(coupling @ boundary), np.zeros((0, 0)),
+        bands, forcing.reshape(n_x, -1), np.zeros((n_x, 0)), gains.S,
+        np.asarray(q_tilde_at_1, dtype=float), -(coupling @ boundary), np.zeros((0, 0)), dt,
     )
     y = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)], dtype=float)
 
@@ -473,8 +449,9 @@ def error_metrics(trace: SimTrace, mode: str) -> ErrorMetrics:
 
     The error signal is the worst tracking error in leader-follower mode and
     the worst pairwise output difference otherwise.  The settling time is the
-    first time after which the error stays within 5% of its peak, the tail
-    error the sup over the last fifth of the horizon; the decay rate is a
+    first time after which the error stays within 5% of its peak; the tail
+    error, and the tail sync error of the pairwise difference in either mode,
+    are sups over the last fifth of the horizon.  The decay rate is a
     least-squares fit to the log of the error envelope above its terminal floor.
     """
     if trace.times.size == 0:
@@ -487,12 +464,13 @@ def error_metrics(trace: SimTrace, mode: str) -> ErrorMetrics:
         raise ValueError(f"unknown mode {mode!r}")
 
     times = trace.times
-    tail_start = times[0] + 0.8 * (times[-1] - times[0])
-    tail = float(err[times >= tail_start].max())
+    in_tail = times >= times[0] + 0.8 * (times[-1] - times[0])
+    tail = float(err[in_tail].max())
+    tail_sync = float(trace.pairwise_sync_errors()[in_tail].max())
 
     peak = float(err.max())
     if peak == 0.0:
-        return ErrorMetrics(settling_time=0.0, tail_error=0.0, decay_rate=0.0)
+        return ErrorMetrics(0.0, 0.0, 0.0, tail_sync)
 
     threshold = 0.05 * peak
     suffix_max = np.maximum.accumulate(err[::-1])[::-1]
@@ -507,4 +485,4 @@ def error_metrics(trace: SimTrace, mode: str) -> ErrorMetrics:
         rate = -float(slope)
     else:
         rate = 0.0
-    return ErrorMetrics(settling_time=settling, tail_error=tail, decay_rate=rate)
+    return ErrorMetrics(settling, tail, rate, tail_sync)

@@ -316,17 +316,25 @@ def solve_are(s: np.ndarray, g: np.ndarray, nu: float, a: float) -> np.ndarray:
     k_gain = np.linalg.solve(z, g)  # row vector of the stabilizing start
 
     gcol = g.reshape(-1, 1)
-    for _ in range(_NEWTON_STEPS):
-        a_cl = s - gcol @ k_gain.reshape(1, -1)
-        if np.linalg.eigvals(a_cl).real.max() >= 0:
-            raise NewtonDivergence("iterate lost the stabilizing property")
-        w = a * np.eye(n) + np.outer(k_gain, k_gain) / (2.0 * nu)
-        q = _lyap_kron(a_cl, w)
-        if riccati_residual(s, q, g, nu, a) <= tol:
-            if np.linalg.eigvalsh(q).min() <= 0:
-                raise NewtonDivergence("converged matrix is not positive definite")
-            return q
-        k_gain = 2.0 * nu * (q @ g)
+    with np.errstate(all="ignore"):  # an iterate that overflows is rejected below
+        for _ in range(_NEWTON_STEPS):
+            a_cl = s - gcol @ k_gain.reshape(1, -1)
+            if not np.isfinite(a_cl).all():
+                raise NewtonDivergence("iterate left the floating-point range")
+            if np.linalg.eigvals(a_cl).real.max() >= 0:
+                raise NewtonDivergence("iterate lost the stabilizing property")
+            w = a * np.eye(n) + np.outer(k_gain, k_gain) / (2.0 * nu)
+            if not np.isfinite(w).all():
+                raise NewtonDivergence("iterate left the floating-point range")
+            try:
+                q = _lyap_kron(a_cl, w)
+            except np.linalg.LinAlgError as exc:
+                raise NewtonDivergence(f"Lyapunov step is singular: {exc}") from exc
+            if riccati_residual(s, q, g, nu, a) <= tol:
+                if np.linalg.eigvalsh(q).min() <= 0:
+                    raise NewtonDivergence("converged matrix is not positive definite")
+                return q
+            k_gain = 2.0 * nu * (q @ g)
     raise NewtonDivergence(
         f"Riccati residual above tolerance {tol:.3e} after {_NEWTON_STEPS} Newton steps"
     )

@@ -10,7 +10,7 @@ from coopreg.comm_graph import CommTopology, laplacian
 from coopreg.grid import GridFunction, cumulative_trapezoid, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
 from coopreg.signal_model import ExoModel
-from coopreg.simulator import AgentSpec, NominalPlant, StackedStepper, simulate
+from coopreg.simulator import AgentSpec, NominalPlant, simulate
 from coopreg.synthesis import MODE_LEADER, RegulatorGains
 
 
@@ -280,15 +280,32 @@ def dense_step_loop(resolved, gains):
     m, n, n_w = resolved.m, len(agents), gains.n_w
     n_x = n * (m + 1)
     h = 1.0 / m
-    plant = resolved.plant
-    # output weights, feedthrough and disturbance wiring of each agent
-    stepper = StackedStepper(plant, agents, exo.read_outs, dt)
+    plant, out = resolved.plant, resolved.plant.output
     lam = [1.0 + ag.delta_lambda.values for ag in agents]
     stencil = block_diag(*(
         dense_stencil(lam_i, plant.a.values + ag.delta_a.values,
                       plant.q0 + ag.delta_q0, plant.q1 + ag.delta_q1)
         for lam_i, ag in zip(lam, agents)
     ))
+    # output row, disturbance wiring and feedthrough of each agent; a point
+    # sample is the linear interpolant of the nodal values
+    nodes, hats = np.linspace(0.0, 1.0, m + 1), np.eye(m + 1)
+    rows, wiring, feedthrough = [], [], []
+    for ag, p_i, lam_i in zip(agents, exo.read_outs, lam):
+        delta_c0 = 0.0 if ag.delta_c0 is None else ag.delta_c0.values
+        row = trapezoid_weights(m) * (out.smooth_weight.values + delta_c0)
+        row[0] += out.boundary_weights[0] + ag.delta_cb0
+        row[m] += out.boundary_weights[1] + ag.delta_cb1
+        for k, (c_k, z_k) in enumerate(out.point_weights):
+            c_k += ag.delta_points[k] if k < len(ag.delta_points) else 0.0
+            row += c_k * np.array([np.interp(z_k, nodes, hat) for hat in hats])
+        rows.append(row)
+        d_map = ag.g1 @ p_i                  # in-domain g1 d, then the ghost-node closures
+        d_map[0] -= 2.0 * lam_i[0] / h * (ag.g2 @ p_i)
+        d_map[m] += 2.0 * lam_i[m] / h * (ag.g3 @ p_i)
+        wiring.append(d_map)
+        feedthrough.append(ag.g4 @ p_i)
+    feedthrough = np.array(feedthrough)
     actuation = np.zeros((n_x, n))        # u_i enters at node m of agent i
     for i, lam_i in enumerate(lam):
         actuation[i * (m + 1) + m, i] = 2.0 * lam_i[m] / h
@@ -303,22 +320,22 @@ def dense_step_loop(resolved, gains):
     u_x = np.kron(coupling, w_rx) - np.kron(np.eye(n), w_kx)
     u_x[:, m :: m + 1] -= gains.k_1 * np.eye(n)
     u_map = np.hstack([u_x, np.kron(np.eye(n), gains.k_v)])          # u from [x, v]
-    y_map = np.hstack([block_diag(*stepper.weights), np.zeros((n, n * n_w))])
+    y_map = np.hstack([block_diag(*rows), np.zeros((n, n * n_w))])
     drive = np.kron(coupling, gains.b_y[:, None])
     generator = np.vstack([
         np.hstack([stencil, np.zeros((n_x, n * n_w))]) + actuation @ u_map,
         drive @ y_map + np.hstack([np.zeros((n * n_w, n_x)), np.kron(np.eye(n), gains.S)]),
     ])
     forcing = np.vstack([
-        stepper.wiring.reshape(n_x, -1),
-        drive @ stepper.feedthrough - np.outer(np.kron(links, gains.b_y), exo.p),
+        np.vstack(wiring),
+        drive @ feedthrough - np.outer(np.kron(links, gains.b_y), exo.p),
     ])
     x0 = np.concatenate([ag.initial_profile.values for ag in agents])
     (ys, ws), blowup_time = dense_crank_nicolson(
         generator, forcing, expm(exo.S * dt), np.concatenate([x0, np.ravel(resolved.v0)]),
         resolved.w0, dt, resolved.n_steps, resolved.blowup_bound,
     )
-    outputs = ys @ y_map.T + ws @ stepper.feedthrough.T
+    outputs = ys @ y_map.T + ws @ feedthrough.T
     inputs = ys @ u_map.T
     states = (ys[:, n_x:].reshape(-1, n, n_w), ys[:, :n_x].reshape(-1, n, m + 1))
     return (outputs, inputs, *states), blowup_time

@@ -784,3 +784,29 @@ def test_grid_suggestion_rounds_up(scenario_file, tmp_path, capsys):
         line for line in capsys.readouterr().out.splitlines() if line.startswith("design pipeline")
     )
     assert float(row.rpartition("use grid_points >= ")[2]) >= 12345
+
+
+@pytest.mark.parametrize(
+    "edits, row",
+    [
+        ({"a = z + 1": "a = 1e308", "mu_c = 5": "mu_c = 1e308"},
+         "FAIL  SingularSystem: mu_c + a leaves the floating-point range"),
+        ({"riccati_a = 150": "riccati_a = 1e308"}, "FAIL  NewtonDivergence: "),
+        ({"riccati_a = 150": "riccati_a = 1e300"}, "FAIL  NewtonDivergence: "),
+    ],
+    ids=["a-mu_c-overflow", "riccati_a-1e308", "riccati_a-1e300"],
+)
+def test_overflowing_design_fails_cleanly_on_shipped_grid(
+    leader_scenario_text, tmp_path, capsys, edits, row
+):
+    text = leader_scenario_text
+    for old, new in edits.items():
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n", 1)
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text)
+    assert main(["check", "--scenario", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    design = next(line for line in captured.out.splitlines() if line.startswith("design pipeline"))
+    assert row in design and "grid_points" not in design
+    assert "Traceback" not in captured.err and "Warning" not in captured.err

@@ -16,7 +16,6 @@ from coopreg.simulator import (
     AgentSpec,
     NominalPlant,
     SimTrace,
-    StackedStepper,
     error_metrics,
     simulate,
     simulate_target_cascade,
@@ -361,22 +360,6 @@ class TestPdeStep:
                 delta_a=GridFunction.constant(0.0, m),
             )
 
-    def test_boundary_disturbances_enter_forcing(self):
-        m = 64
-        plant = NominalPlant(
-            a=GridFunction.constant(0.0, m), q0=0.0, q1=0.0, output=benchmark_output(m)
-        )
-        agent = plain_agent(
-            m, g1=np.zeros((m + 1, 1)), g2=np.array([1.0]), g3=np.array([1.0]),
-            g4=np.zeros(1),
-        )
-        stepper = StackedStepper(plant, [agent], [np.eye(1)], 1e-3)
-        f = stepper.wiring[0] @ np.array([2.0])
-        # -2 lam/h * (g2 . d) at z = 0 and +2 lam/h * (g3 . d + u) at z = 1
-        assert f[0] == pytest.approx(-2.0 * m * 2.0)
-        assert f[-1] == pytest.approx(2.0 * m * 2.0)
-        assert stepper.bc1_gain[0] == pytest.approx(2.0 * m)
-
     def test_stacked_agents_step_independently(self):
         m, dt, n_w = 32, 1e-3, 3
         h = 1.0 / m
@@ -667,6 +650,15 @@ class TestErrorMetrics:
         outputs = np.stack([np.ones(11), np.ones(11) + 0.5], axis=1)
         metrics = error_metrics(self._trace(times, outputs), MODE_LEADERLESS)
         assert metrics.tail_error == pytest.approx(0.5)
+
+    def test_tail_sync_error_reads_last_fifth_in_leader_mode(self):
+        # the spread is 1 up to t = 0.7 and 0.25 from t = 0.8 = the tail start
+        times = np.linspace(0.0, 1.0, 11)
+        spread = np.where(times < 0.75, 1.0, 0.25)
+        outputs = np.stack([np.full(11, 2.0), 2.0 + spread], axis=1)
+        metrics = error_metrics(self._trace(times, outputs), MODE_LEADER)
+        assert metrics.tail_sync_error == 0.25
+        assert metrics.tail_error == 2.25
 
 
 class TestNominalContraction:
