@@ -23,9 +23,11 @@ from . import backstepping, comm_graph, signal_model, simulator, synthesis
 from .errors import (
     NonPositiveBound,
     NotControllable,
+    ParseError,
     ResonantSpectrum,
     SchemaError,
     ToolkitError,
+    read_text,
 )
 from .scenario import Scenario, load_scenario
 from .synthesis import MODE_LEADER
@@ -107,7 +109,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         f"{topology.n_agents} agents",
         NonPositiveBound,
     )
-    rank_ok = synthesis.internal_model_rank_check(mode, graph, theta)
+    rank_ok = synthesis.internal_model_rank_check(mode, graph)
     hypothesis("internal-model rank", "H nonsingular" if leader else "rank H_tilde = N - 1", rank_ok, "")
     try:
         spectral_bound = comm_graph.spectral_lower_bound(coupling)
@@ -325,7 +327,7 @@ def cmd_simulate(args) -> int:
     gains = synthesis.read_gains_file(args.gains)
     resolved = scenario.resolve(m=gains.m, dt=args.dt, horizon=args.horizon)
     cert_path = Path(args.gains).parent / "certificate.json"
-    if cert_path.exists() and not json.loads(cert_path.read_text()).get("passed"):
+    if cert_path.exists() and not _certificate_passed(cert_path):
         print("warning: simulating with gains whose certificate failed", file=sys.stderr)
     try:
         trace = simulator.simulate(resolved, gains)
@@ -344,6 +346,17 @@ def cmd_simulate(args) -> int:
     )
     print(f"wrote {out / 'trace.csv'} and {out / 'metrics.txt'}")
     return 0
+
+
+def _certificate_passed(path: Path) -> bool:
+    """The ``passed`` flag of a certificate; a file that is not a JSON object is a ParseError."""
+    try:
+        payload = json.loads(read_text(path, "ascii"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path} holds a JSON {type(payload).__name__}, not an object")
+    return bool(payload.get("passed"))
 
 
 def cmd_check(args) -> int:

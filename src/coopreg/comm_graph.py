@@ -66,15 +66,12 @@ class GraphMatrices:
 
 @dataclass(frozen=True)
 class ThetaDecomposition:
-    """Coordinate change isolating the synchronization-error block.
+    """Laplacian blocks in the coordinates (agent 1, differences to agent 1).
 
-    ``theta`` maps agent coordinates to (agent 1, differences to agent 1);
-    the transformed Laplacian has the block form [[0, l12], [0, l22]] and
-    ``l22`` carries the stable synchronization dynamics.
+    That change of coordinates maps L to [[0, l12], [0, l22]], and ``l22``
+    carries the stable synchronization dynamics.
     """
 
-    theta: np.ndarray
-    theta_inv: np.ndarray
     l12: np.ndarray
     l22: np.ndarray
 
@@ -110,33 +107,22 @@ def is_connected(topology: CommTopology, with_root_zero: bool) -> bool:
 
 
 def theta_decompose(lap: np.ndarray) -> ThetaDecomposition:
-    """Similarity transform of a Laplacian into its synchronization blocks.
+    """Synchronization blocks of a Laplacian: l12 = L[0, 1:], l22 = L[1:, 1:] - L[0, 1:].
 
-    Raises BlockStructureViolation when the first column of the transformed
-    matrix is not numerically zero, which signals that the input was not a
-    Laplacian (its rows must sum to zero).
+    The coordinate change subtracts agent 1 from every other agent, so each
+    block is a slice of L.  Raises BlockStructureViolation when a row of the
+    input does not sum to zero, as the row sums of a Laplacian do.
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
     if lap.ndim != 2 or lap.shape != (n, n) or n < 2:
         raise ValueError("need a square matrix of size at least 2")
-    theta = np.eye(n)
-    theta[1:, 0] = -1.0
-    theta_inv = np.eye(n)
-    theta_inv[1:, 0] = 1.0
-    transformed = theta @ lap @ theta_inv
-    first_col = np.abs(transformed[:, 0]).max()
-    if first_col > ZERO_EIG_TOL * max(1.0, np.abs(lap).max()):
+    row_sum = np.abs(lap.sum(axis=1)).max()
+    if row_sum > ZERO_EIG_TOL * max(1.0, np.abs(lap).max()):
         raise BlockStructureViolation(
-            f"first column of the transformed matrix has magnitude {first_col:.3e}; "
-            "the input rows do not sum to zero"
+            f"a row of the input sums to {row_sum:.3e}; the rows of a Laplacian sum to zero"
         )
-    return ThetaDecomposition(
-        theta=theta,
-        theta_inv=theta_inv,
-        l12=transformed[0, 1:].copy(),
-        l22=transformed[1:, 1:].copy(),
-    )
+    return ThetaDecomposition(l12=lap[0, 1:].copy(), l22=lap[1:, 1:] - lap[0, 1:])
 
 
 def spectral_lower_bound(mat: np.ndarray) -> float:
@@ -154,10 +140,3 @@ def spectral_lower_bound(mat: np.ndarray) -> float:
             f"smallest eigenvalue real part {bound:.3e} is not positive"
         )
     return bound
-
-
-def leaderless_rank_matrix(theta_dec: ThetaDecomposition) -> np.ndarray:
-    """The N x (N-1) matrix whose full column rank certifies that pairwise
-    output differences vanish only when all outputs agree."""
-    stacked = np.vstack([theta_dec.l12[None, :], theta_dec.l22])
-    return theta_dec.theta_inv @ stacked

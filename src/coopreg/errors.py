@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one reader of input text."""
 
 
 class ToolkitError(Exception):
@@ -54,7 +54,7 @@ class NumericalBlowup(ToolkitError):
 
 
 class ParseError(ToolkitError):
-    """A scenario file could not be parsed."""
+    """An input file could not be parsed."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -72,3 +72,16 @@ class SchemaError(ToolkitError):
             "scenario schema violations:\n  - " + "\n  - ".join(violations)
         )
         self.violations = violations
+
+
+def read_text(path, encoding: str) -> str:
+    """The file decoded as ``encoding``; a byte that does not decode is a
+    ParseError naming the file and the line of that byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        message = f"{path}: byte {data[exc.start]:#04x} is not {encoding} text"
+        raise ParseError(message, line=line) from None

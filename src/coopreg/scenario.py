@@ -19,7 +19,7 @@ import numpy as np
 
 from .backstepping import MIN_GRID_POINTS, OutputOperator
 from .comm_graph import CommTopology
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, read_text
 from .expressions import Expression
 from .grid import GridFunction, uniform_nodes
 from .signal_model import ExoModel, build_signal_model
@@ -172,6 +172,11 @@ class Scenario:
                 f"(horizon / dt = {steps:.10g})"
             ])
         n_steps = round(steps)
+        off_grid = [t for t in self.outputs.snapshot_times
+                    if not 0 <= t <= horizon or abs(t / dt - round(t / dt)) > 1e-9 * (t / dt)]
+        if off_grid:
+            raise SchemaError([f"[outputs] snapshot_times {off_grid} must be whole numbers "
+                               f"of steps dt = {dt} in [0, horizon = {horizon}]"])
         exo = self.exo_model()
         return ResolvedScenario(
             mode=self.mode,
@@ -513,6 +518,8 @@ def loads(text: str) -> Scenario:
             f"mode = {MODE_LEADERLESS} needs at least 2 agents to synchronize, "
             f"got {len(agent_names)}"
         )
+    if mode == MODE_LEADERLESS and any(links := values["leader_links"]):
+        violations.append(f"[graph] leader_links = {_write_vector(links)} must be zero if leaderless")
     n_w = _signal_dim(values)
     if values["p_override"] is not None and len(values["p_override"]) != n_w:
         violations.append("[exosystem] p must have one entry per signal state")
@@ -536,8 +543,7 @@ def loads(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return loads(read_text(path, "utf-8"))
 
 
 def serialize(scenario: Scenario) -> str:

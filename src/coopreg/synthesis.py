@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backstepping import OutputOperator, TriangularKernel
-from .comm_graph import GraphMatrices, ThetaDecomposition, leaderless_rank_matrix
+from .comm_graph import GraphMatrices, ThetaDecomposition
 from .errors import (
     GridMismatch,
     InconsistentCertificates,
@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     ResonantSpectrum,
     SingularSystem,
+    read_text,
 )
 from .grid import GridFunction, trapezoid_weights, uniform_nodes
 from .signal_model import check_controllable
@@ -98,8 +99,8 @@ class SyncSteadyState:
     """Steady-state maps of the leaderless closed loop.
 
     ``sigma1`` maps the persistent internal-model mode to the asymptotic
-    profile; the rows of ``y_map`` are the asymptotic output read-outs,
-    which coincide exactly when the outputs synchronize.
+    profile; the rows of ``y_map`` are the asymptotic output read-outs.
+    Every agent's sigma1 solves the same problem, so the rows of both agree.
     """
 
     pi: np.ndarray
@@ -420,21 +421,15 @@ def certify_stability(
     )
 
 
-def internal_model_rank_check(
-    mode: str,
-    graph: GraphMatrices,
-    theta_dec: ThetaDecomposition | None = None,
-) -> bool:
-    """Structural condition for regulation: det H nonzero, or rank N-1 of the
-    leaderless read-out matrix."""
+def internal_model_rank_check(mode: str, graph: GraphMatrices) -> bool:
+    """Structural condition for regulation: det H nonzero, or full column rank
+    N - 1 of the leaderless read-out matrix H~ = L[:, 1:]."""
     if mode == MODE_LEADER:
         h = graph.leader_follower
         sv = np.linalg.svd(h, compute_uv=False)
         return bool(sv[-1] > 1e-9 * max(1.0, sv[0]))
     if mode == MODE_LEADERLESS:
-        if theta_dec is None:
-            raise ValueError("leaderless rank check needs the Theta decomposition")
-        h_tilde = leaderless_rank_matrix(theta_dec)
+        h_tilde = graph.laplacian[:, 1:]
         rank = np.linalg.matrix_rank(h_tilde, tol=1e-9 * max(1.0, np.abs(h_tilde).max()))
         return bool(rank == h_tilde.shape[1])
     raise ValueError(f"unknown mode {mode!r}")
@@ -451,9 +446,10 @@ def sync_steady_state(
     """Steady-state synchronization maps of the leaderless closed loop.
 
     Solves the coupling Sylvester equation by Kronecker vectorization and the
-    two matrix boundary-value problems row by row with the same machinery as
-    the decoupling equations.  Requires pairwise disjoint spectra of the
-    signal model, the synchronization block and the target dynamics.
+    matrix boundary-value problems with the same machinery as the decoupling
+    equations: sigma1 once for all agents, sigma2 agent by agent.  Requires
+    pairwise disjoint spectra of the signal model, the synchronization block
+    and the target dynamics.
     """
     s = np.asarray(s, dtype=float)
     k_v = np.asarray(k_v, dtype=float)
@@ -483,37 +479,23 @@ def sync_steady_state(
     pi = np.linalg.solve(coeff, rhs.reshape(-1, order="F")).reshape(n_w, dim, order="F")
 
     m = output_transformed.m
-    ones_kv = np.tile(k_v, (n_agents, 1))
+    # every agent's Neumann datum is k_v, so all agents share one sigma1 and one read-out
+    sigma1 = _neumann_bvp(mu_c * np.eye(n_w) + s.T, np.zeros((n_w, m + 1)), np.zeros(n_w), k_v)
+    sigma1 = np.repeat(sigma1[None], n_agents, axis=0)
 
-    sigma1 = np.empty((n_agents, n_w, m + 1))
-    a1 = mu_c * np.eye(n_w) + s.T
-    for i in range(n_agents):
-        sigma1[i] = _neumann_bvp(
-            a1, np.zeros((n_w, m + 1)), np.zeros(n_w), ones_kv[i]
-        )
-
-    b_mat = np.zeros((n_agents, dim))
-    b_mat[1:, :] = np.kron(np.eye(n_minus_1), k_v.reshape(1, -1))
-    gamma1_rows = ones_kv @ pi + b_mat
-    sigma2 = np.empty((n_agents, dim, m + 1))
+    gamma1_rows = k_v @ pi + np.vstack([np.zeros(dim), np.kron(np.eye(n_minus_1), k_v)])
     a2 = mu_c * np.eye(dim) + f_eps.T
-    for i in range(n_agents):
-        sigma2[i] = _neumann_bvp(
-            a2, np.zeros((dim, m + 1)), np.zeros(dim), gamma1_rows[i]
-        )
+    no_load = np.zeros((dim, m + 1))
+    sigma2 = np.stack([_neumann_bvp(a2, no_load, np.zeros(dim), g) for g in gamma1_rows])
 
     w_q = trapezoid_weights(m) * output_transformed.smooth_weight.values
     cb0, cb1 = output_transformed.boundary_weights
-    y_map = np.empty((n_agents, n_w))
-    for i in range(n_agents):
-        row = sigma1[i] @ w_q
-        for c_k, z_k in output_transformed.point_weights:
-            nodes = uniform_nodes(m)
-            row = row + c_k * np.array(
-                [np.interp(z_k, nodes, sigma1[i, c]) for c in range(n_w)]
-            )
-        row = row + cb0 * sigma1[i, :, 0] + cb1 * sigma1[i, :, -1]
-        y_map[i] = row
+    nodes = uniform_nodes(m)
+    row = sigma1[0] @ w_q
+    for c_k, z_k in output_transformed.point_weights:
+        row = row + c_k * np.array([np.interp(z_k, nodes, sigma1[0, c]) for c in range(n_w)])
+    row = row + cb0 * sigma1[0, :, 0] + cb1 * sigma1[0, :, -1]
+    y_map = np.repeat(row[None], n_agents, axis=0)
     return SyncSteadyState(pi=pi, sigma1=sigma1, sigma2=sigma2, y_map=y_map, f_eps=f_eps)
 
 
@@ -557,26 +539,26 @@ def read_gains_file(path) -> RegulatorGains:
     """Parse a file written by ``write_gains_file``.  ParseError names the line of
     a missing key or section (the last line), of a value that is not a finite
     number, of an unknown mode, and of a profile or matrix whose size
-    disagrees with the others.  A file without a mode line has mode None."""
+    disagrees with the others, and of a byte that is not ASCII.  A file
+    without a mode line has mode None."""
     fields = {}     # key -> (text, line); [section] -> (values, header line)
     section = None
     lineno = 0
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line
-                fields[section] = ([], lineno)
-            elif section is None:
-                key, _, value = line.partition("=")
-                fields[key.strip()] = (value.strip(), lineno)
-            else:
-                tokens = line.split()
-                if len(tokens) != 2:
-                    raise ParseError(f"expected 'z value', got {line!r}", line=lineno)
-                fields[section][0].append(_gain_value(tokens[1], lineno))
+    for lineno, raw in enumerate(read_text(path, "ascii").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line
+            fields[section] = ([], lineno)
+        elif section is None:
+            key, _, value = line.partition("=")
+            fields[key.strip()] = (value.strip(), lineno)
+        else:
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ParseError(f"expected 'z value', got {line!r}", line=lineno)
+            fields[section][0].append(_gain_value(tokens[1], lineno))
 
     def field(key):
         if key not in fields:

@@ -55,6 +55,35 @@ def random_connected_topology(rng, with_leader: bool) -> CommTopology:
     return CommTopology(adjacency=adjacency, leader_links=links)
 
 
+def random_digraph(rng) -> CommTopology:
+    """Random weighted digraph on 2..7 agents, connected or not, with arbitrary
+    (not dyadic) weights and random leader links."""
+    n = int(rng.integers(2, 8))
+    edges = rng.random((n, n)) < rng.random()
+    adjacency = np.where(edges, rng.uniform(0.1, 3.0, (n, n)), 0.0)
+    np.fill_diagonal(adjacency, 0.0)
+    links = np.where(rng.random(n) < 0.5, rng.uniform(0.1, 3.0, n), 0.0)
+    return CommTopology(adjacency=adjacency, leader_links=links)
+
+
+def theta_pair(n: int):
+    """The coordinate change to (agent 1, differences to agent 1) and its inverse."""
+    theta = np.eye(n)
+    theta[1:, 0] = -1.0
+    theta_inv = np.eye(n)
+    theta_inv[1:, 0] = 1.0
+    return theta, theta_inv
+
+
+def theta_oracle(lap: np.ndarray):
+    """Blocks l12, l22 of Theta L Theta^-1 and the leaderless rank matrix
+    Theta^-1 [l12; l22], all formed by explicit matrix products."""
+    theta, theta_inv = theta_pair(lap.shape[0])
+    transformed = theta @ lap @ theta_inv
+    l12, l22 = transformed[0, 1:], transformed[1:, 1:]
+    return l12, l22, theta_inv @ np.vstack([l12[None, :], l22])
+
+
 def random_smooth_profile(rng, m: int, n_modes: int = 5) -> np.ndarray:
     nodes = np.linspace(0.0, 1.0, m + 1)
     coeffs = rng.normal(size=n_modes)

@@ -9,13 +9,18 @@ from coopreg.comm_graph import (
     CommTopology,
     is_connected,
     laplacian,
-    leaderless_rank_matrix,
     spectral_lower_bound,
     theta_decompose,
 )
 from coopreg.errors import BlockStructureViolation, NonPositiveBound
 
-from _support import bfs_is_connected, random_connected_topology
+from _support import (
+    bfs_is_connected,
+    random_connected_topology,
+    random_digraph,
+    theta_oracle,
+    theta_pair,
+)
 
 FOUR_AGENT_LAPLACIAN = np.array(
     [
@@ -139,9 +144,28 @@ class TestThetaDecomposition:
             block = np.zeros((n, n))
             block[0, 1:] = dec.l12
             block[1:, 1:] = dec.l22
-            rebuilt = dec.theta_inv @ block @ dec.theta
+            theta, theta_inv = theta_pair(n)
+            rebuilt = theta_inv @ block @ theta
             scale = max(1.0, np.abs(lap).max())
             assert np.abs(rebuilt - lap).max() <= 1e-12 * scale
+
+    def test_blocks_and_rank_verdict_match_explicit_transform(self):
+        from coopreg.synthesis import MODE_LEADERLESS, internal_model_rank_check
+
+        rng = np.random.default_rng(20)
+        connected = set()
+        for _ in range(300):
+            top = random_digraph(rng)
+            graph = laplacian(top)
+            dec = theta_decompose(graph.laplacian)
+            l12, l22, h_tilde = theta_oracle(graph.laplacian)
+            assert np.array_equal(dec.l12, l12)
+            assert np.array_equal(dec.l22, l22)
+            tol = 1e-9 * max(1.0, np.abs(h_tilde).max())
+            full_rank = np.linalg.matrix_rank(h_tilde, tol=tol) == top.n_agents - 1
+            assert internal_model_rank_check(MODE_LEADERLESS, graph) == full_rank
+            connected.add(is_connected(top, with_root_zero=False))
+        assert connected == {True, False}
 
     def test_non_laplacian_input_rejected(self):
         with pytest.raises(BlockStructureViolation):
@@ -218,7 +242,6 @@ class TestConnectedGraphSpectra:
             near_zero = np.abs(eigs) <= 1e-9
             assert near_zero.sum() == 1
             assert np.all(eigs.real[~near_zero] > 0)
-            dec = theta_decompose(lap)
-            h_tilde = leaderless_rank_matrix(dec)
+            h_tilde = lap[:, 1:]
             n = top.n_agents
             assert np.linalg.matrix_rank(h_tilde, tol=1e-9 * max(1.0, np.abs(h_tilde).max())) == n - 1

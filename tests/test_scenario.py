@@ -358,6 +358,31 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "times, horizon, bad",
+        [("0.0005", "0.01", "[0.0005]"), ("-1 5", "0.2", "[-1.0, 5.0]")],
+        ids=["between-steps", "outside-horizon"],
+    )
+    def test_snapshot_time_off_the_step_grid_rejected(
+        self, scenario_file, leader_design, tmp_path, capsys, times, horizon, bad
+    ):
+        cfg = tmp_path / "snap.cfg"
+        cfg.write_text(scenario_file.read_text().replace(
+            "sample_every = 10", f"sample_every = 10\nsnapshot_times = {times}"
+        ))
+        gains = tmp_path / "gains.txt"
+        write_gains_file(leader_design.gains, gains)
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scenario", str(cfg), "--gains", str(gains),
+            "--out", str(out), "--horizon", horizon,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"[outputs] snapshot_times {bad} must be whole numbers of steps dt = 0.001" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["synthesize", "check"])
     def test_one_agent_leaderless_rejected(self, tmp_path, capsys, command):
         from importlib.resources import files
@@ -377,6 +402,18 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "mode = leaderless needs at least 2 agents" in err
+        assert "Traceback" not in err
+
+    def test_leaderless_leader_links_rejected(self, tmp_path, capsys):
+        from importlib.resources import files
+
+        text = files("coopreg").joinpath("scenarios/four_agent_leaderless.cfg").read_text()
+        assert "leader_links = 0 0 0 0" in text
+        cfg = tmp_path / "linked.cfg"
+        cfg.write_text(text.replace("leader_links = 0 0 0 0", "leader_links = 1 0 0 0"))
+        assert main(["check", "--scenario", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "[graph] leader_links = 1 0 0 0 must be zero if leaderless" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("mu_c", ["10000", "20000", "1e6"])
@@ -554,6 +591,44 @@ class TestCli:
         ])
         assert code == 1
         assert "ParseError: line 3: 'nan' is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undecodable_scenario_rejected(self, scenario_file, tmp_path, capsys):
+        data = scenario_file.read_bytes() + b"\xff"
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(data)
+        assert main(["check", "--scenario", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        line = data.count(b"\n") + 1
+        assert f"ParseError: line {line}: {cfg}: byte 0xff is not utf-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("gains.txt", lambda data: data.replace(b"# regulator", "# régulator".encode()),
+             "line 1: {path}: byte 0xc3 is not ascii text"),
+            ("certificate.json", lambda data: b'{"passed": tru', "line 1: {path}: Expecting value"),
+            ("certificate.json", lambda data: b"[1, 2]", "{path} holds a JSON list, not an object"),
+            ("certificate.json", lambda data: b"\xff\xfe", "line 1: {path}: byte 0xff is not ascii text"),
+        ],
+        ids=["gains-utf8", "certificate-truncated", "certificate-list", "certificate-bom"],
+    )
+    def test_unreadable_design_file_rejected(
+        self, scenario_file, leader_design, tmp_path, capsys, name, edit, message
+    ):
+        gains = tmp_path / "gains.txt"
+        write_gains_file(leader_design.gains, gains)
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes() if path.exists() else b""))
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scenario", str(scenario_file), "--gains", str(gains), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"ParseError: {message.format(path=path)}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_snapshot_profiles_written(self, scenario_file, tmp_path):

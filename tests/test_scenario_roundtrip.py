@@ -55,11 +55,12 @@ def scenarios(draw):
     disturbance = draw(frequencies(0))
     n_w = sum(1 if f == 0 else 2 for f in reference + disturbance)
     weights = st.floats(min_value=0.0, max_value=10.0)
+    mode = draw(st.sampled_from([MODE_LEADER, MODE_LEADERLESS]))
     points = draw(
         st.lists(st.tuples(FINITE, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)), max_size=3)
     )
     return Scenario(
-        mode=draw(st.sampled_from([MODE_LEADER, MODE_LEADERLESS])),
+        mode=mode,
         plant_a=draw(EXPRESSIONS),
         q0=draw(FINITE),
         q1=draw(FINITE),
@@ -70,7 +71,8 @@ def scenarios(draw):
         adjacency=tuple(
             tuple(0.0 if i == j else draw(weights) for j in range(n)) for i in range(n)
         ),
-        leader_links=draw(vectors(n, weights)),
+        # a leaderless scenario has no leader links
+        leader_links=draw(vectors(n, weights)) if mode == MODE_LEADER else (0.0,) * n,
         reference_frequencies=reference,
         disturbance_frequencies=disturbance,
         w0=draw(vectors(n_w)),

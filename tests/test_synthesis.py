@@ -4,16 +4,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
 from coopreg.backstepping import OutputOperator, TriangularKernel
-from coopreg.comm_graph import laplacian
+from coopreg.comm_graph import laplacian, theta_decompose
 from coopreg.errors import NotControllable, ParseError, ResonantSpectrum, SingularSystem
 from coopreg.grid import GridFunction
 from coopreg.signal_model import frequency_blocks
 from coopreg.synthesis import (
     MODE_LEADER,
     MODE_LEADERLESS,
+    RegulatorGains,
     assemble_gains,
     certify_stability,
     check_controllable_pair,
@@ -29,7 +32,35 @@ from coopreg.synthesis import (
     write_gains_file,
 )
 
-from _support import dense_neumann_bvp
+from _support import dense_neumann_bvp, random_connected_topology
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def regulator_gains(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 40))
+
+    def vector(size):
+        return np.array(draw(st.lists(FINITE, min_size=size, max_size=size)))
+
+    return RegulatorGains(
+        k_v=vector(n),
+        k_1=draw(FINITE),
+        k_x=GridFunction(vector(m + 1)),
+        r_x=GridFunction(vector(m + 1)),
+        b_y=vector(n),
+        S=vector(n * n).reshape(n, n),
+        mu_c=draw(FINITE),
+        mode=draw(st.sampled_from([None, MODE_LEADER, MODE_LEADERLESS])),
+    )
+
+
+def bits(value) -> np.ndarray:
+    """The IEEE bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(value, dtype=float).view(np.uint64)
 
 
 def zero_kernel(m: int) -> TriangularKernel:
@@ -325,6 +356,18 @@ class TestGains:
         assert np.array_equal(loaded.S, leader_design.gains.S)
         assert loaded.k_1 == leader_design.gains.k_1
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(gains=regulator_gains())
+    def test_gains_file_round_trip_is_bit_exact(self, tmp_path_factory, gains):
+        path = tmp_path_factory.mktemp("gains") / "gains.txt"
+        write_gains_file(gains, path)
+        loaded = read_gains_file(path)
+        assert loaded.mode == gains.mode
+        for name in ("k_v", "k_1", "b_y", "S", "mu_c"):
+            assert np.array_equal(bits(getattr(loaded, name)), bits(getattr(gains, name))), name
+        for name in ("k_x", "r_x"):
+            assert np.array_equal(bits(getattr(loaded, name).values), bits(getattr(gains, name).values))
+
     def test_gains_file_mode_line(self, leader_design, tmp_path):
         path = tmp_path / "gains.txt"
         write_gains_file(dataclasses.replace(leader_design.gains, mode=MODE_LEADERLESS), path)
@@ -386,6 +429,34 @@ class TestCertificates:
         assert cert.passed
         assert cert.closed_loop_eigs.size == 9
 
+    @pytest.mark.parametrize("mode", [MODE_LEADER, MODE_LEADERLESS])
+    def test_alpha_is_worst_per_eigenvalue_block_on_random_graphs(self, request, mode):
+        # sigma(I (x) S - C (x) q~(1) k_v^T) is the union over lambda in sigma(C)
+        # of sigma(S - lambda q~(1) k_v^T); a scaled k_v makes both verdicts occur
+        leader = mode == MODE_LEADER
+        r = request.getfixturevalue("leader_design" if leader else "leaderless_design")
+        g = r.decoupling.q_tilde_at_1
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for scale in np.random.default_rng(8).uniform(-1.0, 2.0, 200):
+            graph = laplacian(random_connected_topology(rng, with_leader=leader))
+            coupling = graph.leader_follower if leader else theta_decompose(graph.laplacian).l22
+            k_v = r.gains.k_v * scale
+            cert = certify_stability(mode, r.exo.S, g, k_v, coupling, 5.0)
+            lams = np.linalg.eigvals(coupling)
+            want = -max(
+                np.linalg.eigvals(r.exo.S - lam * np.outer(g, k_v)).real.max() for lam in lams
+            )
+            # a repeated eigenvalue of the coupling makes both spectra only
+            # sqrt(eps)-accurate, so it gets the looser bound
+            gaps = np.abs(lams[:, None] - lams[None, :])
+            np.fill_diagonal(gaps, np.inf)
+            simple = gaps.min() > 1e-6 * np.abs(lams).max()
+            assert abs(cert.alpha_ev - want) <= (1e-10 if simple else 1e-6) * abs(want)
+            assert cert.passed == (want > 0)
+            verdicts.add(cert.passed)
+        assert verdicts == {True, False}
+
     def test_per_eigenvalue_blocks_hurwitz(self, leader_design):
         r = leader_design
         g = r.decoupling.q_tilde_at_1
@@ -414,10 +485,8 @@ class TestRankChecks:
 
     def test_benchmark_leaderless_rank(self, leaderless_design):
         r = leaderless_design
-        assert internal_model_rank_check(MODE_LEADERLESS, r.graph, r.theta)
-        from coopreg.comm_graph import leaderless_rank_matrix
-
-        h_tilde = leaderless_rank_matrix(r.theta)
+        assert internal_model_rank_check(MODE_LEADERLESS, r.graph)
+        h_tilde = r.graph.laplacian[:, 1:]
         assert h_tilde.shape == (4, 3)
         assert np.linalg.matrix_rank(h_tilde) == 3
 
