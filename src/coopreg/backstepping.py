@@ -26,6 +26,10 @@ obtained from the edge relation.  Under composite trapezoid quadrature on the
 lattice xi = p h, eta = q h the discrete pair is causal in eta: level q needs
 only levels <= q, so one march over eta, vectorised over xi, solves it
 directly.
+
+The inverse kernel k_I is never tabulated: the output operator in target
+coordinates, c~ = (T^-1)* c, needs only a few row combinations of it, which
+``invert_kernel`` reads through one adjoint solve.
 """
 
 from dataclasses import dataclass
@@ -39,8 +43,6 @@ from .grid import GridFunction, cumulative_trapezoid, uniform_nodes
 MIN_GRID_POINTS = 32
 #: smallest |1 - h k(z, z)/2| the inverse-kernel solve accepts
 _CLOSURE_TOL = 1e-8
-#: rows per block of the inverse-kernel forward substitution
-_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,9 @@ class TriangularKernel:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError("kernel table must be square")
-        iu = np.triu_indices(vals.shape[0], k=1)
-        vals[iu] = np.nan
-        if not np.all(np.isfinite(vals[np.tril_indices(vals.shape[0])])):
+        lower = np.tri(vals.shape[0], dtype=bool)
+        vals[~lower] = np.nan
+        if not np.isfinite(vals[lower]).all():
             raise ValueError("kernel values on the triangle must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -79,9 +81,7 @@ class TriangularKernel:
 
     def lower(self) -> np.ndarray:
         """Dense copy with zeros above the diagonal, for vectorized algebra."""
-        out = np.array(self.values)
-        out[np.triu_indices(out.shape[0], k=1)] = 0.0
-        return out
+        return np.tril(self.values)
 
     def integral_operator(self) -> np.ndarray:
         """Matrix Q with (Q x)_i ~ int_0^{z_i} k(z_i, zeta) x(zeta) dzeta."""
@@ -247,15 +247,17 @@ def _kernel_levels(a, q0: float, mu_c: float, m: int):
         yield level
 
 
-def invert_kernel(k: TriangularKernel) -> TriangularKernel:
-    """Kernel of the inverse transformation via the reciprocity identity.
+def invert_kernel(k: TriangularKernel, rows: np.ndarray) -> np.ndarray:
+    """Row combinations ``rows @ K_I`` of the inverse-transformation kernel.
 
     k_I(z, zeta) = k(z, zeta) + int_zeta^z k(z, s) k_I(s, zeta) ds under the
     composite trapezoid rule is the lower-triangular system
-    (I - T) K_I = K diag(1 - h k(z, z)/2), T = h K with its diagonal halved,
-    solved by forward substitution.  The closure factor 1 - h k(z, z)/2 is
-    the diagonal of I - T; it degenerates only for kernels far outside this
-    problem class.
+    (I - T) K_I = K D, T = h K with its diagonal halved, D = diag(1 - h k(z, z)/2).
+    So r K_I = (r (I - T)^-1) K D for any row r: one solve with the upper
+    triangular (I - T)^T, then one product, and K_I itself is never formed
+    (``rows = I`` gives the whole table).  The closure factor
+    1 - h k(z, z)/2 is the diagonal of I - T; it degenerates only for kernels
+    far outside this problem class.
     """
     h = k.h
     kv = k.lower()
@@ -268,55 +270,42 @@ def invert_kernel(k: TriangularKernel) -> TriangularKernel:
     system = np.eye(k.m + 1) - h * kv
     np.fill_diagonal(system, denom)
     with np.errstate(all="ignore"):  # an overflow is reported by the check below
-        k_inv = _forward_substitution(system, kv * denom[None, :])
-    if not np.isfinite(k_inv).all():
+        out = np.linalg.solve(system.T, np.transpose(rows)).T @ (kv * denom)
+    if not np.isfinite(out).all():
         raise SingularSystem(f"inverse kernel overflows for max |k| = {np.abs(kv).max():.3e}")
-    return TriangularKernel(k_inv)
+    return out
 
 
-def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve lower @ x = rhs, both lower triangular, by blocked forward substitution.
+def transform_output_weight(c: OutputOperator, k: TriangularKernel) -> OutputOperator:
+    """Push the output operator through the inverse of the transformation with kernel k.
 
-    One matmul per block of rows a:b brings in the rows solved so far (lower
-    triangular, so zero from column a on), then each row is eliminated in
-    turn (LAPACK Users' Guide, 3rd ed., SIAM 1999).  No pivoting, so an
-    overflow stays non-finite for the caller to report.
+    The smooth weight gains c_b1 k_I(1, .), the column trapezoid of c0 k_I
+    and one truncated row of k_I per point weight, all read by one
+    ``invert_kernel`` call; the trapezoid's halved diagonal term uses
+    k_I(z, z) = k(z, z).  The point and boundary weights carry over unchanged.
     """
-    x = np.array(rhs, dtype=float)
-    for a in range(0, x.shape[0], _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, x.shape[0])
-        x[a:b, :a] -= lower[a:b, :a] @ x[:a, :a]
-        for i in range(a, b):
-            x[i, : i + 1] -= lower[i, a:i] @ x[a:i, : i + 1]
-            x[i, : i + 1] /= lower[i, i]
-    return x
-
-
-def transform_output_weight(c: OutputOperator, k_inv: TriangularKernel) -> OutputOperator:
-    """Push the output operator through the inverse transformation.
-
-    The smooth weight gains the boundary term c_b1 k_I(1, .), the composition
-    integral of the smooth weight with k_I, and one truncated-row term per
-    point weight; the point and boundary weights themselves carry over
-    unchanged.
-    """
-    if c.m != k_inv.m:
-        raise GridMismatch(f"operator grid {c.m} vs kernel grid {k_inv.m}")
-    m, h = k_inv.m, k_inv.h
-    ki = k_inv.lower()
+    if c.m != k.m:
+        raise GridMismatch(f"operator grid {c.m} vs kernel grid {k.m}")
+    m, h = k.m, k.h
     c0 = c.smooth_weight.values
-    cb0, cb1 = c.boundary_weights
 
-    # column-wise trapezoid of c0(s) k_I(s, zeta) over s in [zeta, 1]
-    comp = c0 @ k_inv.column_operator()
-
-    smooth = cb1 * ki[m, :] + c0 + comp
-    nodes = uniform_nodes(m)
-    for coeff, z_k in c.point_weights:
+    rows = np.zeros((2 + len(c.point_weights), m + 1))
+    rows[0] = h * c0
+    rows[0, m] *= 0.5
+    rows[1, m] = 1.0
+    for row, (_, z_k) in zip(rows[2:], c.point_weights):
         i0 = min(int(z_k / h), m - 1)
         theta = z_k / h - i0
-        row = (1.0 - theta) * ki[i0, :] + theta * ki[i0 + 1, :]
-        smooth = smooth + coeff * row * (nodes < z_k)
+        row[i0], row[i0 + 1] = 1.0 - theta, theta
+    read = invert_kernel(k, rows)
+
+    with np.errstate(all="ignore"):  # an overflow is reported by the check below
+        smooth = c0 + read[0] - 0.5 * h * c0 * np.diagonal(k.values)
+        smooth = smooth + c.boundary_weights[1] * read[1]
+        for (coeff, z_k), row in zip(c.point_weights, read[2:]):
+            smooth = smooth + coeff * row * (k.nodes < z_k)
+    if not np.isfinite(smooth).all():
+        raise SingularSystem("transformed output weight overflows")
 
     return OutputOperator(
         smooth_weight=GridFunction(smooth),

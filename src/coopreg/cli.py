@@ -150,9 +150,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
 
     plant = scenario.plant(m)
     kernel = backstepping.solve_kernel(plant.a, plant.q0, num.mu_c, m=m)
-    output_transformed = backstepping.transform_output_weight(
-        plant.output, backstepping.invert_kernel(kernel)
-    )
+    output_transformed = backstepping.transform_output_weight(plant.output, kernel)
     decoupling = synthesis.solve_decoupling(
         exo.S, exo.b_y, output_transformed, num.mu_c, kernel
     )

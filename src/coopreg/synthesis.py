@@ -131,6 +131,7 @@ def check_resonance(s: np.ndarray, mu_c: float):
         )
 
 
+@np.errstate(all="ignore")  # out-of-range data leave a solution that the last check rejects
 def _neumann_bvp(
     a_mat: np.ndarray,
     rhs: np.ndarray,
@@ -144,7 +145,8 @@ def _neumann_bvp(
     differences with ghost-node closure of the Neumann data.  ``deltas`` is a
     sequence of (location, jump-vector) pairs adding Dirac terms to the right
     hand side, realized as hat-function loads so that u' jumps by the stated
-    vector across the location.
+    vector across the location.  A solution whose squares overflow raises
+    SingularSystem, since the Riccati solve and the gains square q~(1).
     """
     a_mat = np.asarray(a_mat)
     n = a_mat.shape[0]
@@ -172,8 +174,8 @@ def _neumann_bvp(
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"boundary-value system is singular: {exc}") from exc
     sol = np.fft.irfft(sol[:, :, 0], n=2 * m, axis=0)[: m + 1]
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("boundary-value system is numerically singular")
+    if not np.isfinite(np.sum(sol**2)):
+        raise SingularSystem("boundary-value solution overflows: data out of range or system singular")
     return sol.T
 
 
@@ -314,7 +316,10 @@ def solve_are(s: np.ndarray, g: np.ndarray, nu: float, a: float) -> np.ndarray:
     beta = 1.0 + float(np.linalg.norm(s, 2))
     shifted = s + beta * np.eye(n)
     z = _lyap_kron(-shifted.T, 2.0 * np.outer(g, g))
-    k_gain = np.linalg.solve(z, g)  # row vector of the stabilizing start
+    try:
+        k_gain = np.linalg.solve(z, g)  # row vector of the stabilizing start
+    except np.linalg.LinAlgError as exc:  # g g^T underflows for a tiny g
+        raise NewtonDivergence(f"Bass start is singular for |g| = {np.abs(g).max():.3e}") from exc
 
     gcol = g.reshape(-1, 1)
     with np.errstate(all="ignore"):  # an iterate that overflows is rejected below

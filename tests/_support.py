@@ -260,6 +260,26 @@ def triangular_inverse_kernel(k: TriangularKernel) -> np.ndarray:
         return solve_triangular(system, kv * denom[None, :], lower=True, check_finite=False)
 
 
+def composed_output_weight(c: OutputOperator, k: TriangularKernel) -> np.ndarray:
+    """Transformed smooth weight composed from the whole inverse-kernel table.
+
+    The reference for ``transform_output_weight``: c0 + c_b1 k_I(1, .) plus the
+    column trapezoid of c0 k_I and one truncated interpolated row of k_I per
+    point weight, all read from ``triangular_inverse_kernel``.
+    """
+    k_inv = TriangularKernel(triangular_inverse_kernel(k))
+    m, h = k_inv.m, k_inv.h
+    ki = k_inv.lower()
+    c0 = c.smooth_weight.values
+    smooth = c.boundary_weights[1] * ki[m, :] + c0 + c0 @ k_inv.column_operator()
+    for coeff, z_k in c.point_weights:
+        i0 = min(int(z_k / h), m - 1)
+        theta = z_k / h - i0
+        row = (1.0 - theta) * ki[i0, :] + theta * ki[i0 + 1, :]
+        smooth = smooth + coeff * row * (k_inv.nodes < z_k)
+    return smooth
+
+
 def dense_stencil(lam, abar, q0b: float, q1b: float) -> np.ndarray:
     """Dense ghost-node operator L of one agent on m + 1 nodes."""
     m = lam.size - 1

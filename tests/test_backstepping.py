@@ -23,6 +23,7 @@ from coopreg.scenario import load_scenario
 from coopreg.simulator import AgentSpec, SimTrace, transform_state_trace
 
 from _support import (
+    composed_output_weight,
     first_output,
     kernel_iteration_map,
     random_smooth_profile,
@@ -155,24 +156,24 @@ class TestTriangularKernel:
 
 class TestInverseKernel:
     def test_zero_kernel(self):
-        ki = invert_kernel(constant_kernel(0.0, 32))
-        assert np.abs(ki.lower()).max() == 0.0
+        ki = invert_kernel(constant_kernel(0.0, 32), np.eye(33))
+        assert np.abs(ki).max() == 0.0
 
     def test_diagonal_carries_over(self):
         k = benchmark_kernel(100)
-        ki = invert_kernel(k)
-        assert np.allclose(np.diagonal(ki.values), np.diagonal(k.values), atol=1e-14)
+        ki = invert_kernel(k, np.eye(k.m + 1))
+        assert np.allclose(np.diagonal(ki), np.diagonal(k.values), atol=1e-14)
 
     def test_satisfies_trapezoid_reciprocity(self):
         k = benchmark_kernel(200)
-        ki = invert_kernel(k)
+        ki = TriangularKernel(invert_kernel(k, np.eye(k.m + 1)))
         gap = np.abs(reciprocity_map(k, ki) - ki.lower()).max()
         assert gap <= 1e-13 * np.abs(ki.lower()).max()
 
     def test_vanishing_closure_factor_raises_singular_system(self):
         # h k(z, z)/2 = 1 on a 32-interval grid
         with pytest.raises(SingularSystem, match="closure factor"):
-            invert_kernel(constant_kernel(64.0, 32))
+            invert_kernel(constant_kernel(64.0, 32), np.eye(33))
 
     @pytest.mark.parametrize("m", [64, 200, 800])
     @pytest.mark.parametrize("name", ["four_agent_leader.cfg", "four_agent_leaderless.cfg"])
@@ -181,7 +182,7 @@ class TestInverseKernel:
         plant = scenario.plant(m)
         k = solve_kernel(plant.a, plant.q0, scenario.numerics.mu_c, m)
         expected = triangular_inverse_kernel(k)
-        gap = np.abs(invert_kernel(k).lower() - expected).max()
+        gap = np.abs(invert_kernel(k, np.eye(k.m + 1)) - expected).max()
         assert gap <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize(
@@ -191,12 +192,12 @@ class TestInverseKernel:
         k = solve_kernel(lambda z: z + 1.0, q0=q0, mu_c=mu_c, m=m)
         assert not np.isfinite(triangular_inverse_kernel(k)).all()
         with pytest.raises(SingularSystem, match="inverse kernel overflows"):
-            invert_kernel(k)
+            invert_kernel(k, np.eye(k.m + 1))
 
     def test_composition_is_identity(self):
         m = 200
         k = benchmark_kernel(m)
-        ki = invert_kernel(k)
+        ki = TriangularKernel(invert_kernel(k, np.eye(m + 1)))
         rng = np.random.default_rng(7)
         bound = 10.0 / m**2
         profiles = np.stack([random_smooth_profile(rng, m, 6) for _ in range(10)])
@@ -272,26 +273,58 @@ class TestTransformOutputWeight:
 
     def test_pure_boundary_weight_reads_top_row(self):
         m = 100
-        ki = invert_kernel(benchmark_kernel(m))
+        k = benchmark_kernel(m)
+        ki = invert_kernel(k, np.eye(m + 1))
         op = OutputOperator(GridFunction.constant(0.0, m), boundary_weights=(0.0, 1.0))
-        out = transform_output_weight(op, ki)
-        assert np.allclose(out.smooth_weight.values, ki.lower()[m, :], atol=1e-14)
+        out = transform_output_weight(op, k)
+        assert np.allclose(out.smooth_weight.values, ki[m, :], atol=1e-14)
 
     def test_point_weight_adds_truncated_row(self):
         m = 100
-        ki = invert_kernel(benchmark_kernel(m))
+        k = benchmark_kernel(m)
+        ki = invert_kernel(k, np.eye(m + 1))
         op = OutputOperator(GridFunction.constant(0.0, m), point_weights=((2.0, 0.5),))
-        out = transform_output_weight(op, ki)
-        expected = 2.0 * ki.lower()[50, :] * (ki.nodes < 0.5)
+        out = transform_output_weight(op, k)
+        expected = 2.0 * ki[50, :] * (k.nodes < 0.5)
         assert np.allclose(out.smooth_weight.values, expected, atol=1e-14)
 
     def test_benchmark_weight_converges_under_refinement(self):
         def transformed(m):
-            ki = invert_kernel(benchmark_kernel(m))
             op = OutputOperator(
                 GridFunction(-uniform_nodes(m)), boundary_weights=(1.0, 1.0)
             )
-            return transform_output_weight(op, ki).smooth_weight.values
+            return transform_output_weight(op, benchmark_kernel(m)).smooth_weight.values
 
         coarse, fine = transformed(100), transformed(200)
         assert np.abs(fine[::2] - coarse).max() < 1e-4
+
+    @pytest.mark.parametrize("m", [64, 200, 800])
+    @pytest.mark.parametrize("name", ["four_agent_leader.cfg", "four_agent_leaderless.cfg"])
+    def test_matches_composition_with_inverse_table(self, name, m):
+        scenario = load_scenario(files("coopreg").joinpath(f"scenarios/{name}"))
+        plant = scenario.plant(m)
+        k = solve_kernel(plant.a, plant.q0, scenario.numerics.mu_c, m)
+        expected = composed_output_weight(plant.output, k)
+        out = transform_output_weight(plant.output, k).smooth_weight.values
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("m", [64, 200, 800])
+    def test_point_and_boundary_weights_match_composition(self, m):
+        # one point weight sits on the node z = 0.5
+        op = OutputOperator(
+            GridFunction(np.cos(3.0 * uniform_nodes(m))),
+            point_weights=((2.0, 0.3), (-1.5, 0.5), (0.7, 0.81)),
+            boundary_weights=(0.4, -1.3),
+        )
+        k = benchmark_kernel(m)
+        expected = composed_output_weight(op, k)
+        out = transform_output_weight(op, k).smooth_weight.values
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_overflowing_weight_raises_singular_system(self):
+        m = 64
+        op = OutputOperator(GridFunction.constant(0.0, m), boundary_weights=(0.0, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="transformed output weight overflows"):
+                transform_output_weight(op, constant_kernel(2.0, m))

@@ -6,6 +6,8 @@ import math
 import re
 import subprocess
 import sys
+import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -743,9 +745,10 @@ def test_nonfinite_number_rejected(scenario_file, tmp_path, capsys, old, new, me
         ("riccati_a = 150", "riccati_a = 1e300", "FAIL  NewtonDivergence: "),
         ("mu_c = 5", "mu_c = 1e300", "FAIL  SingularSystem: kernel march needs"),
         ("reference_frequencies = pi", "reference_frequencies = 1e300", "FAIL  n_w = 3"),
+        ("c_b1 = 1", "c_b1 = 1e300", "FAIL  SingularSystem: boundary-value solution overflows"),
     ],
     ids=["a-pole", "a-overflow", "a-literal", "c0-nan", "q0-huge", "q0-negative-huge",
-         "riccati_a-huge", "mu_c-huge", "reference-huge"],
+         "riccati_a-huge", "mu_c-huge", "reference-huge", "c_b1-huge"],
 )
 def test_out_of_range_design_fails_cleanly(scenario_file, tmp_path, capsys, old, new, row):
     text = scenario_file.read_text()
@@ -755,6 +758,55 @@ def test_out_of_range_design_fails_cleanly(scenario_file, tmp_path, capsys, old,
     assert main(["check", "--scenario", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert row in captured.out
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+_EXTREME_KEYS = [
+    ("plant", "q0"), ("plant", "q1"), ("numerics", "mu_c"), ("numerics", "riccati_a"),
+    ("numerics", "nu"), ("output", "c_b0"), ("output", "c_b1"), ("numerics", "b_y"),
+    ("exosystem", "w0"), ("agent 1", "delta_q0"), ("agent 1", "delta_q1"),
+    ("agent 1", "delta_c_b0"), ("agent 1", "delta_c_b1"), ("agent 1", "g2"),
+    ("agent 1", "g3"), ("agent 1", "g4"),
+]
+
+
+def _set_key(text: str, section: str, key: str, value: str) -> str:
+    """``text`` with every entry of ``key`` in ``[section]`` set to ``value``;
+    a missing key is added at the top of the section."""
+    head = f"[{section}]\n"
+    start = text.index(head) + len(head)
+    end = text.find("\n[", start) + 1 or len(text)
+    body = text[start:end]
+    old = re.search(rf"(?m)^{key} = (.*)$", body)
+    if old is None:
+        body = f"{key} = {value}\n{body}"
+    else:
+        entries = " ".join([value] * len(old.group(1).split()))
+        body = f"{body[: old.start()]}{key} = {entries}{body[old.end():]}"
+    return text[:start] + body + text[end:]
+
+
+@pytest.mark.parametrize("value", ["1e300", "-1e300", "1e-300", "0"])
+@pytest.mark.parametrize("section, key", _EXTREME_KEYS, ids=[k for _, k in _EXTREME_KEYS])
+@pytest.mark.parametrize("name", ["four_agent_leader.cfg", "four_agent_leaderless.cfg"])
+def test_finite_extreme_values_never_trace_back(name, section, key, value, tmp_path, capsys):
+    # every finite scenario ends in exit 0 or 1 with named errors only
+    text = files("coopreg").joinpath(f"scenarios/{name}").read_text()
+    text = _set_key(text.replace("grid_points = 200", "grid_points = 64"), section, key, value)
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [main(["check", "--scenario", str(cfg), "--grid-points", "64"])]
+        if codes == [0]:
+            codes.append(main(["synthesize", "--scenario", str(cfg), "--out", str(tmp_path / "d")]))
+            if codes == [0, 0]:
+                codes.append(main([
+                    "simulate", "--scenario", str(cfg), "--gains", str(tmp_path / "d" / "gains.txt"),
+                    "--out", str(tmp_path / "run"), "--horizon", "0.05",
+                ]))
+    captured = capsys.readouterr()
+    assert set(codes) <= {0, 1}
     assert "Traceback" not in captured.err and "Warning" not in captured.err
 
 
