@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, SingularSystem
-from .grid import GridFunction, cumulative_trapezoid, uniform_nodes
+from .grid import GridFunction, cumulative_trapezoid, hat_row, trapezoid_weights, uniform_nodes
 
 #: fewest grid intervals the kernel quadrature resolves
 MIN_GRID_POINTS = 32
@@ -85,21 +85,12 @@ class TriangularKernel:
 
     def integral_operator(self) -> np.ndarray:
         """Matrix Q with (Q x)_i ~ int_0^{z_i} k(z_i, zeta) x(zeta) dzeta."""
-        w = self.lower() * self.h
+        w = self.lower()
+        w *= self.h
         w[:, 0] *= 0.5
         idx = np.arange(self.m + 1)
         w[idx, idx] *= 0.5
         w[0, 0] = 0.0
-        return w
-
-    def column_operator(self) -> np.ndarray:
-        """Matrix W with (f @ W)_j ~ int_{zeta_j}^1 f(s) k(s, zeta_j) ds."""
-        m = self.m
-        w = self.lower() * self.h
-        idx = np.arange(m + 1)
-        w[idx, idx] *= 0.5
-        w[m, :] *= 0.5
-        w[m, m] = 0.0
         return w
 
     def z_derivative_top_row(self) -> np.ndarray:
@@ -135,9 +126,9 @@ class OutputOperator:
 
     def __post_init__(self):
         pts = tuple((float(c), float(z)) for c, z in self.point_weights)
-        for _, z in pts:
-            if not 0.0 < z < 1.0:
-                raise ValueError(f"point weight location {z} must lie in (0, 1)")
+        for c, z in pts:
+            if not (0.0 < z < 1.0 and np.isfinite(c)):
+                raise ValueError(f"point weight {c} @ {z} must be finite and lie in (0, 1)")
         b = tuple(float(v) for v in self.boundary_weights)
         if len(b) != 2 or not all(np.isfinite(b)):
             raise ValueError("boundary_weights must be two finite numbers")
@@ -147,6 +138,17 @@ class OutputOperator:
     @property
     def m(self) -> int:
         return self.smooth_weight.m
+
+    def row(self) -> np.ndarray:
+        """Quadrature row r of the output, y ~ r @ x on the grid nodes: the
+        trapezoid rule for the smooth weight, the boundary samples and one
+        linear-interpolation row per point weight."""
+        row = trapezoid_weights(self.m) * self.smooth_weight.values
+        row[0] += self.boundary_weights[0]
+        row[-1] += self.boundary_weights[1]
+        for c_k, z_k in self.point_weights:
+            row += c_k * hat_row(z_k, self.m)
+        return row
 
 
 def solve_kernel(a, q0: float, mu_c: float, m: int = 200) -> TriangularKernel:
@@ -289,14 +291,10 @@ def transform_output_weight(c: OutputOperator, k: TriangularKernel) -> OutputOpe
     m, h = k.m, k.h
     c0 = c.smooth_weight.values
 
-    rows = np.zeros((2 + len(c.point_weights), m + 1))
-    rows[0] = h * c0
+    # the column trapezoid of c0, then the samples at z = 1 and at each point
+    points = [z_k for _, z_k in c.point_weights]
+    rows = np.array([h * c0, *(hat_row(z, m) for z in [1.0, *points])])
     rows[0, m] *= 0.5
-    rows[1, m] = 1.0
-    for row, (_, z_k) in zip(rows[2:], c.point_weights):
-        i0 = min(int(z_k / h), m - 1)
-        theta = z_k / h - i0
-        row[i0], row[i0 + 1] = 1.0 - theta, theta
     read = invert_kernel(k, rows)
 
     with np.errstate(all="ignore"):  # an overflow is reported by the check below

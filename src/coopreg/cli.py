@@ -173,7 +173,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
             num.mu_c,
             reference_scale=float(np.abs(decoupling.q_tilde).max()),
         ),
-        f"|q_tilde(1)| = {np.linalg.norm(decoupling.q_tilde_at_1):.4g}",
+        f"max |q_tilde(1)| = {np.abs(decoupling.q_tilde_at_1).max():.4g}",
         NotControllable,
     )
     if fatal:

@@ -58,6 +58,16 @@ def trapezoid_weights(m: int) -> np.ndarray:
     return w
 
 
+def hat_row(z: float, m: int) -> np.ndarray:
+    """Linear-interpolation row of the point z in [0, 1] on m intervals: the
+    sample f(z) of a profile is ``hat_row(z, m) @ f`` on the grid nodes."""
+    j = min(int(z * m), m - 1)
+    theta = z * m - j
+    row = np.zeros(m + 1)
+    row[j], row[j + 1] = 1.0 - theta, theta
+    return row
+
+
 def cumulative_trapezoid(y: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
     """Running composite-trapezoid integral of y along axis, starting from 0.
 

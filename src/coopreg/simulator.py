@@ -7,8 +7,9 @@ share one stacked (N, m + 1) state, discretised by a ghost-node stencil.
 The whole loop is linear, so ``ClosedLoopStep`` assembles it once per run and
 advances profiles and internal models together by one Crank-Nicolson step,
 second order in dt; the signal state advances by its exact matrix exponential.
-The loop reads three scalars per agent from the profiles (output quadrature,
-k_x . x + k_1 x(1) and the lumped xi = int r_x x).  ``simulate`` hands the
+The loop reads three scalars per agent from the profiles: the output, by the
+row ``OutputOperator.row()`` of the agent's perturbed operator, k_x . x +
+k_1 x(1) and the lumped xi = int r_x x.  ``simulate`` hands the
 step the true agents' stencil, wiring and networked feedback; the target
 cascade hands it the stencil of a heat equation with decay mu_c.  The LAPACK
 tridiagonal solver (``dgttrf``/``dgttrs``) and ``expm`` come from scipy.linalg,
@@ -141,23 +142,21 @@ def _stencil(lam, abar, q0, q1, dt: float):
 
 
 def _output_row(output: OutputOperator, agent: AgentSpec, m: int) -> np.ndarray:
-    """Quadrature row of one agent's output, its boundary and point samples folded in."""
-    smooth = output.smooth_weight.values
-    if agent.delta_c0 is not None:
-        if agent.delta_c0.m != m:
-            raise GridMismatch("delta_c0 grid does not match the simulation grid")
-        smooth = smooth + agent.delta_c0.values
-    row = trapezoid_weights(m) * smooth
-    cb0, cb1 = output.boundary_weights
-    row[0] += cb0 + agent.delta_cb0
-    row[-1] += cb1 + agent.delta_cb1
-    for k, (c_k, z_k) in enumerate(output.point_weights):
-        c_k += agent.delta_points[k] if k < len(agent.delta_points) else 0.0
-        j = min(int(z_k * m), m - 1)
-        theta = z_k * m - j
-        row[j] += c_k * (1.0 - theta)
-        row[j + 1] += c_k * theta
-    return row
+    """Quadrature row of one agent's output: the nominal operator plus the agent's uncertainties."""
+    delta_c0 = agent.delta_c0 or GridFunction.constant(0.0, m)
+    if delta_c0.m != m:
+        raise GridMismatch("delta_c0 grid does not match the simulation grid")
+    deltas = (*agent.delta_points, *[0.0] * len(output.point_weights))
+    (cb0, cb1), points = output.boundary_weights, output.point_weights
+    try:  # a weight plus its uncertainty may overflow
+        perturbed = OutputOperator(
+            GridFunction(output.smooth_weight.values + delta_c0.values),
+            tuple((c_k + d_k, z_k) for (c_k, z_k), d_k in zip(points, deltas)),
+            (cb0 + agent.delta_cb0, cb1 + agent.delta_cb1),
+        )
+    except ValueError as exc:
+        raise NumericalBlowup(f"agent output weight overflows: {exc}") from exc
+    return perturbed.row()
 
 
 class ClosedLoopStep:

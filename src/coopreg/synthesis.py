@@ -23,7 +23,7 @@ from .errors import (
     SingularSystem,
     read_text,
 )
-from .grid import GridFunction, trapezoid_weights, uniform_nodes
+from .grid import GridFunction, hat_row
 from .signal_model import check_controllable
 
 MODE_LEADER = "leader-follower"
@@ -158,11 +158,7 @@ def _neumann_bvp(
     load[0] += 2.0 * np.asarray(gamma0, dtype=float) / h
     load[m] -= 2.0 * np.asarray(gamma1, dtype=float) / h
     for z_k, jump in deltas:
-        j = min(int(z_k / h), m - 1)
-        theta = z_k / h - j
-        jump = np.asarray(jump, dtype=float)
-        load[j] += jump * (1.0 - theta) / h
-        load[j + 1] += jump * theta / h
+        load += np.outer(hat_row(z_k, m), jump) / h
 
     # The ghost-node stencil is the second difference of the even 2m-periodic
     # extension, a circulant, so the FFT of that extension (a DCT-I) diagonalises
@@ -207,8 +203,10 @@ def solve_decoupling(
     deltas = [(z_k, b_y * c_k) for c_k, z_k in output_transformed.point_weights]
     q_tilde = _neumann_bvp(a_mat, rhs, b_y * cb0, -b_y * cb1, deltas)
 
-    # pullback q(zeta) = q~(zeta) - int_zeta^1 q~(s) k(s, zeta) ds
-    q = q_tilde - q_tilde @ kernel.column_operator()
+    # pullback q(zeta) = q~(zeta) - int_zeta^1 q~(s) k(s, zeta) ds: the trapezoid rule
+    # is the sum over s >= zeta with the end s = 1 halved, less half the end s = zeta
+    kv, ends = kernel.lower(), np.append(np.ones(kernel.m), 0.5)
+    q = q_tilde - kernel.h * ((q_tilde * ends) @ kv - 0.5 * q_tilde * np.diagonal(kv))
     return DecouplingSolution(q_tilde=q_tilde, q=q)
 
 
@@ -493,14 +491,7 @@ def sync_steady_state(
     no_load = np.zeros((dim, m + 1))
     sigma2 = np.stack([_neumann_bvp(a2, no_load, np.zeros(dim), g) for g in gamma1_rows])
 
-    w_q = trapezoid_weights(m) * output_transformed.smooth_weight.values
-    cb0, cb1 = output_transformed.boundary_weights
-    nodes = uniform_nodes(m)
-    row = sigma1[0] @ w_q
-    for c_k, z_k in output_transformed.point_weights:
-        row = row + c_k * np.array([np.interp(z_k, nodes, sigma1[0, c]) for c in range(n_w)])
-    row = row + cb0 * sigma1[0, :, 0] + cb1 * sigma1[0, :, -1]
-    y_map = np.repeat(row[None], n_agents, axis=0)
+    y_map = np.repeat((sigma1[0] @ output_transformed.row())[None], n_agents, axis=0)
     return SyncSteadyState(pi=pi, sigma1=sigma1, sigma2=sigma2, y_map=y_map, f_eps=f_eps)
 
 

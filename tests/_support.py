@@ -260,6 +260,19 @@ def triangular_inverse_kernel(k: TriangularKernel) -> np.ndarray:
         return solve_triangular(system, kv * denom[None, :], lower=True, check_finite=False)
 
 
+def column_operator(k: TriangularKernel) -> np.ndarray:
+    """Matrix W with (f @ W)_j ~ int_{zeta_j}^1 f(s) k(s, zeta_j) ds by the
+    trapezoid rule, every weight written out: the reference for the pullback
+    in ``solve_decoupling``."""
+    m = k.m
+    w = k.lower() * k.h
+    idx = np.arange(m + 1)
+    w[idx, idx] *= 0.5
+    w[m, :] *= 0.5
+    w[m, m] = 0.0
+    return w
+
+
 def composed_output_weight(c: OutputOperator, k: TriangularKernel) -> np.ndarray:
     """Transformed smooth weight composed from the whole inverse-kernel table.
 
@@ -271,7 +284,7 @@ def composed_output_weight(c: OutputOperator, k: TriangularKernel) -> np.ndarray
     m, h = k_inv.m, k_inv.h
     ki = k_inv.lower()
     c0 = c.smooth_weight.values
-    smooth = c.boundary_weights[1] * ki[m, :] + c0 + c0 @ k_inv.column_operator()
+    smooth = c.boundary_weights[1] * ki[m, :] + c0 + c0 @ column_operator(k_inv)
     for coeff, z_k in c.point_weights:
         i0 = min(int(z_k / h), m - 1)
         theta = z_k / h - i0
@@ -319,6 +332,20 @@ def dense_crank_nicolson(generator, forcing, propagator, y0, w0, dt, n_steps, bo
     return (np.array(ys), np.array(ws)), None
 
 
+def dense_output_row(out: OutputOperator, agent: AgentSpec, m: int) -> np.ndarray:
+    """Output row of an agent, each point sample the ``np.interp`` of the nodal
+    values: the reference for ``OutputOperator.row()`` and the simulator."""
+    nodes, hats = np.linspace(0.0, 1.0, m + 1), np.eye(m + 1)
+    delta_c0 = 0.0 if agent.delta_c0 is None else agent.delta_c0.values
+    row = trapezoid_weights(m) * (out.smooth_weight.values + delta_c0)
+    row[0] += out.boundary_weights[0] + agent.delta_cb0
+    row[m] += out.boundary_weights[1] + agent.delta_cb1
+    for k, (c_k, z_k) in enumerate(out.point_weights):
+        c_k += agent.delta_points[k] if k < len(agent.delta_points) else 0.0
+        row += c_k * np.array([np.interp(z_k, nodes, hat) for hat in hats])
+    return row
+
+
 def dense_step_loop(resolved, gains):
     """Reference closed loop: its dense generator stepped by ``dense_crank_nicolson``.
 
@@ -336,19 +363,10 @@ def dense_step_loop(resolved, gains):
                       plant.q0 + ag.delta_q0, plant.q1 + ag.delta_q1)
         for lam_i, ag in zip(lam, agents)
     ))
-    # output row, disturbance wiring and feedthrough of each agent; a point
-    # sample is the linear interpolant of the nodal values
-    nodes, hats = np.linspace(0.0, 1.0, m + 1), np.eye(m + 1)
+    # output row, disturbance wiring and feedthrough of each agent
     rows, wiring, feedthrough = [], [], []
     for ag, p_i, lam_i in zip(agents, exo.read_outs, lam):
-        delta_c0 = 0.0 if ag.delta_c0 is None else ag.delta_c0.values
-        row = trapezoid_weights(m) * (out.smooth_weight.values + delta_c0)
-        row[0] += out.boundary_weights[0] + ag.delta_cb0
-        row[m] += out.boundary_weights[1] + ag.delta_cb1
-        for k, (c_k, z_k) in enumerate(out.point_weights):
-            c_k += ag.delta_points[k] if k < len(ag.delta_points) else 0.0
-            row += c_k * np.array([np.interp(z_k, nodes, hat) for hat in hats])
-        rows.append(row)
+        rows.append(dense_output_row(out, ag, m))
         d_map = ag.g1 @ p_i                  # in-domain g1 d, then the ghost-node closures
         d_map[0] -= 2.0 * lam_i[0] / h * (ag.g2 @ p_i)
         d_map[m] += 2.0 * lam_i[m] / h * (ag.g3 @ p_i)

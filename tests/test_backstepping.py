@@ -18,12 +18,13 @@ from coopreg.backstepping import (
     transform_output_weight,
 )
 from coopreg.errors import SingularSystem
-from coopreg.grid import GridFunction, cumulative_trapezoid, uniform_nodes
+from coopreg.grid import GridFunction, cumulative_trapezoid, hat_row, uniform_nodes
 from coopreg.scenario import load_scenario
 from coopreg.simulator import AgentSpec, SimTrace, transform_state_trace
 
 from _support import (
     composed_output_weight,
+    dense_output_row,
     first_output,
     kernel_iteration_map,
     random_smooth_profile,
@@ -71,6 +72,32 @@ class TestCumulativeTrapezoid:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert res.stdout.strip() == "[]"
+
+
+class TestHatRow:
+    @pytest.mark.parametrize("m", [32, 49, 200, 800])
+    def test_interpolates_linear_profiles(self, m):
+        # the row sums to 1 and reproduces a + b z at any z in (0, 1)
+        rng = np.random.default_rng(m)
+        a, b = rng.normal(size=2)
+        for z in rng.random(50):
+            row = hat_row(z, m)
+            assert row.sum() == pytest.approx(1.0, abs=1e-15)
+            assert row @ (a + b * uniform_nodes(m)) == pytest.approx(a + b * z, abs=1e-14)
+            assert np.count_nonzero(row) <= 2
+
+    @pytest.mark.parametrize("m", [32, 49, 200, 800])
+    def test_unit_weight_on_nodes(self, m):
+        # j / m is rounded, so z m misses j by up to a few ulps of m
+        for j in range(m + 1):
+            assert np.abs(hat_row(j / m, m) - np.eye(m + 1)[j]).max() <= 2.0 * np.spacing(m)
+
+    @pytest.mark.parametrize("m", [32, 49, 200, 800])
+    def test_stays_inside_the_grid_below_one(self, m):
+        row = hat_row(np.nextafter(1.0, 0.0), m)
+        assert row.shape == (m + 1,)
+        assert set(np.flatnonzero(row)) <= {m - 1, m}
+        assert row[m] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSolveKernel:
@@ -229,13 +256,6 @@ class TestTransforms:
         inv = ones.values + constant_kernel(c, m).integral_operator() @ ones.values
         assert np.allclose(inv, 1.0 + c * ones.nodes, atol=1e-14)
 
-    def test_column_operator_closed_form(self):
-        # int_zeta^1 c ds = c (1 - zeta), exact under the trapezoid rule
-        m, c = 80, 1.5
-        ones = GridFunction.constant(1.0, m)
-        cols = ones.values @ constant_kernel(c, m).column_operator()
-        assert np.allclose(cols, c * (1.0 - ones.nodes), atol=1e-14)
-
 
 class TestOutputOperator:
     def test_point_locations_must_be_interior(self):
@@ -256,6 +276,18 @@ class TestOutputOperator:
         y = first_output(agent, op, uniform_nodes(m))
         # exact: int -z*z = -1/3, point 2*0.3, borders 0 and 1
         assert y == pytest.approx(-1.0 / 3.0 + 0.6 + 1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("m", [32, 200])
+    def test_row_matches_interp_reference(self, m):
+        # two point weights, one on the node z = 0.5, and both boundary samples
+        op = OutputOperator(
+            GridFunction(np.cos(3.0 * uniform_nodes(m))),
+            point_weights=((2.0, 0.3), (-1.5, 0.5)),
+            boundary_weights=(0.4, -1.3),
+        )
+        zero = GridFunction.constant(0.0, m)
+        expected = dense_output_row(op, AgentSpec(delta_lambda=zero, delta_a=zero), m)
+        assert np.abs(op.row() - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 class TestTransformOutputWeight:

@@ -493,6 +493,18 @@ class TestCli:
             for name in failing:
                 assert "  FAIL  " in rows[name], res.stdout
 
+    def test_check_reports_a_tiny_decoupled_pair(self, scenario_file, tmp_path, capsys):
+        # q~(1) is about 2.6e-301: its squares underflow, its largest entry does not
+        text = scenario_file.read_text()
+        assert "b_y = 1 1 1" in text
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(text.replace("b_y = 1 1 1", "b_y = 1e-300 1e-300 1e-300"))
+        assert main(["check", "--scenario", str(cfg), "--grid-points", "64"]) == 1
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("decoupled-pair controllability"))
+        evidence = float(row.rpartition("max |q_tilde(1)| = ")[2])
+        assert 1e-301 < evidence < 1e-300, row
+
     @pytest.mark.parametrize(
         "case, edits",
         [
@@ -823,6 +835,36 @@ def test_nonfinite_agent_profile_rejected_by_simulate(
     assert code == 1
     err = capsys.readouterr().err
     assert "[agent 2] x0 = 1/z is not finite at z = 0" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "nominal, uncertainty",
+    [
+        ("c_b1 = 1.7e308", "delta_c_b1 = 1.7e308"),
+        ("c_b1 = 1\npoints = 1.7e308 @ 0.3", "delta_c_b1 = 0.1\ndelta_points = 1.7e308"),
+    ],
+    ids=["boundary", "point"],
+)
+def test_overflowing_output_uncertainty_rejected_by_simulate(
+    scenario_file, leader_design, tmp_path, capsys, nominal, uncertainty
+):
+    # each weight is finite, the agent's weight plus its uncertainty is not
+    text = scenario_file.read_text()
+    assert "\nc_b1 = 1\n" in text and "\ndelta_c_b1 = 0.1\n" in text
+    cfg = tmp_path / "overflow.cfg"
+    text = text.replace("\nc_b1 = 1\n", f"\n{nominal}\n")
+    cfg.write_text(text.replace("\ndelta_c_b1 = 0.1\n", f"\n{uncertainty}\n"))
+    gains = tmp_path / "gains.txt"
+    write_gains_file(leader_design.gains, gains)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--scenario", str(cfg), "--gains", str(gains), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "agent output weight overflows" in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
 

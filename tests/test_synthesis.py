@@ -1,6 +1,7 @@
 """Decoupling equations, nonblocking test, Riccati solve, gains, certificates."""
 
 import dataclasses
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -8,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
-from coopreg.backstepping import OutputOperator, TriangularKernel
+from coopreg.backstepping import (
+    OutputOperator,
+    TriangularKernel,
+    solve_kernel,
+    transform_output_weight,
+)
 from coopreg.comm_graph import laplacian, theta_decompose
 from coopreg.errors import NotControllable, ParseError, ResonantSpectrum, SingularSystem
 from coopreg.grid import GridFunction
+from coopreg.scenario import load_scenario
 from coopreg.signal_model import frequency_blocks
 from coopreg.synthesis import (
     MODE_LEADER,
@@ -32,7 +39,7 @@ from coopreg.synthesis import (
     write_gains_file,
 )
 
-from _support import dense_neumann_bvp, random_connected_topology
+from _support import column_operator, dense_neumann_bvp, random_connected_topology
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -184,6 +191,26 @@ class TestSolveDecoupling:
             r.decoupling.q_tilde[:, rows] * (k[rows, j] * weights)[None, :]
         ).sum(axis=1)
         assert np.allclose(manual, r.decoupling.q[:, j], atol=1e-12)
+
+    def test_pullback_closed_form(self):
+        # q~ = 1 solves q~'' - q~ = -1 with Neumann data 0; under a constant kernel c
+        # the pullback is 1 - int_zeta^1 c ds = 1 - c (1 - zeta), exact under the trapezoid rule
+        m, c = 80, 1.5
+        kernel = TriangularKernel(np.full((m + 1, m + 1), c))
+        dec = solve_decoupling(np.zeros((1, 1)), np.ones(1), constant_output(-1.0, m), 1.0, kernel)
+        assert np.allclose(dec.q_tilde, 1.0, atol=1e-14)
+        assert np.allclose(dec.q[0], 1.0 - c * (1.0 - kernel.nodes), atol=1e-14)
+
+    @pytest.mark.parametrize("m", [64, 200, 800])
+    @pytest.mark.parametrize("name", ["four_agent_leader.cfg", "four_agent_leaderless.cfg"])
+    def test_pullback_matches_column_operator(self, name, m):
+        scenario = load_scenario(files("coopreg").joinpath(f"scenarios/{name}"))
+        plant, exo, mu_c = scenario.plant(m), scenario.exo_model(), scenario.numerics.mu_c
+        kernel = solve_kernel(plant.a, plant.q0, mu_c, m)
+        output = transform_output_weight(plant.output, kernel)
+        dec = solve_decoupling(exo.S, exo.b_y, output, mu_c, kernel)
+        expected = dec.q_tilde - dec.q_tilde @ column_operator(kernel)
+        assert np.abs(dec.q - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 class TestNumerator:
