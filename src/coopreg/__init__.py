@@ -16,11 +16,9 @@ from .backstepping import (
 from .comm_graph import (
     CommTopology,
     GraphMatrices,
-    ThetaDecomposition,
     is_connected,
     laplacian,
     spectral_lower_bound,
-    theta_decompose,
 )
 from .grid import GridFunction
 from .scenario import Scenario, load_scenario, loads, serialize

@@ -51,7 +51,6 @@ class SynthesisResult:
     scenario: Scenario
     m: int
     graph: comm_graph.GraphMatrices
-    theta: comm_graph.ThetaDecomposition | None
     coupling: np.ndarray
     nu: float
     spectral_bound: float
@@ -92,8 +91,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
     leader = mode == MODE_LEADER
     topology = scenario.topology()
     graph = comm_graph.laplacian(topology)
-    theta = None if leader else comm_graph.theta_decompose(graph.laplacian)
-    coupling = graph.leader_follower if leader else theta.l22
+    coupling = graph.leader_follower if leader else graph.synchronization
     fatal = []
 
     def hypothesis(name, condition, passed, evidence, error=None):
@@ -200,7 +198,6 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         scenario=scenario,
         m=m,
         graph=graph,
-        theta=theta,
         coupling=coupling,
         nu=nu,
         spectral_bound=spectral_bound,

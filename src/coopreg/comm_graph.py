@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockStructureViolation, NonPositiveBound
+from .errors import NonPositiveBound
 
 #: absolute tolerance below which an eigenvalue real part counts as zero
 ZERO_EIG_TOL = 1e-9
@@ -58,33 +58,31 @@ class CommTopology:
 
 @dataclass(frozen=True)
 class GraphMatrices:
-    """Graph Laplacian and leader-follower matrix H."""
+    """Graph Laplacian, leader-follower matrix H and the synchronization block.
+
+    In the coordinates (agent 1, differences to agent 1) L becomes
+    [[0, L[0, 1:]], [0, synchronization]]; the (N - 1) x (N - 1) block
+    carries the stable synchronization dynamics of the leaderless design.
+    """
 
     laplacian: np.ndarray
     leader_follower: np.ndarray
-
-
-@dataclass(frozen=True)
-class ThetaDecomposition:
-    """Laplacian blocks in the coordinates (agent 1, differences to agent 1).
-
-    That change of coordinates maps L to [[0, l12], [0, l22]], and ``l22``
-    carries the stable synchronization dynamics.
-    """
-
-    l12: np.ndarray
-    l22: np.ndarray
+    synchronization: np.ndarray
 
 
 def laplacian(topology: CommTopology) -> GraphMatrices:
-    """Laplacian L = D - A and H = L + diag(leader links).
+    """Laplacian L = D - A, H = L + diag(leader links) and L[1:, 1:] - L[0, 1:].
 
     Row i of the Laplacian is built directly from the weights, so each row
-    sums to zero exactly.
+    sums to zero exactly, as the synchronization block's coordinates need.
     """
     adj = topology.adjacency
     lap = np.diag(adj.sum(axis=1)) - adj
-    return GraphMatrices(laplacian=lap, leader_follower=lap + np.diag(topology.leader_links))
+    return GraphMatrices(
+        laplacian=lap,
+        leader_follower=lap + np.diag(topology.leader_links),
+        synchronization=lap[1:, 1:] - lap[0, 1:],
+    )
 
 
 def is_connected(topology: CommTopology, with_root_zero: bool) -> bool:
@@ -104,25 +102,6 @@ def is_connected(topology: CommTopology, with_root_zero: bool) -> bool:
     if with_root_zero:
         return bool(reach[:, topology.leader_links > 0].any(axis=1).all())
     return bool(reach.all(axis=0).any())
-
-
-def theta_decompose(lap: np.ndarray) -> ThetaDecomposition:
-    """Synchronization blocks of a Laplacian: l12 = L[0, 1:], l22 = L[1:, 1:] - L[0, 1:].
-
-    The coordinate change subtracts agent 1 from every other agent, so each
-    block is a slice of L.  Raises BlockStructureViolation when a row of the
-    input does not sum to zero, as the row sums of a Laplacian do.
-    """
-    lap = np.asarray(lap, dtype=float)
-    n = lap.shape[0]
-    if lap.ndim != 2 or lap.shape != (n, n) or n < 2:
-        raise ValueError("need a square matrix of size at least 2")
-    row_sum = np.abs(lap.sum(axis=1)).max()
-    if row_sum > ZERO_EIG_TOL * max(1.0, np.abs(lap).max()):
-        raise BlockStructureViolation(
-            f"a row of the input sums to {row_sum:.3e}; the rows of a Laplacian sum to zero"
-        )
-    return ThetaDecomposition(l12=lap[0, 1:].copy(), l22=lap[1:, 1:] - lap[0, 1:])
 
 
 def spectral_lower_bound(mat: np.ndarray) -> float:

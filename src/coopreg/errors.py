@@ -9,10 +9,6 @@ class GridMismatch(ToolkitError):
     """Operands are sampled on different grids."""
 
 
-class BlockStructureViolation(ToolkitError):
-    """A similarity transform did not produce the expected zero block."""
-
-
 class NonPositiveBound(ToolkitError):
     """A positive spectral lower bound was required but does not exist."""
 
@@ -46,7 +42,8 @@ class SingularStep(ToolkitError):
 
 
 class NumericalBlowup(ToolkitError):
-    """A simulated state left the configured bound."""
+    """A simulated state left the configured bound, or a closed-loop matrix
+    left the floating-point range."""
 
     def __init__(self, message, time=None):
         super().__init__(message)

@@ -394,7 +394,9 @@ _KEYS = (
     _Key("graph", "adjacency", "adjacency", "matrix", _REQUIRED, (
         lambda rows: all(v >= 0 for row in rows for v in row), "must be nonnegative",
     )),
-    _Key("graph", "leader_links", "leader_links", "vector", _Fill(0.0, "one per agent")),
+    _Key("graph", "leader_links", "leader_links", "vector", _Fill(0.0, "one per agent"), (
+        lambda links: all(v >= 0 for v in links), "must be nonnegative",
+    )),
     _Key("exosystem", "reference_frequencies", "reference_frequencies", "vector", _REQUIRED, (
         lambda fs: len(fs) > 0 and _FREQUENCIES[0](fs), "must be nonempty, nonnegative and distinct",
     )),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .backstepping import OutputOperator, TriangularKernel
 from .comm_graph import laplacian
-from .errors import GridMismatch, NumericalBlowup, SingularStep, ToolkitError
+from .errors import GridMismatch, NumericalBlowup, SchemaError, SingularStep, ToolkitError
 from .grid import GridFunction, trapezoid_weights
 from .signal_model import ExoModel
 from .synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
@@ -170,7 +170,8 @@ class ClosedLoopStep:
     A = I - (dt/2) L is tridiagonal (``bands``, identity rows for v), so the
     midpoint is a rank-k update of y0 = A^-1 y: y_h = y0 + P [y0 read, w],
     P = (dt/2) W (I - (dt/2) R W)^-1 with W = A^-1 E, R the read of z, and the
-    w columns folded over (I + propagator) / 2; then y+ = 2 y_h - y.
+    w columns folded over (I + propagator) / 2; then y+ = 2 y_h - y.  A W or
+    I - (dt/2) R W that is not finite raises NumericalBlowup.
     """
 
     def __init__(self, bands, forcing, read_out, s, column, drive, propagator, dt: float):
@@ -198,6 +199,8 @@ class ClosedLoopStep:
         half = 0.5 * dt
         coupled = np.eye(e.shape[1])
         coupled[:n_read] -= half * np.vstack([read_out.T @ w_mat[: self.n_x], w_mat[self.n_x :]])
+        if not (np.isfinite(w_mat).all() and np.isfinite(coupled).all()):
+            raise NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
         fold = np.eye(e.shape[1])
         fold[n_read:, n_read:] = 0.5 * (fold[n_read:, n_read:] + propagator)
         try:
@@ -244,7 +247,8 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
 
     ``scenario_objects`` bundles the resolved plant, agents, topology, signal
     model, numerics and sampling (see ``Scenario.resolve``); gains that record
-    another mode than the scenario's raise.
+    another mode than the scenario's raise, and so do leader links in a
+    leaderless scenario.  Without them H = L, so one assembly serves both modes.
     """
     agents = scenario_objects.agents
     exo: ExoModel = scenario_objects.exo
@@ -261,6 +265,12 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
         raise GridMismatch(f"gain grid {gains.m} vs scenario grid {m}")
     if gains.mode not in (None, mode):
         raise ToolkitError(f"gains designed for {gains.mode} mode run a {mode} scenario")
+    if mode not in (MODE_LEADER, MODE_LEADERLESS):
+        raise ValueError(f"unknown mode {mode!r}")
+    leader_links = scenario_objects.topology.leader_links
+    if mode == MODE_LEADERLESS and leader_links.any():
+        links = " ".join(f"{v:g}" for v in leader_links)
+        raise SchemaError([f"[graph] leader_links = {links} must be zero if leaderless"])
     plant = scenario_objects.plant
     for i, (ag, p_i) in enumerate(zip(agents, exo.read_outs, strict=True)):
         if ag.m != plant.a.m:
@@ -274,53 +284,49 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
     n_w = gains.n_w
     n_v = n * n_w
     h = 1.0 / m
-    lam = 1.0 + np.stack([ag.delta_lambda.values for ag in agents])
-    bands, bc1_gain = _stencil(
-        lam, plant.a.values + np.stack([ag.delta_a.values for ag in agents]),
-        plant.q0 + np.array([ag.delta_q0 for ag in agents]),
-        plant.q1 + np.array([ag.delta_q1 for ag in agents]), dt,
-    )
-    # u_i = k_v . v_i - k_1 x_i(1) - int k_x x_i + sum_j a_ij (xi_i - xi_j) + a_i0 xi_i
-    # with xi_i = int r_x x_i, so one scalar per agent crosses the network; the
-    # internal models are driven by sum_j a_ij (y_i - y_j) + a_i0 (y_i - r)
-    graph = laplacian(scenario_objects.topology)
-    if mode == MODE_LEADER:
-        coupling, leader_links = graph.leader_follower, scenario_objects.topology.leader_links
-    elif mode == MODE_LEADERLESS:
-        coupling, leader_links = graph.laplacian, np.zeros(n)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    weights = trapezoid_weights(m)
-    law_read = np.stack([weights * gains.k_x.values, weights * gains.r_x.values], axis=1)
-    law_read[-1, 0] += gains.k_1
+    # the loop is assembled once; an overflowing entry is rejected when the step is built
+    with np.errstate(all="ignore"):
+        lam = 1.0 + np.stack([ag.delta_lambda.values for ag in agents])
+        bands, bc1_gain = _stencil(
+            lam, plant.a.values + np.stack([ag.delta_a.values for ag in agents]),
+            plant.q0 + np.array([ag.delta_q0 for ag in agents]),
+            plant.q1 + np.array([ag.delta_q1 for ag in agents]), dt,
+        )
+        # u_i = k_v . v_i - k_1 x_i(1) - int k_x x_i + sum_j a_ij (xi_i - xi_j) + a_i0 xi_i
+        # with xi_i = int r_x x_i, so one scalar per agent crosses the network; the
+        # internal models are driven by sum_j a_ij (y_i - y_j) + a_i0 (y_i - r)
+        coupling = laplacian(scenario_objects.topology).leader_follower
+        weights = trapezoid_weights(m)
+        law_read = np.stack([weights * gains.k_x.values, weights * gains.r_x.values], axis=1)
+        law_read[-1, 0] += gains.k_1
 
-    # z = [q, c, xi, vec v, w]: q_i the output quadrature of agent i, c_i =
-    # k_x . x_i + k_1 x_i(1) and xi_i the read-outs of the feedback law
-    basis = np.eye(3 * n + n_v + exo.n_w)
-    w_part = basis[3 * n + n_v :]
-    # each agent's disturbance wiring composed with its read-out P_i, so the
-    # forcing and the output feedthrough are fixed maps of the signal state w
-    feedthrough = np.stack([ag.g4 @ p_i for ag, p_i in zip(agents, exo.read_outs)])
-    y_map = basis[:n] + feedthrough @ w_part
-    r_map = exo.p @ w_part
-    law = np.hstack([-np.eye(n), coupling, np.kron(np.eye(n), gains.k_v)])
-    u_map = law @ basis[n : 3 * n + n_v]
-    read_out = np.zeros((n, m + 1, 3, n))
-    forcing = np.zeros((n, m + 1, basis.shape[0]))
-    for i, (ag, p_i) in enumerate(zip(agents, exo.read_outs)):
-        read_out[i, :, 0, i] = _output_row(plant.output, ag, m)
-        read_out[i, :, 1:, i] = law_read
-        wiring = forcing[i, :, 3 * n + n_v :]
-        wiring[:] = ag.g1 @ p_i
-        wiring[0] += -2.0 * lam[i, 0] / h * (ag.g2 @ p_i)
-        wiring[-1] += bc1_gain[i] * (ag.g3 @ p_i)
-    forcing[:, m] += bc1_gain[:, None] * u_map
-    step = ClosedLoopStep(
-        bands, forcing.reshape(n * (m + 1), -1), read_out.reshape(n * (m + 1), 3 * n), gains.S,
-        gains.b_y, np.column_stack([coupling, -leader_links]) @ np.vstack([y_map, r_map]),
-        expm(exo.S * dt), dt,
-    )
-    signals = np.vstack([y_map, u_map, r_map])
+        # z = [q, c, xi, vec v, w]: q_i the output quadrature of agent i, c_i =
+        # k_x . x_i + k_1 x_i(1) and xi_i the read-outs of the feedback law
+        basis = np.eye(3 * n + n_v + exo.n_w)
+        w_part = basis[3 * n + n_v :]
+        # each agent's disturbance wiring composed with its read-out P_i, so the
+        # forcing and the output feedthrough are fixed maps of the signal state w
+        feedthrough = np.stack([ag.g4 @ p_i for ag, p_i in zip(agents, exo.read_outs)])
+        y_map = basis[:n] + feedthrough @ w_part
+        r_map = exo.p @ w_part
+        law = np.hstack([-np.eye(n), coupling, np.kron(np.eye(n), gains.k_v)])
+        u_map = law @ basis[n : 3 * n + n_v]
+        read_out = np.zeros((n, m + 1, 3, n))
+        forcing = np.zeros((n, m + 1, basis.shape[0]))
+        for i, (ag, p_i) in enumerate(zip(agents, exo.read_outs)):
+            read_out[i, :, 0, i] = _output_row(plant.output, ag, m)
+            read_out[i, :, 1:, i] = law_read
+            wiring = forcing[i, :, 3 * n + n_v :]
+            wiring[:] = ag.g1 @ p_i
+            wiring[0] += -2.0 * lam[i, 0] / h * (ag.g2 @ p_i)
+            wiring[-1] += bc1_gain[i] * (ag.g3 @ p_i)
+        forcing[:, m] += bc1_gain[:, None] * u_map
+        step = ClosedLoopStep(
+            bands, forcing.reshape(n * (m + 1), -1), read_out.reshape(n * (m + 1), 3 * n), gains.S,
+            gains.b_y, np.column_stack([coupling, -leader_links]) @ np.vstack([y_map, r_map]),
+            expm(exo.S * dt), dt,
+        )
+        signals = np.vstack([y_map, u_map, r_map])
 
     x0 = [
         np.zeros(m + 1) if ag.initial_profile is None else ag.initial_profile.values

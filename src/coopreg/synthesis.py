@@ -3,8 +3,8 @@
 Pipeline:  solved kernel -> decoupling boundary-value problem -> nonblocking
 test on the transfer numerator -> algebraic Riccati solve -> gain assembly ->
 Hurwitz certificate.  The leaderless variant swaps the leader-follower matrix
-for the stable block of the transformed Laplacian and adds the steady-state
-synchronization maps.
+for the synchronization block of the Laplacian and adds the steady-state
+profile and output map that every agent settles on.
 """
 
 from dataclasses import dataclass
@@ -12,12 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backstepping import OutputOperator, TriangularKernel
-from .comm_graph import GraphMatrices, ThetaDecomposition
+from .comm_graph import GraphMatrices
 from .errors import (
     GridMismatch,
     InconsistentCertificates,
     NewtonDivergence,
     NotControllable,
+    NumericalBlowup,
     ParseError,
     ResonantSpectrum,
     SingularSystem,
@@ -96,18 +97,14 @@ class StabilityCertificate:
 
 @dataclass(frozen=True)
 class SyncSteadyState:
-    """Steady-state maps of the leaderless closed loop.
+    """Steady state of the leaderless closed loop, one for all agents.
 
     ``sigma1`` maps the persistent internal-model mode to the asymptotic
-    profile; the rows of ``y_map`` are the asymptotic output read-outs.
-    Every agent's sigma1 solves the same problem, so the rows of both agree.
+    profile, and ``y_map`` reads the asymptotic output off that mode.
     """
 
-    pi: np.ndarray
-    sigma1: np.ndarray      # (N, n_w, m + 1)
-    sigma2: np.ndarray      # (N, (N-1) n_w, m + 1)
-    y_map: np.ndarray       # (N, n_w)
-    f_eps: np.ndarray
+    sigma1: np.ndarray      # (n_w, m + 1)
+    y_map: np.ndarray       # (n_w,)
 
 
 def _target_distance(eigs: np.ndarray, mu_c: float) -> float:
@@ -407,12 +404,16 @@ def certify_stability(
     """Eigenvalue certificate of the aggregated closed-loop ODE block.
 
     ``coupling`` is the leader-follower matrix in leader-follower mode and
-    the stable Laplacian block in leaderless mode.  The certificate never
-    raises; a failing design is reported through the sign pattern.
+    the synchronization block in leaderless mode.  A failing design is
+    reported through the sign pattern; only a closed-loop matrix that
+    overflows raises, NumericalBlowup.
     """
     if mode not in (MODE_LEADER, MODE_LEADERLESS):
         raise ValueError(f"unknown mode {mode!r}")
-    f_mat = closed_loop_matrix(s, q_tilde_at_1, k_v, coupling)
+    with np.errstate(all="ignore"):  # an overflowing product is rejected below
+        f_mat = closed_loop_matrix(s, q_tilde_at_1, k_v, coupling)
+    if not np.isfinite(f_mat).all():
+        raise NumericalBlowup("closed-loop matrix overflows: coupling or gains out of range")
     eigs = np.linalg.eigvals(f_mat)
     alpha_ev = -float(eigs.real.max())
     return StabilityCertificate(
@@ -439,60 +440,19 @@ def internal_model_rank_check(mode: str, graph: GraphMatrices) -> bool:
 
 
 def sync_steady_state(
-    s: np.ndarray,
-    k_v: np.ndarray,
-    q_tilde_at_1: np.ndarray,
-    theta_dec: ThetaDecomposition,
-    mu_c: float,
-    output_transformed: OutputOperator,
+    s: np.ndarray, k_v: np.ndarray, mu_c: float, output_transformed: OutputOperator
 ) -> SyncSteadyState:
-    """Steady-state synchronization maps of the leaderless closed loop.
+    """Steady-state profile and output map of the leaderless closed loop.
 
-    Solves the coupling Sylvester equation by Kronecker vectorization and the
-    matrix boundary-value problems with the same machinery as the decoupling
-    equations: sigma1 once for all agents, sigma2 agent by agent.  Requires
-    pairwise disjoint spectra of the signal model, the synchronization block
-    and the target dynamics.
+    Every agent's Neumann datum is k_v, so one boundary-value problem, solved
+    with the machinery of the decoupling equations, gives the sigma1 all
+    agents share.  Requires sigma(S) apart from the target spectrum.
     """
     s = np.asarray(s, dtype=float)
-    k_v = np.asarray(k_v, dtype=float)
-    q1v = np.asarray(q_tilde_at_1, dtype=float)
-    n_w = s.shape[0]
-    n_minus_1 = theta_dec.l22.shape[0]
-    n_agents = n_minus_1 + 1
-
-    f_eps = closed_loop_matrix(s, q1v, k_v, theta_dec.l22)
-
-    eig_s = np.linalg.eigvals(s)
-    eig_f = np.linalg.eigvals(f_eps)
-    if np.abs(eig_s[:, None] - eig_f[None, :]).min() < RESONANCE_TOL:
-        raise ResonantSpectrum(
-            "synchronization block shares an eigenvalue with the signal model"
-        )
     check_resonance(s, mu_c)
-    if _target_distance(eig_f, mu_c) < RESONANCE_TOL:
-        raise ResonantSpectrum(
-            "synchronization block meets the target dynamics spectrum"
-        )
-
-    # Pi F_eps - S Pi = -(l12 (x) q~(1) k_v^T)
-    rhs = -np.kron(theta_dec.l12.reshape(1, -1), np.outer(q1v, k_v))
-    dim = n_minus_1 * n_w
-    coeff = np.kron(f_eps.T, np.eye(n_w)) - np.kron(np.eye(dim), s)
-    pi = np.linalg.solve(coeff, rhs.reshape(-1, order="F")).reshape(n_w, dim, order="F")
-
-    m = output_transformed.m
-    # every agent's Neumann datum is k_v, so all agents share one sigma1 and one read-out
+    n_w, m = s.shape[0], output_transformed.m
     sigma1 = _neumann_bvp(mu_c * np.eye(n_w) + s.T, np.zeros((n_w, m + 1)), np.zeros(n_w), k_v)
-    sigma1 = np.repeat(sigma1[None], n_agents, axis=0)
-
-    gamma1_rows = k_v @ pi + np.vstack([np.zeros(dim), np.kron(np.eye(n_minus_1), k_v)])
-    a2 = mu_c * np.eye(dim) + f_eps.T
-    no_load = np.zeros((dim, m + 1))
-    sigma2 = np.stack([_neumann_bvp(a2, no_load, np.zeros(dim), g) for g in gamma1_rows])
-
-    y_map = np.repeat((sigma1[0] @ output_transformed.row())[None], n_agents, axis=0)
-    return SyncSteadyState(pi=pi, sigma1=sigma1, sigma2=sigma2, y_map=y_map, f_eps=f_eps)
+    return SyncSteadyState(sigma1=sigma1, y_map=sigma1 @ output_transformed.row())
 
 
 def write_gains_file(gains: RegulatorGains, path):

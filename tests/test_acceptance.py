@@ -184,11 +184,7 @@ def test_criterion_7_leaderless_synchronization(leaderless_scenario, leaderless_
     trace = sim.simulate(leaderless_scenario.resolve(), r.gains)
     sync = trace.pairwise_sync_errors()
     tail = sync[trace.times >= 16.0].max()
-    ss = synthesis.sync_steady_state(
-        r.exo.S, r.gains.k_v, r.decoupling.q_tilde_at_1, r.theta, 5.0,
-        r.output_transformed,
-    )
-    spread = np.abs(ss.y_map - ss.y_map[0]).max()
+    ss = synthesis.sync_steady_state(r.exo.S, r.gains.k_v, 5.0, r.output_transformed)
     # nominal agents under a silent exosystem settle on the trajectory y_map v_1(t)
     # that agent 1's internal model generates
     shipped, m = leaderless_scenario.resolve(), r.m
@@ -197,16 +193,14 @@ def test_criterion_7_leaderless_synchronization(leaderless_scenario, leaderless_
         x0=[ag.initial_profile.values for ag in shipped.agents], v0=shipped.v0, sample_every=50,
     )
     synced = sim.simulate(nominal, r.gains, record_state=True)
-    predicted = synced.states_v[:, 0, :] @ ss.y_map[0]
+    predicted = synced.states_v[:, 0, :] @ ss.y_map
     late = synced.times >= 16.0
     deviation = np.abs(synced.outputs[late] - predicted[late, None]).max()
     deviation /= np.abs(synced.outputs).max()
-    ok = tail < 0.1 and spread <= 1e-6 * max(1.0, np.abs(ss.y_map).max())
-    ok &= deviation <= 5.0 / m**2
+    ok = tail < 0.1 and deviation <= 5.0 / m**2
     report(
         7,
-        f"leaderless synchronization (tail {tail:.2e}, map spread {spread:.1e}, "
-        f"trajectory deviation {deviation:.1e})",
+        f"leaderless synchronization (tail {tail:.2e}, trajectory deviation {deviation:.1e})",
         ok, started, 300.0,
     )
 

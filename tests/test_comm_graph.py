@@ -10,9 +10,8 @@ from coopreg.comm_graph import (
     is_connected,
     laplacian,
     spectral_lower_bound,
-    theta_decompose,
 )
-from coopreg.errors import BlockStructureViolation, NonPositiveBound
+from coopreg.errors import NonPositiveBound
 
 from _support import (
     bfs_is_connected,
@@ -60,6 +59,13 @@ class TestLaplacian:
     def test_edgeless_graph_is_zero(self):
         g = laplacian(CommTopology(adjacency=np.zeros((5, 5))))
         assert np.array_equal(g.laplacian, np.zeros((5, 5)))
+
+    def test_without_leader_links_h_is_l(self):
+        # so one closed-loop assembly serves the leaderless mode too
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            g = laplacian(random_connected_topology(rng, with_leader=False))
+            assert np.array_equal(g.leader_follower, g.laplacian)
 
     def test_rows_sum_to_zero_exactly(self):
         rng = np.random.default_rng(11)
@@ -114,20 +120,17 @@ class TestConnectivity:
                 assert is_connected(top, root_zero) == bfs_is_connected(top, root_zero)
 
 
-class TestThetaDecomposition:
+class TestSynchronizationBlock:
     def test_zero_laplacian_two_nodes(self):
-        dec = theta_decompose(np.zeros((2, 2)))
-        assert np.array_equal(dec.l22, [[0.0]])
+        g = laplacian(CommTopology(adjacency=np.zeros((2, 2))))
+        assert np.array_equal(g.synchronization, [[0.0]])
 
     def test_complete_two_node_graph(self):
-        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        dec = theta_decompose(lap)
-        assert np.allclose(dec.l22, [[2.0]])
-        assert np.allclose(dec.l12, [-1.0])
+        g = laplacian(CommTopology(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert np.array_equal(g.synchronization, [[2.0]])
 
     def test_four_agent_block_spectrum(self):
-        dec = theta_decompose(FOUR_AGENT_LAPLACIAN)
-        eigs = np.linalg.eigvals(dec.l22)
+        eigs = np.linalg.eigvals(laplacian(four_agent_topology()).synchronization)
         assert np.all(eigs.real > 0)
         # independent cross-check: the block carries the nonzero Laplacian spectrum
         lap_eigs = np.linalg.eigvals(FOUR_AGENT_LAPLACIAN)
@@ -138,18 +141,18 @@ class TestThetaDecomposition:
         rng = np.random.default_rng(5)
         for _ in range(20):
             top = random_connected_topology(rng, with_leader=False)
-            lap = laplacian(top).laplacian
-            dec = theta_decompose(lap)
+            g = laplacian(top)
+            lap = g.laplacian
             n = lap.shape[0]
             block = np.zeros((n, n))
-            block[0, 1:] = dec.l12
-            block[1:, 1:] = dec.l22
+            block[0, 1:] = lap[0, 1:]
+            block[1:, 1:] = g.synchronization
             theta, theta_inv = theta_pair(n)
             rebuilt = theta_inv @ block @ theta
             scale = max(1.0, np.abs(lap).max())
             assert np.abs(rebuilt - lap).max() <= 1e-12 * scale
 
-    def test_blocks_and_rank_verdict_match_explicit_transform(self):
+    def test_block_and_rank_verdict_match_explicit_transform(self):
         from coopreg.synthesis import MODE_LEADERLESS, internal_model_rank_check
 
         rng = np.random.default_rng(20)
@@ -157,23 +160,17 @@ class TestThetaDecomposition:
         for _ in range(300):
             top = random_digraph(rng)
             graph = laplacian(top)
-            dec = theta_decompose(graph.laplacian)
-            l12, l22, h_tilde = theta_oracle(graph.laplacian)
-            assert np.array_equal(dec.l12, l12)
-            assert np.array_equal(dec.l22, l22)
+            _, l22, h_tilde = theta_oracle(graph.laplacian)
+            assert np.array_equal(graph.synchronization, l22)
             tol = 1e-9 * max(1.0, np.abs(h_tilde).max())
             full_rank = np.linalg.matrix_rank(h_tilde, tol=tol) == top.n_agents - 1
             assert internal_model_rank_check(MODE_LEADERLESS, graph) == full_rank
             connected.add(is_connected(top, with_root_zero=False))
         assert connected == {True, False}
 
-    def test_non_laplacian_input_rejected(self):
-        with pytest.raises(BlockStructureViolation):
-            theta_decompose(np.array([[1.0, 0.0], [0.0, 1.0]]))
-
-    def test_needs_two_nodes(self):
-        with pytest.raises(ValueError):
-            theta_decompose(np.zeros((1, 1)))
+    def test_one_agent_has_an_empty_block(self):
+        g = laplacian(CommTopology(adjacency=np.zeros((1, 1)), leader_links=np.ones(1)))
+        assert g.synchronization.shape == (0, 0)
 
 
 class TestSpectralLowerBound:
@@ -185,8 +182,8 @@ class TestSpectralLowerBound:
         assert spectral_lower_bound(h) == pytest.approx(0.382, abs=1e-3)
 
     def test_four_agent_leaderless_margin_admits_one(self):
-        dec = theta_decompose(FOUR_AGENT_LAPLACIAN)
-        assert spectral_lower_bound(dec.l22) >= 1.0 - 1e-12
+        sync = laplacian(four_agent_topology()).synchronization
+        assert spectral_lower_bound(sync) >= 1.0 - 1e-12
 
     def test_zero_matrix_has_no_positive_bound(self):
         with pytest.raises(NonPositiveBound):

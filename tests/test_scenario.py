@@ -758,9 +758,11 @@ def test_nonfinite_number_rejected(scenario_file, tmp_path, capsys, old, new, me
         ("mu_c = 5", "mu_c = 1e300", "FAIL  SingularSystem: kernel march needs"),
         ("reference_frequencies = pi", "reference_frequencies = 1e300", "FAIL  n_w = 3"),
         ("c_b1 = 1", "c_b1 = 1e300", "FAIL  SingularSystem: boundary-value solution overflows"),
+        ("adjacency = 0 0 1 0 ;", "adjacency = 0 0 1e308 0 ;",
+         "FAIL  NumericalBlowup: closed-loop matrix overflows"),
     ],
     ids=["a-pole", "a-overflow", "a-literal", "c0-nan", "q0-huge", "q0-negative-huge",
-         "riccati_a-huge", "mu_c-huge", "reference-huge", "c_b1-huge"],
+         "riccati_a-huge", "mu_c-huge", "reference-huge", "c_b1-huge", "adjacency-huge"],
 )
 def test_out_of_range_design_fails_cleanly(scenario_file, tmp_path, capsys, old, new, row):
     text = scenario_file.read_text()
@@ -867,6 +869,49 @@ def test_overflowing_output_uncertainty_rejected_by_simulate(
     assert "agent output weight overflows" in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "synthesize", "simulate"])
+def test_negative_leader_links_rejected(scenario_file, leader_design, tmp_path, capsys, command):
+    text = scenario_file.read_text()
+    assert "leader_links = 1 0 0 0" in text
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text(text.replace("leader_links = 1 0 0 0", "leader_links = -1 1 0 0"))
+    gains = tmp_path / "gains.txt"
+    write_gains_file(leader_design.gains, gains)
+    extra = {"check": [], "synthesize": ["--out", str(tmp_path / "d")], "simulate": [
+        "--gains", str(gains), "--out", str(tmp_path / "run"), "--horizon", "0.05",
+    ]}
+    assert main([command, "--scenario", str(cfg), *extra[command]]) == 1
+    err = capsys.readouterr().err
+    assert "[graph] leader_links = -1 1 0 0 must be nonnegative" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("\nc_b1 = 1\n", "\nc_b1 = 1e308\n"), ("adjacency = 0 0 1 0 ;", "adjacency = 0 0 1e308 0 ;")],
+    ids=["c_b1", "adjacency"],
+)
+def test_overflowing_closed_loop_step_rejected(scenario_file, tmp_path, capsys, old, new):
+    # the gains of the unmodified file drive a loop whose assembled step overflows
+    design = tmp_path / "design"
+    assert main(["synthesize", "--scenario", str(scenario_file), "--out", str(design)]) == 0
+    text = scenario_file.read_text()
+    assert old in text
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text.replace(old, new, 1))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "simulate", "--scenario", str(cfg), "--gains", str(design / "gains.txt"),
+            "--out", str(tmp_path / "run"), "--horizon", "0.05",
+        ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "NumericalBlowup: closed-loop step overflows" in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_empty_reference_frequencies_rejected(leader_scenario_text, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from coopreg.backstepping import OutputOperator
 from coopreg.comm_graph import CommTopology
-from coopreg.errors import GridMismatch, NumericalBlowup
+from coopreg.errors import GridMismatch, NumericalBlowup, SchemaError
 from coopreg.grid import GridFunction, trapezoid_weights, uniform_nodes
 from coopreg.scenario import ResolvedScenario
 from coopreg.signal_model import ExoModel
@@ -240,20 +240,15 @@ class TestControllerInput:
         assert u[0] == pytest.approx(1.0 * xi, abs=1e-14)  # leader link weight 1
         assert u[1] == pytest.approx(0.0, abs=1e-14)
 
-    def test_leaderless_mode_drops_leader_links(self):
+    def test_leaderless_mode_rejects_leader_links(self):
+        # loads rejects such links in a file; simulate rejects them in a scenario built in Python
         m = 64
         top = CommTopology(
             adjacency=np.zeros((2, 2)), leader_links=np.array([3.0, 0.0])
         )
-        gains = toy_gains(m)
-        gains = RegulatorGains(
-            k_v=gains.k_v, k_1=gains.k_1, k_x=gains.k_x,
-            r_x=GridFunction.constant(1.0, m),
-            b_y=gains.b_y, S=gains.S, mu_c=gains.mu_c,
-        )
         x = np.ones((2, m + 1))
-        u = first_inputs(gains, top, np.zeros((2, 2)), x, MODE_LEADERLESS)
-        assert np.array_equal(u, np.zeros(2))
+        with pytest.raises(SchemaError, match=r"leader_links = 3 0 must be zero if leaderless"):
+            first_inputs(toy_gains(m), top, np.zeros((2, 2)), x, MODE_LEADERLESS)
 
 
 class TestInternalModelStep:

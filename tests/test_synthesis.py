@@ -15,8 +15,14 @@ from coopreg.backstepping import (
     solve_kernel,
     transform_output_weight,
 )
-from coopreg.comm_graph import laplacian, theta_decompose
-from coopreg.errors import NotControllable, ParseError, ResonantSpectrum, SingularSystem
+from coopreg.comm_graph import laplacian
+from coopreg.errors import (
+    NotControllable,
+    NumericalBlowup,
+    ParseError,
+    ResonantSpectrum,
+    SingularSystem,
+)
 from coopreg.grid import GridFunction
 from coopreg.scenario import load_scenario
 from coopreg.signal_model import frequency_blocks
@@ -467,7 +473,7 @@ class TestCertificates:
         verdicts = set()
         for scale in np.random.default_rng(8).uniform(-1.0, 2.0, 200):
             graph = laplacian(random_connected_topology(rng, with_leader=leader))
-            coupling = graph.leader_follower if leader else theta_decompose(graph.laplacian).l22
+            coupling = graph.leader_follower if leader else graph.synchronization
             k_v = r.gains.k_v * scale
             cert = certify_stability(mode, r.exo.S, g, k_v, coupling, 5.0)
             lams = np.linalg.eigvals(coupling)
@@ -498,6 +504,15 @@ class TestCertificates:
             r.graph.leader_follower, -5.0,
         )
         assert not cert.passed
+
+    def test_overflowing_closed_loop_matrix_raises(self, leader_design):
+        # finite weights whose Kronecker product with q~(1) k_v^T overflows
+        r = leader_design
+        coupling = np.full((4, 4), 1e308)
+        with np.errstate(all="raise"), pytest.raises(NumericalBlowup, match="overflows"):
+            certify_stability(
+                MODE_LEADER, r.exo.S, r.decoupling.q_tilde_at_1, r.gains.k_v, coupling, 5.0
+            )
 
 
 class TestRankChecks:
@@ -559,47 +574,38 @@ class TestSyncSteadyState:
 
     def test_benchmark_maps(self, leaderless_design):
         r = leaderless_design
-        ss = sync_steady_state(
-            r.exo.S, r.gains.k_v, r.decoupling.q_tilde_at_1, r.theta, 5.0,
-            r.output_transformed,
-        )
-        # coupling equation solved exactly
-        sylvester = ss.pi @ ss.f_eps - r.exo.S @ ss.pi + np.kron(
-            r.theta.l12.reshape(1, -1),
-            np.outer(r.decoupling.q_tilde_at_1, r.gains.k_v),
-        )
-        assert np.abs(sylvester).max() < 1e-10
-        # every agent sees the same asymptotic read-out map
-        spread = np.abs(ss.y_map - ss.y_map[0]).max()
-        assert spread <= 1e-8 * max(1.0, np.abs(ss.y_map).max())
+        ss = sync_steady_state(r.exo.S, r.gains.k_v, 5.0, r.output_transformed)
+        m = r.kernel.m
+        assert ss.sigma1.shape == (3, m + 1) and ss.y_map.shape == (3,)
+        # sigma1'' = (mu_c I + S^T) sigma1 with sigma1'(0) = 0 and sigma1'(1) = k_v
+        a_mat = 5.0 * np.eye(3) + r.exo.S.T
+        want = dense_neumann_bvp(a_mat, np.zeros((3, m + 1)), np.zeros(3), r.gains.k_v)
+        assert np.abs(ss.sigma1 - want).max() <= 1e-12 * np.abs(want).max()
+        # the output functional (no point weights here) read state by state
+        out = r.output_transformed
+        assert out.point_weights == ()
+        read = np.trapezoid(ss.sigma1 * out.smooth_weight.values, dx=1.0 / m, axis=1)
+        cb0, cb1 = out.boundary_weights
+        read += cb0 * ss.sigma1[:, 0] + cb1 * ss.sigma1[:, -1]
+        assert np.abs(ss.y_map - read).max() <= 1e-12 * np.abs(read).max()
 
     def test_benchmark_bvp_residuals(self, leaderless_design):
         r = leaderless_design
-        ss = sync_steady_state(
-            r.exo.S, r.gains.k_v, r.decoupling.q_tilde_at_1, r.theta, 5.0,
-            r.output_transformed,
-        )
+        ss = sync_steady_state(r.exo.S, r.gains.k_v, 5.0, r.output_transformed)
         m = r.kernel.m
         coarse = np.linspace(0.0, 1.0, m + 1)
         fine = np.linspace(0.0, 1.0, 2 * m + 1)
-        for rows, w_mat in ((ss.sigma1, r.exo.S), (ss.sigma2, ss.f_eps)):
-            a_mat = 5.0 * np.eye(w_mat.shape[0]) + w_mat.T
-            for i in range(rows.shape[0]):
-                table = np.stack(
-                    [make_interp_spline(coarse, rows[i, c], k=5)(fine) for c in range(rows.shape[1])]
-                )
-                h_fine = 0.5 / m
-                second = (table[:, 2:] - 2.0 * table[:, 1:-1] + table[:, :-2]) / h_fine**2
-                residual = second - a_mat @ table[:, 1:-1]
-                assert np.abs(residual).max() < 1e-3
+        table = np.stack([make_interp_spline(coarse, row, k=5)(fine) for row in ss.sigma1])
+        h_fine = 0.5 / m
+        second = (table[:, 2:] - 2.0 * table[:, 1:-1] + table[:, :-2]) / h_fine**2
+        residual = second - (5.0 * np.eye(3) + r.exo.S.T) @ table[:, 1:-1]
+        assert np.abs(residual).max() < 1e-3
 
-    def test_zero_feedback_is_resonant(self, leaderless_design):
+    def test_resonant_target_spectrum_raises(self, leaderless_design):
+        # the disturbance mode 0 of S meets -mu_c - pi^2 at mu_c = -pi^2
         r = leaderless_design
         with pytest.raises(ResonantSpectrum):
-            sync_steady_state(
-                r.exo.S, np.zeros(3), r.decoupling.q_tilde_at_1, r.theta, 5.0,
-                r.output_transformed,
-            )
+            sync_steady_state(r.exo.S, r.gains.k_v, -np.pi**2, r.output_transformed)
 
 
 class TestResonanceCheck:
