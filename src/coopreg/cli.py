@@ -107,8 +107,9 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         f"{topology.n_agents} agents",
         NonPositiveBound,
     )
-    rank_ok = synthesis.internal_model_rank_check(mode, graph)
-    hypothesis("internal-model rank", "H nonsingular" if leader else "rank H_tilde = N - 1", rank_ok, "")
+    rank_ok, rank_evidence = synthesis.internal_model_rank_check(mode, graph)
+    condition = "H nonsingular" if leader else "rank H_tilde = N - 1"
+    hypothesis("internal-model rank", condition, rank_ok, rank_evidence)
     try:
         spectral_bound = comm_graph.spectral_lower_bound(coupling)
         nu = num.nu if num.nu is not None else spectral_bound
@@ -163,14 +164,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
     hypothesis(
         "decoupled-pair controllability",
         "(S, q_tilde(1)) controllable",
-        synthesis.check_controllable_pair(
-            exo.S,
-            exo.b_y,
-            decoupling.q_tilde_at_1,
-            output_transformed,
-            num.mu_c,
-            reference_scale=float(np.abs(decoupling.q_tilde).max()),
-        ),
+        synthesis.check_controllable_pair(exo.S, exo.b_y, decoupling, output_transformed, num.mu_c),
         f"max |q_tilde(1)| = {np.abs(decoupling.q_tilde_at_1).max():.4g}",
         NotControllable,
     )

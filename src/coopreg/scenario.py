@@ -177,14 +177,12 @@ class Scenario:
         if off_grid:
             raise SchemaError([f"[outputs] snapshot_times {off_grid} must be whole numbers "
                                f"of steps dt = {dt} in [0, horizon = {horizon}]"])
-        exo = self.exo_model()
         return ResolvedScenario(
             mode=self.mode,
             plant=self.plant(m),
             agents=self.agent_specs(m),
             topology=self.topology(),
-            exo=exo,
-            m=m,
+            exo=self.exo_model(),
             dt=dt,
             n_steps=n_steps,
             sample_every=self.outputs.sample_every,
@@ -217,7 +215,6 @@ class ResolvedScenario:
     agents: tuple
     topology: CommTopology
     exo: ExoModel
-    m: int
     dt: float
     n_steps: int
     sample_every: int
@@ -225,6 +222,10 @@ class ResolvedScenario:
     blowup_bound: float
     v0: tuple
     w0: tuple
+
+    @property
+    def m(self) -> int:
+        return self.plant.a.m
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ advances profiles and internal models together by one Crank-Nicolson step,
 second order in dt; the signal state advances by its exact matrix exponential.
 The loop reads three scalars per agent from the profiles: the output, by the
 row ``OutputOperator.row()`` of the agent's perturbed operator, k_x . x +
-k_1 x(1) and the lumped xi = int r_x x.  ``simulate`` hands the
-step the true agents' stencil, wiring and networked feedback; the target
-cascade hands it the stencil of a heat equation with decay mu_c.  The LAPACK
-tridiagonal solver (``dgttrf``/``dgttrs``) and ``expm`` come from scipy.linalg,
-imported only where a step is built, so the design path runs on numpy alone.
+k_1 x(1) and the lumped xi = int r_x x.  Both callers describe their loop
+in continuous time: ``simulate`` the true agents' stencil, wiring, networked
+feedback and signal matrix; the target cascade a heat equation with decay
+mu_c and no signal.  The step alone forms the matrices that depend on dt.
+The LAPACK tridiagonal solver (``dgttrf``/``dgttrs``) and ``expm`` come from
+scipy.linalg, imported only where a step is built, so the design path runs
+on numpy alone.
 """
 
 from dataclasses import dataclass, field
@@ -120,8 +122,8 @@ class ErrorMetrics:
     tail_sync_error: float
 
 
-def _stencil(lam, abar, q0, q1, dt: float):
-    """Diagonals of I - (dt/2) L and the gain 2 lam(1)/h of an input at z = 1.
+def _stencil(lam, abar, q0, q1):
+    """Diagonals of L and the gain 2 lam(1)/h of an input at z = 1.
 
     L is the ghost-node stencil of N agents chained with zero coupling, with
     the (N, m + 1) coefficients ``lam`` and ``abar`` and Robin data q0, q1.
@@ -136,9 +138,7 @@ def _stencil(lam, abar, q0, q1, dt: float):
     upper[:, 0] = 2.0 * lam[:, 0] / h**2
     diag[:, m] = -2.0 * lam[:, m] * (1.0 - h * q1) / h**2 + abar[:, m]
     lower[:, m] = 2.0 * lam[:, m] / h**2
-    half = 0.5 * dt
-    bands = (-half * lower.ravel()[1:], 1.0 - half * diag.ravel(), -half * upper.ravel()[:-1])
-    return bands, 2.0 * lam[:, m] / h
+    return (lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1]), 2.0 * lam[:, m] / h
 
 
 def _output_row(output: OutputOperator, agent: AgentSpec, m: int) -> np.ndarray:
@@ -160,49 +160,45 @@ def _output_row(output: OutputOperator, agent: AgentSpec, m: int) -> np.ndarray:
 
 
 class ClosedLoopStep:
-    """One Crank-Nicolson step of a linear closed loop y' = L y + E z, w exact.
+    """One Crank-Nicolson step of a linear closed loop y' = L y + E z, w' = S_w w.
 
     y = [x, vec v] stacks the flat profiles and the internal models; z =
     [x G, v, w] is all the loop reads, G a read-out of a few scalars per agent.
-    The profile rows of E (``forcing``) feed the inputs in at z = 1 and the
-    disturbances through the wiring; E drives v_i' = S v_i + column (D z)_i.
-    w advances by its exact propagator and enters at its midpoint (w + w+)/2.
-    A = I - (dt/2) L is tridiagonal (``bands``, identity rows for v), so the
-    midpoint is a rank-k update of y0 = A^-1 y: y_h = y0 + P [y0 read, w],
-    P = (dt/2) W (I - (dt/2) R W)^-1 with W = A^-1 E, R the read of z, and the
-    w columns folded over (I + propagator) / 2; then y+ = 2 y_h - y.  A W or
+    The caller describes the loop in continuous time: the three diagonals of
+    L over x (``bands``; the v rows of L are zero), all rows of E, G and S_w.
+    The step forms everything that depends on dt.  w advances by its exact
+    propagator expm(S_w dt) and enters at its midpoint (w + w+)/2.
+    A = I - (dt/2) L is tridiagonal (identity rows for v), so the midpoint is
+    a rank-k update of y0 = A^-1 y: y_h = y0 + P [y0 read, w], P = (dt/2) W
+    (I - (dt/2) R W)^-1 with W = A^-1 E, R the read of z, and the w columns
+    folded over (I + propagator) / 2; then y+ = 2 y_h - y.  A W or
     I - (dt/2) R W that is not finite raises NumericalBlowup.
     """
 
-    def __init__(self, bands, forcing, read_out, s, column, drive, propagator, dt: float):
-        self.n_x = forcing.shape[0]
-        n = drive.shape[0]
-        n_v = n * column.size
-        n_read = read_out.shape[1] + n_v
-        self.read_out, self.propagator = read_out, propagator
-        e = np.zeros((self.n_x + n_v, forcing.shape[1]), order="F")
-        e[: self.n_x] = forcing
-        e[self.n_x :, read_out.shape[1] : n_read] = np.kron(np.eye(n), s)
-        e[self.n_x :] += np.kron(drive, column[:, None])
-
-        # numpy has no banded solver; scipy loads here, so a design never imports it
+    def __init__(self, bands, e, read_out, s_w, dt: float):
+        # numpy has neither a banded solver nor expm; scipy loads here, so a design never imports it
+        from scipy.linalg import expm
         from scipy.linalg.lapack import dgttrf, dgttrs
-        self._dgttrs = dgttrs
-        pad = np.zeros(n_v)     # identity rows for v
         lower, diag, upper = bands
+        self.n_x = diag.size
+        n_v = e.shape[0] - self.n_x
+        n_read = read_out.shape[1] + n_v
+        half = 0.5 * dt
+        self.read_out, self.propagator, self._dgttrs = read_out, expm(s_w * dt), dgttrs
+        pad = np.zeros(n_v)     # identity rows for v
         *self.lu, info = dgttrf(
-            np.append(lower, pad), np.append(diag, pad + 1.0), np.append(upper, pad)
+            np.append(-half * lower, pad), np.append(1.0 - half * diag, pad + 1.0),
+            np.append(-half * upper, pad),
         )
         if info != 0:
             raise SingularStep(f"Crank-Nicolson matrix is singular (pivot {info})")
-        w_mat, _ = dgttrs(*self.lu, e, overwrite_b=1)
-        half = 0.5 * dt
+        w_mat, _ = dgttrs(*self.lu, e)
         coupled = np.eye(e.shape[1])
         coupled[:n_read] -= half * np.vstack([read_out.T @ w_mat[: self.n_x], w_mat[self.n_x :]])
         if not (np.isfinite(w_mat).all() and np.isfinite(coupled).all()):
             raise NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
         fold = np.eye(e.shape[1])
-        fold[n_read:, n_read:] = 0.5 * (fold[n_read:, n_read:] + propagator)
+        fold[n_read:, n_read:] = 0.5 * (fold[n_read:, n_read:] + self.propagator)
         try:
             self.p = w_mat @ np.linalg.solve(coupled, half * fold)
         except np.linalg.LinAlgError as exc:
@@ -247,8 +243,9 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
 
     ``scenario_objects`` bundles the resolved plant, agents, topology, signal
     model, numerics and sampling (see ``Scenario.resolve``); gains that record
-    another mode than the scenario's raise, and so do leader links in a
-    leaderless scenario.  Without them H = L, so one assembly serves both modes.
+    another mode than the scenario's, or whose internal models do not fit v0,
+    raise, and so do leader links in a leaderless scenario.  Without them
+    H = L, so one assembly serves both modes.
     """
     agents = scenario_objects.agents
     exo: ExoModel = scenario_objects.exo
@@ -259,12 +256,12 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
     stride = scenario_objects.sample_every
     blowup = scenario_objects.blowup_bound
 
-    # numpy has no matrix exponential; scipy loads here, so a design never imports it
-    from scipy.linalg import expm
     if gains.m != m:
         raise GridMismatch(f"gain grid {gains.m} vs scenario grid {m}")
     if gains.mode not in (None, mode):
         raise ToolkitError(f"gains designed for {gains.mode} mode run a {mode} scenario")
+    if (v0_shape := np.shape(scenario_objects.v0)) != (len(agents), gains.n_w):
+        raise ToolkitError(f"gains designed for {gains.n_w} signal states run a v0 of {v0_shape}")
     if mode not in (MODE_LEADER, MODE_LEADERLESS):
         raise ValueError(f"unknown mode {mode!r}")
     leader_links = scenario_objects.topology.leader_links
@@ -290,7 +287,7 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
         bands, bc1_gain = _stencil(
             lam, plant.a.values + np.stack([ag.delta_a.values for ag in agents]),
             plant.q0 + np.array([ag.delta_q0 for ag in agents]),
-            plant.q1 + np.array([ag.delta_q1 for ag in agents]), dt,
+            plant.q1 + np.array([ag.delta_q1 for ag in agents]),
         )
         # u_i = k_v . v_i - k_1 x_i(1) - int k_x x_i + sum_j a_ij (xi_i - xi_j) + a_i0 xi_i
         # with xi_i = int r_x x_i, so one scalar per agent crosses the network; the
@@ -321,10 +318,13 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
             wiring[0] += -2.0 * lam[i, 0] / h * (ag.g2 @ p_i)
             wiring[-1] += bc1_gain[i] * (ag.g3 @ p_i)
         forcing[:, m] += bc1_gain[:, None] * u_map
+        # the v rows of E: v_i' = S v_i + b_y times agent i's drive
+        drive = np.column_stack([coupling, -leader_links]) @ np.vstack([y_map, r_map])
+        internal = np.kron(np.eye(n), gains.S) @ basis[3 * n : 3 * n + n_v]
+        internal += np.kron(drive, gains.b_y[:, None])
         step = ClosedLoopStep(
-            bands, forcing.reshape(n * (m + 1), -1), read_out.reshape(n * (m + 1), 3 * n), gains.S,
-            gains.b_y, np.column_stack([coupling, -leader_links]) @ np.vstack([y_map, r_map]),
-            expm(exo.S * dt), dt,
+            bands, np.vstack([forcing.reshape(n * (m + 1), -1), internal]),
+            read_out.reshape(n * (m + 1), 3 * n), exo.S, dt,
         )
         signals = np.vstack([y_map, u_map, r_map])
 
@@ -404,14 +404,16 @@ def simulate_target_cascade(
     m = np.shape(x_tilde0)[1] - 1
     n_x = n * (m + 1)
 
-    bands, bc1_gain = _stencil(np.ones((n, m + 1)), np.full((n, m + 1), -gains.mu_c), 0.0, 0.0, dt)
-    # the profiles enter nothing but their own step: an empty read-out
+    bands, bc1_gain = _stencil(np.ones((n, m + 1)), np.full((n, m + 1), -gains.mu_c), 0.0, 0.0)
+    # the profiles enter nothing but their own step: an empty read-out and no w
     boundary = np.kron(np.eye(n), gains.k_v)
     forcing = np.zeros((n, m + 1, n * n_w))
     forcing[:, m] += bc1_gain[:, None] * boundary
+    internal = np.kron(np.eye(n), gains.S)
+    internal -= np.kron(coupling @ boundary, np.reshape(q_tilde_at_1, (-1, 1)))
     step = ClosedLoopStep(
-        bands, forcing.reshape(n_x, -1), np.zeros((n_x, 0)), gains.S,
-        np.asarray(q_tilde_at_1, dtype=float), -(coupling @ boundary), np.zeros((0, 0)), dt,
+        bands, np.vstack([forcing.reshape(n_x, -1), internal]), np.zeros((n_x, 0)),
+        np.zeros((0, 0)), dt,
     )
     y = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)], dtype=float)
 

@@ -24,7 +24,7 @@ from .errors import (
     SingularSystem,
     read_text,
 )
-from .grid import GridFunction, hat_row
+from .grid import GridFunction, hat_row, uniform_nodes
 from .signal_model import check_controllable
 
 MODE_LEADER = "leader-follower"
@@ -238,10 +238,9 @@ def nonblocking_test(
 def check_controllable_pair(
     s: np.ndarray,
     b_y: np.ndarray,
-    q_tilde_at_1: np.ndarray,
+    decoupling: DecouplingSolution,
     output_transformed: OutputOperator,
     mu_c: float,
-    reference_scale: float | None = None,
 ) -> bool:
     """Controllability of (S, q~(1)) via the nonblocking characterization.
 
@@ -250,24 +249,21 @@ def check_controllable_pair(
     controllability matrix of (S, q~(1)) cross-checks the verdict.  The
     smallest singular value has to be judged against an absolute scale, not
     against the matrix itself: blocking a conjugate frequency pair shrinks
-    q~(1) uniformly, leaving the matrix tiny but well conditioned.
-    ``reference_scale`` supplies that scale (typically sup |q~| over the
-    interval); it defaults to |q~(1)|.  Verdicts that disagree decisively
+    q~(1) uniformly, leaving the matrix tiny but well conditioned.  That
+    scale is sup |q~| over the interval.  Verdicts that disagree decisively
     raise InconsistentCertificates, which signals numerical trouble in q~.
     """
     s = np.asarray(s, dtype=float)
     verdict = check_controllable(s, b_y) and nonblocking_test(s, output_transformed, mu_c)[0]
 
-    g = np.asarray(q_tilde_at_1, dtype=float).reshape(-1, 1)
+    g = decoupling.q_tilde_at_1.reshape(-1, 1)
     n = s.shape[0]
     cols = [g]
     for _ in range(n - 1):
         cols.append(s @ cols[-1])
     sv = np.linalg.svd(np.hstack(cols), compute_uv=False)
-    if reference_scale is None:
-        reference_scale = float(np.abs(g).max())
     spread = max(1.0, float(np.linalg.norm(s, 2))) ** (n - 1)
-    denom = max(sv[0], spread * reference_scale)
+    denom = max(sv[0], spread * float(np.abs(decoupling.q_tilde).max()))
     ratio = sv[-1] / denom if denom > 0 else 0.0
     if verdict and ratio < 1e-9:
         raise InconsistentCertificates(
@@ -425,17 +421,19 @@ def certify_stability(
     )
 
 
-def internal_model_rank_check(mode: str, graph: GraphMatrices) -> bool:
+def internal_model_rank_check(mode: str, graph: GraphMatrices) -> tuple[bool, str]:
     """Structural condition for regulation: det H nonzero, or full column rank
-    N - 1 of the leaderless read-out matrix H~ = L[:, 1:]."""
+    N - 1 of the leaderless read-out matrix H~ = L[:, 1:]; with the singular
+    values the verdict judges as its evidence."""
     if mode == MODE_LEADER:
-        h = graph.leader_follower
-        sv = np.linalg.svd(h, compute_uv=False)
-        return bool(sv[-1] > 1e-9 * max(1.0, sv[0]))
+        sv = np.linalg.svd(graph.leader_follower, compute_uv=False)
+        scale = max(1.0, sv[0])
+        return bool(sv[-1] > 1e-9 * scale), f"min sv = {sv[-1]:.3g} over scale {scale:.3g}"
     if mode == MODE_LEADERLESS:
         h_tilde = graph.laplacian[:, 1:]
-        rank = np.linalg.matrix_rank(h_tilde, tol=1e-9 * max(1.0, np.abs(h_tilde).max()))
-        return bool(rank == h_tilde.shape[1])
+        sv = np.linalg.svd(h_tilde, compute_uv=False)
+        rank = np.count_nonzero(sv > 1e-9 * max(1.0, np.abs(h_tilde).max()))
+        return bool(rank == h_tilde.shape[1]), f"rank = {rank}, min sv = {sv[-1]:.3g}"
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -493,11 +491,13 @@ def _gain_value(token: str, line: int) -> float:
 
 def read_gains_file(path) -> RegulatorGains:
     """Parse a file written by ``write_gains_file``.  ParseError names the line of
-    a missing key or section (the last line), of a value that is not a finite
-    number, of an unknown mode, and of a profile or matrix whose size
-    disagrees with the others, and of a byte that is not ASCII.  A file
-    without a mode line has mode None."""
-    fields = {}     # key -> (text, line); [section] -> (values, header line)
+    a missing key or section (the last line), of a duplicate or unknown one, of a
+    value that is not a finite number, of an unknown mode, of a profile or
+    matrix whose size disagrees with the others, of a profile row whose z is
+    not its grid node, and of a byte that is not ASCII.  A file without a mode
+    line has mode None."""
+    known = ("mode", "k_1", "mu_c", "k_v", "b_y", "S", "grid_points", "[k_x]", "[r_x]")
+    fields = {}     # key -> (text, line); [section] -> ([(z, value, line)], header line)
     section = None
     lineno = 0
     for lineno, raw in enumerate(read_text(path, "ascii").splitlines(), start=1):
@@ -506,15 +506,22 @@ def read_gains_file(path) -> RegulatorGains:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line
-            fields[section] = ([], lineno)
+            kind, name, entry = "section", line, ([], lineno)
         elif section is None:
             key, _, value = line.partition("=")
-            fields[key.strip()] = (value.strip(), lineno)
+            kind, name, entry = "key", key.strip(), (value.strip(), lineno)
         else:
             tokens = line.split()
             if len(tokens) != 2:
                 raise ParseError(f"expected 'z value', got {line!r}", line=lineno)
-            fields[section][0].append(_gain_value(tokens[1], lineno))
+            z, value = (_gain_value(token, lineno) for token in tokens)
+            fields[section][0].append((z, value, lineno))
+            continue
+        if name not in known:
+            raise ParseError(f"unknown {kind} {name}", line=lineno)
+        if name in fields:
+            raise ParseError(f"duplicate {kind} {name}", line=lineno)
+        fields[name] = entry
 
     def field(key):
         if key not in fields:
@@ -528,10 +535,13 @@ def read_gains_file(path) -> RegulatorGains:
     m = _gain_value(*field("grid_points"))
     profiles = []
     for name in ("[k_x]", "[r_x]"):
-        values, at = field(name)
-        if len(values) != m + 1:
-            raise ParseError(f"{name} has {len(values)} rows for grid_points = {m:g}", line=at)
-        profiles.append(GridFunction(np.array(values)))
+        rows, at = field(name)
+        if len(rows) != m + 1:
+            raise ParseError(f"{name} has {len(rows)} rows for grid_points = {m:g}", line=at)
+        for (z, _, row_at), node in zip(rows, uniform_nodes(int(m))):
+            if abs(z - node) > 1e-12:
+                raise ParseError(f"{name} z = {z:.17g} is not grid node {node:.17g}", line=row_at)
+        profiles.append(GridFunction(np.array([value for _, value, _ in rows])))
     s, k_v, b_y = matrix("S"), matrix("k_v")[0], matrix("b_y")[0]
     if {len(s), len(b_y), *(len(row) for row in s)} != {len(k_v)}:
         raise ParseError("k_v, b_y and S disagree in size", line=field("S")[1])

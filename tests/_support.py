@@ -115,7 +115,6 @@ def nominal_resolved(scenario, m: int, dt: float, n_steps: int, x0, v0, sample_e
         agents=nominal_agents(m, x0),
         topology=scenario.topology(),
         exo=exo,
-        m=m,
         dt=dt,
         n_steps=n_steps,
         sample_every=sample_every,
@@ -161,7 +160,6 @@ def loop_scenario(plant, agents, topology, exo, w0, v0, mode=MODE_LEADER, dt=1e-
         agents=tuple(agents),
         topology=topology,
         exo=exo,
-        m=plant.a.m,
         dt=dt,
         n_steps=n_steps,
         sample_every=1,

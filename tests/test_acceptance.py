@@ -236,7 +236,7 @@ def test_criterion_8_disturbance_location_robustness(leader_scenario, leader_des
     resolved = leader_scenario.resolve()
     resolved = ResolvedScenario(
         mode=resolved.mode, plant=resolved.plant, agents=randomized,
-        topology=resolved.topology, exo=resolved.exo, m=resolved.m, dt=resolved.dt,
+        topology=resolved.topology, exo=resolved.exo, dt=resolved.dt,
         n_steps=resolved.n_steps, sample_every=resolved.sample_every,
         snapshot_times=resolved.snapshot_times, blowup_bound=resolved.blowup_bound,
         v0=resolved.v0, w0=resolved.w0,

@@ -164,7 +164,7 @@ class TestSynchronizationBlock:
             assert np.array_equal(graph.synchronization, l22)
             tol = 1e-9 * max(1.0, np.abs(h_tilde).max())
             full_rank = np.linalg.matrix_rank(h_tilde, tol=tol) == top.n_agents - 1
-            assert internal_model_rank_check(MODE_LEADERLESS, graph) == full_rank
+            assert internal_model_rank_check(MODE_LEADERLESS, graph)[0] == full_rank
             connected.add(is_connected(top, with_root_zero=False))
         assert connected == {True, False}
 

@@ -458,6 +458,38 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_gains_of_other_signal_dimension_rejected(self, scenario_file, tmp_path, capsys):
+        design = tmp_path / "design"
+        assert main([
+            "synthesize", "--scenario", str(scenario_file), "--grid-points", "64",
+            "--out", str(design),
+        ]) == 0
+        text = scenario_file.read_text()
+        edits = [
+            ("disturbance_frequencies = 0\n", "disturbance_frequencies = 0 2\n"),
+            ("w0 = 2 0 1\n", "w0 = 2 0 1 0 0\n"),
+            ("b_y = 1 1 1\n", "b_y = 1 1 1 1 1\n"),
+        ]
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        # each agent's read-out rows and internal-model state gain the two new signal states
+        text, widened = re.subn(r"^(p|v0) = (.*)$", r"\1 = \2 0 0", text, flags=re.M)
+        assert widened == 8
+        cfg = tmp_path / "wider.cfg"
+        cfg.write_text(text)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = main([
+            "simulate", "--scenario", str(cfg), "--gains", str(design / "gains.txt"),
+            "--out", str(out), "--horizon", "0.01",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ToolkitError: gains designed for 3 signal states run a v0 of (4, 5)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_designed_gains_of_other_mode_rejected(self, leader_design, leaderless_scenario):
         assert leader_design.gains.mode == MODE_LEADER
         resolved = leaderless_scenario.resolve(m=leader_design.m, horizon=0.1)
@@ -504,6 +536,28 @@ class TestCli:
                    if line.startswith("decoupled-pair controllability"))
         evidence = float(row.rpartition("max |q_tilde(1)| = ")[2])
         assert 1e-301 < evidence < 1e-300, row
+
+    @pytest.mark.parametrize(
+        "name, edit, evidence",
+        [
+            ("four_agent_leader.cfg", ("adjacency = 0 0 1 0 ;", "adjacency = 0 0 1e308 0 ;"),
+             "FAIL  min sv = 0 over scale 1.41e+308"),
+            ("four_agent_leader.cfg", None, "PASS  min sv = 0.252 over scale 3.02"),
+            ("four_agent_leaderless.cfg", None, "PASS  rank = 3, min sv = 0.686"),
+        ],
+        ids=["heavy-edge", "leader", "leaderless"],
+    )
+    def test_check_reports_internal_model_rank_evidence(self, tmp_path, capsys, name, edit, evidence):
+        text = files("coopreg").joinpath(f"scenarios/{name}").read_text()
+        if edit is not None:
+            assert text.count(edit[0]) == 1
+            text = text.replace(*edit)
+        cfg = tmp_path / "rank.cfg"
+        cfg.write_text(text)
+        assert main(["check", "--scenario", str(cfg), "--grid-points", "64"]) == (edit is not None)
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("internal-model rank"))
+        assert row.endswith(evidence), row
 
     @pytest.mark.parametrize(
         "case, edits",

@@ -455,7 +455,7 @@ class TestSimulate:
         )
         resolved = ResolvedScenario(
             mode=resolved.mode, plant=resolved.plant, agents=agents,
-            topology=resolved.topology, exo=resolved.exo, m=m, dt=1e-3,
+            topology=resolved.topology, exo=resolved.exo, dt=1e-3,
             n_steps=500, sample_every=5, snapshot_times=(),
             blowup_bound=1e3, v0=resolved.v0, w0=resolved.w0,
         )
@@ -515,7 +515,7 @@ class TestSimulate:
         bad_agents = nominal_agents(m, np.zeros((4, m + 1)), n_channels=2)
         resolved = ResolvedScenario(
             mode=resolved.mode, plant=resolved.plant, agents=bad_agents,
-            topology=resolved.topology, exo=resolved.exo, m=m, dt=1e-3,
+            topology=resolved.topology, exo=resolved.exo, dt=1e-3,
             n_steps=10, sample_every=1, snapshot_times=(),
             blowup_bound=1e8, v0=resolved.v0, w0=resolved.w0,
         )
@@ -534,7 +534,7 @@ class TestSimulate:
         resolved = leader_scenario.resolve(m=200, horizon=0.2)
         resolved = ResolvedScenario(
             mode=resolved.mode, plant=resolved.plant, agents=resolved.agents,
-            topology=resolved.topology, exo=resolved.exo, m=resolved.m, dt=resolved.dt,
+            topology=resolved.topology, exo=resolved.exo, dt=resolved.dt,
             n_steps=resolved.n_steps, sample_every=resolved.sample_every,
             snapshot_times=(0.1,), blowup_bound=resolved.blowup_bound,
             v0=resolved.v0, w0=resolved.w0,

@@ -249,22 +249,13 @@ class TestNumerator:
 class TestControllablePair:
     def test_benchmark_pair_is_controllable(self, leader_design):
         r = leader_design
-        assert check_controllable_pair(
-            r.exo.S,
-            r.exo.b_y,
-            r.decoupling.q_tilde_at_1,
-            r.output_transformed,
-            5.0,
-            reference_scale=float(np.abs(r.decoupling.q_tilde).max()),
-        )
+        assert check_controllable_pair(r.exo.S, r.exo.b_y, r.decoupling, r.output_transformed, 5.0)
 
     def test_zero_injection_fails(self, leader_design):
         r = leader_design
         s = r.exo.S
         dec = solve_decoupling(s, np.zeros(3), r.output_transformed, 5.0, r.kernel)
-        assert not check_controllable_pair(
-            s, np.zeros(3), dec.q_tilde_at_1, r.output_transformed, 5.0
-        )
+        assert not check_controllable_pair(s, np.zeros(3), dec, r.output_transformed, 5.0)
 
     def test_blocked_frequency_detected_by_both_routes(self):
         m, mu_c = 200, 5.0
@@ -289,14 +280,7 @@ class TestControllablePair:
         # both conjugate frequencies are blocked, so the boundary value of the
         # decoupling profile collapses to discretization noise
         assert np.abs(dec.q_tilde_at_1).max() < 1e-6
-        assert not check_controllable_pair(
-            s,
-            b_y,
-            dec.q_tilde_at_1,
-            op,
-            mu_c,
-            reference_scale=float(np.abs(dec.q_tilde).max()),
-        )
+        assert not check_controllable_pair(s, b_y, dec, op, mu_c)
 
 
 class TestRiccati:
@@ -421,10 +405,19 @@ class TestGains:
             (lambda ls: [*ls[:50], "0.2 inf", *ls[51:]], 51, "'inf' is not a finite number"),
             (lambda ls: [*ls[:7], "grid_points = 199", *ls[8:]], 9, "[k_x] has 201 rows"),
             (lambda ls: [*ls[:4], "k_v = 1 2", *ls[5:]], 7, "k_v, b_y and S disagree in size"),
+            (lambda ls: [*ls[:3], "k_1 = 1", *ls[3:]], 4, "duplicate key k_1"),
+            (lambda ls: [*ls, "[k_x]"], 413, "duplicate section [k_x]"),
+            (lambda ls: [*ls[:3], "foo = 1", *ls[3:]], 4, "unknown key foo"),
+            (lambda ls: [*ls, "[foo]"], 413, "unknown section [foo]"),
+            (lambda ls: [*ls[:9], "7 " + ls[9].split()[1], *ls[10:]], 10,
+             "[k_x] z = 7 is not grid node 0"),
+            (lambda ls: [*ls[:300], "0.4451 " + ls[300].split()[1], *ls[301:]], 301,
+             "[r_x] z = 0.4451 is not grid node 0.445"),
         ],
         ids=[
             "missing-section", "truncated", "missing-key", "non-numeric", "nan", "inf-in-table",
-            "length", "short-k_v",
+            "length", "short-k_v", "duplicate-key", "duplicate-section", "unknown-key",
+            "unknown-section", "off-grid-z", "off-grid-z-r_x",
         ],
     )
     def test_malformed_gains_file_rejected(self, leader_design, tmp_path, edit, line, message):
@@ -517,17 +510,17 @@ class TestCertificates:
 
 class TestRankChecks:
     def test_benchmark_leader(self, leader_design):
-        assert internal_model_rank_check(MODE_LEADER, leader_design.graph)
+        assert internal_model_rank_check(MODE_LEADER, leader_design.graph)[0]
 
     def test_edgeless_graph(self):
         from coopreg.comm_graph import CommTopology
 
         graph = laplacian(CommTopology(adjacency=np.zeros((3, 3))))
-        assert not internal_model_rank_check(MODE_LEADER, graph)
+        assert not internal_model_rank_check(MODE_LEADER, graph)[0]
 
     def test_benchmark_leaderless_rank(self, leaderless_design):
         r = leaderless_design
-        assert internal_model_rank_check(MODE_LEADERLESS, r.graph)
+        assert internal_model_rank_check(MODE_LEADERLESS, r.graph)[0]
         h_tilde = r.graph.laplacian[:, 1:]
         assert h_tilde.shape == (4, 3)
         assert np.linalg.matrix_rank(h_tilde) == 3
