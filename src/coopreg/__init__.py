@@ -42,11 +42,9 @@ from .synthesis import (
     MODE_LEADERLESS,
     DecouplingSolution,
     RegulatorGains,
-    StabilityCertificate,
     assemble_gains,
     certify_stability,
     check_controllable_pair,
-    feedback_gain,
     internal_model_rank_check,
     numerator_at,
     read_gains_file,

@@ -6,14 +6,15 @@ spectrum and controllability, spectrum separation, nonblocking transfer,
 decoupled-pair controllability, Hurwitz closed loop) and it runs the design
 pipeline.  ``synthesize`` persists the gains and the certificate, ``simulate``
 runs the closed loop from a gains file, and ``check`` prints the hypothesis
-rows.  ``synthesize`` and ``check`` share one verdict: every row passed.
+rows.  ``synthesize`` and ``check`` share one verdict, ``SynthesisResult.passed``:
+every row passed.
 Exit status is 0 exactly when everything requested passed.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,14 +61,22 @@ class SynthesisResult:
     decoupling: synthesis.DecouplingSolution
     riccati_q: np.ndarray
     gains: synthesis.RegulatorGains
-    certificate: synthesis.StabilityCertificate
+    closed_loop_eigs: np.ndarray
     rank_ok: bool
     nonblocking: list
-    hypotheses: tuple
+    hypotheses: list    # the design's rows, its only verdict
+
+    @property
+    def alpha_ev(self) -> float:
+        return -float(self.closed_loop_eigs.real.max())
+
+    @property
+    def passed(self) -> bool:
+        return all(row.passed for row in self.hypotheses)
 
 
 def run_synthesis(scenario: Scenario, m: int | None = None) -> SynthesisResult:
-    """Hypotheses, then kernel -> decoupling -> nonblocking -> Riccati -> gains -> certificate.
+    """Hypotheses, then kernel -> decoupling -> nonblocking -> Riccati -> gains -> eigenvalues.
 
     Every structural hypothesis is evaluated before the first fatal one is
     raised.  A ToolkitError raised past the grid check carries the rows in its
@@ -131,10 +140,11 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         lambda message: SchemaError([message]),
     )
     if exo is not None:
+        controllable = signal_model.check_controllable(exo.S, exo.b_y)
         hypothesis(
             "signal-model controllability",
             "(S, b_y) controllable",
-            signal_model.check_controllable(exo.S, exo.b_y),
+            controllable,
             f"n_w = {exo.n_w}",
             NotControllable,
         )
@@ -164,7 +174,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
     hypothesis(
         "decoupled-pair controllability",
         "(S, q_tilde(1)) controllable",
-        synthesis.check_controllable_pair(exo.S, exo.b_y, decoupling, output_transformed, num.mu_c),
+        synthesis.check_controllable_pair(exo.S, decoupling, controllable and nonblocking_ok),
         f"max |q_tilde(1)| = {np.abs(decoupling.q_tilde_at_1).max():.4g}",
         NotControllable,
     )
@@ -174,21 +184,9 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
     riccati_q = synthesis.solve_are(
         exo.S, decoupling.q_tilde_at_1, nu, num.riccati_a
     )
-    k_v = synthesis.feedback_gain(riccati_q, decoupling.q_tilde_at_1)
-    gains = replace(
-        synthesis.assemble_gains(kernel, decoupling, plant.q1, k_v, exo.b_y, exo.S, num.mu_c),
-        mode=mode,
-    )
-    certificate = synthesis.certify_stability(
-        mode, exo.S, decoupling.q_tilde_at_1, k_v, coupling, num.mu_c
-    )
-    hypothesis(
-        "closed-loop matrix Hurwitz",
-        "max Re eig(F) < 0",
-        certificate.passed,
-        f"alpha_ev = {certificate.alpha_ev:.4g}",
-    )
-    return SynthesisResult(
+    k_v = riccati_q @ decoupling.q_tilde_at_1
+    gains = synthesis.assemble_gains(kernel, decoupling, plant.q1, k_v, exo.b_y, exo.S, num.mu_c, mode)
+    result = SynthesisResult(
         scenario=scenario,
         m=m,
         graph=graph,
@@ -201,11 +199,18 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         decoupling=decoupling,
         riccati_q=riccati_q,
         gains=gains,
-        certificate=certificate,
+        closed_loop_eigs=synthesis.certify_stability(exo.S, decoupling.q_tilde_at_1, k_v, coupling),
         rank_ok=rank_ok,
         nonblocking=nonblocking,
-        hypotheses=tuple(rows),
+        hypotheses=rows,
     )
+    hypothesis(
+        "closed-loop matrix Hurwitz",
+        "max Re eig(F) < 0 < mu_c",
+        min(result.alpha_ev, num.mu_c) > 0,
+        f"alpha_ev = {result.alpha_ev:.4g}, mu_c = {num.mu_c:g}",
+    )
+    return result
 
 
 def certificate_payload(result: SynthesisResult | None, error: Exception | None = None) -> dict:
@@ -215,21 +220,21 @@ def certificate_payload(result: SynthesisResult | None, error: Exception | None 
             "error": type(error).__name__,
             "detail": str(error),
         }
-    cert = result.certificate
+    mu_c = result.scenario.numerics.mu_c
     riccati_residual = synthesis.riccati_residual(
         result.exo.S, result.riccati_q, result.decoupling.q_tilde_at_1,
         result.nu, result.scenario.numerics.riccati_a,
     )
     return {
-        "passed": all(row.passed for row in result.hypotheses),
-        "mode": cert.mode,
-        "alpha_ev": cert.alpha_ev,
-        "target_pde_top_eig": cert.target_pde_top_eig,
-        "overall_alpha": cert.overall_alpha,
+        "passed": result.passed,
+        "mode": result.scenario.mode,
+        "alpha_ev": result.alpha_ev,
+        "target_pde_top_eig": -mu_c,
+        "overall_alpha": min(result.alpha_ev, mu_c),
         "nu": result.nu,
         "spectral_bound": result.spectral_bound,
         "closed_loop_eigenvalues": [
-            [float(l.real), float(l.imag)] for l in np.sort_complex(cert.closed_loop_eigs)
+            [float(l.real), float(l.imag)] for l in np.sort_complex(result.closed_loop_eigs)
         ],
         "internal_model_rank_ok": bool(result.rank_ok),
         "nonblocking": [

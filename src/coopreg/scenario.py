@@ -237,7 +237,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _read_sections(text: str):
-    """Split into {section: {key: (value, line)}}, preserving agent order."""
+    """Split into {section: {key: value}}, preserving agent order."""
     sections: dict = {"": {}}
     current = ""
     last_key = None
@@ -259,8 +259,7 @@ def _read_sections(text: str):
         if line[0].isspace():
             if last_key is None:
                 raise ParseError("continuation line without a key", line=lineno)
-            value, key_line = sections[current][last_key]
-            sections[current][last_key] = (value + " ; " + stripped, key_line)
+            sections[current][last_key] += " ; " + stripped
             continue
         key, eq, value = stripped.partition("=")
         if not eq:
@@ -268,7 +267,7 @@ def _read_sections(text: str):
         key = key.strip().lower()
         if key in sections[current]:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        sections[current][key] = (value.strip(), lineno)
+        sections[current][key] = value.strip()
         last_key = key
     return sections
 
@@ -463,7 +462,7 @@ def _read(name: str, entries: dict, values, violations: list):
             if default is _REQUIRED:
                 violations.append(f"[{name or 'top level'}] is missing required key {row.key!r}")
             continue
-        raw = entries[row.key][0]
+        raw = entries[row.key]
         try:
             value = _KINDS[row.kind][0](raw)
         except (ValueError, ParseError) as exc:

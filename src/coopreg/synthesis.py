@@ -1,8 +1,8 @@
-"""Feedback-gain synthesis and closed-loop certificates.
+"""Feedback-gain synthesis and closed-loop eigenvalues.
 
 Pipeline:  solved kernel -> decoupling boundary-value problem -> nonblocking
 test on the transfer numerator -> algebraic Riccati solve -> gain assembly ->
-Hurwitz certificate.  The leaderless variant swaps the leader-follower matrix
+closed-loop eigenvalues.  The leaderless variant swaps the leader-follower matrix
 for the synchronization block of the Laplacian and adds the steady-state
 profile and output map that every agent settles on.
 """
@@ -78,21 +78,6 @@ class RegulatorGains:
     @property
     def m(self) -> int:
         return self.k_x.m
-
-
-@dataclass(frozen=True)
-class StabilityCertificate:
-    """Eigenvalue evidence for the closed-loop ODE block and the target dynamics."""
-
-    mode: str
-    closed_loop_eigs: np.ndarray
-    alpha_ev: float
-    target_pde_top_eig: float
-    overall_alpha: float
-
-    @property
-    def passed(self) -> bool:
-        return self.alpha_ev > 0.0 and self.target_pde_top_eig < 0.0
 
 
 @dataclass(frozen=True)
@@ -235,18 +220,13 @@ def nonblocking_test(
     return min(v for _, v in values) > NONBLOCKING_TOL, values
 
 
-def check_controllable_pair(
-    s: np.ndarray,
-    b_y: np.ndarray,
-    decoupling: DecouplingSolution,
-    output_transformed: OutputOperator,
-    mu_c: float,
-) -> bool:
+def check_controllable_pair(s: np.ndarray, decoupling: DecouplingSolution, characterized: bool) -> bool:
     """Controllability of (S, q~(1)) via the nonblocking characterization.
 
     The pair is controllable iff (S, b_y) is controllable and the numerator
-    n(lambda) is nonzero on the spectrum of S.  A singular-value test on the
-    controllability matrix of (S, q~(1)) cross-checks the verdict.  The
+    n(lambda) is nonzero on the spectrum of S; ``characterized`` is the
+    conjunction of those two verdicts, judged by the caller.  A singular-value
+    test on the controllability matrix of (S, q~(1)) cross-checks it.  The
     smallest singular value has to be judged against an absolute scale, not
     against the matrix itself: blocking a conjugate frequency pair shrinks
     q~(1) uniformly, leaving the matrix tiny but well conditioned.  That
@@ -254,8 +234,6 @@ def check_controllable_pair(
     raise InconsistentCertificates, which signals numerical trouble in q~.
     """
     s = np.asarray(s, dtype=float)
-    verdict = check_controllable(s, b_y) and nonblocking_test(s, output_transformed, mu_c)[0]
-
     g = decoupling.q_tilde_at_1.reshape(-1, 1)
     n = s.shape[0]
     cols = [g]
@@ -265,15 +243,15 @@ def check_controllable_pair(
     spread = max(1.0, float(np.linalg.norm(s, 2))) ** (n - 1)
     denom = max(sv[0], spread * float(np.abs(decoupling.q_tilde).max()))
     ratio = sv[-1] / denom if denom > 0 else 0.0
-    if verdict and ratio < 1e-9:
+    if characterized and ratio < 1e-9:
         raise InconsistentCertificates(
             f"numerator test passes but the rank test is singular (ratio {ratio:.2e})"
         )
-    if not verdict and ratio > 1e-2:
+    if not characterized and ratio > 1e-2:
         raise InconsistentCertificates(
             f"numerator test fails but the rank test is well conditioned (ratio {ratio:.2e})"
         )
-    return bool(verdict)
+    return bool(characterized)
 
 
 def _lyap_kron(a_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -345,11 +323,6 @@ def riccati_residual(s: np.ndarray, q: np.ndarray, g: np.ndarray, nu: float, a: 
         return float(np.linalg.norm(residual, "fro"))
 
 
-def feedback_gain(q: np.ndarray, q_tilde_at_1: np.ndarray) -> np.ndarray:
-    """Internal-model feedback vector k_v = Q q~(1)."""
-    return np.asarray(q) @ np.asarray(q_tilde_at_1)
-
-
 def assemble_gains(
     kernel: TriangularKernel,
     decoupling: DecouplingSolution,
@@ -358,8 +331,9 @@ def assemble_gains(
     b_y: np.ndarray,
     s: np.ndarray,
     mu_c: float,
+    mode: str,
 ) -> RegulatorGains:
-    """Collect the common feedback gains in original coordinates.
+    """Collect the common feedback gains of a ``mode`` design in original coordinates.
 
     k_1 = q1 - k(1, 1);  k_x = -d/dz k(z, .) at z = 1;  r_x = -k_v . q.
     """
@@ -377,6 +351,7 @@ def assemble_gains(
         b_y=np.asarray(b_y, dtype=float).copy(),
         S=np.asarray(s, dtype=float).copy(),
         mu_c=float(mu_c),
+        mode=mode,
     )
 
 
@@ -390,35 +365,19 @@ def closed_loop_matrix(
 
 
 def certify_stability(
-    mode: str,
-    s: np.ndarray,
-    q_tilde_at_1: np.ndarray,
-    k_v: np.ndarray,
-    coupling: np.ndarray,
-    mu_c: float,
-) -> StabilityCertificate:
-    """Eigenvalue certificate of the aggregated closed-loop ODE block.
+    s: np.ndarray, q_tilde_at_1: np.ndarray, k_v: np.ndarray, coupling: np.ndarray
+) -> np.ndarray:
+    """Eigenvalues of the aggregated closed-loop ODE block F.
 
     ``coupling`` is the leader-follower matrix in leader-follower mode and
-    the synchronization block in leaderless mode.  A failing design is
-    reported through the sign pattern; only a closed-loop matrix that
-    overflows raises, NumericalBlowup.
+    the synchronization block in leaderless mode.  The caller judges the
+    spectrum; only a closed-loop matrix that overflows raises, NumericalBlowup.
     """
-    if mode not in (MODE_LEADER, MODE_LEADERLESS):
-        raise ValueError(f"unknown mode {mode!r}")
     with np.errstate(all="ignore"):  # an overflowing product is rejected below
         f_mat = closed_loop_matrix(s, q_tilde_at_1, k_v, coupling)
     if not np.isfinite(f_mat).all():
         raise NumericalBlowup("closed-loop matrix overflows: coupling or gains out of range")
-    eigs = np.linalg.eigvals(f_mat)
-    alpha_ev = -float(eigs.real.max())
-    return StabilityCertificate(
-        mode=mode,
-        closed_loop_eigs=eigs,
-        alpha_ev=alpha_ev,
-        target_pde_top_eig=-float(mu_c),
-        overall_alpha=min(alpha_ev, float(mu_c)),
-    )
+    return np.linalg.eigvals(f_mat)
 
 
 def internal_model_rank_check(mode: str, graph: GraphMatrices) -> tuple[bool, str]:
@@ -492,10 +451,10 @@ def _gain_value(token: str, line: int) -> float:
 def read_gains_file(path) -> RegulatorGains:
     """Parse a file written by ``write_gains_file``.  ParseError names the line of
     a missing key or section (the last line), of a duplicate or unknown one, of a
-    value that is not a finite number, of an unknown mode, of a profile or
-    matrix whose size disagrees with the others, of a profile row whose z is
-    not its grid node, and of a byte that is not ASCII.  A file without a mode
-    line has mode None."""
+    value that is not a finite number, of a grid_points below 1 or not whole, of
+    an unknown mode, of a profile or matrix whose size disagrees with the others,
+    of a profile row whose z is not its grid node, and of a byte that is not
+    ASCII.  A file without a mode line has mode None."""
     known = ("mode", "k_1", "mu_c", "k_v", "b_y", "S", "grid_points", "[k_x]", "[r_x]")
     fields = {}     # key -> (text, line); [section] -> ([(z, value, line)], header line)
     section = None
@@ -533,6 +492,8 @@ def read_gains_file(path) -> RegulatorGains:
         return [[_gain_value(v, at) for v in row.split()] for row in value.split(";")]
 
     m = _gain_value(*field("grid_points"))
+    if m < 1 or m != int(m):
+        raise ParseError(f"grid_points = {m:g} is not a whole number >= 1", line=field("grid_points")[1])
     profiles = []
     for name in ("[k_x]", "[r_x]"):
         rows, at = field(name)

@@ -240,7 +240,7 @@ class TestParsing:
         )
         scenario = loads(text)
         design = run_synthesis(scenario, m=64)
-        assert design.certificate.passed
+        assert design.passed
         trace = simulate(
             scenario.resolve(m=64, horizon=8.0), design.gains
         )
@@ -306,6 +306,18 @@ class TestCli:
         res = run_cli("check", "--scenario", str(scenario_file))
         assert res.returncode == 0, res.stdout + res.stderr
         assert "overall: PASS" in res.stdout
+
+    def test_check_hurwitz_row_names_mu_c(self, scenario_file, tmp_path, capsys):
+        # F is Hurwitz at mu_c = -1, but the target system is not stable
+        cfg = tmp_path / "unstable_target.cfg"
+        cfg.write_text(scenario_file.read_text().replace("mu_c = 5", "mu_c = -1"))
+        assert main(["check", "--scenario", str(cfg), "--grid-points", "64"]) == 1
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("closed-loop matrix Hurwitz")
+        )
+        assert "max Re eig(F) < 0 < mu_c" in row
+        assert "  FAIL  alpha_ev = " in row and row.endswith("mu_c = -1")
 
     def test_failed_design_writes_failed_certificate(self, scenario_file, tmp_path):
         text = scenario_file.read_text().replace(
@@ -774,7 +786,7 @@ class TestCli:
         text = leader_scenario_text.replace("nu = 0.382\n", "")
         design = run_synthesis(loads(text), m=64)
         assert design.nu == pytest.approx(design.spectral_bound)
-        assert design.certificate.passed
+        assert design.passed
 
 
 @pytest.mark.parametrize(

@@ -611,7 +611,7 @@ class TestTargetCascade:
         norms = np.linalg.norm(cascade.e_v.reshape(cascade.e_v.shape[0], -1), axis=1)
         sel = (cascade.times >= 2.0) & (norms > 1e-12)
         slope = np.polyfit(cascade.times[sel], np.log(norms[sel]), 1)[0]
-        assert -slope == pytest.approx(r.certificate.alpha_ev, rel=0.15)
+        assert -slope == pytest.approx(r.alpha_ev, rel=0.15)
 
 
 class TestErrorMetrics:
@@ -659,6 +659,7 @@ class TestErrorMetrics:
 class TestNominalContraction:
     def test_passing_certificate_implies_contraction(self, leader_scenario, leader_design):
         from _support import combined_state_norms
+        from coopreg.cli import certificate_payload
 
         m = 200
         resolved = nominal_resolved(
@@ -671,7 +672,7 @@ class TestNominalContraction:
         norms = combined_state_norms(trace)
         sel = (trace.times >= 2.0) & (trace.times <= 8.0) & (norms > 1e-12)
         slope = np.polyfit(trace.times[sel], np.log(norms[sel]), 1)[0]
-        alpha = leader_design.certificate.overall_alpha
+        alpha = certificate_payload(leader_design)["overall_alpha"]
         assert -slope >= 0.8 * alpha
 
 

@@ -15,6 +15,7 @@ from coopreg.backstepping import (
     solve_kernel,
     transform_output_weight,
 )
+from coopreg.cli import certificate_payload, run_synthesis
 from coopreg.comm_graph import laplacian
 from coopreg.errors import (
     NotControllable,
@@ -25,7 +26,7 @@ from coopreg.errors import (
 )
 from coopreg.grid import GridFunction
 from coopreg.scenario import load_scenario
-from coopreg.signal_model import frequency_blocks
+from coopreg.signal_model import check_controllable, frequency_blocks
 from coopreg.synthesis import (
     MODE_LEADER,
     MODE_LEADERLESS,
@@ -35,8 +36,8 @@ from coopreg.synthesis import (
     check_controllable_pair,
     check_resonance,
     closed_loop_matrix,
-    feedback_gain,
     internal_model_rank_check,
+    nonblocking_test,
     numerator_at,
     read_gains_file,
     solve_are,
@@ -246,16 +247,23 @@ class TestNumerator:
         assert abs(left - right) < 1e-8
 
 
+def characterization(s, b_y, op, mu_c):
+    """The verdicts the design hands check_controllable_pair: (S, b_y) and nonblocking."""
+    return check_controllable(s, b_y) and nonblocking_test(s, op, mu_c)[0]
+
+
 class TestControllablePair:
     def test_benchmark_pair_is_controllable(self, leader_design):
         r = leader_design
-        assert check_controllable_pair(r.exo.S, r.exo.b_y, r.decoupling, r.output_transformed, 5.0)
+        characterized = characterization(r.exo.S, r.exo.b_y, r.output_transformed, 5.0)
+        assert check_controllable_pair(r.exo.S, r.decoupling, characterized)
 
     def test_zero_injection_fails(self, leader_design):
         r = leader_design
         s = r.exo.S
         dec = solve_decoupling(s, np.zeros(3), r.output_transformed, 5.0, r.kernel)
-        assert not check_controllable_pair(s, np.zeros(3), dec, r.output_transformed, 5.0)
+        characterized = characterization(s, np.zeros(3), r.output_transformed, 5.0)
+        assert not check_controllable_pair(s, dec, characterized)
 
     def test_blocked_frequency_detected_by_both_routes(self):
         m, mu_c = 200, 5.0
@@ -280,7 +288,7 @@ class TestControllablePair:
         # both conjugate frequencies are blocked, so the boundary value of the
         # decoupling profile collapses to discretization noise
         assert np.abs(dec.q_tilde_at_1).max() < 1e-6
-        assert not check_controllable_pair(s, b_y, dec, op, mu_c)
+        assert not check_controllable_pair(s, dec, characterization(s, b_y, op, mu_c))
 
 
 class TestRiccati:
@@ -324,12 +332,6 @@ class TestRiccati:
         with pytest.raises(ValueError):
             solve_are(np.zeros((1, 1)), np.array([1.0]), nu=0.0, a=1.0)
 
-    def test_feedback_gain_forms(self):
-        assert np.array_equal(
-            feedback_gain(np.eye(3), np.array([1.0, 0.0, 0.0])), [1.0, 0.0, 0.0]
-        )
-        assert feedback_gain(np.array([[1.0]]), np.array([1.0]))[0] == 1.0
-
 
 class TestGains:
     def test_trivial_assembly(self):
@@ -339,14 +341,19 @@ class TestGains:
         dec = DecouplingSolution(q_tilde=np.zeros((2, m + 1)), q=np.zeros((2, m + 1)))
         gains = assemble_gains(
             zero_kernel(m), dec, q1=0.7, k_v=np.zeros(2), b_y=np.ones(2),
-            s=np.zeros((2, 2)), mu_c=1.0,
+            s=np.zeros((2, 2)), mu_c=1.0, mode=MODE_LEADER,
         )
         assert gains.k_1 == 0.7
+        assert gains.mode == MODE_LEADER
         assert np.abs(gains.k_x.values).max() == 0.0
         assert np.abs(gains.r_x.values).max() == 0.0
 
     def test_benchmark_boundary_gain(self, leader_design):
         assert leader_design.gains.k_1 == pytest.approx(0.25, abs=1e-12)
+
+    def test_feedback_gain_is_riccati_times_boundary_profile(self, leader_design):
+        r = leader_design
+        assert np.array_equal(r.gains.k_v, r.riccati_q @ r.decoupling.q_tilde_at_1)
 
     def test_coupling_weight_is_negative_projection(self, leader_design):
         r = leader_design
@@ -404,6 +411,10 @@ class TestGains:
             (lambda ls: [*ls[:2], "k_1 = nan", *ls[3:]], 3, "'nan' is not a finite number"),
             (lambda ls: [*ls[:50], "0.2 inf", *ls[51:]], 51, "'inf' is not a finite number"),
             (lambda ls: [*ls[:7], "grid_points = 199", *ls[8:]], 9, "[k_x] has 201 rows"),
+            (lambda ls: [*ls[:7], "grid_points = -1", "[k_x]", "[r_x]"], 8,
+             "grid_points = -1 is not a whole number >= 1"),
+            (lambda ls: [*ls[:7], "grid_points = 0", "[k_x]", ls[9], "[r_x]", ls[211]], 8,
+             "grid_points = 0 is not a whole number >= 1"),
             (lambda ls: [*ls[:4], "k_v = 1 2", *ls[5:]], 7, "k_v, b_y and S disagree in size"),
             (lambda ls: [*ls[:3], "k_1 = 1", *ls[3:]], 4, "duplicate key k_1"),
             (lambda ls: [*ls, "[k_x]"], 413, "duplicate section [k_x]"),
@@ -416,7 +427,7 @@ class TestGains:
         ],
         ids=[
             "missing-section", "truncated", "missing-key", "non-numeric", "nan", "inf-in-table",
-            "length", "short-k_v", "duplicate-key", "duplicate-section", "unknown-key",
+            "length", "negative-grid", "zero-grid", "short-k_v", "duplicate-key", "duplicate-section", "unknown-key",
             "unknown-section", "off-grid-z", "off-grid-z-r_x",
         ],
     )
@@ -435,25 +446,21 @@ class TestGains:
 class TestCertificates:
     def test_zero_feedback_fails(self, leader_design):
         r = leader_design
-        cert = certify_stability(
-            MODE_LEADER, r.exo.S, r.decoupling.q_tilde_at_1, np.zeros(3),
-            r.graph.leader_follower, 5.0,
-        )
-        assert not cert.passed
-        assert cert.alpha_ev <= 0.0
+        eigs = certify_stability(r.exo.S, r.decoupling.q_tilde_at_1, np.zeros(3), r.graph.leader_follower)
+        assert -eigs.real.max() <= 0.0
 
     def test_benchmark_leader_certificate(self, leader_design):
-        cert = leader_design.certificate
-        assert cert.passed
-        assert cert.alpha_ev > 0.9
-        assert cert.overall_alpha == pytest.approx(min(cert.alpha_ev, 5.0))
-        assert cert.target_pde_top_eig == -5.0
+        payload = certificate_payload(leader_design)
+        assert leader_design.passed and payload["passed"]
+        assert leader_design.alpha_ev > 0.9
+        assert payload["alpha_ev"] == leader_design.alpha_ev
+        assert payload["overall_alpha"] == pytest.approx(min(leader_design.alpha_ev, 5.0))
+        assert payload["target_pde_top_eig"] == -5.0
 
     def test_benchmark_leaderless_certificate(self, leaderless_design):
-        cert = leaderless_design.certificate
-        assert cert.mode == MODE_LEADERLESS
-        assert cert.passed
-        assert cert.closed_loop_eigs.size == 9
+        assert certificate_payload(leaderless_design)["mode"] == MODE_LEADERLESS
+        assert leaderless_design.passed
+        assert leaderless_design.closed_loop_eigs.size == 9
 
     @pytest.mark.parametrize("mode", [MODE_LEADER, MODE_LEADERLESS])
     def test_alpha_is_worst_per_eigenvalue_block_on_random_graphs(self, request, mode):
@@ -468,7 +475,7 @@ class TestCertificates:
             graph = laplacian(random_connected_topology(rng, with_leader=leader))
             coupling = graph.leader_follower if leader else graph.synchronization
             k_v = r.gains.k_v * scale
-            cert = certify_stability(mode, r.exo.S, g, k_v, coupling, 5.0)
+            alpha_ev = -certify_stability(r.exo.S, g, k_v, coupling).real.max()
             lams = np.linalg.eigvals(coupling)
             want = -max(
                 np.linalg.eigvals(r.exo.S - lam * np.outer(g, k_v)).real.max() for lam in lams
@@ -478,9 +485,9 @@ class TestCertificates:
             gaps = np.abs(lams[:, None] - lams[None, :])
             np.fill_diagonal(gaps, np.inf)
             simple = gaps.min() > 1e-6 * np.abs(lams).max()
-            assert abs(cert.alpha_ev - want) <= (1e-10 if simple else 1e-6) * abs(want)
-            assert cert.passed == (want > 0)
-            verdicts.add(cert.passed)
+            assert abs(alpha_ev - want) <= (1e-10 if simple else 1e-6) * abs(want)
+            assert (alpha_ev > 0) == (want > 0)
+            verdicts.add(bool(alpha_ev > 0))
         assert verdicts == {True, False}
 
     def test_per_eigenvalue_blocks_hurwitz(self, leader_design):
@@ -490,22 +497,22 @@ class TestCertificates:
             block = r.exo.S - lam * np.outer(g, r.gains.k_v)
             assert np.linalg.eigvals(block).real.max() < 0
 
-    def test_negative_mu_c_fails_certificate(self, leader_design):
-        r = leader_design
-        cert = certify_stability(
-            MODE_LEADER, r.exo.S, r.decoupling.q_tilde_at_1, r.gains.k_v,
-            r.graph.leader_follower, -5.0,
-        )
-        assert not cert.passed
+    def test_negative_mu_c_fails_certificate(self, leader_scenario):
+        numerics = dataclasses.replace(leader_scenario.numerics, mu_c=-5.0)
+        result = run_synthesis(dataclasses.replace(leader_scenario, numerics=numerics), m=64)
+        hurwitz = result.hypotheses[-1]
+        assert hurwitz.name == "closed-loop matrix Hurwitz"
+        assert result.alpha_ev > 0 and not hurwitz.passed
+        assert "mu_c = -5" in hurwitz.evidence
+        assert not result.passed
+        assert not certificate_payload(result)["passed"]
 
     def test_overflowing_closed_loop_matrix_raises(self, leader_design):
         # finite weights whose Kronecker product with q~(1) k_v^T overflows
         r = leader_design
         coupling = np.full((4, 4), 1e308)
         with np.errstate(all="raise"), pytest.raises(NumericalBlowup, match="overflows"):
-            certify_stability(
-                MODE_LEADER, r.exo.S, r.decoupling.q_tilde_at_1, r.gains.k_v, coupling, 5.0
-            )
+            certify_stability(r.exo.S, r.decoupling.q_tilde_at_1, r.gains.k_v, coupling)
 
 
 class TestRankChecks:
