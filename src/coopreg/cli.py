@@ -62,7 +62,6 @@ class SynthesisResult:
     riccati_q: np.ndarray
     gains: synthesis.RegulatorGains
     closed_loop_eigs: np.ndarray
-    rank_ok: bool
     nonblocking: list
     hypotheses: list    # the design's rows, its only verdict
 
@@ -82,9 +81,7 @@ def run_synthesis(scenario: Scenario, m: int | None = None) -> SynthesisResult:
     raised.  A ToolkitError raised past the grid check carries the rows in its
     ``hypotheses`` attribute, closed by one failing ``design pipeline`` row.
     """
-    m = scenario.numerics.grid_points if m is None else int(m)
-    if m < backstepping.MIN_GRID_POINTS:
-        raise SchemaError([f"grid_points = {m} must be at least {backstepping.MIN_GRID_POINTS}"])
+    m = scenario.grid(m)
     rows = []
     try:
         return _design(scenario, m, rows)
@@ -116,9 +113,8 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         f"{topology.n_agents} agents",
         NonPositiveBound,
     )
-    rank_ok, rank_evidence = synthesis.internal_model_rank_check(mode, graph)
     condition = "H nonsingular" if leader else "rank H_tilde = N - 1"
-    hypothesis("internal-model rank", condition, rank_ok, rank_evidence)
+    hypothesis("internal-model rank", condition, *synthesis.internal_model_rank_check(mode, graph))
     try:
         spectral_bound = comm_graph.spectral_lower_bound(coupling)
         nu = num.nu if num.nu is not None else spectral_bound
@@ -164,7 +160,9 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         exo.S, exo.b_y, output_transformed, num.mu_c, kernel
     )
 
-    nonblocking_ok, nonblocking = synthesis.nonblocking_test(exo.S, output_transformed, num.mu_c)
+    nonblocking_ok, nonblocking = synthesis.check_controllable_pair(
+        exo.S, output_transformed, num.mu_c
+    )
     hypothesis(
         "nonblocking transfer",
         f"|n(lambda)| > {synthesis.NONBLOCKING_TOL:g} on sigma(S)",
@@ -174,7 +172,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
     hypothesis(
         "decoupled-pair controllability",
         "(S, q_tilde(1)) controllable",
-        synthesis.check_controllable_pair(exo.S, decoupling, controllable and nonblocking_ok),
+        controllable and nonblocking_ok,
         f"max |q_tilde(1)| = {np.abs(decoupling.q_tilde_at_1).max():.4g}",
         NotControllable,
     )
@@ -200,7 +198,6 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
         riccati_q=riccati_q,
         gains=gains,
         closed_loop_eigs=synthesis.certify_stability(exo.S, decoupling.q_tilde_at_1, k_v, coupling),
-        rank_ok=rank_ok,
         nonblocking=nonblocking,
         hypotheses=rows,
     )
@@ -225,6 +222,7 @@ def certificate_payload(result: SynthesisResult | None, error: Exception | None 
         result.exo.S, result.riccati_q, result.decoupling.q_tilde_at_1,
         result.nu, result.scenario.numerics.riccati_a,
     )
+    rank_row = next(row for row in result.hypotheses if row.name == "internal-model rank")
     return {
         "passed": result.passed,
         "mode": result.scenario.mode,
@@ -236,7 +234,7 @@ def certificate_payload(result: SynthesisResult | None, error: Exception | None 
         "closed_loop_eigenvalues": [
             [float(l.real), float(l.imag)] for l in np.sort_complex(result.closed_loop_eigs)
         ],
-        "internal_model_rank_ok": bool(result.rank_ok),
+        "internal_model_rank_ok": rank_row.passed,
         "nonblocking": [
             {"eigenvalue": [float(l.real), float(l.imag)], "abs_numerator": float(v)}
             for l, v in result.nonblocking

@@ -33,10 +33,6 @@ class NewtonDivergence(ToolkitError):
     """The Riccati iteration did not reach its residual tolerance."""
 
 
-class InconsistentCertificates(ToolkitError):
-    """Two independent numerical tests of one property disagree."""
-
-
 class SingularStep(ToolkitError):
     """A time step produced a singular linear solve."""
 

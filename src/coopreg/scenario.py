@@ -96,6 +96,14 @@ class Scenario:
         return len(self.agents)
 
     # builders --------------------------------------------------------
+    def grid(self, m: int | None = None) -> int:
+        """The design grid, m or else the file's grid_points; a grid of fewer than
+        MIN_GRID_POINTS intervals is a SchemaError."""
+        m = self.numerics.grid_points if m is None else int(m)
+        if m < MIN_GRID_POINTS:
+            raise SchemaError([f"grid_points = {m} must be at least {MIN_GRID_POINTS}"])
+        return m
+
     def topology(self) -> CommTopology:
         return CommTopology(
             adjacency=np.array(self.adjacency, dtype=float),
@@ -158,7 +166,7 @@ class Scenario:
         dt: float | None = None,
         horizon: float | None = None,
     ) -> "ResolvedScenario":
-        m = self.numerics.grid_points if m is None else int(m)
+        m = self.grid(m)
         dt = self.numerics.dt if dt is None else float(dt)
         horizon = self.numerics.horizon if horizon is None else float(horizon)
         checks = (("dt", dt), ("horizon", horizon))

@@ -15,7 +15,6 @@ from .backstepping import OutputOperator, TriangularKernel
 from .comm_graph import GraphMatrices
 from .errors import (
     GridMismatch,
-    InconsistentCertificates,
     NewtonDivergence,
     NotControllable,
     NumericalBlowup,
@@ -212,46 +211,18 @@ def numerator_at(s_point: complex, output_transformed: OutputOperator, mu_c: flo
     return complex(val)
 
 
-def nonblocking_test(
+def check_controllable_pair(
     s: np.ndarray, output_transformed: OutputOperator, mu_c: float
 ) -> tuple[bool, list]:
-    """Whether |n(lambda)| > NONBLOCKING_TOL on sigma(S), with the (lambda, |n|) evidence."""
+    """Controllability of the decoupled pair (S, q~(1)), with the (lambda, |n|) evidence.
+
+    With (S, b_y) controllable, a hypothesis the design judges before the
+    kernel, (S, q~(1)) is controllable iff the transfer numerator n(lambda)
+    is nonzero on sigma(S) (arXiv:2010.11103); the verdict is
+    |n(lambda)| > NONBLOCKING_TOL at every eigenvalue lambda of S.
+    """
     values = [(lam, abs(numerator_at(lam, output_transformed, mu_c))) for lam in np.linalg.eigvals(s)]
     return min(v for _, v in values) > NONBLOCKING_TOL, values
-
-
-def check_controllable_pair(s: np.ndarray, decoupling: DecouplingSolution, characterized: bool) -> bool:
-    """Controllability of (S, q~(1)) via the nonblocking characterization.
-
-    The pair is controllable iff (S, b_y) is controllable and the numerator
-    n(lambda) is nonzero on the spectrum of S; ``characterized`` is the
-    conjunction of those two verdicts, judged by the caller.  A singular-value
-    test on the controllability matrix of (S, q~(1)) cross-checks it.  The
-    smallest singular value has to be judged against an absolute scale, not
-    against the matrix itself: blocking a conjugate frequency pair shrinks
-    q~(1) uniformly, leaving the matrix tiny but well conditioned.  That
-    scale is sup |q~| over the interval.  Verdicts that disagree decisively
-    raise InconsistentCertificates, which signals numerical trouble in q~.
-    """
-    s = np.asarray(s, dtype=float)
-    g = decoupling.q_tilde_at_1.reshape(-1, 1)
-    n = s.shape[0]
-    cols = [g]
-    for _ in range(n - 1):
-        cols.append(s @ cols[-1])
-    sv = np.linalg.svd(np.hstack(cols), compute_uv=False)
-    spread = max(1.0, float(np.linalg.norm(s, 2))) ** (n - 1)
-    denom = max(sv[0], spread * float(np.abs(decoupling.q_tilde).max()))
-    ratio = sv[-1] / denom if denom > 0 else 0.0
-    if characterized and ratio < 1e-9:
-        raise InconsistentCertificates(
-            f"numerator test passes but the rank test is singular (ratio {ratio:.2e})"
-        )
-    if not characterized and ratio > 1e-2:
-        raise InconsistentCertificates(
-            f"numerator test fails but the rank test is well conditioned (ratio {ratio:.2e})"
-        )
-    return bool(characterized)
 
 
 def _lyap_kron(a_mat: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -467,3 +467,23 @@ def dense_neumann_bvp(a_mat, rhs, gamma0, gamma1, deltas=()):
     d2[0, 1] = d2[m, m - 1] = 2.0 / h**2
     system = np.kron(d2, np.eye(n)) - np.kron(np.eye(m + 1), a_mat)
     return np.linalg.solve(system, load.reshape(-1)).reshape(m + 1, n).T
+
+
+def krylov_ratio(s: np.ndarray, decoupling) -> float:
+    """Rank oracle for the decoupled pair (S, q~(1)): the smallest singular value of
+    its Krylov matrix over an absolute scale.
+
+    The scale has to be absolute, not the matrix itself: blocking a conjugate
+    frequency pair shrinks q~(1) uniformly, leaving the matrix tiny but well
+    conditioned.  It is max(sv_max, max(1, ||S||_2)^(n - 1) sup |q~|).
+    """
+    s = np.asarray(s, dtype=float)
+    g = decoupling.q_tilde_at_1.reshape(-1, 1)
+    n = s.shape[0]
+    cols = [g]
+    for _ in range(n - 1):
+        cols.append(s @ cols[-1])
+    sv = np.linalg.svd(np.hstack(cols), compute_uv=False)
+    spread = max(1.0, float(np.linalg.norm(s, 2))) ** (n - 1)
+    denom = max(sv[0], spread * float(np.abs(decoupling.q_tilde).max()))
+    return sv[-1] / denom if denom > 0 else 0.0

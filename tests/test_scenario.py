@@ -518,6 +518,27 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    def test_simulate_rejects_gains_below_grid_floor(
+        self, leader_design, scenario_file, tmp_path, capsys
+    ):
+        # the design's gains cut to one interval: the z = 0 and z = 1 rows of each profile
+        gains = tmp_path / "gains.txt"
+        write_gains_file(leader_design.gains, gains)
+        text = gains.read_text()
+        assert "\ngrid_points = 200\n" in text
+        kept = [line for line in text.replace("grid_points = 200", "grid_points = 1").splitlines()
+                if not line[0].isdigit() or line.split()[0] in ("0", "1")]
+        assert len(kept) == len(text.splitlines()) - 2 * 199
+        gains.write_text("\n".join(kept) + "\n")
+        code = main([
+            "simulate", "--scenario", str(scenario_file), "--gains", str(gains),
+            "--out", str(tmp_path / "run"), "--horizon", "0.01",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "grid_points = 1 must be at least 32" in err
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_check_fails_on_disconnected_graph(self, scenario_file, tmp_path):
         text = scenario_file.read_text().replace(
             "adjacency = 0 0 1 0 ; 1 0 0 1 ; 1 0 0 0 ; 0 0 1 0",

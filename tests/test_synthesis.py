@@ -1,6 +1,7 @@
 """Decoupling equations, nonblocking test, Riccati solve, gains, certificates."""
 
 import dataclasses
+import functools
 from importlib.resources import files
 
 import numpy as np
@@ -37,7 +38,6 @@ from coopreg.synthesis import (
     check_resonance,
     closed_loop_matrix,
     internal_model_rank_check,
-    nonblocking_test,
     numerator_at,
     read_gains_file,
     solve_are,
@@ -46,7 +46,7 @@ from coopreg.synthesis import (
     write_gains_file,
 )
 
-from _support import column_operator, dense_neumann_bvp, random_connected_topology
+from _support import column_operator, dense_neumann_bvp, krylov_ratio, random_connected_topology
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -247,23 +247,80 @@ class TestNumerator:
         assert abs(left - right) < 1e-8
 
 
-def characterization(s, b_y, op, mu_c):
-    """The verdicts the design hands check_controllable_pair: (S, b_y) and nonblocking."""
-    return check_controllable(s, b_y) and nonblocking_test(s, op, mu_c)[0]
+def judged_by_theorem(s, b_y, op, mu_c, kernel) -> bool:
+    """The design's verdict on (S, q~(1)), held to the Krylov oracle.
+
+    The verdict is (S, b_y) controllable and check_controllable_pair; a
+    passing verdict needs a Krylov ratio of at least 1e-9, a failing one at
+    most 1e-2.
+    """
+    characterized = check_controllable(s, b_y) and check_controllable_pair(s, op, mu_c)[0]
+    ratio = krylov_ratio(s, solve_decoupling(s, b_y, op, mu_c, kernel))
+    if characterized:
+        assert ratio >= 1e-9
+    else:
+        assert ratio <= 1e-2
+    return characterized
+
+
+@functools.cache
+def leader_blocking_zero(m: int = 64):
+    """The leader file, its kernel at m, and the c_b1 (about 0.0808) at which n(0) = 0.
+
+    n(0) is affine in c_b1, so two evaluations locate the zero.
+    """
+    scenario = load_scenario(files("coopreg").joinpath("scenarios/four_agent_leader.cfg"))
+    plant, mu_c = scenario.plant(m), scenario.numerics.mu_c
+    kernel = solve_kernel(plant.a, plant.q0, mu_c, m)
+
+    def n0(c_b1):
+        output = with_c_b1(plant.output, c_b1)
+        return numerator_at(0.0, transform_output_weight(output, kernel), mu_c).real
+
+    c_star = -n0(0.0) / (n0(1.0) - n0(0.0))
+    assert c_star == pytest.approx(0.0808, abs=1e-4)
+    return scenario, kernel, c_star
+
+
+def with_c_b1(output: OutputOperator, c_b1: float) -> OutputOperator:
+    return dataclasses.replace(output, boundary_weights=(output.boundary_weights[0], c_b1))
+
+
+@st.composite
+def decoupled_pairs(draw):
+    """(S, b_y, transformed output, mu_c, kernel) at m = 64.
+
+    Either random frequency blocks, injection and output weights under a zero
+    kernel, or the leader file with c_b1 within 1e-3 relative of its lambda = 0
+    blocking zero, down to 1e-16.
+    """
+    m = 64
+    if draw(st.booleans()):
+        scenario, kernel, c_star = leader_blocking_zero(m)
+        offset = draw(st.floats(-1e-3, 1e-3) | st.floats(-16, -3).map(lambda e: 10.0**e))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        output = with_c_b1(scenario.plant(m).output, c_star * (1 + sign * offset))
+        exo, mu_c = scenario.exo_model(), scenario.numerics.mu_c
+        return exo.S, exo.b_y, transform_output_weight(output, kernel), mu_c, kernel
+    frequency = st.sampled_from([0.0, 0.5, 1.0, np.pi, 2.0 * np.pi, 7.5])
+    s, _ = frequency_blocks(draw(st.lists(frequency, min_size=1, max_size=3, unique=True)))
+    injection = st.just(0.0) | st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+    b_y = np.array(draw(st.lists(injection, min_size=len(s), max_size=len(s))))
+    weight = st.floats(-2.0, 2.0)
+    points = draw(st.lists(st.tuples(weight, st.floats(0.05, 0.95)), max_size=2))
+    op = constant_output(draw(weight), m, cb=(draw(weight), draw(weight)), points=tuple(points))
+    return s, b_y, op, draw(st.floats(0.5, 10.0)), zero_kernel(m)
 
 
 class TestControllablePair:
     def test_benchmark_pair_is_controllable(self, leader_design):
         r = leader_design
-        characterized = characterization(r.exo.S, r.exo.b_y, r.output_transformed, 5.0)
-        assert check_controllable_pair(r.exo.S, r.decoupling, characterized)
+        assert judged_by_theorem(r.exo.S, r.exo.b_y, r.output_transformed, 5.0, r.kernel)
 
     def test_zero_injection_fails(self, leader_design):
         r = leader_design
-        s = r.exo.S
-        dec = solve_decoupling(s, np.zeros(3), r.output_transformed, 5.0, r.kernel)
-        characterized = characterization(s, np.zeros(3), r.output_transformed, 5.0)
-        assert not check_controllable_pair(s, dec, characterized)
+        assert check_controllable_pair(r.exo.S, r.output_transformed, 5.0)[0]
+        assert not judged_by_theorem(r.exo.S, np.zeros(3), r.output_transformed, 5.0, r.kernel)
 
     def test_blocked_frequency_detected_by_both_routes(self):
         m, mu_c = 200, 5.0
@@ -288,7 +345,12 @@ class TestControllablePair:
         # both conjugate frequencies are blocked, so the boundary value of the
         # decoupling profile collapses to discretization noise
         assert np.abs(dec.q_tilde_at_1).max() < 1e-6
-        assert not check_controllable_pair(s, dec, characterization(s, b_y, op, mu_c))
+        assert not judged_by_theorem(s, b_y, op, mu_c, zero_kernel(m))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pair=decoupled_pairs())
+    def test_characterization_agrees_with_krylov_rank(self, pair):
+        judged_by_theorem(*pair)
 
 
 class TestRiccati:
