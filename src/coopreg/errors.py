@@ -34,7 +34,9 @@ class NewtonDivergence(ToolkitError):
 
 
 class SingularStep(ToolkitError):
-    """A time step produced a singular linear solve."""
+    """A time step cannot be solved: the Crank-Nicolson matrix is not positive
+    definite (dt at or above 2 / lambda_max of the stencil, named in the
+    message) or its coupling matrix is singular."""
 
 
 class NumericalBlowup(ToolkitError):

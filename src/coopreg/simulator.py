@@ -13,9 +13,10 @@ k_1 x(1) and the lumped xi = int r_x x.  Both callers describe their loop
 in continuous time: ``simulate`` the true agents' stencil, wiring, networked
 feedback and signal matrix; the target cascade a heat equation with decay
 mu_c and no signal.  The step alone forms the matrices that depend on dt.
-The LAPACK tridiagonal solver (``dgttrf``/``dgttrs``) and ``expm`` come from
-scipy.linalg, imported only where a step is built, so the design path runs
-on numpy alone.
+Diagonally scaled, the step's tridiagonal matrix is symmetric positive
+definite for every dt below 2 / lambda_max(L); LAPACK's ``dpttrf``/``dpttrs``
+and ``expm`` come from scipy.linalg, imported only where a step is built, so
+the design path runs on numpy alone.
 """
 
 from dataclasses import dataclass, field
@@ -159,6 +160,24 @@ def _output_row(output: OutputOperator, agent: AgentSpec, m: int) -> np.ndarray:
     return perturbed.row()
 
 
+def _not_definite(diag, off, dt: float) -> ToolkitError:
+    """Why ``dpttrf`` could not factor I - (dt/2) L for the symmetric L of
+    diagonals ``diag`` and ``off``: dt against 2 / lambda_max(L), or overflow."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        return NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
+    top = eigvalsh_tridiagonal(diag, off, select="i", select_range=(diag.size - 1,) * 2)[0]
+    if 0.5 * dt * top < 1.0:    # positive definite in exact arithmetic
+        return SingularStep(
+            f"Crank-Nicolson matrix lost definiteness to rounding at dt = {dt:g}: "
+            "the stencil spans too many decades"
+        )
+    return SingularStep(
+        f"Crank-Nicolson matrix is not positive definite: dt = {dt:g} must stay below "
+        f"2 / lambda_max(L) = {2.0 / top:.6g}"
+    )
+
+
 class ClosedLoopStep:
     """One Crank-Nicolson step of a linear closed loop y' = L y + E z, w' = S_w w.
 
@@ -168,60 +187,80 @@ class ClosedLoopStep:
     L over x (``bands``; the v rows of L are zero), all rows of E, G and S_w.
     The step forms everything that depends on dt.  w advances by its exact
     propagator expm(S_w dt) and enters at its midpoint (w + w+)/2.
-    A = I - (dt/2) L is tridiagonal (identity rows for v), so the midpoint is
-    a rank-k update of y0 = A^-1 y: y_h = y0 + P [y0 read, w], P = (dt/2) W
-    (I - (dt/2) R W)^-1 with W = A^-1 E, R the read of z, and the w columns
-    folded over (I + propagator) / 2; then y+ = 2 y_h - y.  A W or
-    I - (dt/2) R W that is not finite raises NumericalBlowup.
+
+    The off-diagonal pairs L[j, j-1], L[j-1, j] are positive inside an agent
+    (parabolicity) and zero between agents.  So with D diagonal, d_j / d_j-1
+    = sqrt(L[j, j-1] / L[j-1, j]) inside an agent and 1 elsewhere, D^-1 A D
+    is a symmetric tridiagonal B for A = I - (dt/2) L (identity rows for v).
+    LAPACK ``dpttrf`` factors B once; it is positive definite exactly when
+    dt < 2 / lambda_max(L), and SingularStep names that limit otherwise.  The
+    step runs on D^-1 y, where the doubled midpoint is a rank-k update of
+    u = 2 B^-1 D^-1 y (one ``dpttrs``): 2 y_h = u + P [u read, w], P = (dt/2)
+    W (I - (dt/2) R W)^-1 F with W = B^-1 D^-1 E, R the read of z through
+    D G and F = diag(I, I + propagator), as w enters as w + w+; then
+    y+ = D (2 y_h - D^-1 y).  A W or I - (dt/2) R W that is not finite
+    raises NumericalBlowup.
     """
 
     def __init__(self, bands, e, read_out, s_w, dt: float):
         # numpy has neither a banded solver nor expm; scipy loads here, so a design never imports it
         from scipy.linalg import expm
-        from scipy.linalg.lapack import dgttrf, dgttrs
+        from scipy.linalg.lapack import dpttrf, dpttrs
         lower, diag, upper = bands
+        if ((lower > 0) != (upper > 0)).any() or (np.minimum(lower, upper) < 0).any():
+            raise ValueError("L[j, j-1] and L[j-1, j] must be both positive or both zero")
         self.n_x = diag.size
         n_v = e.shape[0] - self.n_x
         n_read = read_out.shape[1] + n_v
         half = 0.5 * dt
-        self.read_out, self.propagator, self._dgttrs = read_out, expm(s_w * dt), dgttrs
-        pad = np.zeros(n_v)     # identity rows for v
-        *self.lu, info = dgttrf(
-            np.append(-half * lower, pad), np.append(1.0 - half * diag, pad + 1.0),
-            np.append(-half * upper, pad),
+        # d_j / d_j-1 from two roots, never sqrt(lower * upper), which overflows for
+        # a stiff agent; the symmetric off-diagonal lower / ratio = sqrt(lower upper)
+        # is then exactly lower wherever the ratio is 1
+        ratio = np.divide(np.sqrt(lower), np.sqrt(upper), out=np.ones_like(lower), where=lower > 0)
+        off = lower / ratio
+        # d restarts at 1 in each agent, so stiff agents in a row cannot overflow it
+        pieces = np.split(np.append(1.0, ratio), np.flatnonzero(lower == 0) + 1)
+        self.scale = np.concatenate([*map(np.cumprod, pieces), np.ones(n_v)])
+        d_fac, e_fac, info = dpttrf(
+            1.0 - half * np.append(diag, np.zeros(n_v)), -half * np.append(off, np.zeros(n_v))
         )
-        if info != 0:
-            raise SingularStep(f"Crank-Nicolson matrix is singular (pivot {info})")
-        w_mat, _ = dgttrs(*self.lu, e)
+        if info:
+            raise _not_definite(diag, off, dt)
+        # the factor of B / 2 solves for 2 y0, so y+ needs no doubling
+        self.half_factor, self._dpttrs = (0.5 * d_fac, e_fac), dpttrs
+        self.read_out, self.propagator = read_out, expm(s_w * dt)
+        self.read_hat = read_out * self.scale[: self.n_x, None]
+        w_hat = np.divide(e, self.scale[:, None], out=np.empty(e.shape, order="F"))
+        dpttrs(d_fac, e_fac, w_hat, overwrite_b=True)
         coupled = np.eye(e.shape[1])
-        coupled[:n_read] -= half * np.vstack([read_out.T @ w_mat[: self.n_x], w_mat[self.n_x :]])
-        if not (np.isfinite(w_mat).all() and np.isfinite(coupled).all()):
+        read_w = self.read_hat.T @ w_hat[: self.n_x]
+        coupled[:n_read] -= half * np.vstack([read_w, w_hat[self.n_x :]])
+        if not (np.isfinite(w_hat).all() and np.isfinite(coupled).all()):
             raise NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
         fold = np.eye(e.shape[1])
-        fold[n_read:, n_read:] = 0.5 * (fold[n_read:, n_read:] + self.propagator)
+        fold[n_read:, n_read:] += self.propagator
         try:
-            self.p = w_mat @ np.linalg.solve(coupled, half * fold)
+            mix = np.linalg.solve(coupled, half * fold)
         except np.linalg.LinAlgError as exc:
             raise SingularStep(f"Crank-Nicolson coupling matrix is singular: {exc}") from exc
+        # P column-major: P z per step is then a sum of contiguous columns
+        self.p = np.matmul(w_hat, mix, out=np.empty(w_hat.shape, order="F"))
 
     def read(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """z = [x G, v, w] from y = [x, vec v]."""
         return np.concatenate([y[: self.n_x] @ self.read_out, y[self.n_x :], w])
 
-    def __call__(self, y: np.ndarray, w: np.ndarray):
-        """(y+, w+) from the state y = [x, vec v] and the signal state w."""
-        y_half, _ = self._dgttrs(*self.lu, y)
-        y_half += self.p @ self.read(y_half, w)
-        y_half *= 2.0
-        y_half -= y
-        return y_half, self.propagator @ w
-
     def run(self, y: np.ndarray, w: np.ndarray, n_steps: int):
         """Yield (k, y, w) after k = 0 .. n_steps steps from (y, w)."""
         yield 0, y, w
+        y_hat = y / self.scale
         for k in range(1, n_steps + 1):
-            y, w = self(y, w)
-            yield k, y, w
+            twice, _ = self._dpttrs(*self.half_factor, y_hat)
+            read = twice[: self.n_x] @ self.read_hat
+            twice += self.p @ np.concatenate([read, twice[self.n_x :], w])
+            twice -= y_hat
+            y_hat, w = twice, self.propagator @ w
+            yield k, self.scale * y_hat, w
 
 
 def _sample_rows(n_steps: int, every: int) -> dict:
@@ -309,23 +348,22 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
         law = np.hstack([-np.eye(n), coupling, np.kron(np.eye(n), gains.k_v)])
         u_map = law @ basis[n : 3 * n + n_v]
         read_out = np.zeros((n, m + 1, 3, n))
-        forcing = np.zeros((n, m + 1, basis.shape[0]))
+        # E is filled in place: its x rows, agent by agent, then its v rows
+        e = np.zeros((n * (m + 1) + n_v, basis.shape[0]))
+        forcing, internal = e[: n * (m + 1)].reshape(n, m + 1, -1), e[n * (m + 1) :]
         for i, (ag, p_i) in enumerate(zip(agents, exo.read_outs)):
             read_out[i, :, 0, i] = _output_row(plant.output, ag, m)
             read_out[i, :, 1:, i] = law_read
-            wiring = forcing[i, :, 3 * n + n_v :]
-            wiring[:] = ag.g1 @ p_i
-            wiring[0] += -2.0 * lam[i, 0] / h * (ag.g2 @ p_i)
-            wiring[-1] += bc1_gain[i] * (ag.g3 @ p_i)
+            forcing[i, :, 3 * n + n_v :] = ag.g1 @ p_i
+            forcing[i, 0, 3 * n + n_v :] -= 2.0 * lam[i, 0] / h * (ag.g2 @ p_i)
+            forcing[i, m, 3 * n + n_v :] += bc1_gain[i] * (ag.g3 @ p_i)
         forcing[:, m] += bc1_gain[:, None] * u_map
         # the v rows of E: v_i' = S v_i + b_y times agent i's drive
         drive = np.column_stack([coupling, -leader_links]) @ np.vstack([y_map, r_map])
-        internal = np.kron(np.eye(n), gains.S) @ basis[3 * n : 3 * n + n_v]
+        internal[:] = np.kron(np.eye(n), gains.S) @ basis[3 * n : 3 * n + n_v]
         internal += np.kron(drive, gains.b_y[:, None])
-        step = ClosedLoopStep(
-            bands, np.vstack([forcing.reshape(n * (m + 1), -1), internal]),
-            read_out.reshape(n * (m + 1), 3 * n), exo.S, dt,
-        )
+        step = ClosedLoopStep(bands, e, read_out.reshape(n * (m + 1), 3 * n), exo.S, dt)
+        del e, forcing, internal    # E and its views: the step keeps E only as W
         signals = np.vstack([y_map, u_map, r_map])
 
     x0 = [
@@ -445,9 +483,8 @@ def transform_state_trace(
     m = kernel.m
     op = np.eye(m + 1) - kernel.integral_operator()
     w_q = q_tilde * trapezoid_weights(m)[None, :]   # (n_w, m+1) quadrature rows
-    x_tilde = np.einsum("ab,snb->sna", op, trace.states_x)
-    proj = np.einsum("wb,snb->snw", w_q, x_tilde)
-    e_v = trace.states_v - np.einsum("ij,sjw->siw", coupling, proj)
+    x_tilde = trace.states_x @ op.T
+    e_v = trace.states_v - coupling @ (x_tilde @ w_q.T)
     return e_v, x_tilde
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -538,6 +539,40 @@ class TestCli:
         assert code == 1
         assert "grid_points = 1 must be at least 32" in err
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        ("edit", "code", "message"),
+        [
+            # reaction 3000 puts lambda_max(L) beyond 2 / dt: the step names the largest usable dt
+            (("delta_a = 0.2*(z + 1)", "delta_a = 3000"), 1,
+             "SingularStep: Crank-Nicolson matrix is not positive definite: dt = 0.001 must "
+             "stay below 2 / lambda_max(L) = 0.000666"),
+            # diffusion 1 + 1e300: the symmetrized off-diagonals stay finite
+            (("delta_lambda = 0.2", "delta_lambda = 1e300"), 0, ""),
+        ],
+        ids=["reaction_beyond_dt_limit", "stiff_diffusion"],
+    )
+    def test_simulate_stiff_agent(
+        self, leader_scenario_text, leader_design, tmp_path, edit, code, message
+    ):
+        # agent 1 of the leader file edited; the gains are the unmodified file's design
+        old, new = edit
+        text = leader_scenario_text.replace(f"\n{old}\n", f"\n{new}\n", 1)
+        assert f"\n{new}\n" in text.split("[agent 2]")[0].split("[agent 1]")[1]
+        cfg, gains = tmp_path / "edited.cfg", tmp_path / "gains.txt"
+        cfg.write_text(text)
+        write_gains_file(leader_design.gains, gains)
+        res = subprocess.run(
+            [sys.executable, "-m", "coopreg.cli", "simulate", "--scenario", str(cfg),
+             "--gains", str(gains), "--out", str(tmp_path / "run"), "--horizon", "2"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONWARNINGS": "error"},
+        )
+        assert res.returncode == code, res.stderr
+        assert message in res.stderr
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+        if code == 0:
+            trace = np.loadtxt(tmp_path / "run" / "trace.csv", delimiter=",", skiprows=1)
+            assert np.isfinite(trace).all()
 
     def test_check_fails_on_disconnected_graph(self, scenario_file, tmp_path):
         text = scenario_file.read_text().replace(

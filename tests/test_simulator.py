@@ -1,19 +1,23 @@
 """Closed-loop simulation: outputs, controller, steppers, traces, metrics."""
 
 import dataclasses
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, expm
 
 from coopreg.backstepping import OutputOperator
 from coopreg.comm_graph import CommTopology
-from coopreg.errors import GridMismatch, NumericalBlowup, SchemaError
+from coopreg.errors import GridMismatch, NumericalBlowup, SchemaError, SingularStep
 from coopreg.grid import GridFunction, trapezoid_weights, uniform_nodes
-from coopreg.scenario import ResolvedScenario
+from coopreg.scenario import ResolvedScenario, loads
 from coopreg.signal_model import ExoModel
 from coopreg.simulator import (
     AgentSpec,
+    ClosedLoopStep,
     NominalPlant,
     SimTrace,
     error_metrics,
@@ -26,6 +30,8 @@ from coopreg.synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
 from _support import (
     cascade_discrepancy,
     constant_exo,
+    dense_crank_nicolson,
+    dense_stencil,
     dense_step_cascade,
     dense_step_loop,
     first_output,
@@ -411,6 +417,80 @@ class TestPdeStep:
             assert np.abs(stacked[i] - dense).max() < 1e-12
 
 
+def graded_stencil(m: int, reaction: float = 0.0) -> np.ndarray:
+    """Dense L of three uncoupled agents whose diffusion spans 10^-1 .. 10^2 along z,
+    so the symmetrizing D of the step is far from the identity."""
+    z = uniform_nodes(m)
+    return block_diag(*(
+        dense_stencil(10.0 ** (3.0 * z - 1.0 + 0.1 * i), reaction + np.cos(z + i), 0.5 * i, -0.3)
+        for i in range(3)
+    ))
+
+
+def cascade_stencil(m: int) -> np.ndarray:
+    """Dense L of the target cascade: three heat equations with decay mu_c = 5."""
+    return block_diag(*[dense_stencil(np.ones(m + 1), np.full(m + 1, -5.0), 0.0, 0.0)] * 3)
+
+
+def random_loop(stencil: np.ndarray, n_v: int = 4, n_w: int = 2, seed: int = 11):
+    """Bands of the dense L over x, and a random E, read-out G and skew S_w."""
+    rng = np.random.default_rng(seed)
+    n_x = stencil.shape[0]
+    bands = (np.diag(stencil, -1), np.diag(stencil), np.diag(stencil, 1))
+    read_out = rng.normal(size=(n_x, 3)) / n_x
+    e = rng.normal(size=(n_x + n_v, 3 + n_v + n_w))
+    s_w = rng.normal(size=(n_w, n_w))
+    return bands, e, read_out, s_w - s_w.T
+
+
+class TestClosedLoopStep:
+    @pytest.mark.parametrize(
+        "stencil", [graded_stencil(40), cascade_stencil(40)], ids=["graded", "cascade"]
+    )
+    def test_matches_dense_crank_nicolson(self, stencil):
+        bands, e, read_out, s_w = random_loop(stencil)
+        n_x, dt, n_steps = stencil.shape[0], 1e-3, 200
+        n_v, n_read = e.shape[0] - n_x, read_out.shape[1] + e.shape[0] - n_x
+        rng = np.random.default_rng(5)
+        y0, w0 = rng.normal(size=e.shape[0]), rng.normal(size=s_w.shape[0])
+        # y' = L y + E z with z = [R y, w], R = diag(G^T, I) the read of [x, v]
+        read = block_diag(read_out.T, np.eye(n_v))
+        generator = block_diag(stencil, np.zeros((n_v, n_v))) + e[:, :n_read] @ read
+        (ys, ws), _ = dense_crank_nicolson(
+            generator, e[:, n_read:], expm(s_w * dt), y0, w0, dt, n_steps
+        )
+        step = ClosedLoopStep(bands, e, read_out, s_w, dt)
+        run = list(step.run(y0, w0, n_steps))
+        assert_rel_close(np.array([y for _, y, _ in run]), ys)
+        assert_rel_close(np.array([w for _, _, w in run]), ws)
+
+    def test_singular_step_names_largest_dt(self):
+        stencil = graded_stencil(40, reaction=3000.0)
+        loop = random_loop(stencil)
+        with pytest.raises(SingularStep) as info:
+            ClosedLoopStep(*loop, 1e-3)
+        limit = float(re.search(r"2 / lambda_max\(L\) = (\S+)$", str(info.value))[1])
+        # L is similar to a symmetric matrix, so its eigenvalues are real
+        assert limit == pytest.approx(2.0 / np.linalg.eigvals(stencil).real.max(), rel=1e-5)
+        ClosedLoopStep(*loop, 0.99 * limit)
+        with pytest.raises(SingularStep, match="not positive definite"):
+            ClosedLoopStep(*loop, 1.01 * limit)
+
+    def test_singular_step_blames_rounding_below_the_limit(self):
+        # diffusion 1e100 with Neumann ends and no reaction: lambda_max(L) = 0, so B is
+        # positive definite for every dt, but its unit eigenvalue drowns in 1e100
+        stencil = dense_stencil(np.full(201, 1e100), np.zeros(201), 0.0, 0.0)
+        with pytest.raises(SingularStep, match="lost definiteness to rounding at dt = 0.001"):
+            ClosedLoopStep(*random_loop(stencil), 1e-3)
+
+    def test_rejects_bands_without_symmetrizing_scale(self):
+        bands, e, read_out, s_w = random_loop(cascade_stencil(8))
+        lower, diag, upper = bands
+        for bad in ((-lower, diag, upper), (lower, diag, np.where(lower > 0, 0.0, upper))):
+            with pytest.raises(ValueError, match="both positive or both zero"):
+                ClosedLoopStep(bad, e, read_out, s_w, 1e-3)
+
+
 class TestSimulate:
     def test_zero_scenario_stays_zero(self, leader_scenario):
         m = 64
@@ -496,6 +576,32 @@ class TestSimulate:
         assert trace.metadata["peak_state"] == pytest.approx(peaks.max(), rel=1e-12)
         assert trace.metadata["peak_time"] == trace.times[np.argmax(peaks)]
         assert trace.metadata["peak_ratio"] == trace.metadata["peak_state"] / resolved.blowup_bound
+
+    @pytest.mark.parametrize(
+        ("line", "count"), [("delta_lambda = 1e300", 1), ("delta_lambda = 1e200*z", 4)],
+        ids=["agent_1_stiff", "every_agent_graded"],
+    )
+    def test_stiff_agents_match_dense_step_loop(self, leader_scenario_text, line, count):
+        from coopreg.cli import run_synthesis
+
+        # diffusion 1 + 1e300: L[j, j-1] L[j-1, j] overflows, each factor does not;
+        # 1 + 1e200 z: d spans 1e100 in each agent, so four in a row overflow it
+        # unless it restarts in each agent
+        text = re.sub(r"\ndelta_lambda = \S+\n", f"\n{line}\n", leader_scenario_text, count=count)
+        edited = [section.count(f"\n{line}\n") for section in text.split("[agent ")[1:]]
+        assert edited == [1] * count + [0] * (4 - count)
+        gains = run_synthesis(loads(leader_scenario_text), m=64).gains
+        resolved = dataclasses.replace(loads(text).resolve(m=64, horizon=0.5), sample_every=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = simulate(resolved, gains, record_state=True)
+        (y, u, v, x), blowup_time = dense_step_loop(resolved, gains)
+        assert blowup_time is None
+        # the dense reference rounds the stiff rows to about 2.5e-12 of the state
+        for actual, expected in (
+            (trace.outputs, y), (trace.inputs, u), (trace.states_v, v), (trace.states_x, x)
+        ):
+            assert_rel_close(actual, expected, rel=1e-11)
 
     def test_second_order_in_dt(self, leader_scenario):
         from coopreg.cli import run_synthesis
