@@ -212,11 +212,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
 
 def certificate_payload(result: SynthesisResult | None, error: Exception | None = None) -> dict:
     if error is not None:
-        return {
-            "passed": False,
-            "error": type(error).__name__,
-            "detail": str(error),
-        }
+        return {"passed": False, "error": type(error).__name__, "detail": str(error)}
     mu_c = result.scenario.numerics.mu_c
     riccati_residual = synthesis.riccati_residual(
         result.exo.S, result.riccati_q, result.decoupling.q_tilde_at_1,
@@ -263,10 +259,13 @@ def write_trace_csv(trace: simulator.SimTrace, path: Path):
     _write_csv(path, header, columns)
 
 
-def write_snapshot_csv(trace: simulator.SimTrace, path_for, m: int):
+def write_snapshot_csv(trace: simulator.SimTrace, out_dir: Path):
+    """One ``profiles_t<t>.csv`` per snapshot, t printed by ``:g`` if exact, else by repr."""
     for t_snap, profiles in sorted(trace.snapshots.items()):
+        name = f"{t_snap:g}" if float(f"{t_snap:g}") == t_snap else repr(t_snap)
         header = ["z"] + [f"x_{i + 1}" for i in range(profiles.shape[0])]
-        _write_csv(path_for(t_snap), header, [np.linspace(0.0, 1.0, m + 1), profiles.T])
+        nodes = np.linspace(0.0, 1.0, profiles.shape[1])
+        _write_csv(out_dir / f"profiles_t{name}.csv", header, [nodes, profiles.T])
 
 
 def write_metrics(metrics: simulator.ErrorMetrics, trace: simulator.SimTrace, path: Path):
@@ -330,8 +329,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, scenario)
     write_trace_csv(trace, out / "trace.csv")
     write_metrics(metrics, trace, out / "metrics.txt")
-    if trace.snapshots:
-        write_snapshot_csv(trace, lambda t: out / f"profiles_t{t:g}.csv", resolved.m)
+    write_snapshot_csv(trace, out)
     print(
         f"simulated {resolved.n_steps} steps; tail error {metrics.tail_error:.4g}, "
         f"settling time {metrics.settling_time:.4g}"
@@ -371,8 +369,7 @@ def cmd_check(args) -> int:
 
 
 def _out_dir(args, scenario: Scenario) -> Path:
-    out = args.out or scenario.outputs.out_dir or "."
-    path = Path(out)
+    path = Path(args.out or scenario.outputs.out_dir or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 

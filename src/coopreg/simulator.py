@@ -263,9 +263,9 @@ class ClosedLoopStep:
             yield k, self.scale * y_hat, w
 
 
-def _sample_rows(n_steps: int, every: int) -> dict:
-    """{step: trace row} of the recorded steps: every ``every``-th and the last."""
-    return {k: row for row, k in enumerate([*range(0, n_steps, every), n_steps])}
+def _sample_row(k: int, n_steps: int, every: int):
+    """Trace row of step ``k``, or None: every ``every``-th step and the last are recorded."""
+    return -(-k // every) if k % every == 0 or k == n_steps else None
 
 
 @dataclass
@@ -373,11 +373,11 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
     y = np.concatenate([*x0, np.reshape(scenario_objects.v0, n_v)], dtype=float)
     w = np.array(scenario_objects.w0, dtype=float)
 
-    rows = _sample_rows(n_steps, stride)
-    times = np.empty(len(rows))
-    sampled = np.empty((len(rows), 2 * n + 1))   # y, u, r
-    v_tr = np.empty((len(rows), n, n_w)) if record_state else None
-    x_tr = np.empty((len(rows), n, m + 1)) if record_state else None
+    n_rows = _sample_row(n_steps, n_steps, stride) + 1
+    times = np.empty(n_rows)
+    sampled = np.empty((n_rows, 2 * n + 1))   # y, u, r
+    v_tr = np.empty((n_rows, n, n_w)) if record_state else None
+    x_tr = np.empty((n_rows, n, m + 1)) if record_state else None
     snapshots = {}
     snap_steps = {int(round(t_s / dt)): t_s for t_s in scenario_objects.snapshot_times}
 
@@ -393,12 +393,13 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
                 )
             if peak > peak_state:
                 peak_state, peak_time = peak, t
-        if k in rows:
-            times[rows[k]] = k * dt
-            sampled[rows[k]] = signals @ step.read(y, w)
+        row = _sample_row(k, n_steps, stride)
+        if row is not None:
+            times[row] = k * dt
+            sampled[row] = signals @ step.read(y, w)
             if record_state:
-                v_tr[rows[k]] = y[n_x:].reshape(n, n_w)
-                x_tr[rows[k]] = y[:n_x].reshape(n, m + 1)
+                v_tr[row] = y[n_x:].reshape(n, n_w)
+                x_tr[row] = y[:n_x].reshape(n, m + 1)
         if k in snap_steps:
             snapshots[snap_steps[k]] = y[:n_x].reshape(n, m + 1).copy()
     elapsed = perf_counter() - started
@@ -455,15 +456,16 @@ def simulate_target_cascade(
     )
     y = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)], dtype=float)
 
-    rows = _sample_rows(n_steps, sample_every)
-    times = np.empty(len(rows))
-    e_trace = np.empty((len(rows), n, n_w))
-    x_trace = np.empty((len(rows), n, m + 1))
+    n_rows = _sample_row(n_steps, n_steps, sample_every) + 1
+    times = np.empty(n_rows)
+    e_trace = np.empty((n_rows, n, n_w))
+    x_trace = np.empty((n_rows, n, m + 1))
     for k, y, _ in step.run(y, np.zeros(0), n_steps):
-        if k in rows:
-            times[rows[k]] = k * dt
-            e_trace[rows[k]] = y[n_x:].reshape(n, n_w)
-            x_trace[rows[k]] = y[:n_x].reshape(n, m + 1)
+        row = _sample_row(k, n_steps, sample_every)
+        if row is not None:
+            times[row] = k * dt
+            e_trace[row] = y[n_x:].reshape(n, n_w)
+            x_trace[row] = y[:n_x].reshape(n, m + 1)
     return CascadeTrace(times=times, e_v=e_trace, x_tilde=x_trace)
 
 
