@@ -29,7 +29,8 @@ directly.
 
 The inverse kernel k_I is never tabulated: the output operator in target
 coordinates, c~ = (T^-1)* c, needs only a few row combinations of it, which
-``invert_kernel`` reads through one adjoint solve.
+``invert_kernel`` reads by one back substitution over the columns of the
+kernel's own triangle.
 """
 
 from dataclasses import dataclass
@@ -172,10 +173,11 @@ def solve_kernel(a, q0: float, mu_c: float, m: int = 200) -> TriangularKernel:
     if m < MIN_GRID_POINTS:
         raise ValueError(f"kernel grid needs at least {MIN_GRID_POINTS} intervals")
     table = np.full((m + 1, m + 1), np.nan)
+    flat = table.reshape(-1)
     for q, level in enumerate(_kernel_levels(a, float(q0), float(mu_c), m)):
-        # lattice point xi = (q + 2j) h, eta = q h is the node (z_{q+j}, zeta_j)
-        j = np.arange(m - q + 1)
-        table[q + j, j] = level[::2]
+        # lattice point xi = (q + 2j) h, eta = q h is the node (z_{q+j}, zeta_j),
+        # flat index q (m + 1) + j (m + 2)
+        flat[q * (m + 1) :: m + 2] = level[::2]
     return TriangularKernel(table)
 
 
@@ -224,6 +226,7 @@ def _kernel_levels(a, q0: float, mu_c: float, m: int):
 
     # level 0: the inner integral c = int_0^eta Phi F dt vanishes, g = q0, F = f0
     level, c, g = f0, np.zeros(2 * m + 1), q0
+    trap = np.zeros(2 * m + 1)  # xi-trapezoid terms; trap[0] stays 0
     yield level
     for q in range(1, m + 1):
         n = 2 * (m - q) + 1
@@ -236,7 +239,7 @@ def _kernel_levels(a, q0: float, mu_c: float, m: int):
             # F = base + d, with d the xi-trapezoid of c from eta to xi
             base = g + f0[q : q + n] - f0[q]
             u = c + alpha[:n] * base
-            t = np.zeros(n)
+            t = trap[:n]
             t[1:] = (u[:-1] + u[1:]) * step[1:n]
             d = factor[:n] * np.cumsum(t / factor[:n])
             level = base + d
@@ -255,27 +258,34 @@ def invert_kernel(k: TriangularKernel, rows: np.ndarray) -> np.ndarray:
     k_I(z, zeta) = k(z, zeta) + int_zeta^z k(z, s) k_I(s, zeta) ds under the
     composite trapezoid rule is the lower-triangular system
     (I - T) K_I = K D, T = h K with its diagonal halved, D = diag(1 - h k(z, z)/2).
-    So r K_I = (r (I - T)^-1) K D for any row r: one solve with the upper
-    triangular (I - T)^T, then one product, and K_I itself is never formed
-    (``rows = I`` gives the whole table).  The closure factor
-    1 - h k(z, z)/2 is the diagonal of I - T; it degenerates only for kernels
-    far outside this problem class.
+    So r K_I = x K D with x (I - T) = r for any row r.  Back substitution
+    solves for x from z = 1 down to z = 0: step j reads column j of the
+    kernel table on and below the diagonal, once for x_j and once, scaled by
+    D, for column j of x K D.  K_I itself is never formed (``rows = I`` gives
+    the whole table).  The closure factor 1 - h k(z, z)/2 is the diagonal of
+    I - T; it degenerates only for kernels far outside this problem class.
     """
-    h = k.h
-    kv = k.lower()
-    denom = 1.0 - 0.5 * h * np.diagonal(kv)
+    h, v = k.h, k.values
+    denom = 1.0 - 0.5 * h * np.diagonal(v)
     if np.abs(denom).min() < _CLOSURE_TOL:
         raise SingularSystem(
             "reciprocity system is singular: diagonal closure factor "
             f"|1 - h k(z, z)/2| = {np.abs(denom).min():.3e}"
         )
-    system = np.eye(k.m + 1) - h * kv
-    np.fill_diagonal(system, denom)
+    r = np.asarray(rows, dtype=float)
+    x = np.empty(r.shape[::-1])  # transposed: x[i] is entry i of each row's x
+    out = np.empty_like(x)
     with np.errstate(all="ignore"):  # an overflow is reported by the check below
-        out = np.linalg.solve(system.T, np.transpose(rows)).T @ (kv * denom)
+        for j in range(k.m, -1, -1):
+            col = v[j:, j]
+            x[j] = (r[..., j] + h * (col[1:] @ x[j + 1 :])) / denom[j]
+            # scaling the column first overflows exactly where K D does
+            out[j] = (col * denom[j]) @ x[j:]
     if not np.isfinite(out).all():
-        raise SingularSystem(f"inverse kernel overflows for max |k| = {np.abs(kv).max():.3e}")
-    return out
+        raise SingularSystem(
+            f"inverse kernel overflows for max |k| = {np.nanmax(np.abs(v)):.3e}"
+        )
+    return out.T
 
 
 def transform_output_weight(c: OutputOperator, k: TriangularKernel) -> OutputOperator:

@@ -292,9 +292,10 @@ def write_kernel_csv(kernel: backstepping.TriangularKernel, path: Path):
 
 def cmd_synthesize(args) -> int:
     scenario = load_scenario(args.scenario)
+    m = scenario.grid(args.grid_points)  # a grid below the floor writes nothing
     out = _out_dir(args, scenario)
     try:
-        result = run_synthesis(scenario, m=args.grid_points)
+        result = run_synthesis(scenario, m=m)
     except ToolkitError as exc:
         write_certificate(certificate_payload(None, error=exc), out / "certificate.json")
         print(f"synthesis failed: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib.resources import files
 
@@ -174,6 +175,15 @@ class TestSolveKernel:
             with pytest.raises(SingularSystem, match="floating-point range"):
                 solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=-2.4e6, m=800)
 
+    def test_partial_march_leaves_error_state(self):
+        # the march ignores float errors one level at a time, never across a yield
+        before = np.geterr()
+        levels = _kernel_levels(lambda z: z + 1.0, 3.0, 5.0, 64)
+        for _ in zip(range(32), levels):
+            assert np.geterr() == before
+        levels.close()
+        assert np.geterr() == before
+
 
 class TestTriangularKernel:
     def test_off_triangle_reads_rejected(self):
@@ -220,6 +230,34 @@ class TestInverseKernel:
         assert not np.isfinite(triangular_inverse_kernel(k)).all()
         with pytest.raises(SingularSystem, match="inverse kernel overflows"):
             invert_kernel(k, np.eye(k.m + 1))
+
+    @pytest.mark.parametrize("m", [32, 64, 200, 800])
+    @pytest.mark.parametrize("name", ["four_agent_leader.cfg", "four_agent_leaderless.cfg"])
+    def test_rows_match_lapack_table(self, name, m):
+        scenario = load_scenario(files("coopreg").joinpath(f"scenarios/{name}"))
+        plant = scenario.plant(m)
+        k = solve_kernel(plant.a, plant.q0, scenario.numerics.mu_c, m)
+        table = triangular_inverse_kernel(k)
+        rng = np.random.default_rng(m)
+        blocks = [rng.standard_normal((n, m + 1)) for n in range(1, 6)]
+        blocks.append(np.array([hat_row(z, m) for z in rng.uniform(0.01, 0.99, 4)]))
+        for rows in blocks:
+            expected = rows @ table
+            gap = np.abs(invert_kernel(k, rows) - expected).max()
+            assert gap <= 1e-13 * np.abs(expected).max()
+
+    def test_reads_rows_without_a_square_table(self, monkeypatch):
+        m = 800
+        k = benchmark_kernel(m)
+        rows = np.random.default_rng(3).standard_normal((3, m + 1))
+        monkeypatch.setattr(np.linalg, "solve", None)
+        tracemalloc.start()
+        try:
+            invert_kernel(k, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (m + 1) ** 2
 
     def test_composition_is_identity(self):
         m = 200

@@ -105,7 +105,7 @@ PROBES = [
     ),
     *(
         Probe(f"grid-points-{grid}-{argv[0]}", LEADER, [], (*argv, "--grid-points", grid), 1,
-              stderr=f"grid_points = {grid} must be at least 32")
+              stderr=f"grid_points = {grid} must be at least 32", no_out_dir=True)
         for argv in (SYNTHESIZE, CHECK)
         for grid in ("10", "-5")
     ),

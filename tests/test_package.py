@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coopreg"
 
@@ -101,3 +103,21 @@ def test_design_path_loads_no_scipy(tmp_path):
     codes, loaded = json.loads(res.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0], res.stdout + res.stderr
     assert loaded == []
+
+
+@pytest.mark.parametrize("mode", ["leader", "leaderless"])
+def test_design_runs_with_scipy_blocked(mode, tmp_path):
+    # the command CI runs at grid_points = 800: any scipy import fails the design
+    script = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from coopreg.cli import entry_point; entry_point()"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", script, "synthesize",
+         "--scenario", str(PACKAGE / "scenarios" / f"four_agent_{mode}.cfg"),
+         "--grid-points", "64", "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "certificate: pass" in res.stdout

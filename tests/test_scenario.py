@@ -703,6 +703,7 @@ def test_finite_extreme_values_never_trace_back(name, section, key, value, tmp_p
     assert "Traceback" not in captured.err and "Warning" not in captured.err
 
 
+@pytest.mark.filterwarnings("error")
 def test_empty_reference_frequencies_rejected(leader_scenario_text, tmp_path, capsys):
     # with the reference gone the signal state is the one disturbance mode
     text = leader_scenario_text.replace("reference_frequencies = pi", "reference_frequencies =")
@@ -738,6 +739,7 @@ def test_readme_lists_every_scenario_key():
     assert listed == {(row.section, row.key, row.kind) for row in _KEYS}
 
 
+@pytest.mark.filterwarnings("error")
 def test_check_samples_agent_profiles(scenario_file, tmp_path, capsys):
     cfg = tmp_path / "pole.cfg"
     cfg.write_text(scenario_file.read_text().replace("x0 = 2\n", "x0 = 1/z\n"))
@@ -748,6 +750,7 @@ def test_check_samples_agent_profiles(scenario_file, tmp_path, capsys):
     assert "Traceback" not in captured.err and "Warning" not in captured.err
 
 
+@pytest.mark.filterwarnings("error")
 def test_grid_suggestion_is_readable(scenario_file, tmp_path, capsys):
     cfg = tmp_path / "stiff.cfg"
     cfg.write_text(scenario_file.read_text().replace("mu_c = 5\n", "mu_c = 1e300\n"))
