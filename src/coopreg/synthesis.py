@@ -185,9 +185,11 @@ def solve_decoupling(
     q_tilde = _neumann_bvp(a_mat, rhs, b_y * cb0, -b_y * cb1, deltas)
 
     # pullback q(zeta) = q~(zeta) - int_zeta^1 q~(s) k(s, zeta) ds: the trapezoid rule
-    # is the sum over s >= zeta with the end s = 1 halved, less half the end s = zeta
-    kv, ends = kernel.lower(), np.append(np.ones(kernel.m), 0.5)
-    q = q_tilde - kernel.h * ((q_tilde * ends) @ kv - 0.5 * q_tilde * np.diagonal(kv))
+    # is the sum over s >= zeta with the end s = 1 halved, less half the end s = zeta;
+    # column j of the kernel table on and below the diagonal is k(s, zeta_j), s >= zeta_j
+    v, weighted = kernel.values, q_tilde * np.append(np.ones(kernel.m), 0.5)
+    pulled = np.array([weighted[:, j:] @ v[j:, j] for j in range(kernel.m + 1)]).T
+    q = q_tilde - kernel.h * (pulled - 0.5 * q_tilde * np.diagonal(v))
     return DecouplingSolution(q_tilde=q_tilde, q=q)
 
 

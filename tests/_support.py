@@ -229,6 +229,25 @@ def kernel_iteration_map(a, q0: float, mu_c: float, f: np.ndarray) -> np.ndarray
     return np.where(domain, g[None, :] + f0[:, None] - f0[: m + 1][None, :] + d, 0.0)
 
 
+def kernel_residual_rows(k: TriangularKernel, a, mu_c: float) -> float:
+    """``kernel_residual`` as a loop over the rows 2 <= i <= m - 2 of the
+    triangle, each row's centered differences over 1 <= j <= i - 2: the
+    reference for the sliced residual."""
+    m, h = k.m, k.h
+    v = k.values
+    worst = 0.0
+    a_vals = np.asarray(a(k.nodes), dtype=float) * np.ones(m + 1)
+    for i in range(2, m - 1):
+        j = np.arange(1, i - 1)
+        if j.size == 0:
+            continue
+        kzz = (v[i + 1, j] - 2.0 * v[i, j] + v[i - 1, j]) / h**2
+        kss = (v[i, j + 1] - 2.0 * v[i, j] + v[i, j - 1]) / h**2
+        res = kzz - kss - (mu_c + a_vals[j]) * v[i, j]
+        worst = max(worst, float(np.abs(res).max()))
+    return worst
+
+
 def reciprocity_map(k: TriangularKernel, k_inv: TriangularKernel) -> np.ndarray:
     """Right-hand side of the trapezoid reciprocity identity, lower triangle.
 
@@ -237,7 +256,7 @@ def reciprocity_map(k: TriangularKernel, k_inv: TriangularKernel) -> np.ndarray:
     diagonal is k(z_i, z_i); the discrete inverse kernel equals it.
     """
     h = k.h
-    kv, ki = k.lower(), k_inv.lower()
+    kv, ki = np.tril(k.values), np.tril(k_inv.values)
     inner = 0.5 * kv * np.diagonal(ki)[None, :] + np.tril(kv, -1) @ np.tril(ki, -1)
     out = np.tril((kv + h * inner) / (1.0 - 0.5 * h * np.diagonal(kv))[:, None], -1)
     return out + np.diag(np.diagonal(kv))
@@ -250,7 +269,7 @@ def triangular_inverse_kernel(k: TriangularKernel) -> np.ndarray:
     (I - T) K_I = K diag(1 - h k(z, z)/2), solved by scipy's
     ``solve_triangular``; the entries may be non-finite when it overflows.
     """
-    h, kv = k.h, k.lower()
+    h, kv = k.h, np.tril(k.values)
     denom = 1.0 - 0.5 * h * np.diagonal(kv)
     system = np.eye(k.m + 1) - h * kv
     np.fill_diagonal(system, denom)
@@ -263,7 +282,7 @@ def column_operator(k: TriangularKernel) -> np.ndarray:
     trapezoid rule, every weight written out: the reference for the pullback
     in ``solve_decoupling``."""
     m = k.m
-    w = k.lower() * k.h
+    w = np.tril(k.values) * k.h
     idx = np.arange(m + 1)
     w[idx, idx] *= 0.5
     w[m, :] *= 0.5
@@ -280,7 +299,7 @@ def composed_output_weight(c: OutputOperator, k: TriangularKernel) -> np.ndarray
     """
     k_inv = TriangularKernel(triangular_inverse_kernel(k))
     m, h = k_inv.m, k_inv.h
-    ki = k_inv.lower()
+    ki = np.tril(k_inv.values)
     c0 = c.smooth_weight.values
     smooth = c.boundary_weights[1] * ki[m, :] + c0 + c0 @ column_operator(k_inv)
     for coeff, z_k in c.point_weights:

@@ -22,12 +22,14 @@ from coopreg.errors import SingularSystem
 from coopreg.grid import GridFunction, cumulative_trapezoid, hat_row, uniform_nodes
 from coopreg.scenario import load_scenario
 from coopreg.simulator import AgentSpec, SimTrace, transform_state_trace
+from coopreg.synthesis import solve_decoupling
 
 from _support import (
     composed_output_weight,
     dense_output_row,
     first_output,
     kernel_iteration_map,
+    kernel_residual_rows,
     random_smooth_profile,
     reciprocity_map,
     triangular_inverse_kernel,
@@ -40,6 +42,16 @@ def benchmark_kernel(m=200):
 
 def constant_kernel(c: float, m: int) -> TriangularKernel:
     return TriangularKernel(np.full((m + 1, m + 1), c))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def forward(k: TriangularKernel, profiles) -> np.ndarray:
@@ -104,7 +116,7 @@ class TestHatRow:
 class TestSolveKernel:
     def test_vanishing_data_gives_zero_kernel(self):
         k = solve_kernel(lambda z: 0.0 * z, q0=0.0, mu_c=0.0, m=64)
-        assert np.abs(k.lower()).max() == 0.0
+        assert np.abs(np.tril(k.values)).max() == 0.0
 
     def test_benchmark_diagonal_identity(self):
         k = benchmark_kernel()
@@ -119,9 +131,25 @@ class TestSolveKernel:
         assert r200 < 5e-3
         assert np.log2(r100 / r200) >= 1.8
 
+    @pytest.mark.parametrize("m", [32, 33, 64, 200, 800])
+    @pytest.mark.parametrize(
+        "a, q0", [(lambda z: z + 1.0, 3.0), (lambda z: np.sin(3.0 * z), -1.0)],
+        ids=["benchmark", "sine"],
+    )
+    def test_residual_equals_row_loop(self, a, q0, m):
+        k = solve_kernel(a, q0, 5.0, m)
+        assert kernel_residual(k, a, 5.0) == kernel_residual_rows(k, a, 5.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_residual_of_coarse_tables_equals_row_loop(self, m):
+        k = TriangularKernel(np.random.default_rng(m).standard_normal((m + 1, m + 1)))
+        expected = kernel_residual_rows(k, lambda z: z + 1.0, 5.0)
+        assert kernel_residual(k, lambda z: z + 1.0, 5.0) == expected
+        assert (expected == 0.0) == (m < 5)
+
     def test_robin_edge_condition(self):
         k = benchmark_kernel()
-        v, h = k.lower(), k.h
+        v, h = np.tril(k.values), k.h
         i = np.arange(2, k.m + 1)
         slope = (-3.0 * v[i, 0] + 4.0 * v[i, 1] - v[i, 2]) / (2.0 * h)
         assert np.abs(slope - 3.0 * v[i, 0]).max() < 2e-3
@@ -161,7 +189,7 @@ class TestSolveKernel:
         with pytest.raises(SingularSystem, match="grid_points >= 71"):
             solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=2e4, m=64)
         k = solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=1e4, m=64)
-        assert np.all(np.isfinite(k.lower()))
+        assert np.all(np.isfinite(np.tril(k.values)))
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
@@ -190,6 +218,23 @@ class TestTriangularKernel:
         k = constant_kernel(1.0, 8)
         assert np.isnan(k.values[2, 5])
 
+    @pytest.mark.parametrize("i, j", [(3, 1), (0, 0), (8, 8), (8, 0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_triangle_must_be_finite(self, i, j, bad):
+        above = np.triu_indices(9, 1)
+        table = np.ones((9, 9))
+        table[above] = bad
+        assert np.isnan(TriangularKernel(table).values[above]).all()
+        table[i, j] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            TriangularKernel(table)
+
+    def test_owns_one_copy_of_the_table(self):
+        m = 800
+        table = benchmark_kernel(m).values
+        peak = traced_peak(lambda: TriangularKernel(table))
+        assert peak < 1.25 * 8 * (m + 1) ** 2
+
 
 class TestInverseKernel:
     def test_zero_kernel(self):
@@ -204,8 +249,8 @@ class TestInverseKernel:
     def test_satisfies_trapezoid_reciprocity(self):
         k = benchmark_kernel(200)
         ki = TriangularKernel(invert_kernel(k, np.eye(k.m + 1)))
-        gap = np.abs(reciprocity_map(k, ki) - ki.lower()).max()
-        assert gap <= 1e-13 * np.abs(ki.lower()).max()
+        gap = np.abs(reciprocity_map(k, ki) - np.tril(ki.values)).max()
+        assert gap <= 1e-13 * np.abs(np.tril(ki.values)).max()
 
     def test_vanishing_closure_factor_raises_singular_system(self):
         # h k(z, z)/2 = 1 on a 32-interval grid
@@ -251,12 +296,16 @@ class TestInverseKernel:
         k = benchmark_kernel(m)
         rows = np.random.default_rng(3).standard_normal((3, m + 1))
         monkeypatch.setattr(np.linalg, "solve", None)
-        tracemalloc.start()
-        try:
-            invert_kernel(k, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert traced_peak(lambda: invert_kernel(k, rows)) < 8 * (m + 1) ** 2
+
+    def test_pulls_back_without_a_square_table(self, monkeypatch):
+        m = 800
+        k = benchmark_kernel(m)
+        op = OutputOperator(GridFunction(-uniform_nodes(m)), boundary_weights=(1.0, 1.0))
+        op = transform_output_weight(op, k)
+        s = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        monkeypatch.setattr(np, "tril", None)
+        peak = traced_peak(lambda: solve_decoupling(s, np.ones(2), op, 5.0, k))
         assert peak < 8 * (m + 1) ** 2
 
     def test_composition_is_identity(self):

@@ -107,7 +107,7 @@ def test_design_path_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("mode", ["leader", "leaderless"])
 def test_design_runs_with_scipy_blocked(mode, tmp_path):
-    # the command CI runs at grid_points = 800: any scipy import fails the design
+    # a fine-grid design with scipy blocked: any scipy import fails it
     script = (
         "import sys; sys.modules['scipy'] = None; "
         "from coopreg.cli import entry_point; entry_point()"
@@ -116,7 +116,7 @@ def test_design_runs_with_scipy_blocked(mode, tmp_path):
     res = subprocess.run(
         [sys.executable, "-c", script, "synthesize",
          "--scenario", str(PACKAGE / "scenarios" / f"four_agent_{mode}.cfg"),
-         "--grid-points", "64", "--out", str(tmp_path)],
+         "--grid-points", "800", "--out", str(tmp_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert res.returncode == 0, res.stdout + res.stderr

@@ -187,7 +187,7 @@ class TestSolveDecoupling:
 
     def test_pullback_matches_manual_quadrature(self, leader_design):
         r = leader_design
-        k = r.kernel.lower()
+        k = np.tril(r.kernel.values)
         m, h = r.kernel.m, r.kernel.h
         j = 77
         rows = np.arange(j, m + 1)
