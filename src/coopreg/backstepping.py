@@ -52,7 +52,9 @@ class TriangularKernel:
 
     Entries above the diagonal are NaN on purpose: reading them is a
     programming error, not an implicit zero, and NaN propagation makes such
-    a bug visible immediately.
+    a bug visible immediately.  ``values`` is read-only.  The constructor
+    copies the table it is given, masks it and checks the triangle finite;
+    ``solve_kernel`` hands over its own marched table instead, without a copy.
     """
 
     values: np.ndarray
@@ -61,6 +63,8 @@ class TriangularKernel:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError("kernel table must be square")
+        if vals.shape[0] < 2:
+            raise ValueError("kernel table needs at least 2 x 2 entries")
         n = vals.shape[0]
         # one boolean buffer: the entries above the diagonal, then the finite ones
         mask = np.tri(n, dtype=bool)
@@ -69,6 +73,16 @@ class TriangularKernel:
             raise ValueError("kernel values on the triangle must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _adopt(cls, table: np.ndarray) -> "TriangularKernel":
+        """Take ``table`` as the kernel, without a copy and without the
+        constructor's mask and checks: the caller guarantees NaN above the
+        diagonal and finite values on and below it."""
+        table.flags.writeable = False
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "values", table)
+        return kernel
 
     @property
     def m(self) -> int:
@@ -176,7 +190,8 @@ def solve_kernel(a, q0: float, mu_c: float, m: int) -> TriangularKernel:
         # lattice point xi = (q + 2j) h, eta = q h is the node (z_{q+j}, zeta_j),
         # flat index q (m + 1) + j (m + 2)
         flat[q * (m + 1) :: m + 2] = level[::2]
-    return TriangularKernel(table)
+    # NaN above the diagonal from np.full, and each level checked finite
+    return TriangularKernel._adopt(table)
 
 
 def _kernel_levels(a, q0: float, mu_c: float, m: int):
@@ -263,6 +278,9 @@ def invert_kernel(k: TriangularKernel, rows: np.ndarray) -> np.ndarray:
     the whole table).  The closure factor 1 - h k(z, z)/2 is the diagonal of
     I - T; it degenerates only for kernels far outside this problem class.
     """
+    r = np.asarray(rows, dtype=float)
+    if r.shape[-1:] != (k.m + 1,):
+        raise GridMismatch(f"rows of shape {r.shape} vs kernel grid {k.m}")
     h, v = k.h, k.values
     denom = 1.0 - 0.5 * h * np.diagonal(v)
     if np.abs(denom).min() < _CLOSURE_TOL:
@@ -270,7 +288,6 @@ def invert_kernel(k: TriangularKernel, rows: np.ndarray) -> np.ndarray:
             "reciprocity system is singular: diagonal closure factor "
             f"|1 - h k(z, z)/2| = {np.abs(denom).min():.3e}"
         )
-    r = np.asarray(rows, dtype=float)
     x = np.empty(r.shape[::-1])  # transposed: x[i] is entry i of each row's x
     out = np.empty_like(x)
     with np.errstate(all="ignore"):  # an overflow is reported by the check below
@@ -319,22 +336,3 @@ def transform_output_weight(c: OutputOperator, k: TriangularKernel) -> OutputOpe
         boundary_weights=c.boundary_weights,
     )
 
-
-def kernel_residual(k: TriangularKernel, a, mu_c: float) -> float:
-    """Sup-norm interior residual of the hyperbolic kernel equation.
-
-    Second-order centered differences on the strict interior of the triangle,
-    2 <= i <= m - 2 and 1 <= j <= i - 2, whose stencils read only the lower
-    triangle; used as the independent convergence oracle for solved kernels.
-    """
-    m, h = k.m, k.h
-    if m < 5:  # no node of the strict interior
-        return 0.0
-    v = k.values
-    a_vals = np.asarray(a(k.nodes), dtype=float) * np.ones(m + 1)
-    # rows i = 2..m-2 by columns j = 1..m-4; the mask keeps j <= i - 2
-    mid = v[2 : m - 1, 1 : m - 3]
-    kzz = (v[3:m, 1 : m - 3] - 2.0 * mid + v[1 : m - 2, 1 : m - 3]) / h**2
-    kss = (v[2 : m - 1, 2 : m - 2] - 2.0 * mid + v[2 : m - 1, : m - 4]) / h**2
-    res = kzz - kss - (mu_c + a_vals[1 : m - 3]) * mid
-    return float(np.max(np.abs(res), where=np.tri(m - 3, m - 4, -1, dtype=bool), initial=0.0))

@@ -229,6 +229,26 @@ def kernel_iteration_map(a, q0: float, mu_c: float, f: np.ndarray) -> np.ndarray
     return np.where(domain, g[None, :] + f0[:, None] - f0[: m + 1][None, :] + d, 0.0)
 
 
+def kernel_residual(k: TriangularKernel, a, mu_c: float) -> float:
+    """Sup-norm interior residual of the hyperbolic kernel equation.
+
+    Second-order centered differences on the strict interior of the triangle,
+    2 <= i <= m - 2 and 1 <= j <= i - 2, whose stencils read only the lower
+    triangle; the independent convergence oracle for solved kernels.
+    """
+    m, h = k.m, k.h
+    if m < 5:  # no node of the strict interior
+        return 0.0
+    v = k.values
+    a_vals = np.asarray(a(k.nodes), dtype=float) * np.ones(m + 1)
+    # rows i = 2..m-2 by columns j = 1..m-4; the mask keeps j <= i - 2
+    mid = v[2 : m - 1, 1 : m - 3]
+    kzz = (v[3:m, 1 : m - 3] - 2.0 * mid + v[1 : m - 2, 1 : m - 3]) / h**2
+    kss = (v[2 : m - 1, 2 : m - 2] - 2.0 * mid + v[2 : m - 1, : m - 4]) / h**2
+    res = kzz - kss - (mu_c + a_vals[1 : m - 3]) * mid
+    return float(np.max(np.abs(res), where=np.tri(m - 3, m - 4, -1, dtype=bool), initial=0.0))
+
+
 def kernel_residual_rows(k: TriangularKernel, a, mu_c: float) -> float:
     """``kernel_residual`` as a loop over the rows 2 <= i <= m - 2 of the
     triangle, each row's centered differences over 1 <= j <= i - 2: the

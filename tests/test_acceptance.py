@@ -13,7 +13,7 @@ from coopreg import comm_graph as cg
 from coopreg import signal_model
 from coopreg import simulator as sim
 from coopreg import synthesis
-from coopreg.backstepping import TriangularKernel, invert_kernel, kernel_residual, solve_kernel
+from coopreg.backstepping import TriangularKernel, invert_kernel, solve_kernel
 from coopreg.cli import run_synthesis
 from coopreg.errors import NonPositiveBound, NotControllable, ResonantSpectrum
 from coopreg.scenario import ResolvedScenario, loads
@@ -21,6 +21,7 @@ from coopreg.synthesis import MODE_LEADER
 
 from _support import (
     cascade_discrepancy,
+    kernel_residual,
     nominal_resolved,
     random_connected_topology,
     random_smooth_profile,

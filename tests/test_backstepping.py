@@ -14,11 +14,10 @@ from coopreg.backstepping import (
     TriangularKernel,
     _kernel_levels,
     invert_kernel,
-    kernel_residual,
     solve_kernel,
     transform_output_weight,
 )
-from coopreg.errors import SingularSystem
+from coopreg.errors import GridMismatch, SingularSystem
 from coopreg.grid import GridFunction, cumulative_trapezoid, hat_row, uniform_nodes
 from coopreg.scenario import load_scenario
 from coopreg.simulator import AgentSpec, SimTrace, transform_state_trace
@@ -29,6 +28,7 @@ from _support import (
     dense_output_row,
     first_output,
     kernel_iteration_map,
+    kernel_residual,
     kernel_residual_rows,
     random_smooth_profile,
     reciprocity_map,
@@ -229,10 +229,39 @@ class TestTriangularKernel:
         with pytest.raises(ValueError, match="must be finite"):
             TriangularKernel(table)
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((0, 0), "at least 2 x 2"), ((1, 1), "at least 2 x 2"), ((2, 3), "square"), ((4,), "square")],
+    )
+    def test_table_shape_checked(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            TriangularKernel(np.ones(shape))
+
     def test_owns_one_copy_of_the_table(self):
         m = 800
         table = benchmark_kernel(m).values
         peak = traced_peak(lambda: TriangularKernel(table))
+        assert peak < 1.25 * 8 * (m + 1) ** 2
+
+    def test_constructor_leaves_the_callers_table_alone(self):
+        table = np.ones((9, 9))
+        k = TriangularKernel(table)
+        assert table.flags.writeable and not k.values.flags.writeable
+        assert np.array_equal(table, np.ones((9, 9)))
+        assert not np.shares_memory(table, k.values)
+
+    @pytest.mark.parametrize("m", [64, 800])
+    def test_solve_kernel_hands_over_its_table(self, m):
+        v = benchmark_kernel(m).values
+        assert not v.flags.writeable
+        assert np.array_equal(np.isnan(v), ~np.tri(m + 1, dtype=bool))
+        copied = TriangularKernel(v).values
+        assert np.array_equal(copied, v, equal_nan=True)
+        assert not np.shares_memory(copied, v)
+
+    def test_solve_kernel_keeps_one_table(self):
+        m = 800
+        peak = traced_peak(lambda: benchmark_kernel(m))
         assert peak < 1.25 * 8 * (m + 1) ** 2
 
 
@@ -251,6 +280,11 @@ class TestInverseKernel:
         ki = TriangularKernel(invert_kernel(k, np.eye(k.m + 1)))
         gap = np.abs(reciprocity_map(k, ki) - np.tril(ki.values)).max()
         assert gap <= 1e-13 * np.abs(np.tril(ki.values)).max()
+
+    @pytest.mark.parametrize("width", [60, 70])
+    def test_rows_of_another_grid_raise_grid_mismatch(self, width):
+        with pytest.raises(GridMismatch, match="kernel grid 64"):
+            invert_kernel(benchmark_kernel(64), np.ones((2, width)))
 
     def test_vanishing_closure_factor_raises_singular_system(self):
         # h k(z, z)/2 = 1 on a 32-interval grid

@@ -14,10 +14,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coopreg"
 
 # Independent oracles the tests check the program against, so nothing in the
-# package or the benchmark calls them: the kernel-equation residual and the
-# leaderless steady state (acceptance criteria), and the scenario writer
-# that pins the parser by the round trip loads(serialize(s)) == s.
-ORACLES = {"backstepping.kernel_residual", "synthesis.sync_steady_state", "scenario.serialize"}
+# package or the benchmark calls them: the leaderless steady state
+# (acceptance criteria) and the scenario writer that pins the parser by the
+# round trip loads(serialize(s)) == s.
+ORACLES = {"synthesis.sync_steady_state", "scenario.serialize"}
 
 
 def _referenced_names(path: Path) -> set:
