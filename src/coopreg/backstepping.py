@@ -52,9 +52,10 @@ class TriangularKernel:
 
     Entries above the diagonal are NaN on purpose: reading them is a
     programming error, not an implicit zero, and NaN propagation makes such
-    a bug visible immediately.  ``values`` is read-only.  The constructor
-    copies the table it is given, masks it and checks the triangle finite;
-    ``solve_kernel`` hands over its own marched table instead, without a copy.
+    a bug visible immediately.  ``values`` is a read-only view of a read-only
+    table, so its flag cannot be set back.  The constructor copies the table
+    it is given, masks it and checks the triangle finite; ``solve_kernel``
+    hands over its own marched table instead, without a copy.
     """
 
     values: np.ndarray
@@ -72,7 +73,7 @@ class TriangularKernel:
         if np.count_nonzero(np.isfinite(vals, out=mask)) != n * (n + 1) // 2:
             raise ValueError("kernel values on the triangle must be finite")
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", vals.view())
 
     @classmethod
     def _adopt(cls, table: np.ndarray) -> "TriangularKernel":
@@ -81,7 +82,7 @@ class TriangularKernel:
         diagonal and finite values on and below it."""
         table.flags.writeable = False
         kernel = object.__new__(cls)
-        object.__setattr__(kernel, "values", table)
+        object.__setattr__(kernel, "values", table.view())
         return kernel
 
     @property

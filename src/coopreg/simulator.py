@@ -14,9 +14,9 @@ in continuous time: ``simulate`` the true agents' stencil, wiring, networked
 feedback and signal matrix; the target cascade a heat equation with decay
 mu_c and no signal.  The step alone forms the matrices that depend on dt.
 Diagonally scaled, the step's tridiagonal matrix is symmetric positive
-definite for every dt below 2 / lambda_max(L); LAPACK's ``dpttrf``/``dpttrs``
-and ``expm`` come from scipy.linalg, imported only where a step is built, so
-the design path runs on numpy alone.
+definite for every dt below 2 / lambda_max(L).  It is solved by chunk inverses
+and an interface correction, ``linalg.PartitionedSolve``, and the propagator
+is ``linalg.expm``, so simulation runs on numpy alone.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +28,7 @@ from .backstepping import OutputOperator, TriangularKernel
 from .comm_graph import laplacian
 from .errors import GridMismatch, NumericalBlowup, SchemaError, SingularStep, ToolkitError
 from .grid import GridFunction, trapezoid_weights
+from .linalg import PartitionedSolve, expm, largest_eigenvalue, positive_pivots
 from .signal_model import ExoModel
 from .synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
 
@@ -161,12 +162,11 @@ def _output_row(output: OutputOperator, agent: AgentSpec, m: int) -> np.ndarray:
 
 
 def _not_definite(diag, off, dt: float) -> ToolkitError:
-    """Why ``dpttrf`` could not factor I - (dt/2) L for the symmetric L of
-    diagonals ``diag`` and ``off``: dt against 2 / lambda_max(L), or overflow."""
-    from scipy.linalg import eigvalsh_tridiagonal
+    """Why I - (dt/2) L has a pivot that is not positive, for the symmetric L
+    of diagonals ``diag`` and ``off``: dt against 2 / lambda_max(L), or overflow."""
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         return NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
-    top = eigvalsh_tridiagonal(diag, off, select="i", select_range=(diag.size - 1,) * 2)[0]
+    top = largest_eigenvalue(diag, off)
     if 0.5 * dt * top < 1.0:    # positive definite in exact arithmetic
         return SingularStep(
             f"Crank-Nicolson matrix lost definiteness to rounding at dt = {dt:g}: "
@@ -186,26 +186,24 @@ class ClosedLoopStep:
     The caller describes the loop in continuous time: the three diagonals of
     L over x (``bands``; the v rows of L are zero), all rows of E, G and S_w.
     The step forms everything that depends on dt.  w advances by its exact
-    propagator expm(S_w dt) and enters at its midpoint (w + w+)/2.
+    propagator expm(S_w dt), by scaling and squaring, and enters at its
+    midpoint (w + w+)/2.
 
     The off-diagonal pairs L[j, j-1], L[j-1, j] are positive inside an agent
     (parabolicity) and zero between agents.  So with D diagonal, d_j / d_j-1
     = sqrt(L[j, j-1] / L[j-1, j]) inside an agent and 1 elsewhere, D^-1 A D
     is a symmetric tridiagonal B for A = I - (dt/2) L (identity rows for v).
-    LAPACK ``dpttrf`` factors B once; it is positive definite exactly when
-    dt < 2 / lambda_max(L), and SingularStep names that limit otherwise.  The
-    step runs on D^-1 y, where the doubled midpoint is a rank-k update of
-    u = 2 B^-1 D^-1 y (one ``dpttrs``): 2 y_h = u + P [u read, w], P = (dt/2)
-    W (I - (dt/2) R W)^-1 F with W = B^-1 D^-1 E, R the read of z through
-    D G and F = diag(I, I + propagator), as w enters as w + w+; then
-    y+ = D (2 y_h - D^-1 y).  A W or I - (dt/2) R W that is not finite
-    raises NumericalBlowup.
+    B is positive definite exactly when dt < 2 / lambda_max(L); its LDL^T
+    pivots decide, and SingularStep names that limit otherwise.  B / 2 is
+    then inverted once as a ``PartitionedSolve``.  The step runs on D^-1 y,
+    where the doubled midpoint is a rank-k update of u = 2 B^-1 D^-1 y (one
+    solve): 2 y_h = u + P [u read, w], P = (dt/2) W (I - (dt/2) R W)^-1 F
+    with W = B^-1 D^-1 E, R the read of z through D G and F = diag(I, I +
+    propagator), as w enters as w + w+; then y+ = D (2 y_h - D^-1 y).  A W
+    or I - (dt/2) R W that is not finite raises NumericalBlowup.
     """
 
     def __init__(self, bands, e, read_out, s_w, dt: float):
-        # numpy has neither a banded solver nor expm; scipy loads here, so a design never imports it
-        from scipy.linalg import expm
-        from scipy.linalg.lapack import dpttrf, dpttrs
         lower, diag, upper = bands
         if ((lower > 0) != (upper > 0)).any() or (np.minimum(lower, upper) < 0).any():
             raise ValueError("L[j, j-1] and L[j-1, j] must be both positive or both zero")
@@ -221,17 +219,15 @@ class ClosedLoopStep:
         # d restarts at 1 in each agent, so stiff agents in a row cannot overflow it
         pieces = np.split(np.append(1.0, ratio), np.flatnonzero(lower == 0) + 1)
         self.scale = np.concatenate([*map(np.cumprod, pieces), np.ones(n_v)])
-        d_fac, e_fac, info = dpttrf(
-            1.0 - half * np.append(diag, np.zeros(n_v)), -half * np.append(off, np.zeros(n_v))
-        )
-        if info:
+        b_diag = 1.0 - half * np.append(diag, np.zeros(n_v))
+        b_off = -half * np.append(off, np.zeros(n_v))
+        if not positive_pivots(b_diag, b_off):
             raise _not_definite(diag, off, dt)
-        # the factor of B / 2 solves for 2 y0, so y+ needs no doubling
-        self.half_factor, self._dpttrs = (0.5 * d_fac, e_fac), dpttrs
+        # the solve with B / 2 returns 2 B^-1 y, so y+ needs no doubling
+        self._solve = PartitionedSolve(0.5 * b_diag, 0.5 * b_off).solve
         self.read_out, self.propagator = read_out, expm(s_w * dt)
         self.read_hat = read_out * self.scale[: self.n_x, None]
-        w_hat = np.divide(e, self.scale[:, None], out=np.empty(e.shape, order="F"))
-        dpttrs(d_fac, e_fac, w_hat, overwrite_b=True)
+        w_hat = self._solve(e / (2.0 * self.scale[:, None]))
         coupled = np.eye(e.shape[1])
         read_w = self.read_hat.T @ w_hat[: self.n_x]
         coupled[:n_read] -= half * np.vstack([read_w, w_hat[self.n_x :]])
@@ -255,7 +251,7 @@ class ClosedLoopStep:
         yield 0, y, w
         y_hat = y / self.scale
         for k in range(1, n_steps + 1):
-            twice, _ = self._dpttrs(*self.half_factor, y_hat)
+            twice = self._solve(y_hat)
             read = twice[: self.n_x] @ self.read_hat
             twice += self.p @ np.concatenate([read, twice[self.n_x :], w])
             twice -= y_hat

@@ -259,6 +259,15 @@ class TestTriangularKernel:
         assert np.array_equal(copied, v, equal_nan=True)
         assert not np.shares_memory(copied, v)
 
+    @pytest.mark.parametrize(
+        "make", [lambda: benchmark_kernel(64), lambda: TriangularKernel(np.ones((9, 9)))],
+        ids=["solved", "constructed"],
+    )
+    def test_table_cannot_be_made_writeable(self, make):
+        k = make()
+        with pytest.raises(ValueError):
+            k.values.flags.writeable = True
+
     def test_solve_kernel_keeps_one_table(self):
         m = 800
         peak = traced_peak(lambda: benchmark_kernel(m))

@@ -62,33 +62,24 @@ def test_every_public_definition_is_used():
     assert not dead, f"public definitions nothing in src/ or bench/ uses: {', '.join(dead)}"
 
 
-def test_design_path_loads_no_sparse_module():
-    # import the package and run one check, then list the scipy.sparse modules loaded
-    script = (
-        "import json, sys, coopreg, coopreg.cli\n"
-        "code = coopreg.cli.main(['check', '--scenario', sys.argv[1], '--grid-points', '64'])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy.sparse'))]))\n"
-    )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c", script, str(PACKAGE / "scenarios" / "four_agent_leader.cfg")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    code, loaded = json.loads(res.stdout.splitlines()[-1])
-    assert code == 0, res.stdout + res.stderr
-    assert loaded == []
-
-
 def test_design_path_loads_no_scipy(tmp_path):
-    # import the package, check and synthesize both shipped scenarios, then
-    # list the scipy modules loaded: the design runs on numpy alone
+    # import the package; check, synthesize and simulate both shipped scenarios;
+    # run the target cascade; then list the scipy modules loaded: all of it
+    # runs on numpy alone, so no scipy.sparse module either
     script = (
-        "import json, sys, coopreg, coopreg.cli\n"
+        "import json, sys, numpy as np, coopreg, coopreg.cli\n"
         "codes = []\n"
         "for i, path in enumerate(sys.argv[2:]):\n"
-        "    args = ['--scenario', path, '--grid-points', '64']\n"
+        "    args, out = ['--scenario', path, '--grid-points', '64'], f'{sys.argv[1]}/{i}'\n"
         "    codes.append(coopreg.cli.main(['check', *args]))\n"
-        "    codes.append(coopreg.cli.main(['synthesize', *args, '--out', f'{sys.argv[1]}/{i}']))\n"
+        "    codes.append(coopreg.cli.main(['synthesize', *args, '--out', out]))\n"
+        "    codes.append(coopreg.cli.main(['simulate', '--scenario', path, '--gains',\n"
+        "                                   f'{out}/gains.txt', '--out', f'{out}/run', '--horizon', '2']))\n"
+        "design = coopreg.cli.run_synthesis(coopreg.load_scenario(sys.argv[2]), m=64)\n"
+        "cascade = coopreg.simulate_target_cascade(\n"
+        "    design.gains, design.graph.leader_follower, design.decoupling.q_tilde_at_1,\n"
+        "    np.ones((4, design.gains.n_w)), np.zeros((4, 65)), 1e-3, 10)\n"
+        "codes.append(int(not np.isfinite(cascade.e_v).all()))\n"
         "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
         "print(json.dumps([codes, loaded]))\n"
     )
@@ -101,23 +92,30 @@ def test_design_path_loads_no_scipy(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     codes, loaded = json.loads(res.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0, 0], res.stdout + res.stderr
+    assert codes == [0] * 7, res.stdout + res.stderr
     assert loaded == []
 
 
 @pytest.mark.parametrize("mode", ["leader", "leaderless"])
 def test_design_runs_with_scipy_blocked(mode, tmp_path):
-    # a fine-grid design with scipy blocked: any scipy import fails it
+    # a fine-grid design, then its simulation, with scipy blocked: any scipy import fails them
     script = (
         "import sys; sys.modules['scipy'] = None; "
         "from coopreg.cli import entry_point; entry_point()"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c", script, "synthesize",
-         "--scenario", str(PACKAGE / "scenarios" / f"four_agent_{mode}.cfg"),
-         "--grid-points", "800", "--out", str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    scenario = str(PACKAGE / "scenarios" / f"four_agent_{mode}.cfg")
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-c", script, *args, "--scenario", scenario],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+
+    res = run("synthesize", "--grid-points", "800", "--out", str(tmp_path))
     assert res.returncode == 0, res.stdout + res.stderr
     assert "certificate: pass" in res.stdout
+    res = run("simulate", "--gains", str(tmp_path / "gains.txt"), "--out", str(tmp_path / "run"),
+              "--horizon", "2")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert (tmp_path / "run" / "trace.csv").is_file()

@@ -13,8 +13,9 @@ from coopreg.backstepping import OutputOperator
 from coopreg.comm_graph import CommTopology
 from coopreg.errors import GridMismatch, NumericalBlowup, SchemaError, SingularStep
 from coopreg.grid import GridFunction, trapezoid_weights, uniform_nodes
+from coopreg.linalg import PartitionedSolve, chunk_rows, expm as propagator, largest_eigenvalue
 from coopreg.scenario import ResolvedScenario, loads
-from coopreg.signal_model import ExoModel
+from coopreg.signal_model import ExoModel, frequency_blocks
 from coopreg.simulator import (
     AgentSpec,
     ClosedLoopStep,
@@ -489,6 +490,81 @@ class TestClosedLoopStep:
         for bad in ((-lower, diag, upper), (lower, diag, np.where(lower > 0, 0.0, upper))):
             with pytest.raises(ValueError, match="both positive or both zero"):
                 ClosedLoopStep(bad, e, read_out, s_w, 1e-3)
+
+
+def dominant_tridiagonal(n: int, seed: int = 3):
+    """Diagonal and off-diagonal of a random symmetric diagonally dominant B."""
+    rng = np.random.default_rng(seed)
+    off = -rng.uniform(1.0, 100.0, size=n - 1)
+    return 1.0 + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off)), off
+
+
+CHUNK = chunk_rows(100)
+
+
+class TestPartitionedSolve:
+    @pytest.mark.parametrize(
+        "n, cut",
+        [(CHUNK - 12, None), (CHUNK, None), (CHUNK + 1, None), (2 * CHUNK + 1, None),
+         (3 * CHUNK, CHUNK - 1), (3 * CHUNK, 2 * CHUNK - 1)],
+        ids=["below_one_chunk", "one_chunk", "above_one_chunk", "one_row_last_chunk",
+             "boundary_on_first_edge", "boundary_on_second_edge"],
+    )
+    @pytest.mark.parametrize("columns", [(), (7,)], ids=["vector", "column_block"])
+    def test_matches_dense_solve(self, n, cut, columns):
+        assert chunk_rows(n) == CHUNK
+        diag, off = dominant_tridiagonal(n)
+        if cut is not None:   # two agents meet on a chunk edge: zero coupling there
+            off[cut] = 0.0
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        rhs = np.random.default_rng(8).normal(size=(n, *columns))
+        reference = np.linalg.solve(dense, rhs)
+        x = PartitionedSolve(diag, off).solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.abs(x - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    def test_graded_step_matrix(self):
+        # B = I - (dt/2) L of three stiff agents, diagonally scaled as in the step
+        stencil = graded_stencil(40)
+        off = -5e-4 * np.sqrt(np.diag(stencil, -1) * np.diag(stencil, 1))
+        diag = 1.0 - 5e-4 * np.diag(stencil)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        rhs = np.random.default_rng(9).normal(size=diag.size)
+        reference = np.linalg.solve(dense, rhs)
+        x = PartitionedSolve(diag, off).solve(rhs)
+        assert np.abs(x - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("dt", [1e-3, 0.37])
+    def test_shipped_signal_matrix(self, dt):
+        s_w, _ = frequency_blocks([np.pi, 0.0])
+        reference = expm(s_w * dt)
+        assert np.abs(propagator(s_w * dt) - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.37])
+    def test_non_canonical_signal_matrix(self, dt):
+        # a similarity transform of rotations and a constant: diagonalizable, not a direct sum
+        basis = np.random.default_rng(3).normal(size=(5, 5))
+        core = block_diag([[0.0, 2.0], [-2.0, 0.0]], [[0.0]], [[0.0, 5.0], [-5.0, 0.0]])
+        s_w = ExoModel(
+            S=basis @ core @ np.linalg.inv(basis), p=np.ones(5), read_outs=(), b_y=np.ones(5)
+        ).S
+        reference = expm(s_w * dt)
+        assert np.abs(propagator(s_w * dt) - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+class TestLargestEigenvalue:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_eigvalsh(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        diag = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        off = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3, 3)
+        off[rng.random(n - 1) < 0.1] = 0.0
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        norm = np.abs(dense).sum(axis=1).max()
+        assert abs(largest_eigenvalue(diag, off) - np.linalg.eigvalsh(dense)[-1]) <= 1e-14 * norm
 
 
 class TestSimulate:
