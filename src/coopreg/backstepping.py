@@ -25,14 +25,17 @@ where f0 is the diagonal data and g(eta) = F(eta, eta) solves the scalar ODE
 obtained from the edge relation.  Under composite trapezoid quadrature on the
 lattice xi = p h, eta = q h the discrete pair is causal in eta: level q needs
 only levels <= q, so one march over eta, vectorised over xi, solves it
-directly.
+directly.  Level q holds the nodes (z_{q+j}, zeta_j), q entries down each
+column of the triangle, and the march scatters it into a buffer that keeps
+the triangle packed column by column (LAPACK's lower packed format).
 
 The inverse kernel k_I is never tabulated: the output operator in target
 coordinates, c~ = (T^-1)* c, needs only a few row combinations of it, which
 ``invert_kernel`` reads by one back substitution over the columns of the
-kernel's own triangle.
+kernel's own packed triangle, each a contiguous slice.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,48 +49,53 @@ MIN_GRID_POINTS = 32
 _CLOSURE_TOL = 1e-8
 
 
+def _column_start(j, m: int):
+    """Offset of column j in the packed triangle of an m-interval kernel."""
+    return j * (m + 1) - j * (j - 1) // 2
+
+
 @dataclass(frozen=True)
 class TriangularKernel:
     """Kernel table k[i, j] ~ k(z_i, zeta_j) on the lower triangle j <= i.
 
-    Entries above the diagonal are NaN on purpose: reading them is a
-    programming error, not an implicit zero, and NaN propagation makes such
-    a bug visible immediately.  ``values`` is a read-only view of a read-only
-    table, so its flag cannot be set back.  The constructor copies the table
-    it is given, masks it and checks the triangle finite; ``solve_kernel``
-    hands over its own marched table instead, without a copy.
+    ``packed`` holds the (m + 1)(m + 2)/2 entries of the triangle column by
+    column, LAPACK's lower packed format: entry (i, j) sits at
+    j (m + 1) - j (j - 1)/2 + (i - j), so column j, the entries k(z_i, zeta_j)
+    for i = j..m, is one contiguous slice.  Nothing is stored above the
+    diagonal, and ``entries`` rejects a read there.  ``packed`` is a
+    read-only view of a read-only buffer, so its flag cannot be set back.
+    The constructor copies the buffer it is given and checks it finite;
+    ``solve_kernel`` hands over its own marched buffer instead, without a copy.
     """
 
-    values: np.ndarray
+    packed: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError("kernel table must be square")
-        if vals.shape[0] < 2:
+        packed = np.array(self.packed, dtype=float)
+        if packed.ndim != 1:
+            raise ValueError("packed kernel must be one-dimensional")
+        n = (math.isqrt(8 * packed.size + 1) - 1) // 2
+        if n * (n + 1) // 2 != packed.size:
+            raise ValueError(f"packed kernel length {packed.size} is not (m + 1)(m + 2)/2")
+        if n < 2:
             raise ValueError("kernel table needs at least 2 x 2 entries")
-        n = vals.shape[0]
-        # one boolean buffer: the entries above the diagonal, then the finite ones
-        mask = np.tri(n, dtype=bool)
-        np.putmask(vals, np.logical_not(mask, out=mask), np.nan)
-        if np.count_nonzero(np.isfinite(vals, out=mask)) != n * (n + 1) // 2:
+        if not np.isfinite(packed).all():
             raise ValueError("kernel values on the triangle must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals.view())
+        packed.flags.writeable = False
+        object.__setattr__(self, "packed", packed.view())
 
     @classmethod
-    def _adopt(cls, table: np.ndarray) -> "TriangularKernel":
-        """Take ``table`` as the kernel, without a copy and without the
-        constructor's mask and checks: the caller guarantees NaN above the
-        diagonal and finite values on and below it."""
-        table.flags.writeable = False
+    def _adopt(cls, packed: np.ndarray) -> "TriangularKernel":
+        """Take ``packed`` as the kernel, without a copy and without the
+        constructor's checks: the caller guarantees a finite triangle."""
+        packed.flags.writeable = False
         kernel = object.__new__(cls)
-        object.__setattr__(kernel, "values", table.view())
+        object.__setattr__(kernel, "packed", packed.view())
         return kernel
 
     @property
     def m(self) -> int:
-        return self.values.shape[0] - 1
+        return (math.isqrt(8 * self.packed.size + 1) - 3) // 2
 
     @property
     def h(self) -> float:
@@ -97,12 +105,36 @@ class TriangularKernel:
     def nodes(self) -> np.ndarray:
         return uniform_nodes(self.m)
 
+    def column(self, j: int) -> np.ndarray:
+        """k(z_i, zeta_j) for i = j..m, a contiguous read-only view."""
+        m = self.m
+        if not 0 <= j <= m:
+            raise IndexError(f"kernel column {j} is not in 0..{m}")
+        start = _column_start(j, m)
+        return self.packed[start : start + m + 1 - j]
+
+    def entries(self, i, j) -> np.ndarray:
+        """k(z_i, zeta_j) for broadcast index arrays on the triangle
+        0 <= j <= i <= m, by one gather."""
+        i, j, m = np.asarray(i), np.asarray(j), self.m
+        if not np.all((0 <= j) & (j <= i) & (i <= m)):
+            raise IndexError(f"kernel entries lie on the triangle 0 <= j <= i <= {m}")
+        return self.packed[_column_start(j, m) + (i - j)]
+
+    def diagonal(self) -> np.ndarray:
+        """k(z_j, z_j) for j = 0..m."""
+        j = np.arange(self.m + 1)
+        return self.entries(j, j)
+
     def integral_operator(self) -> np.ndarray:
         """Matrix Q with (Q x)_i ~ int_0^{z_i} k(z_i, zeta) x(zeta) dzeta."""
-        w = np.tril(self.values)
+        m = self.m
+        w = np.zeros((m + 1, m + 1))
+        for j in range(m + 1):
+            w[j:, j] = self.column(j)
         w *= self.h
         w[:, 0] *= 0.5
-        idx = np.arange(self.m + 1)
+        idx = np.arange(m + 1)
         w[idx, idx] *= 0.5
         w[0, 0] = 0.0
         return w
@@ -117,10 +149,9 @@ class TriangularKernel:
         m, h = self.m, self.h
         if m < 4:
             raise ValueError("grid too coarse for the boundary derivative")
-        v = self.values
+        top = self.entries(np.array([[m], [m - 1], [m - 2]]), np.arange(m - 1))
         out = np.empty(m + 1)
-        j = np.arange(m - 1)
-        out[: m - 1] = (3.0 * v[m, j] - 4.0 * v[m - 1, j] + v[m - 2, j]) / (2.0 * h)
+        out[: m - 1] = (3.0 * top[0] - 4.0 * top[1] + top[2]) / (2.0 * h)
         out[m - 1] = 2.0 * out[m - 2] - out[m - 3]
         out[m] = 2.0 * out[m - 1] - out[m - 2]
         return out
@@ -183,16 +214,18 @@ def solve_kernel(a, q0: float, mu_c: float, m: int) -> TriangularKernel:
     Raises SingularSystem when mu_c + a overflows, the grid under-resolves it
     (the march needs h^2 max|mu_c + a| <= 4) or the kernel overflows.
     """
-    if m < MIN_GRID_POINTS:
-        raise ValueError(f"kernel grid needs at least {MIN_GRID_POINTS} intervals")
-    table = np.full((m + 1, m + 1), np.nan)
-    flat = table.reshape(-1)
+    if not isinstance(m, (int, np.integer)) or m < MIN_GRID_POINTS:
+        raise ValueError(
+            f"kernel grid needs an integer of at least {MIN_GRID_POINTS} intervals, got {m}"
+        )
+    packed = np.empty((m + 1) * (m + 2) // 2)
+    start = _column_start(np.arange(m + 1), m)
     for q, level in enumerate(_kernel_levels(a, float(q0), float(mu_c), m)):
         # lattice point xi = (q + 2j) h, eta = q h is the node (z_{q+j}, zeta_j),
-        # flat index q (m + 1) + j (m + 2)
-        flat[q * (m + 1) :: m + 2] = level[::2]
-    # NaN above the diagonal from np.full, and each level checked finite
-    return TriangularKernel._adopt(table)
+        # q entries down column j
+        packed[start[: m + 1 - q] + q] = level[::2]
+    # the levels cover the triangle, and each was checked finite
+    return TriangularKernel._adopt(packed)
 
 
 def _kernel_levels(a, q0: float, mu_c: float, m: int):
@@ -274,7 +307,7 @@ def invert_kernel(k: TriangularKernel, rows: np.ndarray) -> np.ndarray:
     (I - T) K_I = K D, T = h K with its diagonal halved, D = diag(1 - h k(z, z)/2).
     So r K_I = x K D with x (I - T) = r for any row r.  Back substitution
     solves for x from z = 1 down to z = 0: step j reads column j of the
-    kernel table on and below the diagonal, once for x_j and once, scaled by
+    packed kernel, one contiguous slice, once for x_j and once, scaled by
     D, for column j of x K D.  K_I itself is never formed (``rows = I`` gives
     the whole table).  The closure factor 1 - h k(z, z)/2 is the diagonal of
     I - T; it degenerates only for kernels far outside this problem class.
@@ -282,8 +315,8 @@ def invert_kernel(k: TriangularKernel, rows: np.ndarray) -> np.ndarray:
     r = np.asarray(rows, dtype=float)
     if r.shape[-1:] != (k.m + 1,):
         raise GridMismatch(f"rows of shape {r.shape} vs kernel grid {k.m}")
-    h, v = k.h, k.values
-    denom = 1.0 - 0.5 * h * np.diagonal(v)
+    h = k.h
+    denom = 1.0 - 0.5 * h * k.diagonal()
     if np.abs(denom).min() < _CLOSURE_TOL:
         raise SingularSystem(
             "reciprocity system is singular: diagonal closure factor "
@@ -293,13 +326,13 @@ def invert_kernel(k: TriangularKernel, rows: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     with np.errstate(all="ignore"):  # an overflow is reported by the check below
         for j in range(k.m, -1, -1):
-            col = v[j:, j]
+            col = k.column(j)
             x[j] = (r[..., j] + h * (col[1:] @ x[j + 1 :])) / denom[j]
             # scaling the column first overflows exactly where K D does
             out[j] = (col * denom[j]) @ x[j:]
     if not np.isfinite(out).all():
         raise SingularSystem(
-            f"inverse kernel overflows for max |k| = {np.nanmax(np.abs(v)):.3e}"
+            f"inverse kernel overflows for max |k| = {np.abs(k.packed).max():.3e}"
         )
     return out.T
 
@@ -324,7 +357,7 @@ def transform_output_weight(c: OutputOperator, k: TriangularKernel) -> OutputOpe
     read = invert_kernel(k, rows)
 
     with np.errstate(all="ignore"):  # an overflow is reported by the check below
-        smooth = c0 + read[0] - 0.5 * h * c0 * np.diagonal(k.values)
+        smooth = c0 + read[0] - 0.5 * h * c0 * k.diagonal()
         smooth = smooth + c.boundary_weights[1] * read[1]
         for (coeff, z_k), row in zip(c.point_weights, read[2:]):
             smooth = smooth + coeff * row * (k.nodes < z_k)

@@ -286,7 +286,7 @@ def write_metrics(metrics: simulator.ErrorMetrics, trace: simulator.SimTrace, pa
 def write_kernel_csv(kernel: backstepping.TriangularKernel, path: Path):
     i, j = np.tril_indices(kernel.m + 1)
     nodes = kernel.nodes
-    columns = [i, j, nodes[i], nodes[j], kernel.values[i, j]]
+    columns = [i, j, nodes[i], nodes[j], kernel.entries(i, j)]
     _write_csv(path, ["i", "j", "z", "zeta", "value"], columns, fmt=["%d", "%d"] + ["%.17g"] * 3)
 
 

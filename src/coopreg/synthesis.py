@@ -186,10 +186,10 @@ def solve_decoupling(
 
     # pullback q(zeta) = q~(zeta) - int_zeta^1 q~(s) k(s, zeta) ds: the trapezoid rule
     # is the sum over s >= zeta with the end s = 1 halved, less half the end s = zeta;
-    # column j of the kernel table on and below the diagonal is k(s, zeta_j), s >= zeta_j
-    v, weighted = kernel.values, q_tilde * np.append(np.ones(kernel.m), 0.5)
-    pulled = np.array([weighted[:, j:] @ v[j:, j] for j in range(kernel.m + 1)]).T
-    q = q_tilde - kernel.h * (pulled - 0.5 * q_tilde * np.diagonal(v))
+    # column j of the kernel is k(s, zeta_j), s >= zeta_j
+    weighted = q_tilde * np.append(np.ones(kernel.m), 0.5)
+    pulled = np.array([weighted[:, j:] @ kernel.column(j) for j in range(kernel.m + 1)]).T
+    q = q_tilde - kernel.h * (pulled - 0.5 * q_tilde * kernel.diagonal())
     return DecouplingSolution(q_tilde=q_tilde, q=q)
 
 
@@ -313,7 +313,7 @@ def assemble_gains(
     if kernel.m != decoupling.m:
         raise GridMismatch(f"kernel grid {kernel.m} vs decoupling grid {decoupling.m}")
     k_v = np.asarray(k_v, dtype=float)
-    k_1 = float(q1) - float(kernel.values[-1, -1])
+    k_1 = float(q1) - float(kernel.diagonal()[-1])
     k_x = GridFunction(-kernel.z_derivative_top_row())
     r_x = GridFunction(-(k_v @ decoupling.q))
     return RegulatorGains(

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 from scipy.linalg import block_diag, expm, solve_triangular
 
-from coopreg.backstepping import OutputOperator, TriangularKernel
+from coopreg.backstepping import OutputOperator, TriangularKernel, _kernel_levels
 from coopreg.comm_graph import CommTopology, laplacian
 from coopreg.grid import GridFunction, cumulative_trapezoid, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
@@ -199,6 +199,34 @@ def cascade_discrepancy(e_v, x_tilde, cascade) -> float:
     return float(np.sqrt(num / den))
 
 
+def pack(table) -> np.ndarray:
+    """The lower triangle of a square table in ``TriangularKernel``'s packed
+    order, column by column; the entries above the diagonal are dropped."""
+    table = np.asarray(table, dtype=float)
+    j, i = np.triu_indices(table.shape[0])  # column j, then row i >= j
+    return table[i, j]
+
+
+def unpack(k: TriangularKernel) -> np.ndarray:
+    """The kernel as a square table, zero above the diagonal."""
+    table = np.zeros((k.m + 1, k.m + 1))
+    j, i = np.triu_indices(k.m + 1)
+    table[i, j] = k.packed
+    return table
+
+
+def dense_kernel_table(a, q0: float, mu_c: float, m: int) -> np.ndarray:
+    """The kernel march written into a NaN-padded (m + 1)^2 square, one
+    strided slice per level, as ``solve_kernel`` stored it before the
+    packed triangle: the oracle for the packed writer."""
+    table = np.full((m + 1, m + 1), np.nan)
+    flat = table.reshape(-1)
+    for q, level in enumerate(_kernel_levels(a, float(q0), float(mu_c), m)):
+        # the node (z_{q+j}, zeta_j) has flat index q (m + 1) + j (m + 2)
+        flat[q * (m + 1) :: m + 2] = level[::2]
+    return table
+
+
 def kernel_iteration_map(a, q0: float, mu_c: float, f: np.ndarray) -> np.ndarray:
     """One sweep of the successive-approximation map of the discrete kernel problem.
 
@@ -239,7 +267,7 @@ def kernel_residual(k: TriangularKernel, a, mu_c: float) -> float:
     m, h = k.m, k.h
     if m < 5:  # no node of the strict interior
         return 0.0
-    v = k.values
+    v = unpack(k)
     a_vals = np.asarray(a(k.nodes), dtype=float) * np.ones(m + 1)
     # rows i = 2..m-2 by columns j = 1..m-4; the mask keeps j <= i - 2
     mid = v[2 : m - 1, 1 : m - 3]
@@ -254,7 +282,7 @@ def kernel_residual_rows(k: TriangularKernel, a, mu_c: float) -> float:
     triangle, each row's centered differences over 1 <= j <= i - 2: the
     reference for the sliced residual."""
     m, h = k.m, k.h
-    v = k.values
+    v = unpack(k)
     worst = 0.0
     a_vals = np.asarray(a(k.nodes), dtype=float) * np.ones(m + 1)
     for i in range(2, m - 1):
@@ -276,7 +304,7 @@ def reciprocity_map(k: TriangularKernel, k_inv: TriangularKernel) -> np.ndarray:
     diagonal is k(z_i, z_i); the discrete inverse kernel equals it.
     """
     h = k.h
-    kv, ki = np.tril(k.values), np.tril(k_inv.values)
+    kv, ki = unpack(k), unpack(k_inv)
     inner = 0.5 * kv * np.diagonal(ki)[None, :] + np.tril(kv, -1) @ np.tril(ki, -1)
     out = np.tril((kv + h * inner) / (1.0 - 0.5 * h * np.diagonal(kv))[:, None], -1)
     return out + np.diag(np.diagonal(kv))
@@ -289,7 +317,7 @@ def triangular_inverse_kernel(k: TriangularKernel) -> np.ndarray:
     (I - T) K_I = K diag(1 - h k(z, z)/2), solved by scipy's
     ``solve_triangular``; the entries may be non-finite when it overflows.
     """
-    h, kv = k.h, np.tril(k.values)
+    h, kv = k.h, unpack(k)
     denom = 1.0 - 0.5 * h * np.diagonal(kv)
     system = np.eye(k.m + 1) - h * kv
     np.fill_diagonal(system, denom)
@@ -302,7 +330,7 @@ def column_operator(k: TriangularKernel) -> np.ndarray:
     trapezoid rule, every weight written out: the reference for the pullback
     in ``solve_decoupling``."""
     m = k.m
-    w = np.tril(k.values) * k.h
+    w = unpack(k) * k.h
     idx = np.arange(m + 1)
     w[idx, idx] *= 0.5
     w[m, :] *= 0.5
@@ -317,9 +345,9 @@ def composed_output_weight(c: OutputOperator, k: TriangularKernel) -> np.ndarray
     column trapezoid of c0 k_I and one truncated interpolated row of k_I per
     point weight, all read from ``triangular_inverse_kernel``.
     """
-    k_inv = TriangularKernel(triangular_inverse_kernel(k))
+    k_inv = TriangularKernel(pack(triangular_inverse_kernel(k)))
     m, h = k_inv.m, k_inv.h
-    ki = np.tril(k_inv.values)
+    ki = unpack(k_inv)
     c0 = c.smooth_weight.values
     smooth = c.boundary_weights[1] * ki[m, :] + c0 + c0 @ column_operator(k_inv)
     for coeff, z_k in c.point_weights:

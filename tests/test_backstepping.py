@@ -17,6 +17,7 @@ from coopreg.backstepping import (
     solve_kernel,
     transform_output_weight,
 )
+from coopreg.cli import run_synthesis
 from coopreg.errors import GridMismatch, SingularSystem
 from coopreg.grid import GridFunction, cumulative_trapezoid, hat_row, uniform_nodes
 from coopreg.scenario import load_scenario
@@ -25,14 +26,17 @@ from coopreg.synthesis import solve_decoupling
 
 from _support import (
     composed_output_weight,
+    dense_kernel_table,
     dense_output_row,
     first_output,
     kernel_iteration_map,
     kernel_residual,
     kernel_residual_rows,
+    pack,
     random_smooth_profile,
     reciprocity_map,
     triangular_inverse_kernel,
+    unpack,
 )
 
 
@@ -41,7 +45,12 @@ def benchmark_kernel(m=200):
 
 
 def constant_kernel(c: float, m: int) -> TriangularKernel:
-    return TriangularKernel(np.full((m + 1, m + 1), c))
+    return TriangularKernel(np.full((m + 1) * (m + 2) // 2, c))
+
+
+def packed_bytes(m: int) -> int:
+    """Bytes of the packed float triangle of an m-interval kernel."""
+    return 8 * (m + 1) * (m + 2) // 2
 
 
 def traced_peak(call) -> int:
@@ -116,14 +125,14 @@ class TestHatRow:
 class TestSolveKernel:
     def test_vanishing_data_gives_zero_kernel(self):
         k = solve_kernel(lambda z: 0.0 * z, q0=0.0, mu_c=0.0, m=64)
-        assert np.abs(np.tril(k.values)).max() == 0.0
+        assert np.abs(k.packed).max() == 0.0
 
     def test_benchmark_diagonal_identity(self):
         k = benchmark_kernel()
         z = k.nodes
         exact = 3.0 - 0.5 * (6.0 * z + 0.5 * z**2)
-        assert np.abs(np.diagonal(k.values) - exact).max() < 1e-12
-        assert k.values[-1, -1] == pytest.approx(-0.25, abs=1e-12)
+        assert np.abs(k.diagonal() - exact).max() < 1e-12
+        assert k.diagonal()[-1] == pytest.approx(-0.25, abs=1e-12)
 
     def test_interior_residual_second_order(self):
         r100 = kernel_residual(benchmark_kernel(100), lambda z: z + 1.0, 5.0)
@@ -142,26 +151,26 @@ class TestSolveKernel:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_residual_of_coarse_tables_equals_row_loop(self, m):
-        k = TriangularKernel(np.random.default_rng(m).standard_normal((m + 1, m + 1)))
+        k = TriangularKernel(pack(np.random.default_rng(m).standard_normal((m + 1, m + 1))))
         expected = kernel_residual_rows(k, lambda z: z + 1.0, 5.0)
         assert kernel_residual(k, lambda z: z + 1.0, 5.0) == expected
         assert (expected == 0.0) == (m < 5)
 
     def test_robin_edge_condition(self):
         k = benchmark_kernel()
-        v, h = np.tril(k.values), k.h
+        v, h = unpack(k), k.h
         i = np.arange(2, k.m + 1)
         slope = (-3.0 * v[i, 0] + 4.0 * v[i, 1] - v[i, 2]) / (2.0 * h)
         assert np.abs(slope - 3.0 * v[i, 0]).max() < 2e-3
 
     def test_deterministic(self):
         k1, k2 = benchmark_kernel(100), benchmark_kernel(100)
-        assert np.array_equal(k1.values, k2.values, equal_nan=True)
+        assert np.array_equal(k1.packed, k2.packed)
 
     def test_accepts_grid_function_coefficient(self):
         prof = GridFunction(uniform_nodes(400) + 1.0)
         k = solve_kernel(prof, q0=3.0, mu_c=5.0, m=100)
-        assert k.values[-1, -1] == pytest.approx(-0.25, abs=1e-10)
+        assert k.diagonal()[-1] == pytest.approx(-0.25, abs=1e-10)
 
     @pytest.mark.parametrize(
         "a, q0, mu_c",
@@ -183,17 +192,36 @@ class TestSolveKernel:
         assert np.abs(change).max() <= 1e-12 * np.abs(lattice).max()
         k = solve_kernel(a, q0, mu_c, m)
         ii, jj = np.tril_indices(m + 1)
-        assert np.array_equal(k.values[ii, jj], lattice[ii + jj, ii - jj])
+        assert np.array_equal(k.entries(ii, jj), lattice[ii + jj, ii - jj])
 
     def test_under_resolved_grid_raises_singular_system(self):
         with pytest.raises(SingularSystem, match="grid_points >= 71"):
             solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=2e4, m=64)
         k = solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=1e4, m=64)
-        assert np.all(np.isfinite(np.tril(k.values)))
+        assert np.all(np.isfinite(k.packed))
 
-    def test_grid_floor(self):
-        with pytest.raises(ValueError):
-            solve_kernel(lambda z: z, q0=0.0, mu_c=1.0, m=16)
+    @pytest.mark.parametrize("m", [16, 31, 64.0, 64.5, "64"])
+    def test_grid_must_be_an_integer_above_the_floor(self, m):
+        with pytest.raises(ValueError, match=f"at least 32 intervals, got {m}$"):
+            solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=5.0, m=m)
+
+    def test_accepts_numpy_integer_grid(self):
+        k = solve_kernel(lambda z: z + 1.0, q0=3.0, mu_c=5.0, m=np.int64(64))
+        assert np.array_equal(k.packed, benchmark_kernel(64).packed)
+
+    @pytest.mark.parametrize("m", [32, 64, 200, 800])
+    @pytest.mark.parametrize(
+        "a, q0, mu_c",
+        [(lambda z: z + 1.0, 3.0, 5.0), (lambda z: np.sin(3.0 * z), -1.0, -900.0)],
+        ids=["benchmark", "sine"],
+    )
+    def test_packed_entries_equal_the_dense_writer(self, a, q0, mu_c, m):
+        dense = dense_kernel_table(a, q0, mu_c, m)
+        assert np.array_equal(np.isnan(dense), ~np.tri(m + 1, dtype=bool))
+        k = solve_kernel(a, q0, mu_c, m)
+        assert np.array_equal(k.packed.view(np.uint64), pack(dense).view(np.uint64))
+        ii, jj = np.tril_indices(m + 1)
+        assert np.array_equal(k.entries(ii, jj).view(np.uint64), dense[ii, jj].view(np.uint64))
 
     def test_march_out_of_float_range_raises_without_warnings(self):
         # h^2 max|mu_c + a| = 3.75 passes the grid guard, but the prefix
@@ -214,24 +242,45 @@ class TestSolveKernel:
 
 
 class TestTriangularKernel:
-    def test_off_triangle_reads_rejected(self):
+    @pytest.mark.parametrize("i, j", [(2, 5), (0, 1), (9, 0), (3, -1), (-1, 0)])
+    def test_off_triangle_reads_rejected(self, i, j):
         k = constant_kernel(1.0, 8)
-        assert np.isnan(k.values[2, 5])
+        with pytest.raises(IndexError, match="triangle"):
+            k.entries(i, j)
+
+    @pytest.mark.parametrize("j", [-1, 9])
+    def test_off_triangle_columns_rejected(self, j):
+        with pytest.raises(IndexError, match="column"):
+            constant_kernel(1.0, 8).column(j)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 33])
+    def test_column_diagonal_and_entries_read_the_packed_order(self, m):
+        table = np.random.default_rng(m).standard_normal((m + 1, m + 1))
+        k = TriangularKernel(pack(table))
+        assert k.m == m
+        for j in range(m + 1):
+            col = k.column(j)
+            assert np.array_equal(col, table[j:, j]) and col.flags.c_contiguous
+            assert not col.flags.writeable and np.shares_memory(col, k.packed)
+        assert np.array_equal(k.diagonal(), np.diagonal(table))
+        assert np.array_equal(unpack(k), np.tril(table))
 
     @pytest.mark.parametrize("i, j", [(3, 1), (0, 0), (8, 8), (8, 0)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_triangle_must_be_finite(self, i, j, bad):
-        above = np.triu_indices(9, 1)
         table = np.ones((9, 9))
-        table[above] = bad
-        assert np.isnan(TriangularKernel(table).values[above]).all()
+        table[np.triu_indices(9, 1)] = bad
+        TriangularKernel(pack(table))  # nothing above the diagonal is stored
         table[i, j] = bad
         with pytest.raises(ValueError, match="must be finite"):
-            TriangularKernel(table)
+            TriangularKernel(pack(table))
 
     @pytest.mark.parametrize(
         "shape, message",
-        [((0, 0), "at least 2 x 2"), ((1, 1), "at least 2 x 2"), ((2, 3), "square"), ((4,), "square")],
+        [
+            ((0,), "at least 2 x 2"), ((1,), "at least 2 x 2"), ((2,), "length 2 is not"),
+            ((4,), "length 4 is not"), ((3, 3), "one-dimensional"), ((), "one-dimensional"),
+        ],
     )
     def test_table_shape_checked(self, shape, message):
         with pytest.raises(ValueError, match=message):
@@ -239,39 +288,45 @@ class TestTriangularKernel:
 
     def test_owns_one_copy_of_the_table(self):
         m = 800
-        table = benchmark_kernel(m).values
-        peak = traced_peak(lambda: TriangularKernel(table))
-        assert peak < 1.25 * 8 * (m + 1) ** 2
+        packed = benchmark_kernel(m).packed
+        peak = traced_peak(lambda: TriangularKernel(packed))
+        assert peak < 1.25 * packed_bytes(m)
 
     def test_constructor_leaves_the_callers_table_alone(self):
-        table = np.ones((9, 9))
-        k = TriangularKernel(table)
-        assert table.flags.writeable and not k.values.flags.writeable
-        assert np.array_equal(table, np.ones((9, 9)))
-        assert not np.shares_memory(table, k.values)
+        packed = np.ones(45)
+        k = TriangularKernel(packed)
+        assert packed.flags.writeable and not k.packed.flags.writeable
+        assert np.array_equal(packed, np.ones(45))
+        assert not np.shares_memory(packed, k.packed)
 
     @pytest.mark.parametrize("m", [64, 800])
     def test_solve_kernel_hands_over_its_table(self, m):
-        v = benchmark_kernel(m).values
+        v = benchmark_kernel(m).packed
         assert not v.flags.writeable
-        assert np.array_equal(np.isnan(v), ~np.tri(m + 1, dtype=bool))
-        copied = TriangularKernel(v).values
-        assert np.array_equal(copied, v, equal_nan=True)
+        assert v.shape == ((m + 1) * (m + 2) // 2,)
+        copied = TriangularKernel(v).packed
+        assert np.array_equal(copied, v)
         assert not np.shares_memory(copied, v)
 
     @pytest.mark.parametrize(
-        "make", [lambda: benchmark_kernel(64), lambda: TriangularKernel(np.ones((9, 9)))],
+        "make", [lambda: benchmark_kernel(64), lambda: constant_kernel(1.0, 8)],
         ids=["solved", "constructed"],
     )
     def test_table_cannot_be_made_writeable(self, make):
         k = make()
         with pytest.raises(ValueError):
-            k.values.flags.writeable = True
+            k.packed.flags.writeable = True
 
     def test_solve_kernel_keeps_one_table(self):
         m = 800
         peak = traced_peak(lambda: benchmark_kernel(m))
-        assert peak < 1.25 * 8 * (m + 1) ** 2
+        assert peak <= 1.1 * packed_bytes(m)
+
+    def test_design_peaks_below_one_square_table(self):
+        # the whole design at m = 800 holds no (m + 1)^2 float table (5.13 MB)
+        scenario = load_scenario(files("coopreg").joinpath("scenarios/four_agent_leader.cfg"))
+        peak = traced_peak(lambda: run_synthesis(scenario, m=800))
+        assert peak < 3.2e6
 
 
 class TestInverseKernel:
@@ -282,13 +337,13 @@ class TestInverseKernel:
     def test_diagonal_carries_over(self):
         k = benchmark_kernel(100)
         ki = invert_kernel(k, np.eye(k.m + 1))
-        assert np.allclose(np.diagonal(ki), np.diagonal(k.values), atol=1e-14)
+        assert np.allclose(np.diagonal(ki), k.diagonal(), atol=1e-14)
 
     def test_satisfies_trapezoid_reciprocity(self):
         k = benchmark_kernel(200)
-        ki = TriangularKernel(invert_kernel(k, np.eye(k.m + 1)))
-        gap = np.abs(reciprocity_map(k, ki) - np.tril(ki.values)).max()
-        assert gap <= 1e-13 * np.abs(np.tril(ki.values)).max()
+        ki = TriangularKernel(pack(invert_kernel(k, np.eye(k.m + 1))))
+        gap = np.abs(reciprocity_map(k, ki) - unpack(ki)).max()
+        assert gap <= 1e-13 * np.abs(ki.packed).max()
 
     @pytest.mark.parametrize("width", [60, 70])
     def test_rows_of_another_grid_raise_grid_mismatch(self, width):
@@ -354,7 +409,7 @@ class TestInverseKernel:
     def test_composition_is_identity(self):
         m = 200
         k = benchmark_kernel(m)
-        ki = TriangularKernel(invert_kernel(k, np.eye(m + 1)))
+        ki = TriangularKernel(pack(invert_kernel(k, np.eye(m + 1))))
         rng = np.random.default_rng(7)
         bound = 10.0 / m**2
         profiles = np.stack([random_smooth_profile(rng, m, 6) for _ in range(10)])

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopreg.backstepping import solve_kernel
 from coopreg.cli import main, write_snapshot_csv
 from coopreg.errors import ParseError, SchemaError, ToolkitError
 from coopreg.expressions import Expression
-from coopreg.scenario import loads, serialize
+from coopreg.scenario import load_scenario, loads, serialize
 from coopreg.simulator import SimTrace, simulate
 from coopreg.synthesis import MODE_LEADER, write_gains_file
+
+from _support import unpack
 
 
 def _grammar_expressions():
@@ -604,6 +607,16 @@ class TestCli:
         lines = (out / "kernel.csv").read_text().splitlines()
         assert lines[0] == "i,j,z,zeta,value"
         assert len(lines) == 1 + 65 * 66 // 2
+        # rows run over (i, j <= i) row-major, each value the kernel entry to the bit
+        table = np.loadtxt(out / "kernel.csv", delimiter=",", skiprows=1)
+        i, j = np.tril_indices(65)
+        assert np.array_equal(table[:, 0], i) and np.array_equal(table[:, 1], j)
+        nodes = np.linspace(0.0, 1.0, 65)
+        assert np.array_equal(table[:, 2], nodes[i]) and np.array_equal(table[:, 3], nodes[j])
+        scenario = load_scenario(scenario_file)
+        plant = scenario.plant(64)
+        kernel = solve_kernel(plant.a, plant.q0, scenario.numerics.mu_c, 64)
+        assert np.array_equal(table[:, 4], unpack(kernel)[i, j])
 
     def test_leaderless_cli_round(self, tmp_path):
         from importlib.resources import files
