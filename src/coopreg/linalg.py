@@ -1,7 +1,8 @@
 """Linear algebra of the closed-loop step, on numpy alone.
 
 ``PartitionedSolve`` solves with a symmetric tridiagonal matrix by chunk
-inverses and an interface correction; ``positive_pivots`` decides its
+inverses and an interface correction, in place on a padded chunk layout that
+the closed-loop step keeps its state in; ``positive_pivots`` decides its
 definiteness in LAPACK ``dpttrf``'s order, ``largest_eigenvalue`` finds its
 lambda_max by Sturm-count bisection as LAPACK ``dstebz`` does, and ``expm``
 is a scaling-and-squaring Pade approximant.
@@ -87,12 +88,17 @@ class PartitionedSolve:
     exactly, and C^-1 U holds two columns per chunk.  A solve is one batched
     chunk product, a gather of the chunk ends, one small product with K and
     a rank-2 update per chunk: O(n s) for an (n,) or (n, k) right-hand side.
+
+    ``solver(k)`` runs that solve in place on k right-hand sides held in the
+    padded (p, s, k) chunk layout (``shape`` is (p, s)), zero in the padding
+    rows, which it keeps zero; ``solve`` pads, solves that way and slices.
     """
 
     def __init__(self, diag, off):
-        n = diag.size
+        self.n = n = diag.size
         s = chunk_rows(n)
         p = -(-n // s)
+        self.shape = (p, s)
         d = np.ones(p * s)
         d[:n] = diag
         e = np.zeros(p * s)     # e[j] couples rows j and j + 1
@@ -112,11 +118,31 @@ class PartitionedSolve:
         # M (I + Z M)^-1 = (I + M Z)^-1 M
         self._link = np.linalg.solve(np.eye(2 * p) + cut @ z.reshape(2 * p, 2 * p), cut)
 
+    def solver(self, k: int = 1):
+        """solve(rhs, out, work): out = B^-1 rhs for (p, s, k) arrays in the
+        padded layout, with ``work`` overwritten (it may be ``rhs``).  Its
+        small arrays are allocated here, so a solve allocates nothing; it
+        returns ``out``."""
+        p, s = self.shape
+        inv, ends, link = self._inv, self._ends, self._link
+        gathered, fix = np.empty((2, p, 2, k))
+        rows = np.array([0, s - 1])
+        flat_gathered, flat_fix = gathered.reshape(2 * p, k), fix.reshape(2 * p, k)
+
+        def solve(rhs, out, work):
+            np.matmul(inv, rhs, out=out)
+            np.take(out, rows, axis=1, out=gathered, mode="clip")
+            np.matmul(link, flat_gathered, out=flat_fix)
+            np.matmul(ends, fix, out=work)
+            return np.subtract(out, work, out=out)
+
+        return solve
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """B^-1 rhs for an (n,) or (n, k) ``rhs``."""
-        p, s = self._inv.shape[:2]
+        p, s = self.shape
         x = np.zeros((p * s, *rhs.shape[1:]))
-        x[: rhs.shape[0]] = rhs
-        x = self._inv @ x.reshape(p, s, -1)
-        x -= self._ends @ (self._link @ x[:, :: s - 1].reshape(2 * p, -1)).reshape(p, 2, -1)
-        return x.reshape(p * s, *rhs.shape[1:])[: rhs.shape[0]]
+        x[: self.n] = rhs
+        x = x.reshape(p, s, -1)
+        out = self.solver(x.shape[2])(x, np.empty_like(x), x)
+        return out.reshape(p * s, *rhs.shape[1:])[: self.n]

@@ -17,6 +17,12 @@ Diagonally scaled, the step's tridiagonal matrix is symmetric positive
 definite for every dt below 2 / lambda_max(L).  It is solved by chunk inverses
 and an interface correction, ``linalg.PartitionedSolve``, and the propagator
 is ``linalg.expm``, so simulation runs on numpy alone.
+
+The step keeps its state in the solve's padded chunk layout for a whole run
+and allocates nothing per step.  It hands its states over in blocks of at
+most ``BLOCK_BYTES`` (128 KiB, K + 1 padded states: K = 18 at m = 200 and 4
+at m = 800); the callers check, sample and snapshot a block at once, and the
+blow-up check still names the first step past the bound.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +37,10 @@ from .grid import GridFunction, trapezoid_weights
 from .linalg import PartitionedSolve, expm, largest_eigenvalue, positive_pivots
 from .signal_model import ExoModel
 from .synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
+
+# bytes of a run's block buffer, K stepped states and the one entering the block:
+# a larger block gains no speed and moves the process's peak resident memory
+BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -201,6 +211,12 @@ class ClosedLoopStep:
     with W = B^-1 D^-1 E, R the read of z through D G and F = diag(I, I +
     propagator), as w enters as w + w+; then y+ = D (2 y_h - D^-1 y).  A W
     or I - (dt/2) R W that is not finite raises NumericalBlowup.
+
+    ``run`` keeps D^-1 y in the solve's padded (p, s) chunk layout, where P
+    is formed too, with zero padding rows.  It steps K = ``block_steps``
+    states into one buffer of K + 1 padded rows, the state entering the
+    block first, at most ``BLOCK_BYTES``; each step is a fixed sequence of
+    numpy calls that write into arrays allocated once per run.
     """
 
     def __init__(self, bands, e, read_out, s_w, dt: float):
@@ -224,10 +240,10 @@ class ClosedLoopStep:
         if not positive_pivots(b_diag, b_off):
             raise _not_definite(diag, off, dt)
         # the solve with B / 2 returns 2 B^-1 y, so y+ needs no doubling
-        self._solve = PartitionedSolve(0.5 * b_diag, 0.5 * b_off).solve
+        self._solver = PartitionedSolve(0.5 * b_diag, 0.5 * b_off)
         self.read_out, self.propagator = read_out, expm(s_w * dt)
         self.read_hat = read_out * self.scale[: self.n_x, None]
-        w_hat = self._solve(e / (2.0 * self.scale[:, None]))
+        w_hat = self._solver.solve(e / (2.0 * self.scale[:, None]))
         coupled = np.eye(e.shape[1])
         read_w = self.read_hat.T @ w_hat[: self.n_x]
         coupled[:n_read] -= half * np.vstack([read_w, w_hat[self.n_x :]])
@@ -239,29 +255,66 @@ class ClosedLoopStep:
             mix = np.linalg.solve(coupled, half * fold)
         except np.linalg.LinAlgError as exc:
             raise SingularStep(f"Crank-Nicolson coupling matrix is singular: {exc}") from exc
-        # P column-major: P z per step is then a sum of contiguous columns
-        self.p = np.matmul(w_hat, mix, out=np.empty(w_hat.shape, order="F"))
+        # P in the padded rows of the solve, column-major: P z per step is then
+        # a sum of contiguous columns, zero in the padding
+        p, s = self._solver.shape
+        rows = p * s
+        self.p = np.zeros((rows, e.shape[1]), order="F")
+        np.matmul(w_hat, mix, out=self.p[: e.shape[0]])
+        self.block_steps = max(1, BLOCK_BYTES // (8 * rows) - 1)
 
     def read(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """z = [x G, v, w] from y = [x, vec v]."""
         return np.concatenate([y[: self.n_x] @ self.read_out, y[self.n_x :], w])
 
     def run(self, y: np.ndarray, w: np.ndarray, n_steps: int):
-        """Yield (k, y, w) after k = 0 .. n_steps steps from (y, w)."""
-        yield 0, y, w
-        y_hat = y / self.scale
-        for k in range(1, n_steps + 1):
-            twice = self._solve(y_hat)
-            read = twice[: self.n_x] @ self.read_hat
-            twice += self.p @ np.concatenate([read, twice[self.n_x :], w])
-            twice -= y_hat
-            y_hat, w = twice, self.propagator @ w
-            yield k, self.scale * y_hat, w
+        """Yield blocks (k0, ys, ws) of the n_steps steps from (y, w): y and w
+        after steps k0 + 1 .. k0 + len(ys), one row per step.  They are views
+        of the run's buffer, valid until the next block is stepped."""
+        n, n_read = self.scale.size, self.read_hat.shape[1]
+        count = min(self.block_steps, max(n_steps, 1))
+        states = np.zeros((count + 1, self.p.shape[0]))
+        scale = np.ones(self.p.shape[0])
+        scale[:n] = self.scale
+        chunked = states.reshape(count + 1, *self._solver.shape, 1)
+        ws = np.empty((count + 1, w.size))
+        z, pz = np.empty(self.p.shape[1]), np.empty(self.p.shape[0])
+        work = np.empty(chunked.shape[1:])
+        z_read, z_v, z_w = np.split(z, [n_read, n_read + n - self.n_x])
+        solve, p, read_hat, propagator = self._solver.solver(), self.p, self.read_hat, self.propagator
+        steps = [
+            (chunked[j], chunked[j + 1], states[j], states[j + 1],
+             states[j + 1, : self.n_x], states[j + 1, self.n_x : n], ws[j], ws[j + 1])
+            for j in range(count)
+        ]
+        np.divide(y, self.scale, out=states[0, :n])
+        ws[0] = w
+        for k0 in range(0, n_steps, count):
+            block = steps[: n_steps - k0]
+            for y_hat, twice, y_flat, twice_flat, x, v, w_now, w_next in block:
+                solve(y_hat, twice, work)
+                np.matmul(x, read_hat, out=z_read)
+                np.copyto(z_v, v)
+                np.copyto(z_w, w_now)
+                np.matmul(p, z, out=pz)
+                np.add(twice_flat, pz, out=twice_flat)     # the doubled midpoint 2 y_h
+                np.subtract(twice_flat, y_flat, out=twice_flat)
+                np.matmul(propagator, w_now, out=w_next)
+            k = len(block)
+            states[0], ws[0] = states[k], ws[k]
+            for row in states[1 : k + 1]:   # a row at a time: a broadcast buffers 64 KiB
+                np.multiply(row, scale, out=row)
+            yield k0, states[1 : k + 1, :n], ws[1 : k + 1]
 
 
-def _sample_row(k: int, n_steps: int, every: int):
-    """Trace row of step ``k``, or None: every ``every``-th step and the last are recorded."""
-    return -(-k // every) if k % every == 0 or k == n_steps else None
+def _sample_rows(k0: int, count: int, n_steps: int, every: int):
+    """(i, row) of the steps k0 + 1 + i of a block of ``count`` that the trace
+    records in ``row``: every ``every``-th step and the last."""
+    first = -(-(k0 + 1) // every) * every
+    rows = [(k - k0 - 1, k // every) for k in range(first, k0 + count + 1, every)]
+    if k0 + count == n_steps and n_steps % every:
+        rows.append((count - 1, n_steps // every + 1))
+    return rows
 
 
 @dataclass
@@ -273,23 +326,14 @@ class CascadeTrace:
     x_tilde: np.ndarray    # (n_s, N, m + 1)
 
 
-def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = False) -> SimTrace:
-    """Run the networked closed loop and record the requested signals.
-
-    ``scenario_objects`` bundles the resolved plant, agents, topology, signal
-    model, numerics and sampling (see ``Scenario.resolve``); gains that record
-    another mode than the scenario's, or whose internal models do not fit v0,
-    raise, and so do leader links in a leaderless scenario.  Without them
-    H = L, so one assembly serves both modes.
-    """
+def _closed_loop(scenario_objects, gains: RegulatorGains):
+    """The step of the networked closed loop, the map from its read-out z to
+    the sampled signals [y, u, r], and the initial (y, w)."""
     agents = scenario_objects.agents
     exo: ExoModel = scenario_objects.exo
     mode = scenario_objects.mode
     dt = scenario_objects.dt
     m = scenario_objects.m
-    n_steps = scenario_objects.n_steps
-    stride = scenario_objects.sample_every
-    blowup = scenario_objects.blowup_bound
 
     if gains.m != m:
         raise GridMismatch(f"gain grid {gains.m} vs scenario grid {m}")
@@ -367,37 +411,67 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
         for ag in agents
     ]
     y = np.concatenate([*x0, np.reshape(scenario_objects.v0, n_v)], dtype=float)
-    w = np.array(scenario_objects.w0, dtype=float)
+    return step, signals, y, np.array(scenario_objects.w0, dtype=float)
 
-    n_rows = _sample_row(n_steps, n_steps, stride) + 1
+
+def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = False) -> SimTrace:
+    """Run the networked closed loop and record the requested signals.
+
+    ``scenario_objects`` bundles the resolved plant, agents, topology, signal
+    model, numerics and sampling (see ``Scenario.resolve``); gains that record
+    another mode than the scenario's, or whose internal models do not fit v0,
+    raise, and so do leader links in a leaderless scenario.  Without them
+    H = L, so one assembly serves both modes.  Each block of steps is checked
+    against the blow-up bound at once; the first step past it raises.
+    """
+    step, signals, y, w = _closed_loop(scenario_objects, gains)
+    dt, m = scenario_objects.dt, scenario_objects.m
+    n_steps, stride = scenario_objects.n_steps, scenario_objects.sample_every
+    blowup = scenario_objects.blowup_bound
+    n, n_w = len(scenario_objects.agents), gains.n_w
+    n_x = n * (m + 1)
+
+    n_rows = -(-n_steps // stride) + 1
     times = np.empty(n_rows)
     sampled = np.empty((n_rows, 2 * n + 1))   # y, u, r
     v_tr = np.empty((n_rows, n, n_w)) if record_state else None
     x_tr = np.empty((n_rows, n, m + 1)) if record_state else None
     snapshots = {}
-    snap_steps = {int(round(t_s / dt)): t_s for t_s in scenario_objects.snapshot_times}
+    snap_steps = sorted({int(round(t_s / dt)): t_s for t_s in scenario_objects.snapshot_times}.items())
 
-    n_x = n * (m + 1)
-    peak_state, peak_time = np.abs(y).max(), 0.0
+    def record(k, row, y, w):
+        times[row] = k * dt
+        sampled[row] = signals @ step.read(y, w)
+        if record_state:
+            v_tr[row] = y[n_x:].reshape(n, n_w)
+            x_tr[row] = y[:n_x].reshape(n, m + 1)
+
+    def snap(k0, ys):
+        for k, t_s in snap_steps:
+            if k0 <= k < k0 + len(ys):
+                snapshots[t_s] = ys[k - k0, :n_x].reshape(n, m + 1).copy()
+
+    record(0, 0, y, w)
+    snap(0, y[None])
+    peak_state, peak_time = np.abs(y).max(), 0.0    # the initial state is not checked
     started = perf_counter()
-    for k, y, w in step.run(y, w, n_steps):
-        if k:   # the initial state is not checked
-            peak, t = np.abs(y).max(), (k - 1) * dt + dt
-            if not np.isfinite(peak) or peak > blowup:
+    # a block may step past a blow-up into overflow; those steps are never read
+    with np.errstate(all="ignore"):
+        for k0, ys, ws in step.run(y, w, n_steps):
+            peaks = np.abs(ys).max(axis=1)
+            failed = np.flatnonzero(~np.isfinite(peaks) | (peaks > blowup))
+            if failed.size:
+                first = int(failed[0])
+                peak, t = peaks[first], (k0 + first) * dt + dt
                 raise NumericalBlowup(
                     f"state norm {peak:.3e} exceeded {blowup:.1e} at t = {t:.6g}", time=t
                 )
-            if peak > peak_state:
-                peak_state, peak_time = peak, t
-        row = _sample_row(k, n_steps, stride)
-        if row is not None:
-            times[row] = k * dt
-            sampled[row] = signals @ step.read(y, w)
-            if record_state:
-                v_tr[row] = y[n_x:].reshape(n, n_w)
-                x_tr[row] = y[:n_x].reshape(n, m + 1)
-        if k in snap_steps:
-            snapshots[snap_steps[k]] = y[:n_x].reshape(n, m + 1).copy()
+            top = int(peaks.argmax())
+            if peaks[top] > peak_state:
+                peak_state, peak_time = peaks[top], (k0 + top) * dt + dt
+            for i, row in _sample_rows(k0, len(ys), n_steps, stride):
+                record(k0 + i + 1, row, ys[i], ws[i])
+            snap(k0 + 1, ys)
     elapsed = perf_counter() - started
 
     return SimTrace(
@@ -414,6 +488,22 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
             "peak_ratio": float(peak_state) / blowup,
             "peak_time": peak_time,
         },
+    )
+
+
+def _cascade_step(gains: RegulatorGains, coupling, q_tilde_at_1, n: int, m: int, dt: float):
+    """The step of the target cascade of n agents on m intervals."""
+    n_x, n_w = n * (m + 1), gains.n_w
+    bands, bc1_gain = _stencil(np.ones((n, m + 1)), np.full((n, m + 1), -gains.mu_c), 0.0, 0.0)
+    # the profiles enter nothing but their own step: an empty read-out and no w
+    boundary = np.kron(np.eye(n), gains.k_v)
+    forcing = np.zeros((n, m + 1, n * n_w))
+    forcing[:, m] += bc1_gain[:, None] * boundary
+    internal = np.kron(np.eye(n), gains.S)
+    internal -= np.kron(coupling @ boundary, np.reshape(q_tilde_at_1, (-1, 1)))
+    return ClosedLoopStep(
+        bands, np.vstack([forcing.reshape(n_x, -1), internal]), np.zeros((n_x, 0)),
+        np.zeros((0, 0)), dt,
     )
 
 
@@ -438,30 +528,23 @@ def simulate_target_cascade(
     n, n_w = np.shape(e_v0)
     m = np.shape(x_tilde0)[1] - 1
     n_x = n * (m + 1)
-
-    bands, bc1_gain = _stencil(np.ones((n, m + 1)), np.full((n, m + 1), -gains.mu_c), 0.0, 0.0)
-    # the profiles enter nothing but their own step: an empty read-out and no w
-    boundary = np.kron(np.eye(n), gains.k_v)
-    forcing = np.zeros((n, m + 1, n * n_w))
-    forcing[:, m] += bc1_gain[:, None] * boundary
-    internal = np.kron(np.eye(n), gains.S)
-    internal -= np.kron(coupling @ boundary, np.reshape(q_tilde_at_1, (-1, 1)))
-    step = ClosedLoopStep(
-        bands, np.vstack([forcing.reshape(n_x, -1), internal]), np.zeros((n_x, 0)),
-        np.zeros((0, 0)), dt,
-    )
+    step = _cascade_step(gains, coupling, q_tilde_at_1, n, m, dt)
     y = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)], dtype=float)
 
-    n_rows = _sample_row(n_steps, n_steps, sample_every) + 1
+    n_rows = -(-n_steps // sample_every) + 1
     times = np.empty(n_rows)
     e_trace = np.empty((n_rows, n, n_w))
     x_trace = np.empty((n_rows, n, m + 1))
-    for k, y, _ in step.run(y, np.zeros(0), n_steps):
-        row = _sample_row(k, n_steps, sample_every)
-        if row is not None:
-            times[row] = k * dt
-            e_trace[row] = y[n_x:].reshape(n, n_w)
-            x_trace[row] = y[:n_x].reshape(n, m + 1)
+
+    def record(k, row, y):
+        times[row] = k * dt
+        e_trace[row] = y[n_x:].reshape(n, n_w)
+        x_trace[row] = y[:n_x].reshape(n, m + 1)
+
+    record(0, 0, y)
+    for k0, ys, _ in step.run(y, np.zeros(0), n_steps):
+        for i, row in _sample_rows(k0, len(ys), n_steps, sample_every):
+            record(k0 + i + 1, row, ys[i])
     return CascadeTrace(times=times, e_v=e_trace, x_tilde=x_trace)
 
 

@@ -10,7 +10,16 @@ from coopreg.comm_graph import CommTopology, laplacian
 from coopreg.grid import GridFunction, cumulative_trapezoid, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
 from coopreg.signal_model import ExoModel
-from coopreg.simulator import AgentSpec, NominalPlant, simulate
+from coopreg.errors import NumericalBlowup
+from coopreg.simulator import (
+    AgentSpec,
+    CascadeTrace,
+    NominalPlant,
+    SimTrace,
+    _cascade_step,
+    _closed_loop,
+    simulate,
+)
 from coopreg.synthesis import MODE_LEADER, RegulatorGains
 
 
@@ -496,6 +505,88 @@ def dense_step_cascade(gains, coupling, q_tilde_at_1, e_v0, x_tilde0, dt, n_step
         generator, np.zeros((n_x + n * n_w, 0)), np.zeros((0, 0)), y0, np.zeros(0), dt, n_steps
     )
     return ys[:, n_x:].reshape(-1, n, n_w), ys[:, :n_x].reshape(-1, n, m + 1)
+
+
+def stepwise_run(step, y, w, n_steps: int):
+    """``ClosedLoopStep.run`` as it was before it stepped in blocks: (k, y, w)
+    after k = 0 .. n_steps steps, each step a solve of the unpadded state."""
+    n = y.size
+    solve, p = step._solver.solve, step.p[:n]
+    yield 0, y, w
+    y_hat = y / step.scale
+    for k in range(1, n_steps + 1):
+        twice = solve(y_hat)
+        read = twice[: step.n_x] @ step.read_hat
+        twice += p @ np.concatenate([read, twice[step.n_x :], w])
+        twice -= y_hat
+        y_hat, w = twice, step.propagator @ w
+        yield k, step.scale * y_hat, w
+
+
+def sample_row(k: int, n_steps: int, every: int):
+    """Trace row of step ``k``, or None: every ``every``-th step and the last are recorded."""
+    return -(-k // every) if k % every == 0 or k == n_steps else None
+
+
+def stepwise_simulate(resolved, gains, record_state: bool = False) -> SimTrace:
+    """``simulate`` as it was before it checked blocks of steps: each step is
+    checked, sampled and snapshot in turn, on ``stepwise_run``."""
+    step, signals, y, w = _closed_loop(resolved, gains)
+    dt, m, n_steps, stride = resolved.dt, resolved.m, resolved.n_steps, resolved.sample_every
+    blowup = resolved.blowup_bound
+    n, n_w = len(resolved.agents), gains.n_w
+    n_x = n * (m + 1)
+    n_rows = sample_row(n_steps, n_steps, stride) + 1
+    times = np.empty(n_rows)
+    sampled = np.empty((n_rows, 2 * n + 1))
+    v_tr = np.empty((n_rows, n, n_w)) if record_state else None
+    x_tr = np.empty((n_rows, n, m + 1)) if record_state else None
+    snapshots = {}
+    snap_steps = {int(round(t_s / dt)): t_s for t_s in resolved.snapshot_times}
+    peak_state, peak_time = np.abs(y).max(), 0.0
+    for k, y, w in stepwise_run(step, y, w, n_steps):
+        if k:
+            peak, t = np.abs(y).max(), (k - 1) * dt + dt
+            if not np.isfinite(peak) or peak > blowup:
+                raise NumericalBlowup(
+                    f"state norm {peak:.3e} exceeded {blowup:.1e} at t = {t:.6g}", time=t
+                )
+            if peak > peak_state:
+                peak_state, peak_time = peak, t
+        row = sample_row(k, n_steps, stride)
+        if row is not None:
+            times[row] = k * dt
+            sampled[row] = signals @ step.read(y, w)
+            if record_state:
+                v_tr[row] = y[n_x:].reshape(n, n_w)
+                x_tr[row] = y[:n_x].reshape(n, m + 1)
+        if k in snap_steps:
+            snapshots[snap_steps[k]] = y[:n_x].reshape(n, m + 1).copy()
+    return SimTrace(
+        times=times, reference=sampled[:, -1], outputs=sampled[:, :n],
+        inputs=sampled[:, n:-1], snapshots=snapshots, states_v=v_tr, states_x=x_tr,
+        metadata={"peak_state": float(peak_state), "peak_time": peak_time},
+    )
+
+
+def stepwise_cascade(gains, coupling, q_tilde_at_1, e_v0, x_tilde0, dt, n_steps, sample_every=1):
+    """``simulate_target_cascade`` as it was before blocks, on ``stepwise_run``."""
+    n, n_w = np.shape(e_v0)
+    m = np.shape(x_tilde0)[1] - 1
+    n_x = n * (m + 1)
+    step = _cascade_step(gains, coupling, q_tilde_at_1, n, m, dt)
+    y = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)], dtype=float)
+    n_rows = sample_row(n_steps, n_steps, sample_every) + 1
+    times = np.empty(n_rows)
+    e_trace = np.empty((n_rows, n, n_w))
+    x_trace = np.empty((n_rows, n, m + 1))
+    for k, y, _ in stepwise_run(step, y, np.zeros(0), n_steps):
+        row = sample_row(k, n_steps, sample_every)
+        if row is not None:
+            times[row] = k * dt
+            e_trace[row] = y[n_x:].reshape(n, n_w)
+            x_trace[row] = y[:n_x].reshape(n, m + 1)
+    return CascadeTrace(times=times, e_v=e_trace, x_tilde=x_trace)
 
 
 def bfs_is_connected(topology: CommTopology, with_root_zero: bool) -> bool:

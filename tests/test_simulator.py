@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from coopreg.linalg import PartitionedSolve, chunk_rows, expm as propagator, lar
 from coopreg.scenario import ResolvedScenario, loads
 from coopreg.signal_model import ExoModel, frequency_blocks
 from coopreg.simulator import (
+    BLOCK_BYTES,
     AgentSpec,
     ClosedLoopStep,
     NominalPlant,
@@ -25,6 +27,8 @@ from coopreg.simulator import (
     simulate,
     simulate_target_cascade,
     transform_state_trace,
+    _cascade_step,
+    _closed_loop,
 )
 from coopreg.synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
 
@@ -43,6 +47,8 @@ from _support import (
     silent_exo,
     silent_gains,
     silent_plant,
+    stepwise_cascade,
+    stepwise_simulate,
 )
 
 
@@ -111,6 +117,39 @@ def uncertain_resolved(scenario, m: int = 48, n_steps: int = 200, seed: int = 3)
     resolved = dataclasses.replace(
         resolved, plant=plant, agents=agents, sample_every=1, n_steps=n_steps,
         v0=tuple(map(tuple, rng.normal(size=(len(agents), 3)))),
+    )
+    return resolved, gains
+
+
+def unstable_resolved(scenario, m: int, reaction: float, amplitude: float, bound: float,
+                      n_steps: int):
+    """Uncoupled agents with reaction a + ``reaction``, started from random
+    profiles of size ``amplitude``, and zero gains: the state grows until it
+    passes ``bound``."""
+    rng = np.random.default_rng(4)
+    x0 = amplitude * np.stack([random_smooth_profile(rng, m) for _ in range(4)])
+    resolved = nominal_resolved(
+        scenario, m=m, dt=1e-3, n_steps=n_steps, x0=x0, v0=np.zeros((4, 3)),
+    )
+    agents = tuple(
+        AgentSpec(
+            delta_lambda=GridFunction.constant(0.0, m),
+            delta_a=GridFunction.constant(reaction, m),
+            g1=np.zeros((m + 1, 1)), g2=np.zeros(1), g3=np.zeros(1), g4=np.zeros(1),
+            initial_profile=GridFunction(x0[i]),
+        )
+        for i in range(4)
+    )
+    resolved = ResolvedScenario(
+        mode=resolved.mode, plant=resolved.plant, agents=agents,
+        topology=resolved.topology, exo=resolved.exo, dt=1e-3,
+        n_steps=n_steps, sample_every=5, snapshot_times=(),
+        blowup_bound=bound, v0=resolved.v0, w0=resolved.w0,
+    )
+    gains = RegulatorGains(
+        k_v=np.zeros(3), k_1=0.0, k_x=GridFunction.constant(0.0, m),
+        r_x=GridFunction.constant(0.0, m), b_y=np.ones(3),
+        S=resolved.exo.S, mu_c=5.0,
     )
     return resolved, gains
 
@@ -461,9 +500,10 @@ class TestClosedLoopStep:
             generator, e[:, n_read:], expm(s_w * dt), y0, w0, dt, n_steps
         )
         step = ClosedLoopStep(bands, e, read_out, s_w, dt)
-        run = list(step.run(y0, w0, n_steps))
-        assert_rel_close(np.array([y for _, y, _ in run]), ys)
-        assert_rel_close(np.array([w for _, _, w in run]), ws)
+        blocks = [(k0, ys.copy(), ws.copy()) for k0, ys, ws in step.run(y0, w0, n_steps)]
+        assert [k0 for k0, _, _ in blocks] == list(range(0, n_steps, step.block_steps))
+        assert_rel_close(np.vstack([y0, *(y for _, y, _ in blocks)]), ys)
+        assert_rel_close(np.vstack([w0, *(w for _, _, w in blocks)]), ws)
 
     def test_singular_step_names_largest_dt(self):
         stencil = graded_stencil(40, reaction=3000.0)
@@ -592,34 +632,9 @@ class TestSimulate:
         assert np.array_equal(t1.inputs, t2.inputs)
 
     def test_blowup_detected_with_time(self, leader_scenario):
-        m = 64
-        rng = np.random.default_rng(4)
-        x0 = np.stack([random_smooth_profile(rng, m) for _ in range(4)])
-        resolved = nominal_resolved(
-            leader_scenario, m=m, dt=1e-3, n_steps=500,
-            x0=x0, v0=np.zeros((4, 3)),
-        )
-        # rebuild with unstable reaction and a tiny blow-up bound
-        agents = tuple(
-            AgentSpec(
-                delta_lambda=GridFunction.constant(0.0, m),
-                delta_a=GridFunction.constant(40.0, m),
-                g1=np.zeros((m + 1, 1)), g2=np.zeros(1), g3=np.zeros(1), g4=np.zeros(1),
-                initial_profile=GridFunction(x0[i]),
-            )
-            for i in range(4)
-        )
-        resolved = ResolvedScenario(
-            mode=resolved.mode, plant=resolved.plant, agents=agents,
-            topology=resolved.topology, exo=resolved.exo, dt=1e-3,
-            n_steps=500, sample_every=5, snapshot_times=(),
-            blowup_bound=1e3, v0=resolved.v0, w0=resolved.w0,
-        )
-        gains = toy_gains(m, n_w=3)
-        gains = RegulatorGains(
-            k_v=np.zeros(3), k_1=0.0, k_x=GridFunction.constant(0.0, m),
-            r_x=GridFunction.constant(0.0, m), b_y=np.ones(3),
-            S=resolved.exo.S, mu_c=5.0,
+        # unstable reaction and a tiny blow-up bound
+        resolved, gains = unstable_resolved(
+            leader_scenario, m=64, reaction=40.0, amplitude=1.0, bound=1e3, n_steps=500
         )
         with pytest.raises(NumericalBlowup) as info:
             simulate(resolved, gains)
@@ -724,6 +739,131 @@ class TestSimulate:
         trace = simulate(resolved, leader_design.gains)
         assert 0.1 in trace.snapshots
         assert trace.snapshots[0.1].shape == (4, 201)
+
+
+# step counts around the block length K of a run
+BLOCK_EDGES = {
+    "one": lambda k: 1, "K-1": lambda k: k - 1, "K": lambda k: k, "K+1": lambda k: k + 1,
+    "2K+3": lambda k: 2 * k + 3,
+}
+
+
+def assert_same_trace(actual, expected):
+    """Bit-identical samples, states, snapshots (in order), peak and peak time."""
+    for name in ("times", "outputs", "inputs", "reference", "states_x", "states_v"):
+        assert np.array_equal(getattr(actual, name), getattr(expected, name)), name
+    assert list(actual.snapshots) == list(expected.snapshots)
+    for t, snap in expected.snapshots.items():
+        assert np.array_equal(actual.snapshots[t], snap)
+    for key in ("peak_state", "peak_time"):
+        assert actual.metadata[key] == expected.metadata[key], key
+
+
+def cascade_inputs(m: int = 48, n: int = 4):
+    rng = np.random.default_rng(17)
+    gains = RegulatorGains(
+        k_v=rng.normal(size=3), k_1=0.0,
+        k_x=GridFunction.constant(0.0, m), r_x=GridFunction.constant(0.0, m),
+        b_y=np.ones(3), S=np.array([[0.0, np.pi, 0.0], [-np.pi, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        mu_c=5.0,
+    )
+    x0 = np.stack([random_smooth_profile(rng, m) for _ in range(n)])
+    return gains, rng.normal(size=(n, n)), rng.normal(size=3), rng.normal(size=(n, 3)), x0
+
+
+class TestBlockStepping:
+    """``simulate`` and the cascade check, sample and snapshot blocks of steps
+    exactly as the per-step loop of ``_support.stepwise_simulate`` did."""
+
+    @pytest.mark.parametrize("every", ["one", "three", "K", "past_the_end"])
+    @pytest.mark.parametrize("steps", list(BLOCK_EDGES))
+    def test_simulate_matches_stepwise_loop(self, leader_scenario, steps, every):
+        k = _closed_loop(*uncertain_resolved(leader_scenario))[0].block_steps
+        n_steps = BLOCK_EDGES[steps](k)
+        stride = {"one": 1, "three": 3, "K": k, "past_the_end": n_steps + 1}[every]
+        resolved, gains = uncertain_resolved(leader_scenario, n_steps=n_steps)
+        # snapshots on the first and the last step of the first two blocks, and at the ends
+        snap_steps = (0, 1, k - 1, k, k + 1, 2 * k, 2 * k + 1, n_steps)
+        resolved = dataclasses.replace(
+            resolved, sample_every=stride,
+            snapshot_times=tuple(j * resolved.dt for j in snap_steps),
+        )
+        trace = simulate(resolved, gains, record_state=True)
+        assert_same_trace(trace, stepwise_simulate(resolved, gains, record_state=True))
+        assert trace.times.size == -(-n_steps // stride) + 1
+
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("steps", list(BLOCK_EDGES))
+    def test_cascade_matches_stepwise_loop(self, steps, every):
+        gains, coupling, q1, e_v0, x0 = cascade_inputs()
+        k = _cascade_step(gains, coupling, q1, len(e_v0), x0.shape[1] - 1, 1e-3).block_steps
+        args = (gains, coupling, q1, e_v0, x0, 1e-3, BLOCK_EDGES[steps](k), every)
+        cascade, expected = simulate_target_cascade(*args), stepwise_cascade(*args)
+        for name in ("times", "e_v", "x_tilde"):
+            assert np.array_equal(getattr(cascade, name), getattr(expected, name)), name
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("amplitude", "n_steps"), [(1e290, 60), (1e60, 174)],
+        ids=["mid_first_block", "last_partial_block"],
+    )
+    def test_blowup_inside_a_block(self, leader_scenario, amplitude, n_steps):
+        # about 40-fold growth a step: the bound is passed at a finite state, and
+        # the steps the block runs after it overflow to inf and nan
+        resolved, gains = unstable_resolved(
+            leader_scenario, m=48, reaction=1900.0, amplitude=amplitude, bound=1e300,
+            n_steps=n_steps,
+        )
+        with pytest.raises(NumericalBlowup) as expected:
+            stepwise_simulate(resolved, gains)
+        with pytest.raises(NumericalBlowup) as info:
+            simulate(resolved, gains)
+        assert str(info.value) == str(expected.value)
+        assert info.value.time == expected.value.time
+        # the failing step lies in the block the test names, which runs on into overflow
+        step, _, y, w = _closed_loop(resolved, gains)
+        k = step.block_steps
+        first = round(info.value.time / resolved.dt)
+        with np.errstate(all="ignore"):
+            blocks = {k0: ys.copy() for k0, ys, _ in step.run(y, w, n_steps)}
+        k0 = (first - 1) // k * k
+        assert (k0 == 0) if n_steps < k else (k0 == 2 * k and n_steps - k0 < k)
+        assert not np.isfinite(blocks[k0][first - k0 :]).all()
+
+    @pytest.mark.parametrize(("m", "k"), [(200, 18), (800, 4)])
+    def test_block_buffer_within_budget(self, leader_scenario, m, k):
+        resolved = leader_scenario.resolve(m=m, horizon=0.02)
+        step, _, y, w = _closed_loop(resolved, toy_gains(m, n_w=3))
+        rows = step.p.shape[0]
+        assert step.block_steps == k
+        assert (k + 1) * 8 * rows <= BLOCK_BYTES == 128 * 1024
+        assert [len(ys) for _, ys, _ in step.run(y, w, 2 * k + 1)] == [k, k, 1]
+
+    def test_simulate_memory_peak(self, leader_scenario, leader_design):
+        resolved = leader_scenario.resolve(m=200, horizon=2.0)
+        simulate(resolved, leader_design.gains)
+        tracemalloc.start()
+        try:
+            simulate(resolved, leader_design.gains)
+            whole = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            step, _, y, w = _closed_loop(resolved, leader_design.gains)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _, ys, _ in step.run(y, w, resolved.n_steps):
+                np.abs(ys).max(axis=1)
+            run = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # the peak is forming the step
+        assert whole <= 1.16e6 + 128 * 1024
+        # the assembled loop holds the chunk inverses, one P in padded rows and
+        # the two read-outs, and below 96 KiB besides
+        p, s = step._solver.shape
+        assert held <= 8 * p * s * s + step.p.nbytes + 2 * step.read_out.nbytes + 96 * 1024
+        # a run holds its block buffer and the magnitudes of one block, which
+        # numpy forms through its 64 KiB iterator buffer
+        assert run <= 3 * BLOCK_BYTES
 
 
 class TestTargetCascade:
