@@ -9,10 +9,8 @@ advances profiles and internal models together by one Crank-Nicolson step,
 second order in dt; the signal state advances by its exact matrix exponential.
 The loop reads three scalars per agent from the profiles: the output, by the
 row ``OutputOperator.row()`` of the agent's perturbed operator, k_x . x +
-k_1 x(1) and the lumped xi = int r_x x.  Both callers describe their loop
-in continuous time: ``simulate`` the true agents' stencil, wiring, networked
-feedback and signal matrix; the target cascade a heat equation with decay
-mu_c and no signal.  The step alone forms the matrices that depend on dt.
+k_1 x(1) and the lumped xi = int r_x x.  ``simulate`` describes the loop in
+continuous time, and the step alone forms the matrices that depend on dt.
 Diagonally scaled, the step's tridiagonal matrix is symmetric positive
 definite for every dt below 2 / lambda_max(L).  It is solved by chunk inverses
 and an interface correction, ``linalg.PartitionedSolve``, and the propagator
@@ -21,8 +19,9 @@ is ``linalg.expm``, so simulation runs on numpy alone.
 The step keeps its state in the solve's padded chunk layout for a whole run
 and allocates nothing per step.  It hands its states over in blocks of at
 most ``BLOCK_BYTES`` (128 KiB, K + 1 padded states: K = 18 at m = 200 and 4
-at m = 800); the callers check, sample and snapshot a block at once, and the
-blow-up check still names the first step past the bound.
+at m = 800); ``simulate`` checks, samples and snapshots a block at once, and
+the blow-up check still names the first step past the bound.  The target
+cascade has constant coefficients and is advanced apart, in cosine modes.
 """
 
 from dataclasses import dataclass, field
@@ -171,12 +170,12 @@ def _output_row(output: OutputOperator, agent: AgentSpec, m: int) -> np.ndarray:
     return perturbed.row()
 
 
-def _not_definite(diag, off, dt: float) -> ToolkitError:
-    """Why I - (dt/2) L has a pivot that is not positive, for the symmetric L
-    of diagonals ``diag`` and ``off``: dt against 2 / lambda_max(L), or overflow."""
+def _not_definite(diag, off, dt: float, top: float | None = None) -> ToolkitError:
+    """Why I - (dt/2) L has a pivot that is not positive, for the symmetric L of diagonals
+    ``diag``, ``off`` and largest eigenvalue ``top`` (else bisected): dt against 2 / top, or overflow."""
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         return NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
-    top = largest_eigenvalue(diag, off)
+    top = largest_eigenvalue(diag, off) if top is None else top
     if 0.5 * dt * top < 1.0:    # positive definite in exact arithmetic
         return SingularStep(
             f"Crank-Nicolson matrix lost definiteness to rounding at dt = {dt:g}: "
@@ -491,61 +490,67 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
     )
 
 
-def _cascade_step(gains: RegulatorGains, coupling, q_tilde_at_1, n: int, m: int, dt: float):
-    """The step of the target cascade of n agents on m intervals."""
-    n_x, n_w = n * (m + 1), gains.n_w
-    bands, bc1_gain = _stencil(np.ones((n, m + 1)), np.full((n, m + 1), -gains.mu_c), 0.0, 0.0)
-    # the profiles enter nothing but their own step: an empty read-out and no w
-    boundary = np.kron(np.eye(n), gains.k_v)
-    forcing = np.zeros((n, m + 1, n * n_w))
-    forcing[:, m] += bc1_gain[:, None] * boundary
-    internal = np.kron(np.eye(n), gains.S)
-    internal -= np.kron(coupling @ boundary, np.reshape(q_tilde_at_1, (-1, 1)))
-    return ClosedLoopStep(
-        bands, np.vstack([forcing.reshape(n_x, -1), internal]), np.zeros((n_x, 0)),
-        np.zeros((0, 0)), dt,
-    )
-
-
 def simulate_target_cascade(
-    gains: RegulatorGains,
-    coupling: np.ndarray,
-    q_tilde_at_1: np.ndarray,
-    e_v0: np.ndarray,
-    x_tilde0: np.ndarray,
-    dt: float,
-    n_steps: int,
-    sample_every: int = 1,
+    gains: RegulatorGains, coupling: np.ndarray, q_tilde_at_1: np.ndarray, e_v0: np.ndarray,
+    x_tilde0: np.ndarray, dt: float, n_steps: int, sample_every: int = 1,
 ) -> CascadeTrace:
     """Simulate the decoupled target dynamics directly.
 
     The agents become independent heat equations with decay mu_c, driven at
-    z = 1 by the internal-model deviations, whose block dynamics mirror the
-    closed-loop matrix.  The cascade is stepped by the same Crank-Nicolson
-    ``ClosedLoopStep`` as the full simulator, so both traces are comparable
-    at matching resolution.
+    z = 1 by k_v . e_v of their internal-model deviations, which evolve alone:
+    e_v' = A_e e_v, A_e = I (x) S - (coupling (I (x) k_v)) (x) q~(1).  The trace
+    is the Crank-Nicolson trajectory of the cascade on the ghost-node stencil,
+    advanced exactly in the cosine modes (the DCT-I of ``synthesis._neumann_bvp``)
+    that diagonalise the stencil: mode k has eigenvalue lambda_k = -(2m sin(k pi
+    / 2m))^2 - mu_c, step factor r_k and boundary gain g_k.  Over s steps e_v <-
+    Phi^s e_v and X <- r^s X + M_s e_v, with Phi the step of A_e and M_s = sum_i
+    r^(s-1-i) g (x) (I (x) k_v)(I + Phi) Phi^i; x~ is formed at sampled rows alone.
     """
-    n, n_w = np.shape(e_v0)
-    m = np.shape(x_tilde0)[1] - 1
-    n_x = n * (m + 1)
-    step = _cascade_step(gains, coupling, q_tilde_at_1, n, m, dt)
-    y = np.concatenate([np.ravel(x_tilde0), np.ravel(e_v0)], dtype=float)
+    n, n_w, m = len(np.atleast_1d(e_v0)), gains.n_w, max(np.shape(x_tilde0)[-1:] + (2,)) - 1
+    bad = [] if dt > 0 else [f"dt = {dt} must be positive"]
+    bad += [f"{key} = {value} must be an integer of at least 1" for key, value in
+            (("n_steps", n_steps), ("sample_every", sample_every))
+            if not (isinstance(value, (int, np.integer)) and value >= 1)]
+    bad += [f"{key} has shape {np.shape(value)}, not {shape}" for key, value, shape in (
+        ("coupling", coupling, (n, n)), ("q_tilde_at_1", q_tilde_at_1, (n_w,)),
+        ("e_v0", e_v0, (n, n_w)), ("x_tilde0", x_tilde0, (n, m + 1))) if np.shape(value) != shape]
+    if bad:
+        raise SchemaError(bad)
+    half, eye, boundary = 0.5 * dt, np.eye(n * n_w), np.kron(np.eye(n), gains.k_v)
+    with np.errstate(all="ignore"):     # an overflowing entry is rejected below
+        lam = -(2.0 * m * np.sin(np.arange(m + 1) * np.pi / (2 * m))) ** 2 - gains.mu_c
+        if not 1.0 - half * lam[0] > 0.0:     # lambda_0 = -mu_c is the largest
+            raise _not_definite(lam, np.zeros(m), dt, top=lam[0])
+        implicit = 1.0 - half * lam
+        r, g = (1.0 + half * lam) / implicit, dt * m * (-1.0) ** np.arange(m + 1) / implicit
+        a_e = np.kron(np.eye(n), gains.S) - np.kron(coupling @ boundary, np.reshape(q_tilde_at_1, (-1, 1)))
+        try:
+            phi = np.linalg.solve(eye - half * a_e, eye + half * a_e)
+        except np.linalg.LinAlgError as exc:
+            raise SingularStep(f"Crank-Nicolson coupling matrix is singular: {exc}") from exc
+        if not (np.isfinite(phi).all() and np.isfinite(r * g).all()):    # |r| <= 1
+            raise NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
 
-    n_rows = -(-n_steps // sample_every) + 1
-    times = np.empty(n_rows)
-    e_trace = np.empty((n_rows, n, n_w))
-    x_trace = np.empty((n_rows, n, m + 1))
-
-    def record(k, row, y):
-        times[row] = k * dt
-        e_trace[row] = y[n_x:].reshape(n, n_w)
-        x_trace[row] = y[:n_x].reshape(n, m + 1)
-
-    record(0, 0, y)
-    for k0, ys, _ in step.run(y, np.zeros(0), n_steps):
-        for i, row in _sample_rows(k0, len(ys), n_steps, sample_every):
-            record(k0 + i + 1, row, ys[i])
-    return CascadeTrace(times=times, e_v=e_trace, x_tilde=x_trace)
+    # the rows are every sample_every-th step and the last, so whole intervals of s
+    # steps: (Phi^s, r^s, M_s) for each s, M_s by Horner's rule as (n (m + 1), n n_w)
+    full, rest = divmod(n_steps, sample_every)
+    lengths = [sample_every] * full + ([rest] if rest else [])
+    power, m_s, maps, drive = eye, np.zeros((n, m + 1, n * n_w)), {}, boundary @ (eye + phi)
+    for s in range(1, max(lengths) + 1):
+        m_s = r[:, None] * m_s + g[:, None] * (drive @ power)[:, None]
+        power = phi @ power
+        if s in (sample_every, rest):
+            maps[s] = power, r**s, m_s.reshape(n * (m + 1), -1)
+    e_trace, x_trace = np.empty((len(lengths) + 1, n, n_w)), np.empty((len(lengths) + 1, n, m + 1))
+    e_trace[0], x_trace[0] = e_v0, x_tilde0
+    e, x = e_trace[0].ravel(), np.fft.rfft(np.concatenate([x_trace[0], x_trace[0, :, -2:0:-1]], 1)).real
+    for row, (phi_s, r_s, m_s) in enumerate((maps[s] for s in lengths), 1):
+        x, e = r_s * x + (m_s @ e).reshape(n, m + 1), phi_s @ e
+        e_trace[row], x_trace[row] = e.reshape(n, n_w), x
+    chunk = max(1, BLOCK_BYTES // (2 * x_trace[0].nbytes))  # irfft's input and output: 2x the rows
+    for first in range(1, len(x_trace), chunk):
+        x_trace[first : first + chunk] = np.fft.irfft(x_trace[first : first + chunk], 2 * m)[..., : m + 1]
+    return CascadeTrace(times=np.cumsum([0, *lengths]) * dt, e_v=e_trace, x_tilde=x_trace)
 
 
 def transform_state_trace(
@@ -597,17 +602,12 @@ def error_metrics(trace: SimTrace, mode: str) -> ErrorMetrics:
     if peak == 0.0:
         return ErrorMetrics(0.0, 0.0, 0.0, tail_sync)
 
-    threshold = 0.05 * peak
-    suffix_max = np.maximum.accumulate(err[::-1])[::-1]
-    below = np.nonzero(suffix_max <= threshold)[0]
+    envelope = np.maximum.accumulate(err[::-1])[::-1]     # the suffix max
+    below = np.nonzero(envelope <= 0.05 * peak)[0]
     settling = float(times[below[0]]) if below.size else float(times[-1])
 
-    envelope = suffix_max
-    floor = max(envelope[-1], 1e-300)
-    sel = envelope > 3.0 * floor
-    if np.count_nonzero(sel) >= 3:
-        slope = np.polyfit(times[sel], np.log(envelope[sel]), 1)[0]
-        rate = -float(slope)
-    else:
-        rate = 0.0
-    return ErrorMetrics(settling, tail, rate, tail_sync)
+    sel = envelope > 3.0 * max(envelope[-1], 1e-300)      # above the terminal floor
+    if np.count_nonzero(sel) < 3:
+        return ErrorMetrics(settling, tail, 0.0, tail_sync)
+    slope = np.polyfit(times[sel], np.log(envelope[sel]), 1)[0]
+    return ErrorMetrics(settling, tail, -float(slope), tail_sync)

@@ -14,10 +14,11 @@ from coopreg.errors import NumericalBlowup
 from coopreg.simulator import (
     AgentSpec,
     CascadeTrace,
+    ClosedLoopStep,
     NominalPlant,
     SimTrace,
-    _cascade_step,
     _closed_loop,
+    _stencil,
     simulate,
 )
 from coopreg.synthesis import MODE_LEADER, RegulatorGains
@@ -569,8 +570,26 @@ def stepwise_simulate(resolved, gains, record_state: bool = False) -> SimTrace:
     )
 
 
+def _cascade_step(gains: RegulatorGains, coupling, q_tilde_at_1, n: int, m: int, dt: float):
+    """The step of the target cascade of n agents on m intervals, as
+    ``simulate_target_cascade`` built it before it stepped in cosine modes."""
+    n_x, n_w = n * (m + 1), gains.n_w
+    bands, bc1_gain = _stencil(np.ones((n, m + 1)), np.full((n, m + 1), -gains.mu_c), 0.0, 0.0)
+    # the profiles enter nothing but their own step: an empty read-out and no w
+    boundary = np.kron(np.eye(n), gains.k_v)
+    forcing = np.zeros((n, m + 1, n * n_w))
+    forcing[:, m] += bc1_gain[:, None] * boundary
+    internal = np.kron(np.eye(n), gains.S)
+    internal -= np.kron(coupling @ boundary, np.reshape(q_tilde_at_1, (-1, 1)))
+    return ClosedLoopStep(
+        bands, np.vstack([forcing.reshape(n_x, -1), internal]), np.zeros((n_x, 0)),
+        np.zeros((0, 0)), dt,
+    )
+
+
 def stepwise_cascade(gains, coupling, q_tilde_at_1, e_v0, x_tilde0, dt, n_steps, sample_every=1):
-    """``simulate_target_cascade`` as it was before blocks, on ``stepwise_run``."""
+    """The target cascade stepped by ``ClosedLoopStep`` one step at a time, on
+    ``stepwise_run``: the oracle of the cosine-mode ``simulate_target_cascade``."""
     n, n_w = np.shape(e_v0)
     m = np.shape(x_tilde0)[1] - 1
     n_x = n * (m + 1)

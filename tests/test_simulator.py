@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
+from coopreg import simulator
 from coopreg.backstepping import OutputOperator
 from coopreg.comm_graph import CommTopology
 from coopreg.errors import GridMismatch, NumericalBlowup, SchemaError, SingularStep
@@ -27,7 +28,6 @@ from coopreg.simulator import (
     simulate,
     simulate_target_cascade,
     transform_state_trace,
-    _cascade_step,
     _closed_loop,
 )
 from coopreg.synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
@@ -772,8 +772,8 @@ def cascade_inputs(m: int = 48, n: int = 4):
 
 
 class TestBlockStepping:
-    """``simulate`` and the cascade check, sample and snapshot blocks of steps
-    exactly as the per-step loop of ``_support.stepwise_simulate`` did."""
+    """``simulate`` checks, samples and snapshots blocks of steps exactly as
+    the per-step loop of ``_support.stepwise_simulate`` did."""
 
     @pytest.mark.parametrize("every", ["one", "three", "K", "past_the_end"])
     @pytest.mark.parametrize("steps", list(BLOCK_EDGES))
@@ -791,16 +791,6 @@ class TestBlockStepping:
         trace = simulate(resolved, gains, record_state=True)
         assert_same_trace(trace, stepwise_simulate(resolved, gains, record_state=True))
         assert trace.times.size == -(-n_steps // stride) + 1
-
-    @pytest.mark.parametrize("every", [1, 3])
-    @pytest.mark.parametrize("steps", list(BLOCK_EDGES))
-    def test_cascade_matches_stepwise_loop(self, steps, every):
-        gains, coupling, q1, e_v0, x0 = cascade_inputs()
-        k = _cascade_step(gains, coupling, q1, len(e_v0), x0.shape[1] - 1, 1e-3).block_steps
-        args = (gains, coupling, q1, e_v0, x0, 1e-3, BLOCK_EDGES[steps](k), every)
-        cascade, expected = simulate_target_cascade(*args), stepwise_cascade(*args)
-        for name in ("times", "e_v", "x_tilde"):
-            assert np.array_equal(getattr(cascade, name), getattr(expected, name)), name
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -867,6 +857,102 @@ class TestBlockStepping:
 
 
 class TestTargetCascade:
+    @pytest.mark.parametrize("every", ["one", "three", "five", "past_the_end"])
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 2000])
+    def test_cascade_matches_stepwise_loop(self, n_steps, every):
+        # the cosine-mode cascade against the ClosedLoopStep one it replaced;
+        # a stride that does not divide n_steps ends on a shorter interval
+        gains, coupling, q1, e_v0, x0 = cascade_inputs()
+        stride = {"one": 1, "three": 3, "five": 5, "past_the_end": n_steps + 1}[every]
+        args = (gains, coupling, q1, e_v0, x0, 1e-3, n_steps, stride)
+        cascade, expected = simulate_target_cascade(*args), stepwise_cascade(*args)
+        assert np.array_equal(cascade.times, expected.times)
+        assert cascade.times.size == -(-n_steps // stride) + 1
+        for name in ("e_v", "x_tilde"):
+            actual, oracle = getattr(cascade, name), getattr(expected, name)
+            assert np.array_equal(actual[0], oracle[0]), name
+            assert_rel_close(actual, oracle)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("probe", "violations"),
+        [
+            ({"sample_every": 0}, ["sample_every = 0 must be an integer of at least 1"]),
+            ({"sample_every": -1}, ["sample_every = -1 must be an integer of at least 1"]),
+            ({"n_steps": -3}, ["n_steps = -3 must be an integer of at least 1"]),
+            ({"n_steps": 2.5}, ["n_steps = 2.5 must be an integer of at least 1"]),
+            ({"n_steps": 0}, ["n_steps = 0 must be an integer of at least 1"]),
+            ({"dt": 0.0}, ["dt = 0.0 must be positive"]),
+            ({"dt": -1e-3}, ["dt = -0.001 must be positive"]),
+            ({"dt": float("nan")}, ["dt = nan must be positive"]),
+            ({"coupling": np.eye(3)}, ["coupling has shape (3, 3), not (4, 4)"]),
+            ({"q_tilde_at_1": np.ones(2)}, ["q_tilde_at_1 has shape (2,), not (3,)"]),
+            ({"e_v0": np.ones((4, 2))}, ["e_v0 has shape (4, 2), not (4, 3)"]),
+            ({"x_tilde0": np.ones((3, 17))}, ["x_tilde0 has shape (3, 17), not (4, 17)"]),
+            (
+                {"dt": 0.0, "sample_every": 0, "e_v0": np.ones(4)},
+                [
+                    "dt = 0.0 must be positive",
+                    "sample_every = 0 must be an integer of at least 1",
+                    "e_v0 has shape (4,), not (4, 3)",
+                ],
+            ),
+        ],
+        ids=[
+            "sample_every_0", "sample_every_-1", "n_steps_-3", "n_steps_2.5", "n_steps_0",
+            "dt_0", "dt_-1e-3", "dt_nan", "coupling_3x3", "q_tilde_2", "e_v0_2_columns",
+            "x_tilde0_3_rows", "three_at_once",
+        ],
+    )
+    def test_rejects_bad_inputs(self, probe, violations):
+        gains, coupling, q1, e_v0, x0 = cascade_inputs(m=16)
+        args = {
+            "coupling": coupling, "q_tilde_at_1": q1, "e_v0": e_v0, "x_tilde0": x0,
+            "dt": 1e-3, "n_steps": 10, "sample_every": 1,
+        }
+        with pytest.raises(SchemaError) as info:
+            simulate_target_cascade(gains, **{**args, **probe})
+        assert info.value.violations == violations
+
+    def test_singular_step_names_largest_dt(self):
+        # with mu_c = -50 the mean mode grows at rate 50: dt = 0.1 is past 2 / 50
+        gains, coupling, q1, e_v0, x0 = cascade_inputs(m=16)
+        args = (dataclasses.replace(gains, mu_c=-50.0), coupling, q1, e_v0, x0, 0.1, 10)
+        with pytest.raises(SingularStep) as expected:
+            stepwise_cascade(*args)
+        with pytest.raises(SingularStep) as info:
+            simulate_target_cascade(*args)
+        assert str(info.value) == str(expected.value)
+        assert str(info.value).endswith("must stay below 2 / lambda_max(L) = 0.04")
+
+    def test_builds_no_closed_loop_step(self, monkeypatch):
+        # the cascade checks the closed loop, so it must not share its step
+        def refuse(*args, **kwargs):
+            raise AssertionError("the target cascade built the closed loop's step")
+
+        monkeypatch.setattr(simulator, "ClosedLoopStep", refuse)
+        monkeypatch.setattr(simulator, "PartitionedSolve", refuse)
+        gains, coupling, q1, e_v0, x0 = cascade_inputs()
+        simulate_target_cascade(gains, coupling, q1, e_v0, x0, 1e-3, 20, 3)
+
+    def test_cascade_memory_peak(self, leader_design):
+        rng = np.random.default_rng(5)
+        x0 = np.stack([random_smooth_profile(rng, 200) for _ in range(4)])
+        args = (
+            leader_design.gains, leader_design.graph.leader_follower,
+            leader_design.decoupling.q_tilde_at_1, rng.normal(size=(4, 3)), x0, 1e-3, 2000, 5,
+        )
+        simulate_target_cascade(*args)
+        tracemalloc.start()
+        try:
+            cascade = simulate_target_cascade(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 401-row trace is 2.62 MB; the ClosedLoopStep cascade peaked at 3.14 MB
+        assert cascade.e_v.nbytes + cascade.x_tilde.nbytes == 401 * 4 * (3 + 201) * 8
+        assert peak <= 3.14e6
+
     def test_zero_initial_state_stays_zero(self, leader_design):
         gains = leader_design.gains
         cascade = simulate_target_cascade(
