@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit, and the one reader of input text."""
+"""Exception types and range checks shared across the toolkit, and the one reader of input text."""
+
+from numbers import Integral
 
 
 class ToolkitError(Exception):
@@ -67,6 +69,14 @@ class SchemaError(ToolkitError):
             "scenario schema violations:\n  - " + "\n  - ".join(violations)
         )
         self.violations = violations
+
+
+def violations(positive=(), counts=()) -> list:
+    """The violations among (key, value) pairs: a value of ``positive`` that is
+    not above 0 (NaN included), a count that is not an integer of at least 1."""
+    bad = [f"{key} = {value} must be positive" for key, value in positive if not value > 0]
+    return bad + [f"{key} = {value} must be an integer of at least 1" for key, value in counts
+                  if not (isinstance(value, Integral) and value >= 1)]
 
 
 def read_text(path, encoding: str) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .backstepping import MIN_GRID_POINTS, OutputOperator
 from .comm_graph import CommTopology
-from .errors import ParseError, SchemaError, read_text
+from .errors import ParseError, SchemaError, read_text, violations
 from .expressions import Expression
 from .grid import GridFunction, uniform_nodes
 from .signal_model import ExoModel, build_signal_model
@@ -179,12 +179,6 @@ class Scenario:
                 f"horizon = {horizon} is not a whole number of steps of dt = {dt} "
                 f"(horizon / dt = {steps:.10g})"
             ])
-        n_steps = round(steps)
-        off_grid = [t for t in self.outputs.snapshot_times
-                    if not 0 <= t <= horizon or abs(t / dt - round(t / dt)) > 1e-9 * (t / dt)]
-        if off_grid:
-            raise SchemaError([f"[outputs] snapshot_times {off_grid} must be whole numbers "
-                               f"of steps dt = {dt} in [0, horizon = {horizon}]"])
         return ResolvedScenario(
             mode=self.mode,
             plant=self.plant(m),
@@ -192,7 +186,7 @@ class Scenario:
             topology=self.topology(),
             exo=self.exo_model(),
             dt=dt,
-            n_steps=n_steps,
+            n_steps=round(steps),
             sample_every=self.outputs.sample_every,
             snapshot_times=self.outputs.snapshot_times,
             blowup_bound=self.numerics.blowup,
@@ -230,6 +224,28 @@ class ResolvedScenario:
     blowup_bound: float
     v0: tuple
     w0: tuple
+
+    def __post_init__(self):
+        """Reject what ``simulate`` cannot step: one SchemaError names every violation."""
+        dt, n_w = self.dt, self.exo.n_w
+        bad = violations([("dt", dt), ("blowup_bound", self.blowup_bound)],
+                         [("n_steps", self.n_steps), ("sample_every", self.sample_every)])
+        if len(self.w0) != n_w:
+            bad.append(f"w0 has {len(self.w0)} entries but needs {n_w}, one per signal state")
+        elif not np.isfinite(self.w0).all():
+            bad.append(f"w0 = {_write_vector(self.w0)} must be finite")
+        if len(self.v0) != len(self.agents):
+            bad.append(f"v0 has {len(self.v0)} rows but needs {len(self.agents)}, one per agent")
+        elif not all(np.isfinite(row).all() for row in self.v0):
+            bad.append(f"v0 = {' ; '.join(map(_write_vector, self.v0))} must be finite")
+        if bad:
+            raise SchemaError(bad)
+        horizon = self.n_steps * dt
+        off_grid = [t for t in self.snapshot_times
+                    if not 0 <= t <= horizon or abs(t / dt - round(t / dt)) > 1e-9 * (t / dt)]
+        if off_grid:
+            raise SchemaError([f"[outputs] snapshot_times {off_grid} must be whole numbers "
+                               f"of steps dt = {dt} in [0, horizon = {horizon:.10g}]"])
 
     @property
     def m(self) -> int:

@@ -11,17 +11,20 @@ The loop reads three scalars per agent from the profiles: the output, by the
 row ``OutputOperator.row()`` of the agent's perturbed operator, k_x . x +
 k_1 x(1) and the lumped xi = int r_x x.  ``simulate`` describes the loop in
 continuous time, and the step alone forms the matrices that depend on dt.
-Diagonally scaled, the step's tridiagonal matrix is symmetric positive
-definite for every dt below 2 / lambda_max(L).  It is solved by chunk inverses
-and an interface correction, ``linalg.PartitionedSolve``, and the propagator
-is ``linalg.expm``, so simulation runs on numpy alone.
+The step's tridiagonal matrix is similar, by a diagonal scaling, to one that
+is symmetric positive definite for every dt below 2 / lambda_max(L).  It is
+solved unscaled by chunk inverses and an interface correction,
+``linalg.PartitionedSolve``, and the propagator is ``linalg.expm``, so
+simulation runs on numpy alone.
 
-The step keeps its state in the solve's padded chunk layout for a whole run
-and allocates nothing per step.  It hands its states over in blocks of at
-most ``BLOCK_BYTES`` (128 KiB, K + 1 padded states: K = 18 at m = 200 and 4
-at m = 800); ``simulate`` checks, samples and snapshots a block at once, and
-the blow-up check still names the first step past the bound.  The target
-cascade has constant coefficients and is advanced apart, in cosine modes.
+The step keeps each state as one row of the solve's padded chunk layout for
+a whole run, the read-out and the signal state in identity rows after the
+profiles and internal models, so a step is nine numpy calls that allocate
+nothing.  It hands its states over in blocks of at most ``BLOCK_BYTES`` (128
+KiB, K + 1 padded states: K = 18 at m = 200 and 4 at m = 800); ``simulate``
+checks, samples and snapshots a block at once, and the blow-up check still
+names the first step past the bound.  The target cascade has constant
+coefficients and is advanced apart, in cosine modes.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +34,8 @@ import numpy as np
 
 from .backstepping import OutputOperator, TriangularKernel
 from .comm_graph import laplacian
-from .errors import GridMismatch, NumericalBlowup, SchemaError, SingularStep, ToolkitError
+from .errors import (GridMismatch, NumericalBlowup, SchemaError, SingularStep, ToolkitError,
+                     violations)
 from .grid import GridFunction, trapezoid_weights
 from .linalg import PartitionedSolve, expm, largest_eigenvalue, positive_pivots
 from .signal_model import ExoModel
@@ -199,67 +203,71 @@ class ClosedLoopStep:
     midpoint (w + w+)/2.
 
     The off-diagonal pairs L[j, j-1], L[j-1, j] are positive inside an agent
-    (parabolicity) and zero between agents.  So with D diagonal, d_j / d_j-1
-    = sqrt(L[j, j-1] / L[j-1, j]) inside an agent and 1 elsewhere, D^-1 A D
-    is a symmetric tridiagonal B for A = I - (dt/2) L (identity rows for v).
-    B is positive definite exactly when dt < 2 / lambda_max(L); its LDL^T
-    pivots decide, and SingularStep names that limit otherwise.  B / 2 is
-    then inverted once as a ``PartitionedSolve``.  The step runs on D^-1 y,
-    where the doubled midpoint is a rank-k update of u = 2 B^-1 D^-1 y (one
-    solve): 2 y_h = u + P [u read, w], P = (dt/2) W (I - (dt/2) R W)^-1 F
-    with W = B^-1 D^-1 E, R the read of z through D G and F = diag(I, I +
-    propagator), as w enters as w + w+; then y+ = D (2 y_h - D^-1 y).  A W
+    (parabolicity) and zero between agents, so A = I - (dt/2) L (identity
+    rows for v) is similar, by a diagonal scaling, to a symmetric tridiagonal
+    B.  B is positive definite exactly when dt < 2 / lambda_max(L); its LDL^T
+    pivots decide, and SingularStep names that limit otherwise.  A / 2 is then
+    inverted once as a ``PartitionedSolve``.  The doubled midpoint is a rank-k
+    update of u = 2 A^-1 y (one solve): 2 y_h = u + P [u read, w], P = (dt/2)
+    W (I - (dt/2) R W)^-1 F with W = A^-1 E, R the read of z and F = diag(I,
+    I + propagator), as w enters as w + w+; then y+ = 2 y_h - y.  A W, R~ (below)
     or I - (dt/2) R W that is not finite raises NumericalBlowup.
 
-    ``run`` keeps D^-1 y in the solve's padded (p, s) chunk layout, where P
-    is formed too, with zero padding rows.  It steps K = ``block_steps``
-    states into one buffer of K + 1 padded rows, the state entering the
-    block first, at most ``BLOCK_BYTES``; each step is a fixed sequence of
-    numpy calls that write into arrays allocated once per run.
+    ``run`` keeps each state as a row [x, v, r, w] of the solve's padded (p, s)
+    chunk layout, r one slot per read scalar.  Every row past x is an identity
+    row of A, so the solve returns it doubled.  Before the solve, r takes the
+    read of u, R~^T x with R~ = 2 A^-T G; after it, one product with P' (P on
+    the rows of x and v, its columns in the row order [v, r, w] with those of r
+    and w halved; (propagator - I) / 2 on the rows of w; zero elsewhere), an
+    addition and a subtraction of the entering row leave [x+, v+, the read,
+    propagator w].  It steps K = ``block_steps`` states into one buffer of
+    K + 1 rows, the state entering the block first, at most ``BLOCK_BYTES``;
+    each step is nine numpy calls that write into arrays allocated once per run.
     """
 
     def __init__(self, bands, e, read_out, s_w, dt: float):
         lower, diag, upper = bands
         if ((lower > 0) != (upper > 0)).any() or (np.minimum(lower, upper) < 0).any():
             raise ValueError("L[j, j-1] and L[j-1, j] must be both positive or both zero")
-        self.n_x = diag.size
-        n_v = e.shape[0] - self.n_x
-        n_read = read_out.shape[1] + n_v
+        self.n_x = n_x = diag.size
+        (n, n_z), n_r, n_w = e.shape, read_out.shape[1], s_w.shape[0]
+        n_v = n - n_x
         half = 0.5 * dt
-        # d_j / d_j-1 from two roots, never sqrt(lower * upper), which overflows for
-        # a stiff agent; the symmetric off-diagonal lower / ratio = sqrt(lower upper)
-        # is then exactly lower wherever the ratio is 1
+        # B's off-diagonal sqrt(lower upper) as lower / sqrt(lower / upper), from two
+        # roots: never the root of lower * upper, which overflows for a stiff agent,
+        # and exactly lower wherever the two are equal
         ratio = np.divide(np.sqrt(lower), np.sqrt(upper), out=np.ones_like(lower), where=lower > 0)
         off = lower / ratio
-        # d restarts at 1 in each agent, so stiff agents in a row cannot overflow it
-        pieces = np.split(np.append(1.0, ratio), np.flatnonzero(lower == 0) + 1)
-        self.scale = np.concatenate([*map(np.cumprod, pieces), np.ones(n_v)])
-        b_diag = 1.0 - half * np.append(diag, np.zeros(n_v))
-        b_off = -half * np.append(off, np.zeros(n_v))
-        if not positive_pivots(b_diag, b_off):
+        if not positive_pivots(1.0 - half * diag, -half * off):
             raise _not_definite(diag, off, dt)
-        # the solve with B / 2 returns 2 B^-1 y, so y+ needs no doubling
-        self._solver = PartitionedSolve(0.5 * b_diag, 0.5 * b_off)
-        self.read_out, self.propagator = read_out, expm(s_w * dt)
-        self.read_hat = read_out * self.scale[: self.n_x, None]
-        w_hat = self._solver.solve(e / (2.0 * self.scale[:, None]))
-        coupled = np.eye(e.shape[1])
-        read_w = self.read_hat.T @ w_hat[: self.n_x]
-        coupled[:n_read] -= half * np.vstack([read_w, w_hat[self.n_x :]])
-        if not (np.isfinite(w_hat).all() and np.isfinite(coupled).all()):
+        # the solve with A / 2 returns 2 A^-1 y on the rows [x, v, r, w], so y+ needs no doubling
+        self._solver = PartitionedSolve(
+            np.append(0.5 * (1.0 - half * diag), np.full(n_z, 0.5)),
+            -0.5 * half * lower, -0.5 * half * upper,
+        )
+        self.read_out, propagator = read_out, expm(s_w * dt)
+        self.read_u = np.ascontiguousarray(self._solver.solve(read_out, transpose=True)[:n_x].T)
+        twice_w = self._solver.solve(e)     # 2 W, zero past the rows of y
+        coupled = np.eye(n_z)
+        coupled[: n_r + n_v] -= 0.5 * half * np.vstack([read_out.T @ twice_w[:n_x], twice_w[n_x:n]])
+        if not all(np.isfinite(a).all() for a in (twice_w, self.read_u, coupled)):
             raise NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
-        fold = np.eye(e.shape[1])
-        fold[n_read:, n_read:] += self.propagator
+        # F with its columns in the row order [v, r, w], those of r and w halved
+        fold = np.eye(n_z)
+        fold[n_r + n_v :, n_r + n_v :] += propagator
+        order = np.r_[n_r : n_r + n_v, :n_r, n_r + n_v : n_z]
+        fold = fold[:, order] * np.repeat([0.5 * half, 0.25 * half], [n_v, n_r + n_w])
         try:
-            mix = np.linalg.solve(coupled, half * fold)
+            mix = np.linalg.solve(coupled, fold)
         except np.linalg.LinAlgError as exc:
             raise SingularStep(f"Crank-Nicolson coupling matrix is singular: {exc}") from exc
-        # P in the padded rows of the solve, column-major: P z per step is then
-        # a sum of contiguous columns, zero in the padding
+        # P' in the padded rows of the solve, column-major: P' times the rows
+        # [v, r, w] per step is then a sum of contiguous columns
         p, s = self._solver.shape
         rows = p * s
-        self.p = np.zeros((rows, e.shape[1]), order="F")
-        np.matmul(w_hat, mix, out=self.p[: e.shape[0]])
+        self.p = np.zeros((rows, n_z), order="F")
+        np.matmul(twice_w[:n], mix, out=self.p[:n])
+        self.p[n_x + n_z - n_w : n_x + n_z, n_z - n_w :] = 0.5 * (propagator - np.eye(n_w))
         self.block_steps = max(1, BLOCK_BYTES // (8 * rows) - 1)
 
     def read(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -270,40 +278,30 @@ class ClosedLoopStep:
         """Yield blocks (k0, ys, ws) of the n_steps steps from (y, w): y and w
         after steps k0 + 1 .. k0 + len(ys), one row per step.  They are views
         of the run's buffer, valid until the next block is stepped."""
-        n, n_read = self.scale.size, self.read_hat.shape[1]
+        (rows, n_z), n_x, n = self.p.shape, self.n_x, y.size
+        end = n_x + n_z
         count = min(self.block_steps, max(n_steps, 1))
-        states = np.zeros((count + 1, self.p.shape[0]))
-        scale = np.ones(self.p.shape[0])
-        scale[:n] = self.scale
+        states = np.zeros((count + 1, rows))
         chunked = states.reshape(count + 1, *self._solver.shape, 1)
-        ws = np.empty((count + 1, w.size))
-        z, pz = np.empty(self.p.shape[1]), np.empty(self.p.shape[0])
-        work = np.empty(chunked.shape[1:])
-        z_read, z_v, z_w = np.split(z, [n_read, n_read + n - self.n_x])
-        solve, p, read_hat, propagator = self._solver.solver(), self.p, self.read_hat, self.propagator
+        pz, work = np.empty(rows), np.empty(chunked.shape[1:])
+        solve, p, read_u = self._solver.solver(), self.p, self.read_u
         steps = [
-            (chunked[j], chunked[j + 1], states[j], states[j + 1],
-             states[j + 1, : self.n_x], states[j + 1, self.n_x : n], ws[j], ws[j + 1])
+            (states[j, :n_x], states[j, n : end - w.size], chunked[j], chunked[j + 1],
+             states[j + 1, n_x:end], states[j + 1], states[j])
             for j in range(count)
         ]
-        np.divide(y, self.scale, out=states[0, :n])
-        ws[0] = w
+        states[0, :n], states[0, end - w.size : end] = y, w
         for k0 in range(0, n_steps, count):
             block = steps[: n_steps - k0]
-            for y_hat, twice, y_flat, twice_flat, x, v, w_now, w_next in block:
-                solve(y_hat, twice, work)
-                np.matmul(x, read_hat, out=z_read)
-                np.copyto(z_v, v)
-                np.copyto(z_w, w_now)
-                np.matmul(p, z, out=pz)
+            for x, read, y_now, twice, twice_z, twice_flat, y_flat in block:
+                np.dot(read_u, x, out=read)
+                solve(y_now, twice, work)
+                np.dot(p, twice_z, out=pz)
                 np.add(twice_flat, pz, out=twice_flat)     # the doubled midpoint 2 y_h
                 np.subtract(twice_flat, y_flat, out=twice_flat)
-                np.matmul(propagator, w_now, out=w_next)
             k = len(block)
-            states[0], ws[0] = states[k], ws[k]
-            for row in states[1 : k + 1]:   # a row at a time: a broadcast buffers 64 KiB
-                np.multiply(row, scale, out=row)
-            yield k0, states[1 : k + 1, :n], ws[1 : k + 1]
+            states[0] = states[k]
+            yield k0, states[1 : k + 1, :n], states[1 : k + 1, end - w.size : end]
 
 
 def _sample_rows(k0: int, count: int, n_steps: int, every: int):
@@ -507,10 +505,7 @@ def simulate_target_cascade(
     r^(s-1-i) g (x) (I (x) k_v)(I + Phi) Phi^i; x~ is formed at sampled rows alone.
     """
     n, n_w, m = len(np.atleast_1d(e_v0)), gains.n_w, max(np.shape(x_tilde0)[-1:] + (2,)) - 1
-    bad = [] if dt > 0 else [f"dt = {dt} must be positive"]
-    bad += [f"{key} = {value} must be an integer of at least 1" for key, value in
-            (("n_steps", n_steps), ("sample_every", sample_every))
-            if not (isinstance(value, (int, np.integer)) and value >= 1)]
+    bad = violations([("dt", dt)], [("n_steps", n_steps), ("sample_every", sample_every)])
     bad += [f"{key} has shape {np.shape(value)}, not {shape}" for key, value, shape in (
         ("coupling", coupling, (n, n)), ("q_tilde_at_1", q_tilde_at_1, (n_w,)),
         ("e_v0", e_v0, (n, n_w)), ("x_tilde0", x_tilde0, (n, m + 1))) if np.shape(value) != shape]

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from scipy.linalg import block_diag, expm, solve_triangular
@@ -10,14 +11,15 @@ from coopreg.comm_graph import CommTopology, laplacian
 from coopreg.grid import GridFunction, cumulative_trapezoid, trapezoid_weights
 from coopreg.scenario import ResolvedScenario
 from coopreg.signal_model import ExoModel
-from coopreg.errors import NumericalBlowup
+from coopreg import linalg, simulator
+from coopreg.errors import NumericalBlowup, SingularStep
 from coopreg.simulator import (
     AgentSpec,
     CascadeTrace,
-    ClosedLoopStep,
     NominalPlant,
     SimTrace,
     _closed_loop,
+    _not_definite,
     _stencil,
     simulate,
 )
@@ -508,11 +510,61 @@ def dense_step_cascade(gains, coupling, q_tilde_at_1, e_v0, x_tilde0, dt, n_step
     return ys[:, n_x:].reshape(-1, n, n_w), ys[:, :n_x].reshape(-1, n, m + 1)
 
 
-def stepwise_run(step, y, w, n_steps: int):
-    """``ClosedLoopStep.run`` as it was before it stepped in blocks: (k, y, w)
-    after k = 0 .. n_steps steps, each step a solve of the unpadded state."""
-    n = y.size
-    solve, p = step._solver.solve, step.p[:n]
+class ScaledStep:
+    """``ClosedLoopStep`` as it was when it ran on D^-1 y, the oracle of the
+    step that carries its read-out and signal state as rows of the solve.
+
+    With D diagonal, d_j / d_j-1 = sqrt(L[j, j-1] / L[j-1, j]) inside an
+    agent and 1 elsewhere, D^-1 A D is a symmetric tridiagonal B for A = I -
+    (dt/2) L, and B / 2 is inverted once as a ``PartitionedSolve``.  The
+    doubled midpoint is a rank-k update of u = 2 B^-1 D^-1 y: 2 y_h = u + P
+    [u read, w], P = (dt/2) W (I - (dt/2) R W)^-1 F with W = B^-1 D^-1 E, R
+    the read of z through D G and F = diag(I, I + propagator); then y+ = D
+    (2 y_h - D^-1 y).  ``stepwise_run`` steps it.
+    """
+
+    def __init__(self, bands, e, read_out, s_w, dt: float):
+        lower, diag, upper = bands
+        self.n_x = diag.size
+        n_v = e.shape[0] - self.n_x
+        n_read = read_out.shape[1] + n_v
+        half = 0.5 * dt
+        ratio = np.divide(np.sqrt(lower), np.sqrt(upper), out=np.ones_like(lower), where=lower > 0)
+        off = lower / ratio
+        pieces = np.split(np.append(1.0, ratio), np.flatnonzero(lower == 0) + 1)
+        self.scale = np.concatenate([*map(np.cumprod, pieces), np.ones(n_v)])
+        b_diag = 1.0 - half * np.append(diag, np.zeros(n_v))
+        b_off = -half * np.append(off, np.zeros(n_v))
+        if not linalg.positive_pivots(b_diag, b_off):
+            raise _not_definite(diag, off, dt)
+        self._solver = linalg.PartitionedSolve(0.5 * b_diag, 0.5 * b_off, 0.5 * b_off)
+        self.read_out, self.propagator = read_out, linalg.expm(s_w * dt)
+        self.read_hat = read_out * self.scale[: self.n_x, None]
+        w_hat = self._solver.solve(e / (2.0 * self.scale[:, None]))
+        coupled = np.eye(e.shape[1])
+        read_w = self.read_hat.T @ w_hat[: self.n_x]
+        coupled[:n_read] -= half * np.vstack([read_w, w_hat[self.n_x :]])
+        if not (np.isfinite(w_hat).all() and np.isfinite(coupled).all()):
+            raise NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
+        fold = np.eye(e.shape[1])
+        fold[n_read:, n_read:] += self.propagator
+        try:
+            mix = np.linalg.solve(coupled, half * fold)
+        except np.linalg.LinAlgError as exc:
+            raise SingularStep(f"Crank-Nicolson coupling matrix is singular: {exc}") from exc
+        p, s = self._solver.shape
+        self.p = np.zeros((p * s, e.shape[1]), order="F")
+        np.matmul(w_hat, mix, out=self.p[: e.shape[0]])
+
+    def read(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """z = [x G, v, w] from y = [x, vec v]."""
+        return np.concatenate([y[: self.n_x] @ self.read_out, y[self.n_x :], w])
+
+
+def stepwise_run(step: ScaledStep, y, w, n_steps: int):
+    """The ``ScaledStep`` loop one step at a time: (k, y, w) after k = 0 ..
+    n_steps steps, each step a solve of the unpadded state."""
+    solve, p = step._solver.solve, step.p[: y.size]
     yield 0, y, w
     y_hat = y / step.scale
     for k in range(1, n_steps + 1):
@@ -531,8 +583,10 @@ def sample_row(k: int, n_steps: int, every: int):
 
 def stepwise_simulate(resolved, gains, record_state: bool = False) -> SimTrace:
     """``simulate`` as it was before it checked blocks of steps: each step is
-    checked, sampled and snapshot in turn, on ``stepwise_run``."""
-    step, signals, y, w = _closed_loop(resolved, gains)
+    checked, sampled and snapshot in turn, on ``stepwise_run`` of the loop's
+    ``ScaledStep``."""
+    with mock.patch.object(simulator, "ClosedLoopStep", ScaledStep):
+        step, signals, y, w = _closed_loop(resolved, gains)
     dt, m, n_steps, stride = resolved.dt, resolved.m, resolved.n_steps, resolved.sample_every
     blowup = resolved.blowup_bound
     n, n_w = len(resolved.agents), gains.n_w
@@ -581,14 +635,14 @@ def _cascade_step(gains: RegulatorGains, coupling, q_tilde_at_1, n: int, m: int,
     forcing[:, m] += bc1_gain[:, None] * boundary
     internal = np.kron(np.eye(n), gains.S)
     internal -= np.kron(coupling @ boundary, np.reshape(q_tilde_at_1, (-1, 1)))
-    return ClosedLoopStep(
+    return ScaledStep(
         bands, np.vstack([forcing.reshape(n_x, -1), internal]), np.zeros((n_x, 0)),
         np.zeros((0, 0)), dt,
     )
 
 
 def stepwise_cascade(gains, coupling, q_tilde_at_1, e_v0, x_tilde0, dt, n_steps, sample_every=1):
-    """The target cascade stepped by ``ClosedLoopStep`` one step at a time, on
+    """The target cascade stepped by ``ScaledStep`` one step at a time, on
     ``stepwise_run``: the oracle of the cosine-mode ``simulate_target_cascade``."""
     n, n_w = np.shape(e_v0)
     m = np.shape(x_tilde0)[1] - 1

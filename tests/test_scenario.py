@@ -277,6 +277,52 @@ def scenario_file(tmp_path_factory, leader_scenario_text):
     return path
 
 
+class TestResolvedScenario:
+    """A resolved scenario built or replaced in Python checks itself, as ``resolve`` does."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("probe", "violations"),
+        [
+            ({"n_steps": 0}, ["n_steps = 0 must be an integer of at least 1"]),
+            ({"n_steps": 2.0}, ["n_steps = 2.0 must be an integer of at least 1"]),
+            ({"sample_every": 0}, ["sample_every = 0 must be an integer of at least 1"]),
+            ({"dt": -1e-3}, ["dt = -0.001 must be positive"]),
+            ({"dt": float("nan")}, ["dt = nan must be positive"]),
+            ({"blowup_bound": float("nan")}, ["blowup_bound = nan must be positive"]),
+            ({"w0": (1.0, 0.0)}, ["w0 has 2 entries but needs 3, one per signal state"]),
+            ({"w0": (math.inf, 0.0, 1.0)}, ["w0 = inf 0 1 must be finite"]),
+            ({"v0": ((0.0, 0.0, 0.0),) * 3}, ["v0 has 3 rows but needs 4, one per agent"]),
+            (
+                {"v0": ((math.nan, 0.0, 0.0),) + ((0.0, 0.0, 0.0),) * 3},
+                ["v0 = nan 0 0 ; 0 0 0 ; 0 0 0 ; 0 0 0 must be finite"],
+            ),
+            (
+                {"dt": 0.0, "sample_every": -2, "w0": ()},
+                [
+                    "dt = 0.0 must be positive",
+                    "sample_every = -2 must be an integer of at least 1",
+                    "w0 has 0 entries but needs 3, one per signal state",
+                ],
+            ),
+        ],
+        ids=["n_steps_0", "n_steps_float", "sample_every_0", "dt_-1e-3", "dt_nan",
+             "blowup_nan", "w0_2_entries", "w0_inf", "v0_3_rows", "v0_nan", "three_at_once"],
+    )
+    def test_rejects_what_simulate_cannot_step(self, leader_scenario, probe, violations):
+        resolved = leader_scenario.resolve(m=64, horizon=0.01)
+        with pytest.raises(SchemaError) as info:
+            dataclasses.replace(resolved, **probe)
+        assert info.value.violations == violations
+
+    def test_snapshots_checked_on_the_step_grid(self, leader_scenario):
+        resolved = leader_scenario.resolve(m=64, horizon=0.01)
+        assert dataclasses.replace(resolved, snapshot_times=(0.0, 0.005, 0.01)).n_steps == 10
+        with pytest.raises(SchemaError, match=r"snapshot_times \[0.02\] must be whole numbers "
+                           r"of steps dt = 0.001 in \[0, horizon = 0.01\]"):
+            dataclasses.replace(resolved, snapshot_times=(0.02,))
+
+
 class TestCli:
     def test_synthesize_writes_artifacts(self, scenario_file, tmp_path):
         out = tmp_path / "syn"

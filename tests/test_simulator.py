@@ -459,7 +459,7 @@ class TestPdeStep:
 
 def graded_stencil(m: int, reaction: float = 0.0) -> np.ndarray:
     """Dense L of three uncoupled agents whose diffusion spans 10^-1 .. 10^2 along z,
-    so the symmetrizing D of the step is far from the identity."""
+    so the step matrix I - (dt/2) L is far from symmetric."""
     z = uniform_nodes(m)
     return block_diag(*(
         dense_stencil(10.0 ** (3.0 * z - 1.0 + 0.1 * i), reaction + np.cos(z + i), 0.5 * i, -0.3)
@@ -505,6 +505,20 @@ class TestClosedLoopStep:
         assert_rel_close(np.vstack([y0, *(y for _, y, _ in blocks)]), ys)
         assert_rel_close(np.vstack([w0, *(w for _, _, w in blocks)]), ws)
 
+    def test_signal_rows_carry_the_exact_propagator(self, leader_scenario):
+        # the w rows advance as 2 w + (propagator - I) w - w for 20,000 steps
+        s_w, n_steps, dt = leader_scenario.exo_model().S, 20_000, 1e-3
+        bands, e, read_out, _ = random_loop(cascade_stencil(8), n_w=s_w.shape[0])
+        w0 = np.random.default_rng(6).normal(size=s_w.shape[0])
+        step = ClosedLoopStep(bands, e, read_out, s_w, dt)
+        ws = np.vstack([ws.copy() for _, _, ws in step.run(np.zeros(e.shape[0]), w0, n_steps)])
+        powers = [w0]
+        for _ in range(n_steps):
+            powers.append(propagator(s_w * dt) @ powers[-1])
+        assert_rel_close(ws, np.array(powers[1:]), rel=1e-13)
+        k = np.arange(1000, n_steps + 1, 1000)
+        assert_rel_close(ws[k - 1], np.array([expm(s_w * j * dt) @ w0 for j in k]))
+
     def test_singular_step_names_largest_dt(self):
         stencil = graded_stencil(40, reaction=3000.0)
         loop = random_loop(stencil)
@@ -533,10 +547,23 @@ class TestClosedLoopStep:
 
 
 def dominant_tridiagonal(n: int, seed: int = 3):
-    """Diagonal and off-diagonal of a random symmetric diagonally dominant B."""
+    """Diagonal, lower and upper band of a random diagonally dominant B, B[j + 1, j]
+    and B[j, j + 1] of one sign but apart, as in a step matrix I - (dt/2) L."""
     rng = np.random.default_rng(seed)
-    off = -rng.uniform(1.0, 100.0, size=n - 1)
-    return 1.0 + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off)), off
+    lower, upper = -rng.uniform(1.0, 100.0, size=(2, n - 1))
+    diag = 1.0 + np.abs(np.append(lower, 0.0)) + np.abs(np.append(0.0, upper))
+    return diag, lower, upper
+
+
+def assert_solves(solver, dense, rhs, rel=1e-13):
+    """B^-1 rhs and B^-T rhs of ``solver`` against dense solves, for rhs of at most n rows."""
+    padded = np.zeros((dense.shape[0], *rhs.shape[1:]))
+    padded[: len(rhs)] = rhs
+    for transpose, matrix in ((False, dense), (True, dense.T)):
+        reference = np.linalg.solve(matrix, padded)
+        x = solver.solve(rhs, transpose=transpose)
+        assert x.shape == reference.shape
+        assert np.abs(x - reference).max() <= rel * np.abs(reference).max()
 
 
 CHUNK = chunk_rows(100)
@@ -553,26 +580,31 @@ class TestPartitionedSolve:
     @pytest.mark.parametrize("columns", [(), (7,)], ids=["vector", "column_block"])
     def test_matches_dense_solve(self, n, cut, columns):
         assert chunk_rows(n) == CHUNK
-        diag, off = dominant_tridiagonal(n)
+        diag, lower, upper = dominant_tridiagonal(n)
         if cut is not None:   # two agents meet on a chunk edge: zero coupling there
-            off[cut] = 0.0
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            lower[cut] = upper[cut] = 0.0
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         rhs = np.random.default_rng(8).normal(size=(n, *columns))
-        reference = np.linalg.solve(dense, rhs)
-        x = PartitionedSolve(diag, off).solve(rhs)
-        assert x.shape == rhs.shape
-        assert np.abs(x - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert_solves(PartitionedSolve(diag, lower, upper), dense, rhs)
+
+    @pytest.mark.parametrize("rows", [1, CHUNK - 1, 2 * CHUNK + 5])
+    def test_short_bands_and_right_hand_sides(self, rows):
+        # the bands of the first rows, identity rows past them, and a right-hand
+        # side of fewer rows than B: the step's solve with its y rows and E
+        n = 2 * CHUNK + 7
+        diag, lower, upper = dominant_tridiagonal(n)
+        diag[rows:], lower, upper = 1.0, lower[: rows - 1], upper[: rows - 1]
+        dense = np.diag(diag)
+        dense[: rows, : rows] += np.diag(lower, -1) + np.diag(upper, 1)
+        rhs = np.random.default_rng(4).normal(size=(rows, 3))
+        assert_solves(PartitionedSolve(diag, lower, upper), dense, rhs)
 
     def test_graded_step_matrix(self):
-        # B = I - (dt/2) L of three stiff agents, diagonally scaled as in the step
+        # A = I - (dt/2) L of three stiff agents, unscaled as in the step
         stencil = graded_stencil(40)
-        off = -5e-4 * np.sqrt(np.diag(stencil, -1) * np.diag(stencil, 1))
-        diag = 1.0 - 5e-4 * np.diag(stencil)
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        rhs = np.random.default_rng(9).normal(size=diag.size)
-        reference = np.linalg.solve(dense, rhs)
-        x = PartitionedSolve(diag, off).solve(rhs)
-        assert np.abs(x - reference).max() <= 1e-13 * np.abs(reference).max()
+        dense = np.eye(stencil.shape[0]) - 5e-4 * stencil
+        solver = PartitionedSolve(np.diag(dense), np.diag(dense, -1), np.diag(dense, 1))
+        assert_solves(solver, dense, np.random.default_rng(9).normal(size=dense.shape[0]))
 
 
 class TestPropagator:
@@ -668,6 +700,46 @@ class TestSimulate:
         assert trace.metadata["peak_time"] == trace.times[np.argmax(peaks)]
         assert trace.metadata["peak_ratio"] == trace.metadata["peak_state"] / resolved.blowup_bound
 
+    def test_extra_rows_spill_into_another_chunk(self, leader_scenario):
+        # at m = 33 the 160 padded rows of [x, v] take 12 read slots and 3 signal
+        # rows no more: the step's solve runs on a sixth chunk
+        resolved, gains = uncertain_resolved(leader_scenario, m=33)
+        step = _closed_loop(resolved, gains)[0]
+        n, n_all = 4 * 34 + 12, 4 * 34 + 12 + 12 + 3
+        s = chunk_rows(n)
+        assert n <= -(-n // s) * s < n_all and step._solver.shape == (6, 32)
+        self.assert_matches_dense_step_loop(resolved, gains)
+
+    def test_one_agent_one_signal_state(self):
+        m, rng = 40, np.random.default_rng(12)
+        agent = plain_agent(
+            m, delta_lambda=GridFunction(0.2 * np.tanh(random_smooth_profile(rng, m))),
+            delta_a=GridFunction(random_smooth_profile(rng, m)), delta_q1=0.3,
+            g1=rng.normal(size=(m + 1, 1)), g2=rng.normal(size=1), g3=rng.normal(size=1),
+            g4=np.ones(1), initial_profile=GridFunction(random_smooth_profile(rng, m)),
+        )
+        gains = RegulatorGains(
+            k_v=np.array([0.8]), k_1=0.4, k_x=GridFunction(random_smooth_profile(rng, m)),
+            r_x=GridFunction(random_smooth_profile(rng, m)), b_y=np.ones(1),
+            S=np.zeros((1, 1)), mu_c=2.0,
+        )
+        resolved = loop_scenario(
+            silent_plant(m, benchmark_output(m)), [agent],
+            CommTopology(np.zeros((1, 1)), np.ones(1)), constant_exo(0.5, [[[1.5]]]),
+            w0=[1.0], v0=[[0.2]], n_steps=200,
+        )
+        self.assert_matches_dense_step_loop(resolved, gains)
+
+    @staticmethod
+    def assert_matches_dense_step_loop(resolved, gains):
+        trace = simulate(resolved, gains, record_state=True)
+        (y, u, v, x), blowup_time = dense_step_loop(resolved, gains)
+        assert blowup_time is None
+        for actual, expected in (
+            (trace.outputs, y), (trace.inputs, u), (trace.states_v, v), (trace.states_x, x)
+        ):
+            assert_rel_close(actual, expected)
+
     @pytest.mark.parametrize(
         ("line", "count"), [("delta_lambda = 1e300", 1), ("delta_lambda = 1e200*z", 4)],
         ids=["agent_1_stiff", "every_agent_graded"],
@@ -749,14 +821,18 @@ BLOCK_EDGES = {
 
 
 def assert_same_trace(actual, expected):
-    """Bit-identical samples, states, snapshots (in order), peak and peak time."""
-    for name in ("times", "outputs", "inputs", "reference", "states_x", "states_v"):
-        assert np.array_equal(getattr(actual, name), getattr(expected, name)), name
+    """The same times, snapshot steps (in order) and peak time; samples, states,
+    snapshots and peak within 1e-12 relative of the ``ScaledStep`` oracle."""
+    assert np.array_equal(actual.times, expected.times)
+    for name in ("outputs", "inputs", "reference", "states_x", "states_v"):
+        assert getattr(actual, name).shape == getattr(expected, name).shape, name
+        assert_rel_close(getattr(actual, name), getattr(expected, name))
     assert list(actual.snapshots) == list(expected.snapshots)
     for t, snap in expected.snapshots.items():
-        assert np.array_equal(actual.snapshots[t], snap)
-    for key in ("peak_state", "peak_time"):
-        assert actual.metadata[key] == expected.metadata[key], key
+        assert_rel_close(actual.snapshots[t], snap)
+    assert actual.metadata["peak_time"] == expected.metadata["peak_time"]
+    peaks = actual.metadata["peak_state"], expected.metadata["peak_state"]
+    assert peaks[0] == pytest.approx(peaks[1], rel=1e-12)
 
 
 def cascade_inputs(m: int = 48, n: int = 4):
@@ -772,8 +848,9 @@ def cascade_inputs(m: int = 48, n: int = 4):
 
 
 class TestBlockStepping:
-    """``simulate`` checks, samples and snapshots blocks of steps exactly as
-    the per-step loop of ``_support.stepwise_simulate`` did."""
+    """``simulate`` checks, samples and snapshots blocks of steps as the
+    per-step loop of ``_support.stepwise_simulate`` did on the ``ScaledStep``
+    it replaced: the same rows, steps and blow-up, values within 1e-12."""
 
     @pytest.mark.parametrize("every", ["one", "three", "K", "past_the_end"])
     @pytest.mark.parametrize("steps", list(BLOCK_EDGES))
@@ -782,11 +859,12 @@ class TestBlockStepping:
         n_steps = BLOCK_EDGES[steps](k)
         stride = {"one": 1, "three": 3, "K": k, "past_the_end": n_steps + 1}[every]
         resolved, gains = uncertain_resolved(leader_scenario, n_steps=n_steps)
-        # snapshots on the first and the last step of the first two blocks, and at the ends
+        # snapshots on the first and the last step of the first two blocks, and at the
+        # ends; a resolved scenario rejects those past its horizon
         snap_steps = (0, 1, k - 1, k, k + 1, 2 * k, 2 * k + 1, n_steps)
         resolved = dataclasses.replace(
             resolved, sample_every=stride,
-            snapshot_times=tuple(j * resolved.dt for j in snap_steps),
+            snapshot_times=tuple(j * resolved.dt for j in snap_steps if j <= n_steps),
         )
         trace = simulate(resolved, gains, record_state=True)
         assert_same_trace(trace, stepwise_simulate(resolved, gains, record_state=True))
