@@ -46,7 +46,6 @@ from .synthesis import (
     certify_stability,
     check_controllable_pair,
     internal_model_rank_check,
-    numerator_at,
     read_gains_file,
     solve_are,
     solve_decoupling,

@@ -4,10 +4,11 @@
 (graph connectivity, internal-model rank, spectral margin, signal-model
 spectrum and controllability, spectrum separation, nonblocking transfer,
 decoupled-pair controllability, Hurwitz closed loop) and it runs the design
-pipeline.  ``synthesize`` persists the gains and the certificate, ``simulate``
-runs the closed loop from a gains file, and ``check`` prints the hypothesis
-rows.  ``synthesize`` and ``check`` share one verdict, ``SynthesisResult.passed``:
-every row passed.
+pipeline.  The nonblocking row judges the q~(1) of the decoupling solve that
+the Riccati solve then receives.  ``synthesize`` persists the gains and the
+certificate, ``simulate`` runs the closed loop from a gains file, and
+``check`` prints the hypothesis rows.  ``synthesize`` and ``check`` share one
+verdict, ``SynthesisResult.passed``: every row passed.
 Exit status is 0 exactly when everything requested passed.
 """
 
@@ -161,7 +162,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
     )
 
     nonblocking_ok, nonblocking = synthesis.check_controllable_pair(
-        exo.S, output_transformed, num.mu_c
+        exo.S, exo.b_y, decoupling.q_tilde_at_1, num.mu_c
     )
     hypothesis(
         "nonblocking transfer",

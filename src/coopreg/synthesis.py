@@ -1,10 +1,11 @@
 """Feedback-gain synthesis and closed-loop eigenvalues.
 
 Pipeline:  solved kernel -> decoupling boundary-value problem -> nonblocking
-test on the transfer numerator -> algebraic Riccati solve -> gain assembly ->
-closed-loop eigenvalues.  The leaderless variant swaps the leader-follower matrix
-for the synchronization block of the Laplacian and adds the steady-state
-profile and output map that every agent settles on.
+test on the transfer numerator of its boundary value q~(1) -> algebraic
+Riccati solve -> gain assembly -> closed-loop eigenvalues.  The leaderless
+variant swaps the leader-follower matrix for the synchronization block of the
+Laplacian and adds the steady-state profile and output map that every agent
+settles on.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .signal_model import check_controllable
 MODE_LEADER = "leader-follower"
 MODE_LEADERLESS = "leaderless"
 
-#: |n(lambda)| above this counts as a nonblocked frequency
+#: |n_h(lambda)| above this counts as a nonblocked frequency
 NONBLOCKING_TOL = 1e-6
 #: spectra closer than this count as meeting
 RESONANCE_TOL = 1e-8
@@ -193,38 +194,27 @@ def solve_decoupling(
     return DecouplingSolution(q_tilde=q_tilde, q=q)
 
 
-def numerator_at(s_point: complex, output_transformed: OutputOperator, mu_c: float) -> complex:
-    """Scalar numerator n(s) of the boundary-input to output transfer behaviour.
-
-    All blocks of the matrix numerator are this scalar times the identity, so
-    it is evaluated in closed form through cosh(sqrt(s + mu_c) zeta), which is
-    even in the square root and therefore entire in s.
-    """
-    beta = np.sqrt(np.complex128(s_point + mu_c))
-    cb0, cb1 = output_transformed.boundary_weights
-    nodes = output_transformed.smooth_weight.nodes
-    val = cb0 + cb1 * np.cosh(beta)
-    val += np.trapezoid(
-        output_transformed.smooth_weight.values * np.cosh(beta * nodes),
-        dx=output_transformed.smooth_weight.h,
-    )
-    for c_k, z_k in output_transformed.point_weights:
-        val += c_k * np.cosh(beta * z_k)
-    return complex(val)
-
-
 def check_controllable_pair(
-    s: np.ndarray, output_transformed: OutputOperator, mu_c: float
+    s: np.ndarray, b_y: np.ndarray, q_tilde_at_1: np.ndarray, mu_c: float
 ) -> tuple[bool, list]:
-    """Controllability of the decoupled pair (S, q~(1)), with the (lambda, |n|) evidence.
+    """Controllability of the decoupled pair (S, q~(1)), with the (lambda, |n_h|) evidence.
 
-    With (S, b_y) controllable, a hypothesis the design judges before the
-    kernel, (S, q~(1)) is controllable iff the transfer numerator n(lambda)
-    is nonzero on sigma(S) (arXiv:2010.11103); the verdict is
-    |n(lambda)| > NONBLOCKING_TOL at every eigenvalue lambda of S.
+    S acts blockwise in the discrete decoupling problem, so a left eigenvector
+    w of S projects it exactly onto the scalar problem u'' - (mu_c + lambda) u
+    = c~ with the output's Neumann data and point loads, whose boundary value
+    is u(1) = w^T q~(1) / w^T b_y.  Its transfer numerator n_h(lambda) =
+    -beta sinh(beta) u(1), beta = sqrt(mu_c + lambda), is the grid's O(h^2)
+    image of the numerator n(lambda) of arXiv:2010.11103.  With (S, b_y)
+    controllable this is the PBH test of the pair the Riccati solve receives:
+    the verdict is |n_h(lambda)| > NONBLOCKING_TOL at every eigenvalue lambda
+    of S.  A w with w^T b_y = 0, where (S, b_y) is uncontrollable, reads |n_h| = 0.
     """
-    values = [(lam, abs(numerator_at(lam, output_transformed, mu_c))) for lam in np.linalg.eigvals(s)]
-    return min(v for _, v in values) > NONBLOCKING_TOL, values
+    lam, w = np.linalg.eig(np.asarray(s, dtype=float).T)
+    along_b = w.T @ np.asarray(b_y, dtype=float)
+    u1 = np.divide(w.T @ q_tilde_at_1, along_b, out=np.zeros_like(along_b), where=along_b != 0)
+    beta = np.sqrt(mu_c + lam.astype(complex))
+    numerator = np.abs(beta * np.sinh(beta) * u1)
+    return bool(numerator.min() > NONBLOCKING_TOL), list(zip(lam, numerator))
 
 
 def _lyap_kron(a_mat: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -73,6 +73,15 @@ PROBES = [
           stdout="FAIL  SingularSystem: boundary-value solution overflows"),
     Probe("adjacency-huge", LEADER, [("adjacency = 0 0 1 0 ;", "adjacency = 0 0 1e308 0 ;")],
           CHECK, 1, stdout="FAIL  NumericalBlowup: closed-loop matrix overflows"),
+    # c_b1 on the grid's own lambda = 0 blocking zero at m = 64: (S, q_tilde(1)) is uncontrollable
+    *(
+        Probe(f"blocking-zero-{argv[0]}", LEADER, [("\nc_b1 = 1\n", "\nc_b1 = 0.08078431929592556\n")],
+              (*argv, "--grid-points", "64"), 1, stdout=stdout, stderr=stderr)
+        for argv, stdout, stderr in (
+            (CHECK, "FAIL  min |n| = 3.9", ""),
+            (SYNTHESIZE, "", "synthesis failed: NotControllable"),
+        )
+    ),
     # values the scenario reader rejects
     Probe("q0-not-a-number", LEADER, [("q0 = 3", "q0 = oops")], CHECK, 1,
           stderr="[plant] q0: 'oops' is not a finite number"),

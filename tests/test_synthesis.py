@@ -38,7 +38,6 @@ from coopreg.synthesis import (
     check_resonance,
     closed_loop_matrix,
     internal_model_rank_check,
-    numerator_at,
     read_gains_file,
     solve_are,
     solve_decoupling,
@@ -50,6 +49,8 @@ from _support import (
     column_operator,
     dense_neumann_bvp,
     krylov_ratio,
+    numerator_at,
+    numerator_by_ode,
     random_connected_topology,
     unpack,
 )
@@ -91,42 +92,6 @@ def constant_output(c: float, m: int, cb=(0.0, 0.0), points=()) -> OutputOperato
     return OutputOperator(
         GridFunction.constant(c, m), point_weights=points, boundary_weights=cb
     )
-
-
-def psi_upper_left_trajectory(s_val: complex, mu_c: float, m: int, substeps: int = 4):
-    """Fundamental-matrix entries Psi(0, z_j) on a grid, by RK4 on the 2 x 2 system.
-
-    One trajectory of dY/dzeta = -A Y from the identity, recorded at every
-    node, gives the independent oracle for the closed-form evaluation.
-    """
-    a_mat = -np.array([[0.0, 1.0], [s_val + mu_c, 0.0]], dtype=complex)
-    y = np.eye(2, dtype=complex)
-    h = 1.0 / (m * substeps)
-    snapshots = [y[0, 0]]
-    for j in range(m):
-        for _ in range(substeps):
-            k1 = a_mat @ y
-            k2 = a_mat @ (y + 0.5 * h * k1)
-            k3 = a_mat @ (y + 0.5 * h * k2)
-            k4 = a_mat @ (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        snapshots.append(y[0, 0])
-    return np.array(snapshots)
-
-
-def numerator_by_ode(s_val: complex, op: OutputOperator, mu_c: float) -> complex:
-    m = op.smooth_weight.m
-    base = psi_upper_left_trajectory(s_val, mu_c, m)
-    cb0, cb1 = op.boundary_weights
-    val = cb0 + cb1 * base[-1] + np.trapezoid(
-        op.smooth_weight.values * base, dx=op.smooth_weight.h
-    )
-    nodes = op.smooth_weight.nodes
-    for c_k, z_k in op.point_weights:
-        val += c_k * complex(
-            np.interp(z_k, nodes, base.real) + 1j * np.interp(z_k, nodes, base.imag)
-        )
-    return complex(val)
 
 
 class TestSolveDecoupling:
@@ -264,8 +229,11 @@ def judged_by_theorem(s, b_y, op, mu_c, kernel) -> bool:
     passing verdict needs a Krylov ratio of at least 1e-9, a failing one at
     most 1e-2.
     """
-    characterized = check_controllable(s, b_y) and check_controllable_pair(s, op, mu_c)[0]
-    ratio = krylov_ratio(s, solve_decoupling(s, b_y, op, mu_c, kernel))
+    decoupling = solve_decoupling(s, b_y, op, mu_c, kernel)
+    characterized = check_controllable(s, b_y) and check_controllable_pair(
+        s, b_y, decoupling.q_tilde_at_1, mu_c
+    )[0]
+    ratio = krylov_ratio(s, decoupling)
     if characterized:
         assert ratio >= 1e-9
     else:
@@ -274,18 +242,22 @@ def judged_by_theorem(s, b_y, op, mu_c, kernel) -> bool:
 
 
 @functools.cache
-def leader_blocking_zero(m: int = 64):
-    """The leader file, its kernel at m, and the c_b1 (about 0.0808) at which n(0) = 0.
+def leader_blocking_zero(m: int = 64, closed_form: bool = False):
+    """The leader file, its kernel at m, and the c_b1 (about 0.0808) at which the
+    design's n_h(0) = 0, or with ``closed_form`` the oracle's n(0) = 0.
 
-    n(0) is affine in c_b1, so two evaluations locate the zero.
+    Both are affine in c_b1, so two evaluations locate the zero.  n_h(0) is
+    -beta sinh(beta) u(1) for the scalar decoupling problem, S = 0 and b_y = 1.
     """
     scenario = load_scenario(files("coopreg").joinpath("scenarios/four_agent_leader.cfg"))
     plant, mu_c = scenario.plant(m), scenario.numerics.mu_c
     kernel = solve_kernel(plant.a, plant.q0, mu_c, m)
 
     def n0(c_b1):
-        output = with_c_b1(plant.output, c_b1)
-        return numerator_at(0.0, transform_output_weight(output, kernel), mu_c).real
+        output = transform_output_weight(with_c_b1(plant.output, c_b1), kernel)
+        if closed_form:
+            return numerator_at(0.0, output, mu_c).real
+        return solve_decoupling(np.zeros((1, 1)), np.ones(1), output, mu_c, kernel).q_tilde_at_1[0]
 
     c_star = -n0(0.0) / (n0(1.0) - n0(0.0))
     assert c_star == pytest.approx(0.0808, abs=1e-4)
@@ -329,8 +301,37 @@ class TestControllablePair:
 
     def test_zero_injection_fails(self, leader_design):
         r = leader_design
-        assert check_controllable_pair(r.exo.S, r.output_transformed, 5.0)[0]
+        assert check_controllable_pair(r.exo.S, r.exo.b_y, r.decoupling.q_tilde_at_1, 5.0)[0]
+        # w^T b_y = 0 for every left eigenvector w: a failing verdict, read without a division
+        silent = solve_decoupling(r.exo.S, np.zeros(3), r.output_transformed, 5.0, r.kernel)
+        passed, evidence = check_controllable_pair(r.exo.S, np.zeros(3), silent.q_tilde_at_1, 5.0)
+        assert not passed
+        assert [v for _, v in evidence] == [0.0, 0.0, 0.0]
         assert not judged_by_theorem(r.exo.S, np.zeros(3), r.output_transformed, 5.0, r.kernel)
+
+    @pytest.mark.parametrize("m", [64, 200, 800])
+    @pytest.mark.parametrize("name", ["four_agent_leader.cfg", "four_agent_leaderless.cfg"])
+    def test_numerator_is_second_order_image_of_closed_form(self, name, m):
+        r = run_synthesis(load_scenario(files("coopreg").joinpath(f"scenarios/{name}")), m=m)
+        # | |n_h| - |n| | m^2 measures 1.67 (lambda = 0) and 1.85 (+-i pi) at every m
+        for lam, abs_n_h in r.nonblocking:
+            closed = numerator_at(lam, r.output_transformed, r.scenario.numerics.mu_c)
+            assert 1.5 <= abs(abs_n_h - abs(closed)) * m**2 <= 2.0
+
+    @pytest.mark.parametrize("closed_form", [False, True], ids=["discrete-zero", "closed-form-zero"])
+    @pytest.mark.parametrize("m", [64, 200])
+    def test_c_b1_scan_around_blocking_zero(self, m, closed_form):
+        scenario, kernel, c_star = leader_blocking_zero(m, closed_form)
+        exo, mu_c = scenario.exo_model(), scenario.numerics.mu_c
+        verdicts = {}
+        for offset in [sign * 10.0**e for e in range(-16, 0) for sign in (1.0, -1.0)]:
+            output = with_c_b1(scenario.plant(m).output, c_star * (1 + offset))
+            op = transform_output_weight(output, kernel)
+            verdicts[offset] = judged_by_theorem(exo.S, exo.b_y, op, mu_c, kernel)
+        blocked = {offset for offset, passed in verdicts.items() if not passed}
+        # |n_h(0)| is about 0.22 |offset|: the design's own zero blocks up to 1e-6 relative,
+        # and the oracle's sits 3e-4 (m = 64) and 3e-5 (m = 200) off it, where all c_b1 pass
+        assert blocked == (set() if closed_form else {o for o in verdicts if abs(o) <= 1e-6})
 
     def test_blocked_frequency_detected_by_both_routes(self):
         m, mu_c = 200, 5.0
