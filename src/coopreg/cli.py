@@ -297,7 +297,7 @@ def cmd_synthesize(args) -> int:
     out = _out_dir(args, scenario)
     try:
         result = run_synthesis(scenario, m=m)
-    except ToolkitError as exc:
+    except (ToolkitError, MemoryError) as exc:
         write_certificate(certificate_payload(None, error=exc), out / "certificate.json")
         print(f"synthesis failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (OSError, ToolkitError) as exc:
+    except (OSError, MemoryError, ToolkitError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

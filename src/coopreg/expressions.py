@@ -47,15 +47,6 @@ class Expression:
     def __call__(self, z):
         return self._fn(np.asarray(z, dtype=float))
 
-    def __eq__(self, other):
-        return isinstance(other, Expression) and self.source == other.source
-
-    def __hash__(self):
-        return hash(self.source)
-
-    def __repr__(self):
-        return f"Expression({self.source!r})"
-
 
 def _compile(node, text: str):
     """Closure of z for one whitelisted syntax node of `text`."""

@@ -12,7 +12,9 @@ collected and raised together as one SchemaError listing every violation.
 
 import math
 import re
+import sys
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -169,9 +171,7 @@ class Scenario:
         m = self.grid(m)
         dt = self.numerics.dt if dt is None else float(dt)
         horizon = self.numerics.horizon if horizon is None else float(horizon)
-        checks = (("dt", dt), ("horizon", horizon))
-        bad = [f"{key} = {value} must be positive" for key, value in checks if not value > 0]
-        if bad:
+        if bad := violations([("dt", dt), ("horizon", horizon)]):
             raise SchemaError(bad)
         steps = horizon / dt
         if not 0 < steps < np.inf or abs(steps - round(steps)) > 1e-9 * steps:
@@ -230,6 +230,8 @@ class ResolvedScenario:
         dt, n_w = self.dt, self.exo.n_w
         bad = violations([("dt", dt), ("blowup_bound", self.blowup_bound)],
                          [("n_steps", self.n_steps), ("sample_every", self.sample_every)])
+        if isinstance(self.n_steps, Integral) and self.n_steps > sys.maxsize:
+            bad.append(f"n_steps must be at most {sys.maxsize}, the longest array numpy indexes")
         if len(self.w0) != n_w:
             bad.append(f"w0 has {len(self.w0)} entries but needs {n_w}, one per signal state")
         elif not np.isfinite(self.w0).all():

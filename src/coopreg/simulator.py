@@ -11,6 +11,9 @@ The loop reads three scalars per agent from the profiles: the output, by the
 row ``OutputOperator.row()`` of the agent's perturbed operator, k_x . x +
 k_1 x(1) and the lumped xi = int r_x x.  ``simulate`` describes the loop in
 continuous time, and the step alone forms the matrices that depend on dt.
+The step reads G, the read-out of those scalars, only while it assembles; the
+signals a trace samples, [y, u, r], are G composed once with the map from the
+read scalars, one matrix over the state [x, vec v, w].
 The step's tridiagonal matrix is similar, by a diagonal scaling, to one that
 is symmetric positive definite for every dt below 2 / lambda_max(L).  It is
 solved unscaled by chunk inverses and an interface correction,
@@ -18,13 +21,16 @@ solved unscaled by chunk inverses and an interface correction,
 simulation runs on numpy alone.
 
 The step keeps each state as one row of the solve's padded chunk layout for
-a whole run, the read-out and the signal state in identity rows after the
+a whole run, the signal state and the read-out in identity rows after the
 profiles and internal models, so a step is nine numpy calls that allocate
-nothing.  It hands its states over in blocks of at most ``BLOCK_BYTES`` (128
-KiB, K + 1 padded states: K = 18 at m = 200 and 4 at m = 800); ``simulate``
-checks, samples and snapshots a block at once, and the blow-up check still
-names the first step past the bound.  The target cascade has constant
-coefficients and is advanced apart, in cosine modes.
+nothing.  It hands its states [x, vec v, w] over in blocks of at most
+``BLOCK_BYTES`` (128 KiB, K + 1 padded states: K = 18 at m = 200 and 4 at m =
+800); ``simulate`` checks a block at once, and the blow-up check still names
+the first step past the bound.  One rule sets the steps a trace records, both
+here and in the target cascade: every ``sample_every``-th step from 0, and the
+last.  ``simulate`` fills a block's sampled rows with one gather and one
+product.  The target cascade has constant coefficients and is advanced apart,
+in cosine modes.
 """
 
 from dataclasses import dataclass, field
@@ -211,18 +217,20 @@ class ClosedLoopStep:
     update of u = 2 A^-1 y (one solve): 2 y_h = u + P [u read, w], P = (dt/2)
     W (I - (dt/2) R W)^-1 F with W = A^-1 E, R the read of z and F = diag(I,
     I + propagator), as w enters as w + w+; then y+ = 2 y_h - y.  A W, R~ (below)
-    or I - (dt/2) R W that is not finite raises NumericalBlowup.
+    or I - (dt/2) R W that is not finite raises NumericalBlowup.  G enters R~
+    and R W alone; the step keeps neither G nor E.
 
-    ``run`` keeps each state as a row [x, v, r, w] of the solve's padded (p, s)
+    ``run`` keeps each state as a row [x, v, w, r] of the solve's padded (p, s)
     chunk layout, r one slot per read scalar.  Every row past x is an identity
     row of A, so the solve returns it doubled.  Before the solve, r takes the
     read of u, R~^T x with R~ = 2 A^-T G; after it, one product with P' (P on
-    the rows of x and v, its columns in the row order [v, r, w] with those of r
-    and w halved; (propagator - I) / 2 on the rows of w; zero elsewhere), an
-    addition and a subtraction of the entering row leave [x+, v+, the read,
-    propagator w].  It steps K = ``block_steps`` states into one buffer of
-    K + 1 rows, the state entering the block first, at most ``BLOCK_BYTES``;
-    each step is nine numpy calls that write into arrays allocated once per run.
+    the rows of x and v, its columns in the row order [v, w, r] with those of w
+    and r halved; (propagator - I) / 2 on the rows of w; zero elsewhere), an
+    addition and a subtraction of the entering row leave [x+, v+, propagator
+    w, the read].  It steps K = ``block_steps`` states into one buffer of K + 1
+    rows, the state entering the block first, at most ``BLOCK_BYTES``; each
+    step is nine numpy calls that write into arrays allocated once per run.
+    The leading [x, v, w] of the rows is the block it yields.
     """
 
     def __init__(self, bands, e, read_out, s_w, dt: float):
@@ -245,40 +253,35 @@ class ClosedLoopStep:
             np.append(0.5 * (1.0 - half * diag), np.full(n_z, 0.5)),
             -0.5 * half * lower, -0.5 * half * upper,
         )
-        self.read_out, propagator = read_out, expm(s_w * dt)
+        propagator = expm(s_w * dt)
         self.read_u = np.ascontiguousarray(self._solver.solve(read_out, transpose=True)[:n_x].T)
         twice_w = self._solver.solve(e)     # 2 W, zero past the rows of y
         coupled = np.eye(n_z)
         coupled[: n_r + n_v] -= 0.5 * half * np.vstack([read_out.T @ twice_w[:n_x], twice_w[n_x:n]])
         if not all(np.isfinite(a).all() for a in (twice_w, self.read_u, coupled)):
             raise NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
-        # F with its columns in the row order [v, r, w], those of r and w halved
+        # F with its columns in the row order [v, w, r], those of w and r halved
         fold = np.eye(n_z)
         fold[n_r + n_v :, n_r + n_v :] += propagator
-        order = np.r_[n_r : n_r + n_v, :n_r, n_r + n_v : n_z]
-        fold = fold[:, order] * np.repeat([0.5 * half, 0.25 * half], [n_v, n_r + n_w])
+        fold = np.roll(fold, -n_r, axis=1) * np.repeat([0.5 * half, 0.25 * half], [n_v, n_w + n_r])
         try:
             mix = np.linalg.solve(coupled, fold)
         except np.linalg.LinAlgError as exc:
             raise SingularStep(f"Crank-Nicolson coupling matrix is singular: {exc}") from exc
         # P' in the padded rows of the solve, column-major: P' times the rows
-        # [v, r, w] per step is then a sum of contiguous columns
+        # [v, w, r] per step is then a sum of contiguous columns
         p, s = self._solver.shape
         rows = p * s
         self.p = np.zeros((rows, n_z), order="F")
         np.matmul(twice_w[:n], mix, out=self.p[:n])
-        self.p[n_x + n_z - n_w : n_x + n_z, n_z - n_w :] = 0.5 * (propagator - np.eye(n_w))
+        self.p[n : n + n_w, n_v : n_v + n_w] = 0.5 * (propagator - np.eye(n_w))
         self.block_steps = max(1, BLOCK_BYTES // (8 * rows) - 1)
 
-    def read(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """z = [x G, v, w] from y = [x, vec v]."""
-        return np.concatenate([y[: self.n_x] @ self.read_out, y[self.n_x :], w])
-
     def run(self, y: np.ndarray, w: np.ndarray, n_steps: int):
-        """Yield blocks (k0, ys, ws) of the n_steps steps from (y, w): y and w
-        after steps k0 + 1 .. k0 + len(ys), one row per step.  They are views
+        """Yield blocks (k0, zs) of the n_steps steps from (y, w): zs holds [y,
+        w] after steps k0 + 1 .. k0 + len(zs), one row per step.  It is a view
         of the run's buffer, valid until the next block is stepped."""
-        (rows, n_z), n_x, n = self.p.shape, self.n_x, y.size
+        (rows, n_z), n_x, n = self.p.shape, self.n_x, y.size + w.size
         end = n_x + n_z
         count = min(self.block_steps, max(n_steps, 1))
         states = np.zeros((count + 1, rows))
@@ -286,11 +289,11 @@ class ClosedLoopStep:
         pz, work = np.empty(rows), np.empty(chunked.shape[1:])
         solve, p, read_u = self._solver.solver(), self.p, self.read_u
         steps = [
-            (states[j, :n_x], states[j, n : end - w.size], chunked[j], chunked[j + 1],
+            (states[j, :n_x], states[j, n:end], chunked[j], chunked[j + 1],
              states[j + 1, n_x:end], states[j + 1], states[j])
             for j in range(count)
         ]
-        states[0, :n], states[0, end - w.size : end] = y, w
+        states[0, : y.size], states[0, y.size : n] = y, w
         for k0 in range(0, n_steps, count):
             block = steps[: n_steps - k0]
             for x, read, y_now, twice, twice_z, twice_flat, y_flat in block:
@@ -301,17 +304,19 @@ class ClosedLoopStep:
                 np.subtract(twice_flat, y_flat, out=twice_flat)
             k = len(block)
             states[0] = states[k]
-            yield k0, states[1 : k + 1, :n], states[1 : k + 1, end - w.size : end]
+            yield k0, states[1 : k + 1, :n]
 
 
-def _sample_rows(k0: int, count: int, n_steps: int, every: int):
-    """(i, row) of the steps k0 + 1 + i of a block of ``count`` that the trace
-    records in ``row``: every ``every``-th step and the last."""
-    first = -(-(k0 + 1) // every) * every
-    rows = [(k - k0 - 1, k // every) for k in range(first, k0 + count + 1, every)]
-    if k0 + count == n_steps and n_steps % every:
-        rows.append((count - 1, n_steps // every + 1))
-    return rows
+def _sampled_steps(n_steps: int, every: int) -> np.ndarray:
+    """The steps a trace records, in order: every ``every``-th step from 0, and the last."""
+    return np.append(np.arange(0, n_steps, every), n_steps)
+
+
+def _within(steps: np.ndarray, k0: int, count: int):
+    """The slice of the sorted ``steps`` that lie in k0 .. k0 + count - 1, and
+    their offsets from k0."""
+    lo, hi = np.searchsorted(steps, (k0, k0 + count))
+    return slice(lo, hi), steps[lo:hi] - k0
 
 
 @dataclass
@@ -324,8 +329,8 @@ class CascadeTrace:
 
 
 def _closed_loop(scenario_objects, gains: RegulatorGains):
-    """The step of the networked closed loop, the map from its read-out z to
-    the sampled signals [y, u, r], and the initial (y, w)."""
+    """The step of the networked closed loop, the map from a state [x, vec v, w]
+    to the sampled signals [y, u, r], and the initial (y, w)."""
     agents = scenario_objects.agents
     exo: ExoModel = scenario_objects.exo
     mode = scenario_objects.mode
@@ -399,16 +404,19 @@ def _closed_loop(scenario_objects, gains: RegulatorGains):
         drive = np.column_stack([coupling, -leader_links]) @ np.vstack([y_map, r_map])
         internal[:] = np.kron(np.eye(n), gains.S) @ basis[3 * n : 3 * n + n_v]
         internal += np.kron(drive, gains.b_y[:, None])
-        step = ClosedLoopStep(bands, e, read_out.reshape(n * (m + 1), 3 * n), exo.S, dt)
+        read_out = read_out.reshape(n * (m + 1), 3 * n)
+        step = ClosedLoopStep(bands, e, read_out, exo.S, dt)
         del e, forcing, internal    # E and its views: the step keeps E only as W
+        # [y, u, r] from z, composed with the read-out: a map of [x, vec v, w]
         signals = np.vstack([y_map, u_map, r_map])
+        reads = np.hstack([signals[:, : 3 * n] @ read_out.T, signals[:, 3 * n :]])
 
     x0 = [
         np.zeros(m + 1) if ag.initial_profile is None else ag.initial_profile.values
         for ag in agents
     ]
     y = np.concatenate([*x0, np.reshape(scenario_objects.v0, n_v)], dtype=float)
-    return step, signals, y, np.array(scenario_objects.w0, dtype=float)
+    return step, reads, y, np.array(scenario_objects.w0, dtype=float)
 
 
 def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = False) -> SimTrace:
@@ -421,41 +429,38 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
     H = L, so one assembly serves both modes.  Each block of steps is checked
     against the blow-up bound at once; the first step past it raises.
     """
-    step, signals, y, w = _closed_loop(scenario_objects, gains)
+    step, reads, y, w = _closed_loop(scenario_objects, gains)
     dt, m = scenario_objects.dt, scenario_objects.m
-    n_steps, stride = scenario_objects.n_steps, scenario_objects.sample_every
-    blowup = scenario_objects.blowup_bound
+    n_steps, blowup = scenario_objects.n_steps, scenario_objects.blowup_bound
     n, n_w = len(scenario_objects.agents), gains.n_w
     n_x = n * (m + 1)
 
-    n_rows = -(-n_steps // stride) + 1
-    times = np.empty(n_rows)
-    sampled = np.empty((n_rows, 2 * n + 1))   # y, u, r
-    v_tr = np.empty((n_rows, n, n_w)) if record_state else None
-    x_tr = np.empty((n_rows, n, m + 1)) if record_state else None
+    steps = _sampled_steps(n_steps, scenario_objects.sample_every)
+    sampled = np.empty((steps.size, 2 * n + 1))   # y, u, r
+    v_tr = np.empty((steps.size, n, n_w)) if record_state else None
+    x_tr = np.empty((steps.size, n, m + 1)) if record_state else None
     snapshots = {}
-    snap_steps = sorted({int(round(t_s / dt)): t_s for t_s in scenario_objects.snapshot_times}.items())
+    snaps = dict(sorted({round(t_s / dt): t_s for t_s in scenario_objects.snapshot_times}.items()))
+    snap_steps, snap_times = np.array(list(snaps), dtype=int), list(snaps.values())
 
-    def record(k, row, y, w):
-        times[row] = k * dt
-        sampled[row] = signals @ step.read(y, w)
+    def record(k0, zs):
+        """Sample and snapshot the states [y, w] of the steps k0 .. k0 + len(zs) - 1."""
+        rows, pick = _within(steps, k0, len(zs))
+        picked = zs[pick]
+        sampled[rows] = picked @ reads.T
         if record_state:
-            v_tr[row] = y[n_x:].reshape(n, n_w)
-            x_tr[row] = y[:n_x].reshape(n, m + 1)
+            x_tr[rows] = picked[:, :n_x].reshape(-1, n, m + 1)
+            v_tr[rows] = picked[:, n_x : y.size].reshape(-1, n, n_w)
+        at, pick = _within(snap_steps, k0, len(zs))
+        snapshots.update(zip(snap_times[at], zs[pick, :n_x].reshape(-1, n, m + 1)))
 
-    def snap(k0, ys):
-        for k, t_s in snap_steps:
-            if k0 <= k < k0 + len(ys):
-                snapshots[t_s] = ys[k - k0, :n_x].reshape(n, m + 1).copy()
-
-    record(0, 0, y, w)
-    snap(0, y[None])
+    record(0, np.concatenate([y, w])[None])
     peak_state, peak_time = np.abs(y).max(), 0.0    # the initial state is not checked
     started = perf_counter()
     # a block may step past a blow-up into overflow; those steps are never read
     with np.errstate(all="ignore"):
-        for k0, ys, ws in step.run(y, w, n_steps):
-            peaks = np.abs(ys).max(axis=1)
+        for k0, zs in step.run(y, w, n_steps):
+            peaks = np.abs(zs[:, : y.size]).max(axis=1)
             failed = np.flatnonzero(~np.isfinite(peaks) | (peaks > blowup))
             if failed.size:
                 first = int(failed[0])
@@ -466,13 +471,11 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
             top = int(peaks.argmax())
             if peaks[top] > peak_state:
                 peak_state, peak_time = peaks[top], (k0 + top) * dt + dt
-            for i, row in _sample_rows(k0, len(ys), n_steps, stride):
-                record(k0 + i + 1, row, ys[i], ws[i])
-            snap(k0 + 1, ys)
+            record(k0 + 1, zs)
     elapsed = perf_counter() - started
 
     return SimTrace(
-        times=times,
+        times=steps * dt,
         reference=sampled[:, -1],
         outputs=sampled[:, :n],
         inputs=sampled[:, n:-1],
@@ -526,17 +529,17 @@ def simulate_target_cascade(
         if not (np.isfinite(phi).all() and np.isfinite(r * g).all()):    # |r| <= 1
             raise NumericalBlowup("closed-loop step overflows: an assembled matrix is not finite")
 
-    # the rows are every sample_every-th step and the last, so whole intervals of s
-    # steps: (Phi^s, r^s, M_s) for each s, M_s by Horner's rule as (n (m + 1), n n_w)
-    full, rest = divmod(n_steps, sample_every)
-    lengths = [sample_every] * full + ([rest] if rest else [])
+    # the rows are the sampled steps: intervals of s steps, the first the longest and only
+    # the last shorter; (Phi^s, r^s, M_s) for each s, M_s by Horner's rule as (n (m + 1), n n_w)
+    steps = _sampled_steps(n_steps, sample_every)
+    lengths = np.diff(steps).tolist()
     power, m_s, maps, drive = eye, np.zeros((n, m + 1, n * n_w)), {}, boundary @ (eye + phi)
-    for s in range(1, max(lengths) + 1):
+    for s in range(1, lengths[0] + 1):
         m_s = r[:, None] * m_s + g[:, None] * (drive @ power)[:, None]
         power = phi @ power
-        if s in (sample_every, rest):
+        if s in (lengths[0], lengths[-1]):
             maps[s] = power, r**s, m_s.reshape(n * (m + 1), -1)
-    e_trace, x_trace = np.empty((len(lengths) + 1, n, n_w)), np.empty((len(lengths) + 1, n, m + 1))
+    e_trace, x_trace = np.empty((steps.size, n, n_w)), np.empty((steps.size, n, m + 1))
     e_trace[0], x_trace[0] = e_v0, x_tilde0
     e, x = e_trace[0].ravel(), np.fft.rfft(np.concatenate([x_trace[0], x_trace[0, :, -2:0:-1]], 1)).real
     for row, (phi_s, r_s, m_s) in enumerate((maps[s] for s in lengths), 1):
@@ -545,7 +548,7 @@ def simulate_target_cascade(
     chunk = max(1, BLOCK_BYTES // (2 * x_trace[0].nbytes))  # irfft's input and output: 2x the rows
     for first in range(1, len(x_trace), chunk):
         x_trace[first : first + chunk] = np.fft.irfft(x_trace[first : first + chunk], 2 * m)[..., : m + 1]
-    return CascadeTrace(times=np.cumsum([0, *lengths]) * dt, e_v=e_trace, x_tilde=x_trace)
+    return CascadeTrace(times=steps * dt, e_v=e_trace, x_tilde=x_trace)
 
 
 def transform_state_trace(

@@ -538,7 +538,7 @@ class ScaledStep:
         if not linalg.positive_pivots(b_diag, b_off):
             raise _not_definite(diag, off, dt)
         self._solver = linalg.PartitionedSolve(0.5 * b_diag, 0.5 * b_off, 0.5 * b_off)
-        self.read_out, self.propagator = read_out, linalg.expm(s_w * dt)
+        self.propagator = linalg.expm(s_w * dt)
         self.read_hat = read_out * self.scale[: self.n_x, None]
         w_hat = self._solver.solve(e / (2.0 * self.scale[:, None]))
         coupled = np.eye(e.shape[1])
@@ -555,10 +555,6 @@ class ScaledStep:
         p, s = self._solver.shape
         self.p = np.zeros((p * s, e.shape[1]), order="F")
         np.matmul(w_hat, mix, out=self.p[: e.shape[0]])
-
-    def read(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """z = [x G, v, w] from y = [x, vec v]."""
-        return np.concatenate([y[: self.n_x] @ self.read_out, y[self.n_x :], w])
 
 
 def stepwise_run(step: ScaledStep, y, w, n_steps: int):
@@ -586,7 +582,7 @@ def stepwise_simulate(resolved, gains, record_state: bool = False) -> SimTrace:
     checked, sampled and snapshot in turn, on ``stepwise_run`` of the loop's
     ``ScaledStep``."""
     with mock.patch.object(simulator, "ClosedLoopStep", ScaledStep):
-        step, signals, y, w = _closed_loop(resolved, gains)
+        step, reads, y, w = _closed_loop(resolved, gains)
     dt, m, n_steps, stride = resolved.dt, resolved.m, resolved.n_steps, resolved.sample_every
     blowup = resolved.blowup_bound
     n, n_w = len(resolved.agents), gains.n_w
@@ -611,7 +607,7 @@ def stepwise_simulate(resolved, gains, record_state: bool = False) -> SimTrace:
         row = sample_row(k, n_steps, stride)
         if row is not None:
             times[row] = k * dt
-            sampled[row] = signals @ step.read(y, w)
+            sampled[row] = reads @ np.concatenate([y, w])
             if record_state:
                 v_tr[row] = y[n_x:].reshape(n, n_w)
                 x_tr[row] = y[:n_x].reshape(n, m + 1)

@@ -7,6 +7,7 @@ warning or exception escaping ``main`` fails the row.  A new probe is one row.
 """
 
 import re
+import sys
 from importlib.resources import files
 from typing import NamedTuple
 
@@ -32,6 +33,7 @@ class Probe(NamedTuple):
     stdout: str = ""    # expected in stdout
     stderr: str = ""    # expected in stderr
     no_out_dir: bool = False        # --out must be left absent
+    out_files: tuple = ()           # files --out must hold
     gains_edits: tuple = ()         # edits of the leader design's gains file
 
 
@@ -129,6 +131,8 @@ PROBES = [
           stderr="horizon = inf is not a whole number of steps of dt = 0.001", no_out_dir=True),
     Probe("dt-inf", LEADER, [], (*SIMULATE, "--dt", "inf", "--horizon", "1"), 1,
           stderr="horizon = 1.0 is not a whole number of steps of dt = inf", no_out_dir=True),
+    Probe("horizon-past-array-length", LEADER, [], (*SIMULATE, "--horizon", "1e300"), 1,
+          stderr=f"n_steps must be at most {sys.maxsize}", no_out_dir=True),
     Probe("snapshot-between-steps", LEADER, _SNAPSHOT_BETWEEN_STEPS,
           (*SIMULATE, "--horizon", "0.01"), 1,
           stderr="[outputs] snapshot_times [0.0005] must be whole numbers of steps dt = 0.001",
@@ -138,6 +142,15 @@ PROBES = [
           (*SIMULATE, "--horizon", "0.2"), 1,
           stderr="[outputs] snapshot_times [-1.0, 5.0] must be whole numbers of steps dt = 0.001",
           no_out_dir=True),
+    # arrays past a 57-bit address space: the allocation fails at once and ends in one line
+    Probe("grid-points-1e17-synthesize", LEADER, [],
+          (*SYNTHESIZE, "--grid-points", "100000000000000000"), 1,
+          stderr="synthesis failed: MemoryError: Unable to allocate",
+          out_files=("certificate.json",)),
+    Probe("grid-points-1e17-check", LEADER, [], (*CHECK, "--grid-points", "100000000000000000"),
+          1, stderr="MemoryError: Unable to allocate"),
+    Probe("horizon-1e15", LEADER, [], (*SIMULATE, "--horizon", "1e15"), 1,
+          stderr="MemoryError: Unable to allocate", no_out_dir=True),
     # agents simulate cannot run
     Probe("nonparabolic-agent", LEADER, _NONPARABOLIC_AGENT,
           (*SIMULATE, "--horizon", "0.01"), 1,
@@ -240,3 +253,4 @@ def test_cli_probe(probe, request, tmp_path, capsys):
     assert probe.stderr in captured.err, f"{probe.id}: stderr\n{captured.err}"
     assert "Traceback" not in captured.err and "Warning" not in captured.err
     assert not (probe.no_out_dir and out.exists()), f"{probe.id}: {out} was created"
+    assert all((out / name).is_file() for name in probe.out_files), f"{probe.id}: {out} lacks a file"

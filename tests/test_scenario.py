@@ -100,10 +100,6 @@ class TestExpressions:
         with pytest.raises(ParseError):
             Expression(source)
 
-    def test_equality_by_source(self):
-        assert Expression("z+1") == Expression("z+1")
-        assert Expression("z+1") != Expression("z + 1")
-
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(_grammar_expressions())
     def test_agrees_with_python_evaluation(self, pair):

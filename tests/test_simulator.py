@@ -500,10 +500,11 @@ class TestClosedLoopStep:
             generator, e[:, n_read:], expm(s_w * dt), y0, w0, dt, n_steps
         )
         step = ClosedLoopStep(bands, e, read_out, s_w, dt)
-        blocks = [(k0, ys.copy(), ws.copy()) for k0, ys, ws in step.run(y0, w0, n_steps)]
-        assert [k0 for k0, _, _ in blocks] == list(range(0, n_steps, step.block_steps))
-        assert_rel_close(np.vstack([y0, *(y for _, y, _ in blocks)]), ys)
-        assert_rel_close(np.vstack([w0, *(w for _, _, w in blocks)]), ws)
+        blocks = [(k0, zs.copy()) for k0, zs in step.run(y0, w0, n_steps)]
+        assert [k0 for k0, _ in blocks] == list(range(0, n_steps, step.block_steps))
+        zs = np.vstack([np.append(y0, w0), *(z for _, z in blocks)])
+        assert_rel_close(zs[:, : y0.size], ys)
+        assert_rel_close(zs[:, y0.size :], ws)
 
     def test_signal_rows_carry_the_exact_propagator(self, leader_scenario):
         # the w rows advance as 2 w + (propagator - I) w - w for 20,000 steps
@@ -511,7 +512,8 @@ class TestClosedLoopStep:
         bands, e, read_out, _ = random_loop(cascade_stencil(8), n_w=s_w.shape[0])
         w0 = np.random.default_rng(6).normal(size=s_w.shape[0])
         step = ClosedLoopStep(bands, e, read_out, s_w, dt)
-        ws = np.vstack([ws.copy() for _, _, ws in step.run(np.zeros(e.shape[0]), w0, n_steps)])
+        blocks = step.run(np.zeros(e.shape[0]), w0, n_steps)
+        ws = np.vstack([zs[:, e.shape[0] :].copy() for _, zs in blocks])
         powers = [w0]
         for _ in range(n_steps):
             powers.append(propagator(s_w * dt) @ powers[-1])
@@ -893,7 +895,7 @@ class TestBlockStepping:
         k = step.block_steps
         first = round(info.value.time / resolved.dt)
         with np.errstate(all="ignore"):
-            blocks = {k0: ys.copy() for k0, ys, _ in step.run(y, w, n_steps)}
+            blocks = {k0: zs[:, : y.size].copy() for k0, zs in step.run(y, w, n_steps)}
         k0 = (first - 1) // k * k
         assert (k0 == 0) if n_steps < k else (k0 == 2 * k and n_steps - k0 < k)
         assert not np.isfinite(blocks[k0][first - k0 :]).all()
@@ -905,7 +907,7 @@ class TestBlockStepping:
         rows = step.p.shape[0]
         assert step.block_steps == k
         assert (k + 1) * 8 * rows <= BLOCK_BYTES == 128 * 1024
-        assert [len(ys) for _, ys, _ in step.run(y, w, 2 * k + 1)] == [k, k, 1]
+        assert [len(zs) for _, zs in step.run(y, w, 2 * k + 1)] == [k, k, 1]
 
     def test_simulate_memory_peak(self, leader_scenario, leader_design):
         resolved = leader_scenario.resolve(m=200, horizon=2.0)
@@ -915,20 +917,20 @@ class TestBlockStepping:
             simulate(resolved, leader_design.gains)
             whole = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            step, _, y, w = _closed_loop(resolved, leader_design.gains)
+            step, reads, y, w = _closed_loop(resolved, leader_design.gains)
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            for _, ys, _ in step.run(y, w, resolved.n_steps):
-                np.abs(ys).max(axis=1)
+            for _, zs in step.run(y, w, resolved.n_steps):
+                np.abs(zs[:, : y.size]).max(axis=1)
             run = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         # the peak is forming the step
         assert whole <= 1.16e6 + 128 * 1024
-        # the assembled loop holds the chunk inverses, one P in padded rows and
-        # the two read-outs, and below 96 KiB besides
+        # the assembled loop holds the chunk inverses, one P in padded rows, the
+        # read of u and the map from the state to [y, u, r], and below 96 KiB besides
         p, s = step._solver.shape
-        assert held <= 8 * p * s * s + step.p.nbytes + 2 * step.read_out.nbytes + 96 * 1024
+        assert held <= 8 * p * s * s + step.p.nbytes + step.read_u.nbytes + reads.nbytes + 96 * 1024
         # a run holds its block buffer and the magnitudes of one block, which
         # numpy forms through its 64 KiB iterator buffer
         assert run <= 3 * BLOCK_BYTES
