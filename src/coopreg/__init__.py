@@ -24,7 +24,6 @@ from .grid import GridFunction
 from .scenario import Scenario, load_scenario, loads, serialize
 from .signal_model import (
     ExoModel,
-    build_signal_model,
     check_controllable,
     frequency_blocks,
 )

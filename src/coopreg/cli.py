@@ -128,7 +128,7 @@ def _design(scenario: Scenario, m: int, rows: list) -> SynthesisResult:
     try:
         exo = scenario.exo_model()
         spectrum = (True, f"max |Re| = {np.abs(np.linalg.eigvals(exo.S).real).max():.2e}")
-    except ValueError as exc:  # the signal model rejects its own matrix S
+    except ValueError as exc:  # frequencies or read-out shapes that make no signal model
         exo, spectrum = None, (False, str(exc))
     hypothesis(
         "signal-model spectrum",

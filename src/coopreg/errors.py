@@ -1,5 +1,6 @@
 """Exception types and range checks shared across the toolkit, and the one reader of input text."""
 
+import sys
 from numbers import Integral
 
 
@@ -73,10 +74,13 @@ class SchemaError(ToolkitError):
 
 def violations(positive=(), counts=()) -> list:
     """The violations among (key, value) pairs: a value of ``positive`` that is
-    not above 0 (NaN included), a count that is not an integer of at least 1."""
+    not above 0 (NaN included), a count that is not an integer of at least 1 or
+    that is past the longest array numpy indexes."""
     bad = [f"{key} = {value} must be positive" for key, value in positive if not value > 0]
-    return bad + [f"{key} = {value} must be an integer of at least 1" for key, value in counts
-                  if not (isinstance(value, Integral) and value >= 1)]
+    bad += [f"{key} = {value} must be an integer of at least 1" for key, value in counts
+            if not (isinstance(value, Integral) and value >= 1)]
+    return bad + [f"{key} must be at most {sys.maxsize}, the longest array numpy indexes"
+                  for key, value in counts if isinstance(value, Integral) and value > sys.maxsize]
 
 
 def read_text(path, encoding: str) -> str:

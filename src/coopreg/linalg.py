@@ -3,9 +3,9 @@
 ``PartitionedSolve`` solves with a tridiagonal matrix, or its transpose, by
 chunk inverses and an interface correction, in place on a padded chunk layout
 that the closed-loop step keeps its state in; ``positive_pivots`` decides the
-definiteness of its symmetrized form in LAPACK ``dpttrf``'s order,
+definiteness of its symmetrized form in LAPACK ``dpttrf``'s order, and
 ``largest_eigenvalue`` finds its lambda_max by Sturm-count bisection as LAPACK
-``dstebz`` does, and ``expm`` is a scaling-and-squaring Pade approximant.
+``dstebz`` does.
 """
 
 import numpy as np
@@ -45,25 +45,6 @@ def largest_eigenvalue(diag, off) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if all_below(mid) else (mid, hi)
     return 0.5 * (lo + hi)
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring the diagonal Pade approximant of degree 6
-    (Golub & Van Loan, Matrix Computations, 4th ed., Algorithm 9.3.1)."""
-    # ||a / 2^j||_inf <= 1/2 bounds the relative error by 3.4e-16
-    j = max(0, int(np.frexp(np.abs(a).sum(axis=1).max(initial=0.0))[1]) + 1)
-    x = a / 2.0**j
-    eye = np.eye(a.shape[0])
-    num, den, power, c = eye.copy(), eye.copy(), eye, 1.0
-    for k in range(1, 7):
-        c *= (7 - k) / ((13 - k) * k)
-        power = x @ power
-        num += c * power
-        den += (-1) ** k * c * power
-    f = np.linalg.solve(den, num)
-    for _ in range(j):
-        f = f @ f
-    return f
 
 
 def chunk_rows(n: int) -> int:

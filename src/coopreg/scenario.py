@@ -12,9 +12,7 @@ collected and raised together as one SchemaError listing every violation.
 
 import math
 import re
-import sys
 from dataclasses import dataclass, fields
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +22,7 @@ from .comm_graph import CommTopology
 from .errors import ParseError, SchemaError, read_text, violations
 from .expressions import Expression
 from .grid import GridFunction, uniform_nodes
-from .signal_model import ExoModel, build_signal_model
+from .signal_model import ExoModel
 from .simulator import AgentSpec, NominalPlant
 from .synthesis import MODE_LEADER, MODE_LEADERLESS
 
@@ -100,10 +98,13 @@ class Scenario:
     # builders --------------------------------------------------------
     def grid(self, m: int | None = None) -> int:
         """The design grid, m or else the file's grid_points; a grid of fewer than
-        MIN_GRID_POINTS intervals is a SchemaError."""
+        MIN_GRID_POINTS intervals, or past the longest array numpy indexes, is a
+        SchemaError."""
         m = self.numerics.grid_points if m is None else int(m)
         if m < MIN_GRID_POINTS:
             raise SchemaError([f"grid_points = {m} must be at least {MIN_GRID_POINTS}"])
+        if bad := violations(counts=[("grid_points", m)]):
+            raise SchemaError(bad)
         return m
 
     def topology(self) -> CommTopology:
@@ -113,7 +114,7 @@ class Scenario:
         )
 
     def exo_model(self) -> ExoModel:
-        return build_signal_model(
+        return ExoModel(
             self.reference_frequencies,
             self.disturbance_frequencies,
             [agent.P for agent in self.agents],
@@ -230,8 +231,6 @@ class ResolvedScenario:
         dt, n_w = self.dt, self.exo.n_w
         bad = violations([("dt", dt), ("blowup_bound", self.blowup_bound)],
                          [("n_steps", self.n_steps), ("sample_every", self.sample_every)])
-        if isinstance(self.n_steps, Integral) and self.n_steps > sys.maxsize:
-            bad.append(f"n_steps must be at most {sys.maxsize}, the longest array numpy indexes")
         if len(self.w0) != n_w:
             bad.append(f"w0 has {len(self.w0)} entries but needs {n_w}, one per signal state")
         elif not np.isfinite(self.w0).all():
@@ -310,7 +309,10 @@ def _number(token: str) -> float:
 
 
 def _integer(raw: str) -> int:
-    value = _number(raw)
+    try:
+        return int(raw)     # exact, past 2^53 too
+    except ValueError:
+        value = _number(raw)
     if value != int(value):
         raise ValueError(f"{raw!r} is not an integer")
     return int(value)

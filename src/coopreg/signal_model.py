@@ -1,26 +1,24 @@
 """Finite-dimensional signal models generating references and disturbances.
 
-A signal model is a marginally stable, diagonalizable LTI system
-``w' = S w`` whose read-outs produce the reference ``r = p . w`` and the
-per-agent disturbances ``d_i = P_i w``.  The builder only emits the
-canonical real form: a direct sum of 1 x 1 zero blocks (constants) and
-2 x 2 rotation generators (harmonics), the reference blocks first.  The
-constructor re-checks the invariants of any matrix it is given.
+A signal model is the LTI system ``w' = S w`` of a list of reference and
+disturbance frequencies, whose read-outs produce the reference ``r = p . w``
+and the per-agent disturbances ``d_i = P_i w``.  S is derived from the
+frequencies in the canonical real form: a direct sum of 1 x 1 zero blocks
+(constants) and 2 x 2 rotation generators (harmonics), the reference blocks
+first.  So S is marginally stable and diagonalizable by construction, and its
+propagator exp(S t) is a rotation in closed form.
 
 Only ``S`` and the injection vector ``b_y`` are available to the gain
 synthesis; the read-outs ``p`` and ``P_i`` exist purely for the simulator's
 truth model.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DuplicateFrequency
-
-#: tolerance for "eigenvalue on the imaginary axis" checks
-IMAG_AXIS_TOL = 1e-9
 
 
 def frequency_blocks(frequencies: Sequence[float]):
@@ -52,23 +50,39 @@ def frequency_blocks(frequencies: Sequence[float]):
 
 @dataclass(frozen=True)
 class ExoModel:
-    """Signal model with its read-outs and internal-model input vector."""
+    """Signal model of the given frequencies, with its read-outs and internal-model
+    input vector.
 
-    S: np.ndarray
-    p: np.ndarray
+    ``S`` is derived: the reference blocks, then the disturbance blocks, each
+    list by ``frequency_blocks``.  ``p`` defaults to the first state of each
+    reference block.  ``read_outs`` holds each agent's rows over all n_w
+    states, reference states included.
+    """
+
+    reference_frequencies: tuple
+    disturbance_frequencies: tuple
     read_outs: tuple          # P_i, one (m_i, n_w) matrix per agent
     b_y: np.ndarray
+    p: np.ndarray | None = None
+    S: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = np.array(self.S, dtype=float)
-        _check_marginally_stable(s)
-        p = np.array(self.p, dtype=float)
+        if len(self.reference_frequencies) == 0:
+            raise ValueError("need at least one reference frequency")
+        s_r, p_r = frequency_blocks(self.reference_frequencies)
+        s_d, _ = frequency_blocks(self.disturbance_frequencies)
+        n_r, n_w = p_r.size, p_r.size + s_d.shape[0]
+        s = np.zeros((n_w, n_w))
+        s[:n_r, :n_r], s[n_r:, n_r:] = s_r, s_d
+        p = np.append(p_r, np.zeros(n_w - n_r)) if self.p is None else np.array(self.p, dtype=float)
         b = np.array(self.b_y, dtype=float)
-        if p.shape != (s.shape[0],) or b.shape != (s.shape[0],):
+        if p.shape != (n_w,) or b.shape != (n_w,):
             raise ValueError("read-out and input vectors must match the state size")
-        reads = tuple(np.array(pi, dtype=float).reshape(-1, s.shape[0]) for pi in self.read_outs)
+        reads = tuple(np.array(pi, dtype=float).reshape(-1, n_w) for pi in self.read_outs)
         for arr in (s, p, b, *reads):
             arr.flags.writeable = False
+        for name in ("reference_frequencies", "disturbance_frequencies"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "b_y", b)
@@ -78,41 +92,13 @@ class ExoModel:
     def n_w(self) -> int:
         return self.S.shape[0]
 
-
-def _check_marginally_stable(s: np.ndarray):
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("S must be square")
-    eigvals, eigvecs = np.linalg.eig(s)
-    if np.abs(eigvals.real).max(initial=0.0) > IMAG_AXIS_TOL:
-        raise ValueError("signal-model eigenvalues must lie on the imaginary axis")
-    # diagonalizable: eigenvector matrix must be far from singular
-    if s.shape[0] and np.linalg.matrix_rank(eigvecs, tol=1e-9) < s.shape[0]:
-        raise ValueError("signal-model matrix must be diagonalizable")
-
-
-def build_signal_model(
-    reference_frequencies: Sequence[float],
-    disturbance_frequencies: Sequence[float],
-    read_outs,
-    b_y: Sequence[float],
-    p: Sequence[float] | None = None,
-) -> ExoModel:
-    """The reference blocks followed by one block per disturbance frequency.
-
-    ``p`` defaults to the first state of each reference block.  ``read_outs``
-    holds each agent's rows over all n_w states, reference states included.
-    """
-    if len(reference_frequencies) == 0:
-        raise ValueError("need at least one reference frequency")
-    s_r, p_r = frequency_blocks(reference_frequencies)
-    s_d, _ = frequency_blocks(disturbance_frequencies)
-    n_r, n_w = s_r.shape[0], s_r.shape[0] + s_d.shape[0]
-    s = np.zeros((n_w, n_w))
-    s[:n_r, :n_r] = s_r
-    s[n_r:, n_r:] = s_d
-    if p is None:
-        p = np.concatenate([p_r, np.zeros(n_w - n_r)])
-    return ExoModel(S=s, p=p, read_outs=tuple(read_outs), b_y=b_y)
+    def propagator(self, t) -> np.ndarray:
+        """exp(S t) in closed form for each entry of the array ``t``, shaped (*t.shape,
+        n_w, n_w): [[cos wt, sin wt], [-sin wt, cos wt]] per harmonic, 1 per constant."""
+        # each row of S holds its block's w once, in the place of the sine
+        angles = np.multiply.outer(t, np.abs(self.S).sum(axis=1))
+        rotation = np.sign(self.S) * np.sin(angles)[..., None, :]
+        return rotation + np.cos(angles)[..., None] * np.eye(self.n_w)
 
 
 def check_controllable(s: np.ndarray, b: np.ndarray) -> bool:

@@ -6,19 +6,20 @@ share one stacked (N, m + 1) state, discretised by a ghost-node stencil.
 
 The whole loop is linear, so ``ClosedLoopStep`` assembles it once per run and
 advances profiles and internal models together by one Crank-Nicolson step,
-second order in dt; the signal state advances by its exact matrix exponential.
+second order in dt; the signal state advances by its exact propagator, the
+closed-form rotation ``ExoModel.propagator(dt)``.
 The loop reads three scalars per agent from the profiles: the output, by the
 row ``OutputOperator.row()`` of the agent's perturbed operator, k_x . x +
 k_1 x(1) and the lumped xi = int r_x x.  ``simulate`` describes the loop in
-continuous time, and the step alone forms the matrices that depend on dt.
+continuous time, with the signal model's propagator over one step, and the
+step forms the matrices that depend on dt.
 The step reads G, the read-out of those scalars, only while it assembles; the
 signals a trace samples, [y, u, r], are G composed once with the map from the
 read scalars, one matrix over the state [x, vec v, w].
 The step's tridiagonal matrix is similar, by a diagonal scaling, to one that
 is symmetric positive definite for every dt below 2 / lambda_max(L).  It is
 solved unscaled by chunk inverses and an interface correction,
-``linalg.PartitionedSolve``, and the propagator is ``linalg.expm``, so
-simulation runs on numpy alone.
+``linalg.PartitionedSolve``, so simulation runs on numpy alone.
 
 The step keeps each state as one row of the solve's padded chunk layout for
 a whole run, the signal state and the read-out in identity rows after the
@@ -26,11 +27,13 @@ profiles and internal models, so a step is nine numpy calls that allocate
 nothing.  It hands its states [x, vec v, w] over in blocks of at most
 ``BLOCK_BYTES`` (128 KiB, K + 1 padded states: K = 18 at m = 200 and 4 at m =
 800); ``simulate`` checks a block at once, and the blow-up check still names
-the first step past the bound.  One rule sets the steps a trace records, both
-here and in the target cascade: every ``sample_every``-th step from 0, and the
-last.  ``simulate`` fills a block's sampled rows with one gather and one
-product.  The target cascade has constant coefficients and is advanced apart,
-in cosine modes.
+the first step past the bound.  ``simulate`` forms the exact signal state at
+each block start once per run, exp(S k dt) w0, and the step re-seats the w
+each block enters with from it, so the propagator's rounding spans at most K
+steps.  One rule sets the steps a trace records, both here and in the target
+cascade: every ``sample_every``-th step from 0, and the last.  ``simulate``
+fills a block's sampled rows with one gather and one product.  The target
+cascade has constant coefficients and is advanced apart, in cosine modes.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +46,7 @@ from .comm_graph import laplacian
 from .errors import (GridMismatch, NumericalBlowup, SchemaError, SingularStep, ToolkitError,
                      violations)
 from .grid import GridFunction, trapezoid_weights
-from .linalg import PartitionedSolve, expm, largest_eigenvalue, positive_pivots
+from .linalg import PartitionedSolve, largest_eigenvalue, positive_pivots
 from .signal_model import ExoModel
 from .synthesis import MODE_LEADER, MODE_LEADERLESS, RegulatorGains
 
@@ -198,15 +201,15 @@ def _not_definite(diag, off, dt: float, top: float | None = None) -> ToolkitErro
 
 
 class ClosedLoopStep:
-    """One Crank-Nicolson step of a linear closed loop y' = L y + E z, w' = S_w w.
+    """One Crank-Nicolson step of a linear closed loop y' = L y + E z, w+ = Phi w.
 
     y = [x, vec v] stacks the flat profiles and the internal models; z =
     [x G, v, w] is all the loop reads, G a read-out of a few scalars per agent.
     The caller describes the loop in continuous time: the three diagonals of
-    L over x (``bands``; the v rows of L are zero), all rows of E, G and S_w.
-    The step forms everything that depends on dt.  w advances by its exact
-    propagator expm(S_w dt), by scaling and squaring, and enters at its
-    midpoint (w + w+)/2.
+    L over x (``bands``; the v rows of L are zero), all rows of E and G, and
+    the one-step propagator Phi = exp(S_w dt) of the signal state, wherever it
+    comes from.  The step forms everything else that depends on dt.  w
+    advances by Phi and enters at its midpoint (w + w+)/2.
 
     The off-diagonal pairs L[j, j-1], L[j-1, j] are positive inside an agent
     (parabolicity) and zero between agents, so A = I - (dt/2) L (identity
@@ -216,7 +219,7 @@ class ClosedLoopStep:
     inverted once as a ``PartitionedSolve``.  The doubled midpoint is a rank-k
     update of u = 2 A^-1 y (one solve): 2 y_h = u + P [u read, w], P = (dt/2)
     W (I - (dt/2) R W)^-1 F with W = A^-1 E, R the read of z and F = diag(I,
-    I + propagator), as w enters as w + w+; then y+ = 2 y_h - y.  A W, R~ (below)
+    I + Phi), as w enters as w + w+; then y+ = 2 y_h - y.  A W, R~ (below)
     or I - (dt/2) R W that is not finite raises NumericalBlowup.  G enters R~
     and R W alone; the step keeps neither G nor E.
 
@@ -225,20 +228,22 @@ class ClosedLoopStep:
     row of A, so the solve returns it doubled.  Before the solve, r takes the
     read of u, R~^T x with R~ = 2 A^-T G; after it, one product with P' (P on
     the rows of x and v, its columns in the row order [v, w, r] with those of w
-    and r halved; (propagator - I) / 2 on the rows of w; zero elsewhere), an
-    addition and a subtraction of the entering row leave [x+, v+, propagator
-    w, the read].  It steps K = ``block_steps`` states into one buffer of K + 1
-    rows, the state entering the block first, at most ``BLOCK_BYTES``; each
-    step is nine numpy calls that write into arrays allocated once per run.
-    The leading [x, v, w] of the rows is the block it yields.
+    and r halved; (Phi - I) / 2 on the rows of w; zero elsewhere), an addition
+    and a subtraction of the entering row leave [x+, v+, Phi w, the read].  It
+    steps K = ``block_steps`` states into one buffer of K + 1 rows, the state
+    entering the block first, at most ``BLOCK_BYTES``; each step is nine numpy
+    calls that write into arrays allocated once per run.  The leading [x, v,
+    w] of the rows is the block it yields.  The w a block enters with is
+    re-seated from the caller's table of exact block-start states, so Phi's
+    own rounding accumulates over at most K steps.
     """
 
-    def __init__(self, bands, e, read_out, s_w, dt: float):
+    def __init__(self, bands, e, read_out, propagator, dt: float):
         lower, diag, upper = bands
         if ((lower > 0) != (upper > 0)).any() or (np.minimum(lower, upper) < 0).any():
             raise ValueError("L[j, j-1] and L[j-1, j] must be both positive or both zero")
         self.n_x = n_x = diag.size
-        (n, n_z), n_r, n_w = e.shape, read_out.shape[1], s_w.shape[0]
+        (n, n_z), n_r, n_w = e.shape, read_out.shape[1], propagator.shape[0]
         n_v = n - n_x
         half = 0.5 * dt
         # B's off-diagonal sqrt(lower upper) as lower / sqrt(lower / upper), from two
@@ -253,7 +258,6 @@ class ClosedLoopStep:
             np.append(0.5 * (1.0 - half * diag), np.full(n_z, 0.5)),
             -0.5 * half * lower, -0.5 * half * upper,
         )
-        propagator = expm(s_w * dt)
         self.read_u = np.ascontiguousarray(self._solver.solve(read_out, transpose=True)[:n_x].T)
         twice_w = self._solver.solve(e)     # 2 W, zero past the rows of y
         coupled = np.eye(n_z)
@@ -277,11 +281,12 @@ class ClosedLoopStep:
         self.p[n : n + n_w, n_v : n_v + n_w] = 0.5 * (propagator - np.eye(n_w))
         self.block_steps = max(1, BLOCK_BYTES // (8 * rows) - 1)
 
-    def run(self, y: np.ndarray, w: np.ndarray, n_steps: int):
-        """Yield blocks (k0, zs) of the n_steps steps from (y, w): zs holds [y,
-        w] after steps k0 + 1 .. k0 + len(zs), one row per step.  It is a view
-        of the run's buffer, valid until the next block is stepped."""
-        (rows, n_z), n_x, n = self.p.shape, self.n_x, y.size + w.size
+    def run(self, y: np.ndarray, ws: np.ndarray, n_steps: int):
+        """Yield blocks (k0, zs) of the n_steps steps from y: zs holds [y, w]
+        after steps k0 + 1 .. k0 + len(zs), one row per step.  It is a view of
+        the run's buffer, valid until the next block is stepped.  Row j of
+        ``ws`` is w at the start of block j, step j K, the first w0."""
+        (rows, n_z), n_x, n = self.p.shape, self.n_x, y.size + np.shape(ws)[1]
         end = n_x + n_z
         count = min(self.block_steps, max(n_steps, 1))
         states = np.zeros((count + 1, rows))
@@ -293,8 +298,9 @@ class ClosedLoopStep:
              states[j + 1, n_x:end], states[j + 1], states[j])
             for j in range(count)
         ]
-        states[0, : y.size], states[0, y.size : n] = y, w
-        for k0 in range(0, n_steps, count):
+        states[0, : y.size] = y
+        for k0, w in zip(range(0, n_steps, count), ws, strict=True):
+            states[0, y.size : n] = w
             block = steps[: n_steps - k0]
             for x, read, y_now, twice, twice_z, twice_flat, y_flat in block:
                 np.dot(read_u, x, out=read)
@@ -405,7 +411,7 @@ def _closed_loop(scenario_objects, gains: RegulatorGains):
         internal[:] = np.kron(np.eye(n), gains.S) @ basis[3 * n : 3 * n + n_v]
         internal += np.kron(drive, gains.b_y[:, None])
         read_out = read_out.reshape(n * (m + 1), 3 * n)
-        step = ClosedLoopStep(bands, e, read_out, exo.S, dt)
+        step = ClosedLoopStep(bands, e, read_out, exo.propagator(dt), dt)
         del e, forcing, internal    # E and its views: the step keeps E only as W
         # [y, u, r] from z, composed with the read-out: a map of [x, vec v, w]
         signals = np.vstack([y_map, u_map, r_map])
@@ -436,6 +442,10 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
     n_x = n * (m + 1)
 
     steps = _sampled_steps(n_steps, scenario_objects.sample_every)
+    # the exact w at each block start, which the step re-seats; past the floating-point
+    # range an angle w t reads NaN, and the blow-up check names the first step it reaches
+    with np.errstate(all="ignore"):
+        starts = scenario_objects.exo.propagator(np.arange(0, n_steps, step.block_steps) * dt) @ w
     sampled = np.empty((steps.size, 2 * n + 1))   # y, u, r
     v_tr = np.empty((steps.size, n, n_w)) if record_state else None
     x_tr = np.empty((steps.size, n, m + 1)) if record_state else None
@@ -459,7 +469,7 @@ def simulate(scenario_objects, gains: RegulatorGains, *, record_state: bool = Fa
     started = perf_counter()
     # a block may step past a blow-up into overflow; those steps are never read
     with np.errstate(all="ignore"):
-        for k0, zs in step.run(y, w, n_steps):
+        for k0, zs in step.run(y, starts, n_steps):
             peaks = np.abs(zs[:, : y.size]).max(axis=1)
             failed = np.flatnonzero(~np.isfinite(peaks) | (peaks > blowup))
             if failed.size:

@@ -154,9 +154,7 @@ def silent_gains(m: int, n_w: int = 1) -> RegulatorGains:
 
 def constant_exo(r: float, read_outs) -> ExoModel:
     """One constant signal state: with w0 = (1,) the reference is r and d_i = P_i."""
-    return ExoModel(
-        S=np.zeros((1, 1)), p=[r], read_outs=tuple(read_outs), b_y=np.ones(1)
-    )
+    return ExoModel((0.0,), (), tuple(read_outs), np.ones(1), p=[r])
 
 
 def silent_exo(n_agents: int) -> ExoModel:
@@ -520,10 +518,11 @@ class ScaledStep:
     doubled midpoint is a rank-k update of u = 2 B^-1 D^-1 y: 2 y_h = u + P
     [u read, w], P = (dt/2) W (I - (dt/2) R W)^-1 F with W = B^-1 D^-1 E, R
     the read of z through D G and F = diag(I, I + propagator); then y+ = D
-    (2 y_h - D^-1 y).  ``stepwise_run`` steps it.
+    (2 y_h - D^-1 y).  ``stepwise_run`` steps it, w by repeated products of
+    the one-step propagator it is given.
     """
 
-    def __init__(self, bands, e, read_out, s_w, dt: float):
+    def __init__(self, bands, e, read_out, propagator, dt: float):
         lower, diag, upper = bands
         self.n_x = diag.size
         n_v = e.shape[0] - self.n_x
@@ -538,7 +537,7 @@ class ScaledStep:
         if not linalg.positive_pivots(b_diag, b_off):
             raise _not_definite(diag, off, dt)
         self._solver = linalg.PartitionedSolve(0.5 * b_diag, 0.5 * b_off, 0.5 * b_off)
-        self.propagator = linalg.expm(s_w * dt)
+        self.propagator = propagator
         self.read_hat = read_out * self.scale[: self.n_x, None]
         w_hat = self._solver.solve(e / (2.0 * self.scale[:, None]))
         coupled = np.eye(e.shape[1])
@@ -580,8 +579,11 @@ def sample_row(k: int, n_steps: int, every: int):
 def stepwise_simulate(resolved, gains, record_state: bool = False) -> SimTrace:
     """``simulate`` as it was before it checked blocks of steps: each step is
     checked, sampled and snapshot in turn, on ``stepwise_run`` of the loop's
-    ``ScaledStep``."""
-    with mock.patch.object(simulator, "ClosedLoopStep", ScaledStep):
+    ``ScaledStep``, whose propagator is scipy's expm(S dt)."""
+    def scaled_step(bands, e, read_out, _, dt):
+        return ScaledStep(bands, e, read_out, expm(resolved.exo.S * dt), dt)
+
+    with mock.patch.object(simulator, "ClosedLoopStep", scaled_step):
         step, reads, y, w = _closed_loop(resolved, gains)
     dt, m, n_steps, stride = resolved.dt, resolved.m, resolved.n_steps, resolved.sample_every
     blowup = resolved.blowup_bound

@@ -120,6 +120,22 @@ PROBES = [
         for argv in (SYNTHESIZE, CHECK)
         for grid in ("10", "-5")
     ),
+    # counts past the longest array numpy indexes, and integers read exactly past 2^53
+    Probe("grid_points-past-array-length", LEADER, [("grid_points = 200", "grid_points = 1e300")],
+          SYNTHESIZE, 1, stderr=f"grid_points must be at most {sys.maxsize}", no_out_dir=True),
+    Probe("grid-points-past-array-length", LEADER, [],
+          (*SYNTHESIZE, "--grid-points", "99999999999999999999"), 1,
+          stderr=f"grid_points must be at most {sys.maxsize}", no_out_dir=True),
+    Probe("sample_every-past-array-length", LEADER,
+          [("sample_every = 10", "sample_every = 9223372036854775808")],
+          (*SIMULATE, "--horizon", "0.01"), 1,
+          stderr=f"sample_every must be at most {sys.maxsize}", no_out_dir=True),
+    Probe("sample_every-longest", LEADER,
+          [("sample_every = 10", f"sample_every = {sys.maxsize}")],
+          (*SIMULATE, "--horizon", "0.01"), 0, out_files=("trace.csv",)),
+    # 2^53 + 1 intervals read exactly: the allocation names 2^53 + 2 nodes
+    Probe("grid_points-past-2^53", LEADER, [("grid_points = 200", "grid_points = 9007199254740993")],
+          CHECK, 1, stderr="with shape (9007199254740994,)"),
     # command-line overrides simulate cannot step
     Probe("dt-negative", LEADER, [], (*SIMULATE, "--dt", "-1"), 1,
           stderr="dt = -1.0 must be positive", no_out_dir=True),
@@ -180,6 +196,11 @@ PROBES = [
           [("adjacency = 0 0 1 0 ;", "adjacency = 0 0 1e308 0 ;")],
           (*SIMULATE, "--horizon", "0.05"), 1,
           stderr="NumericalBlowup: closed-loop step overflows", no_out_dir=True),
+    # w t past the floating-point range from t = 1.8: the re-seated w reads NaN there
+    Probe("reference-1e308-simulate", LEADER,
+          [("reference_frequencies = pi", "reference_frequencies = 1e308")],
+          (*SIMULATE, "--horizon", "2"), 1,
+          stderr="NumericalBlowup: state norm nan exceeded 1.0e+08 at t = 1.801", no_out_dir=True),
     # gains that do not fit the scenario
     Probe("gains-of-other-mode", LEADERLESS, [], (*SIMULATE, "--horizon", "0.1"), 1,
           stderr="gains designed for leader-follower mode run a leaderless scenario",

@@ -1,6 +1,7 @@
 """Closed-loop simulation: outputs, controller, steppers, traces, metrics."""
 
 import dataclasses
+import decimal
 import re
 import tracemalloc
 import warnings
@@ -15,9 +16,9 @@ from coopreg.backstepping import OutputOperator
 from coopreg.comm_graph import CommTopology
 from coopreg.errors import GridMismatch, NumericalBlowup, SchemaError, SingularStep
 from coopreg.grid import GridFunction, trapezoid_weights, uniform_nodes
-from coopreg.linalg import PartitionedSolve, chunk_rows, expm as propagator, largest_eigenvalue
+from coopreg.linalg import PartitionedSolve, chunk_rows, largest_eigenvalue
 from coopreg.scenario import ResolvedScenario, loads
-from coopreg.signal_model import ExoModel, frequency_blocks
+from coopreg.signal_model import ExoModel
 from coopreg.simulator import (
     BLOCK_BYTES,
     AgentSpec,
@@ -402,7 +403,7 @@ class TestPdeStep:
             )
 
     def test_stacked_agents_step_independently(self):
-        m, dt, n_w = 32, 1e-3, 3
+        m, dt, n_w = 32, 1e-3, 2
         h = 1.0 / m
         rng = np.random.default_rng(7)
         plant = NominalPlant(
@@ -430,9 +431,8 @@ class TestPdeStep:
         agents = [
             dataclasses.replace(ag, initial_profile=GridFunction(row)) for ag, row in zip(agents, x)
         ]
-        exo = ExoModel(
-            S=np.zeros((n_w, n_w)), p=np.zeros(n_w), read_outs=read_outs, b_y=np.ones(n_w)
-        )
+        # a constant reference state and a constant disturbance state: w stays put
+        exo = ExoModel((0.0,), (0.0,), read_outs, np.ones(n_w), p=np.zeros(n_w))
         stacked = held_input_states(plant, agents, u, dt, exo=exo, w0=w)[1]
 
         for i, (agent, p_i) in enumerate(zip(agents, read_outs)):
@@ -473,14 +473,21 @@ def cascade_stencil(m: int) -> np.ndarray:
 
 
 def random_loop(stencil: np.ndarray, n_v: int = 4, n_w: int = 2, seed: int = 11):
-    """Bands of the dense L over x, and a random E, read-out G and skew S_w."""
+    """Bands of the dense L over x, a random E and read-out G, and the propagator
+    exp(S_w dt) over dt = 1e-3 of a random skew S_w."""
     rng = np.random.default_rng(seed)
     n_x = stencil.shape[0]
     bands = (np.diag(stencil, -1), np.diag(stencil), np.diag(stencil, 1))
     read_out = rng.normal(size=(n_x, 3)) / n_x
     e = rng.normal(size=(n_x + n_v, 3 + n_v + n_w))
     s_w = rng.normal(size=(n_w, n_w))
-    return bands, e, read_out, s_w - s_w.T
+    return bands, e, read_out, expm(1e-3 * (s_w - s_w.T))
+
+
+def block_starts(step: ClosedLoopStep, propagator, w0, n_steps: int) -> np.ndarray:
+    """The w of each block start k0 = 0, K, 2K, ..., propagator(k0) @ w0, which
+    ``ClosedLoopStep.run`` re-seats."""
+    return np.array([propagator(k0) @ w0 for k0 in range(0, n_steps, step.block_steps)])
 
 
 class TestClosedLoopStep:
@@ -488,38 +495,38 @@ class TestClosedLoopStep:
         "stencil", [graded_stencil(40), cascade_stencil(40)], ids=["graded", "cascade"]
     )
     def test_matches_dense_crank_nicolson(self, stencil):
-        bands, e, read_out, s_w = random_loop(stencil)
+        bands, e, read_out, phi = random_loop(stencil)
         n_x, dt, n_steps = stencil.shape[0], 1e-3, 200
         n_v, n_read = e.shape[0] - n_x, read_out.shape[1] + e.shape[0] - n_x
         rng = np.random.default_rng(5)
-        y0, w0 = rng.normal(size=e.shape[0]), rng.normal(size=s_w.shape[0])
+        y0, w0 = rng.normal(size=e.shape[0]), rng.normal(size=phi.shape[0])
         # y' = L y + E z with z = [R y, w], R = diag(G^T, I) the read of [x, v]
         read = block_diag(read_out.T, np.eye(n_v))
         generator = block_diag(stencil, np.zeros((n_v, n_v))) + e[:, :n_read] @ read
         (ys, ws), _ = dense_crank_nicolson(
-            generator, e[:, n_read:], expm(s_w * dt), y0, w0, dt, n_steps
+            generator, e[:, n_read:], phi, y0, w0, dt, n_steps
         )
-        step = ClosedLoopStep(bands, e, read_out, s_w, dt)
-        blocks = [(k0, zs.copy()) for k0, zs in step.run(y0, w0, n_steps)]
+        step = ClosedLoopStep(bands, e, read_out, phi, dt)
+        starts = block_starts(step, lambda k: np.linalg.matrix_power(phi, k), w0, n_steps)
+        blocks = [(k0, zs.copy()) for k0, zs in step.run(y0, starts, n_steps)]
         assert [k0 for k0, _ in blocks] == list(range(0, n_steps, step.block_steps))
         zs = np.vstack([np.append(y0, w0), *(z for _, z in blocks)])
         assert_rel_close(zs[:, : y0.size], ys)
         assert_rel_close(zs[:, y0.size :], ws)
 
-    def test_signal_rows_carry_the_exact_propagator(self, leader_scenario):
-        # the w rows advance as 2 w + (propagator - I) w - w for 20,000 steps
-        s_w, n_steps, dt = leader_scenario.exo_model().S, 20_000, 1e-3
-        bands, e, read_out, _ = random_loop(cascade_stencil(8), n_w=s_w.shape[0])
-        w0 = np.random.default_rng(6).normal(size=s_w.shape[0])
-        step = ClosedLoopStep(bands, e, read_out, s_w, dt)
-        blocks = step.run(np.zeros(e.shape[0]), w0, n_steps)
+    @pytest.mark.parametrize("m", [8, 200])
+    def test_signal_rows_carry_the_exact_propagator(self, leader_scenario, m):
+        # the w rows advance as 2 w + (Phi - I) w - w inside a block and are re-seated
+        # from the closed form at each block start, so they do not drift over 20,000 steps
+        exo, n_steps, dt = leader_scenario.exo_model(), 20_000, 1e-3
+        bands, e, read_out, _ = random_loop(cascade_stencil(m), n_w=exo.n_w)
+        w0 = np.random.default_rng(6).normal(size=exo.n_w)
+        step = ClosedLoopStep(bands, e, read_out, exo.propagator(dt), dt)
+        starts = block_starts(step, lambda k: exo.propagator(k * dt), w0, n_steps)
+        blocks = step.run(np.zeros(e.shape[0]), starts, n_steps)
         ws = np.vstack([zs[:, e.shape[0] :].copy() for _, zs in blocks])
-        powers = [w0]
-        for _ in range(n_steps):
-            powers.append(propagator(s_w * dt) @ powers[-1])
-        assert_rel_close(ws, np.array(powers[1:]), rel=1e-13)
-        k = np.arange(1000, n_steps + 1, 1000)
-        assert_rel_close(ws[k - 1], np.array([expm(s_w * j * dt) @ w0 for j in k]))
+        exact = exo.propagator(np.arange(1, n_steps + 1) * dt) @ w0
+        assert np.abs(ws - exact).max() <= 3e-14 * np.abs(w0).max()
 
     def test_singular_step_names_largest_dt(self):
         stencil = graded_stencil(40, reaction=3000.0)
@@ -541,11 +548,11 @@ class TestClosedLoopStep:
             ClosedLoopStep(*random_loop(stencil), 1e-3)
 
     def test_rejects_bands_without_symmetrizing_scale(self):
-        bands, e, read_out, s_w = random_loop(cascade_stencil(8))
+        bands, e, read_out, phi = random_loop(cascade_stencil(8))
         lower, diag, upper = bands
         for bad in ((-lower, diag, upper), (lower, diag, np.where(lower > 0, 0.0, upper))):
             with pytest.raises(ValueError, match="both positive or both zero"):
-                ClosedLoopStep(bad, e, read_out, s_w, 1e-3)
+                ClosedLoopStep(bad, e, read_out, phi, 1e-3)
 
 
 def dominant_tridiagonal(n: int, seed: int = 3):
@@ -609,23 +616,44 @@ class TestPartitionedSolve:
         assert_solves(solver, dense, np.random.default_rng(9).normal(size=dense.shape[0]))
 
 
+def taylor_expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a float matrix by its Taylor series summed in 60-digit decimal
+    arithmetic, then rounded: an oracle free of the squarings that cost scipy's
+    expm 6e-13 at the leader's horizon."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        entries = [[decimal.Decimal(float(v)) for v in row] for row in a]
+        term = [[decimal.Decimal(int(i == j)) for j in range(len(a))] for i in range(len(a))]
+        total = [row[:] for row in term]
+        k = 0
+        while max(abs(v) for row in term for v in row) > decimal.Decimal("1e-40"):
+            k += 1
+            term = [[sum(t * b for t, b in zip(row, col)) / k for col in zip(*entries)]
+                    for row in term]
+            total = [[t + u for t, u in zip(row, new)] for row, new in zip(total, term)]
+    return np.array(total, dtype=float)
+
+
 class TestPropagator:
-    @pytest.mark.parametrize("dt", [1e-3, 0.37])
-    def test_shipped_signal_matrix(self, dt):
-        s_w, _ = frequency_blocks([np.pi, 0.0])
-        reference = expm(s_w * dt)
-        assert np.abs(propagator(s_w * dt) - reference).max() <= 1e-14 * np.abs(reference).max()
+    """``ExoModel.propagator``, the closed-form rotation, against exp(S t)."""
 
     @pytest.mark.parametrize("dt", [1e-3, 0.37])
-    def test_non_canonical_signal_matrix(self, dt):
-        # a similarity transform of rotations and a constant: diagonalizable, not a direct sum
-        basis = np.random.default_rng(3).normal(size=(5, 5))
-        core = block_diag([[0.0, 2.0], [-2.0, 0.0]], [[0.0]], [[0.0, 5.0], [-5.0, 0.0]])
-        s_w = ExoModel(
-            S=basis @ core @ np.linalg.inv(basis), p=np.ones(5), read_outs=(), b_y=np.ones(5)
-        ).S
-        reference = expm(s_w * dt)
-        assert np.abs(propagator(s_w * dt) - reference).max() <= 1e-13 * np.abs(reference).max()
+    def test_shipped_signal_matrix(self, dt):
+        exo = ExoModel((np.pi,), (0.0,), (), np.ones(3))
+        assert np.abs(exo.propagator(dt) - expm(exo.S * dt)).max() <= 1e-15
+
+    def test_at_the_horizon(self):
+        exo = ExoModel((np.pi, 2.0), (0.0, 0.5), (), np.ones(7))
+        assert np.abs(exo.propagator(20.0) - taylor_expm(exo.S * 20.0)).max() <= 1e-15
+
+    def test_vectorised_over_times(self):
+        exo = ExoModel((np.pi,), (0.0,), (), np.ones(3))
+        times = np.array([[0.0, 1e-3], [0.37, 20.0]])
+        table = exo.propagator(times)
+        assert table.shape == (2, 2, 3, 3)
+        assert np.array_equal(table[0, 0], np.eye(3))
+        assert all(np.array_equal(table[i, j], exo.propagator(times[i, j]))
+                   for i in range(2) for j in range(2))
 
 
 class TestLargestEigenvalue:
@@ -894,8 +922,9 @@ class TestBlockStepping:
         step, _, y, w = _closed_loop(resolved, gains)
         k = step.block_steps
         first = round(info.value.time / resolved.dt)
+        starts = block_starts(step, lambda j: resolved.exo.propagator(j * resolved.dt), w, n_steps)
         with np.errstate(all="ignore"):
-            blocks = {k0: zs[:, : y.size].copy() for k0, zs in step.run(y, w, n_steps)}
+            blocks = {k0: zs[:, : y.size].copy() for k0, zs in step.run(y, starts, n_steps)}
         k0 = (first - 1) // k * k
         assert (k0 == 0) if n_steps < k else (k0 == 2 * k and n_steps - k0 < k)
         assert not np.isfinite(blocks[k0][first - k0 :]).all()
@@ -907,7 +936,8 @@ class TestBlockStepping:
         rows = step.p.shape[0]
         assert step.block_steps == k
         assert (k + 1) * 8 * rows <= BLOCK_BYTES == 128 * 1024
-        assert [len(zs) for _, zs in step.run(y, w, 2 * k + 1)] == [k, k, 1]
+        starts = block_starts(step, lambda j: resolved.exo.propagator(j * resolved.dt), w, 2 * k + 1)
+        assert [len(zs) for _, zs in step.run(y, starts, 2 * k + 1)] == [k, k, 1]
 
     def test_simulate_memory_peak(self, leader_scenario, leader_design):
         resolved = leader_scenario.resolve(m=200, horizon=2.0)
@@ -919,8 +949,10 @@ class TestBlockStepping:
             tracemalloc.reset_peak()
             step, reads, y, w = _closed_loop(resolved, leader_design.gains)
             held = tracemalloc.get_traced_memory()[0]
+            starts = block_starts(
+                step, lambda j: resolved.exo.propagator(j * resolved.dt), w, resolved.n_steps)
             tracemalloc.reset_peak()
-            for _, zs in step.run(y, w, resolved.n_steps):
+            for _, zs in step.run(y, starts, resolved.n_steps):
                 np.abs(zs[:, : y.size]).max(axis=1)
             run = tracemalloc.get_traced_memory()[1] - held
         finally:
